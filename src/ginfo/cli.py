@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import bipartite, fisher, matrixio, oscillator, selftest, states
-from .errors import NumericDomainError
+from .errors import NumericDomainError, SingularMatrixError
+from .randmat import random_invertible
 from .symplectic import (
     CovarianceMatrix,
     build_symplectic_form,
     generalized_eigenvalues,
-    random_invertible,
     rsup_check,
 )
 
@@ -49,32 +50,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    """Parse a float, rejecting nan and +-inf before they reach LAPACK."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ginfo", description=__doc__, add_help=True)
     parser.add_argument("--command", required=True, choices=COMMANDS)
-    parser.add_argument("--m", type=float, help="first correlation amplitude (sweep)")
-    parser.add_argument("--n", type=float, help="second correlation amplitude (sweep)")
-    parser.add_argument("--theta", type=float, default=0.0)
-    parser.add_argument("--eta", type=float, default=0.0)
+    parser.add_argument("--m", type=_finite_float, help="first correlation amplitude (sweep)")
+    parser.add_argument("--n", type=_finite_float, help="second correlation amplitude (sweep)")
+    parser.add_argument("--theta", type=_finite_float, default=0.0)
+    parser.add_argument("--eta", type=_finite_float, default=0.0)
     parser.add_argument("--grid", type=int, default=99, help="sweep grid size (>= 10)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--seed", type=int, default=20240901)
-    parser.add_argument("--hbar", type=float, default=1.0)
+    parser.add_argument("--hbar", type=_finite_float, default=1.0)
     # oscillator inputs
-    parser.add_argument("--m1", type=float, default=1.0)
-    parser.add_argument("--m2", type=float, default=1.0)
-    parser.add_argument("--w1", type=float, default=1.0)
-    parser.add_argument("--w2", type=float, default=2.0)
+    parser.add_argument("--m1", type=_finite_float, default=1.0)
+    parser.add_argument("--m2", type=_finite_float, default=1.0)
+    parser.add_argument("--w1", type=_finite_float, default=1.0)
+    parser.add_argument("--w2", type=_finite_float, default=2.0)
     # canonical two-mode sources
-    parser.add_argument("--a", type=float)
-    parser.add_argument("--b", type=float)
-    parser.add_argument("--c", type=float, default=0.0)
-    parser.add_argument("--d", type=float, default=0.0)
-    parser.add_argument("--a0", type=float)
-    parser.add_argument("--b0", type=float)
-    parser.add_argument("--c0", type=float, default=0.0)
-    parser.add_argument("--d0", type=float, default=0.0)
+    parser.add_argument("--a", type=_finite_float)
+    parser.add_argument("--b", type=_finite_float)
+    parser.add_argument("--c", type=_finite_float, default=0.0)
+    parser.add_argument("--d", type=_finite_float, default=0.0)
+    parser.add_argument("--a0", type=_finite_float)
+    parser.add_argument("--b0", type=_finite_float)
+    parser.add_argument("--c0", type=_finite_float, default=0.0)
+    parser.add_argument("--d0", type=_finite_float, default=0.0)
     parser.add_argument("--sigma1", default=None, help="covariance matrix file")
     parser.add_argument("--sigma2", default=None, help="covariance matrix file")
     parser.add_argument("--check-invariance", action="store_true",
@@ -83,7 +95,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--region", choices=("quantum", "separable", "entangled"),
                         default="quantum")
     parser.add_argument("--samples", type=int, default=20000)
-    parser.add_argument("--kappa", type=float, default=1.0)
+    parser.add_argument("--kappa", type=_finite_float, default=1.0)
     parser.add_argument("--power", type=int, default=4)
     parser.add_argument("--box", default="0.5,1.5,0.5,1.5,-0.5,0.5,-0.5,0.5",
                         help="a_lo,a_hi,b_lo,b_hi,c_lo,c_hi,d_lo,d_hi")
@@ -264,8 +276,8 @@ def _run_oscillator(args) -> int:
 
 def _run_volume(args) -> int:
     try:
-        edges = [float(x) for x in args.box.split(",")]
-    except ValueError as exc:
+        edges = [_finite_float(x) for x in args.box.split(",")]
+    except argparse.ArgumentTypeError as exc:
         raise UsageError(f"malformed --box: {exc}") from exc
     if len(edges) != 8:
         raise UsageError("--box needs 8 comma-separated numbers")
@@ -336,7 +348,7 @@ def main(argv=None) -> int:
     except InputValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericDomainError as exc:
+    except (NumericDomainError, SingularMatrixError) as exc:
         print(f"numeric domain error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bipartite, fisher, oscillator, states
+from .randmat import random_invertible, random_local_symplectic, random_spd, random_symplectic
 from .symplectic import (
     CovarianceMatrix,
     Ordering,
@@ -22,10 +23,6 @@ from .symplectic import (
     generalized_eigenvalues,
     matrix_sqrt_spd,
     permute_ordering,
-    random_invertible,
-    random_local_symplectic,
-    random_spd,
-    random_symplectic,
     symplectic_spectrum,
 )
 

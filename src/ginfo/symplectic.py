@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NumericDomainError, SingularMatrixError
 from .policy import DEFAULT_POLICY, NumericPolicy
@@ -292,39 +291,3 @@ def generalized_eigenvalues(sigma1, sigma2, policy: NumericPolicy = DEFAULT_POLI
     if vals.min() <= 0:
         raise NumericDomainError("generalized eigenvalues came out nonpositive")
     return np.sort(vals)
-
-
-# ---------------------------------------------------------------------------
-# random generators used by the property batteries and the CLI self checks
-
-def random_spd(dim: int, rng: np.random.Generator, shift: float = 0.5) -> np.ndarray:
-    """Random well-conditioned SPD matrix ``A A^T + shift I``."""
-    a = rng.normal(size=(dim, dim))
-    return a @ a.T + shift * np.eye(dim)
-
-
-def random_invertible(dim: int, rng: np.random.Generator,
-                      smin: float = 0.5, smax: float = 2.0) -> np.ndarray:
-    """Random invertible matrix with singular values in [smin, smax]."""
-    q1, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    q2, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    s = np.exp(rng.uniform(np.log(smin), np.log(smax), size=dim))
-    return q1 @ np.diag(s) @ q2
-
-
-def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.5,
-                      ordering: Ordering = Ordering.MODE_INTERLEAVED) -> np.ndarray:
-    """Random symplectic matrix ``exp(J A)`` with A symmetric."""
-    j = build_symplectic_form(n_modes, ordering).matrix
-    a = rng.normal(size=(2 * n_modes, 2 * n_modes), scale=scale)
-    return expm(j @ (0.5 * (a + a.T)))
-
-
-def random_local_symplectic(rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-    """Block-diagonal pair of single-mode symplectics (interleaved basis)."""
-    s1 = random_symplectic(1, rng, scale)
-    s2 = random_symplectic(1, rng, scale)
-    out = np.zeros((4, 4))
-    out[:2, :2] = s1
-    out[2:, 2:] = s2
-    return out

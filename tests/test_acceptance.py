@@ -43,7 +43,7 @@ from ginfo.oscillator import (
     separability_condition,
 )
 from ginfo.selftest import closed_form_deviation_report
-from ginfo.symplectic import random_invertible, random_spd, random_symplectic
+from ginfo.randmat import random_invertible, random_spd, random_symplectic
 
 from helpers import random_nondegenerate_canonical, random_valid_canonical
 

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import ginfo
 from ginfo import CovarianceMatrix, Ordering
 from ginfo.cli import main
 from ginfo.matrixio import save_cvm
@@ -175,3 +180,37 @@ class TestSelftest:
         doc = validate_report(out.read_text())
         assert doc["results"]["passed"] is True
         assert len(doc["results"]["deviation_report"]) == 3 * 99
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("argv", [
+        ("--command", "metric", "--a", "nan", "--b", "1"),
+        ("--command", "metric", "--a", "inf", "--b", "1"),
+        ("--command", "sweep", "--m", "nan", "--n", "0.1"),
+        ("--command", "oscillator", "--theta=-inf"),
+        ("--command", "volume", "--box", "0.5,inf,0.5,1.5,-0.5,0.5,-0.5,0.5",
+         "--samples", "1000"),
+        ("--command", "volume", "--box", "0.5,1.5,0.5,1.5,-0.5,0.5,-0.5,nan",
+         "--samples", "1000"),
+    ])
+    def test_non_finite_number_is_usage_error(self, tmp_path, capsys, argv):
+        code, text = run(tmp_path, *argv)
+        assert code == 1
+        assert text == ""
+        assert "finite" in capsys.readouterr().err
+
+    def test_singular_form_is_numeric_domain_error(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "--command", "sweep", "--m", "0.2", "--n", "0.1",
+                      "--eta", "4.5")
+        assert code == 4
+        assert "singular" in capsys.readouterr().err
+
+    def test_cli_import_needs_numpy_only(self):
+        probe = ("import sys, ginfo.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(ginfo.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

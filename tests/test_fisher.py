@@ -24,7 +24,7 @@ from ginfo import (
     regularized_volume,
     regularizer_value,
 )
-from ginfo.symplectic import random_invertible, random_spd
+from ginfo.randmat import random_invertible, random_spd
 
 from helpers import random_nondegenerate_canonical, random_valid_canonical
 

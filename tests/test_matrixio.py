@@ -3,7 +3,7 @@ import pytest
 
 from ginfo import CovarianceMatrix, Ordering, bipartite
 from ginfo.matrixio import load_cvm, parse_cvm, save_cvm
-from ginfo.symplectic import random_spd
+from ginfo.randmat import random_spd
 
 
 def test_round_trip_bit_exact(tmp_path):

@@ -18,7 +18,8 @@ from ginfo import (
     simon_invariants,
     two_mode_bounds,
 )
-from ginfo.symplectic import random_local_symplectic, random_spd, symplectic_spectrum
+from ginfo.randmat import random_local_symplectic, random_spd
+from ginfo.symplectic import symplectic_spectrum
 
 from helpers import FORM2, random_valid_canonical
 

@@ -19,12 +19,8 @@ from ginfo import (
     symplectic_spectrum,
 )
 from ginfo import bipartite
-from ginfo.symplectic import (
-    J2,
-    random_invertible,
-    random_spd,
-    random_symplectic,
-)
+from ginfo.randmat import random_invertible, random_spd, random_symplectic
+from ginfo.symplectic import J2
 
 
 class TestBuildForm:
@@ -131,6 +127,18 @@ class TestSpectrum:
             after = symplectic_spectrum(congruence_apply(s, sigma), form)
             worst = max(worst, np.abs(before - after).max())
         assert worst < 1e-8
+
+
+class TestRandomSymplectic:
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_preserves_form_and_stays_conditioned(self, n, ordering):
+        form = build_symplectic_form(n, ordering).matrix
+        for seed in range(500):
+            s = random_symplectic(n, np.random.default_rng(seed), ordering=ordering)
+            drift = np.abs(s @ form @ s.T - form).max()
+            assert drift <= 1e-12 * max(1.0, np.abs(s).max() ** 2), seed
+            assert np.linalg.cond(s) < 1e3, seed
 
 
 class TestRsup:
