@@ -71,7 +71,7 @@ def party_form() -> SymplecticForm:
     m = np.zeros((8, 8))
     m[:4, :4] = block
     m[4:, 4:] = block
-    return SymplecticForm(m, ordering=None, hbar_effective=1.0)
+    return SymplecticForm(m, ordering=None)
 
 
 def reflection_matrix() -> np.ndarray:
@@ -123,8 +123,7 @@ def bopp_shift(cfg: PairConfig) -> BoppShift:
     omega = party_form().matrix
     deformed = s @ omega @ s.T
     return BoppShift(matrix=s,
-                     form=SymplecticForm(0.5 * (deformed - deformed.T), ordering=None,
-                                         hbar_effective=cfg.hbar_effective))
+                     form=SymplecticForm(0.5 * (deformed - deformed.T), ordering=None))
 
 
 @dataclass(frozen=True, eq=False)

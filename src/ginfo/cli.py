@@ -16,7 +16,12 @@ import sys
 import numpy as np
 
 from . import bipartite, fisher, matrixio, oscillator, selftest, states
-from .errors import NumericDomainError, SingularMatrixError
+from .errors import (
+    DegenerateSpectrumError,
+    NormalizationError,
+    NumericDomainError,
+    SingularMatrixError,
+)
 from .randmat import random_invertible
 from .symplectic import (
     CovarianceMatrix,
@@ -169,10 +174,16 @@ def _run_sweep(command: str, args) -> int:
     return EXIT_OK
 
 
-def _load_state(args, which: str) -> CovarianceMatrix:
+def _load_state(args, which: str) -> tuple[CovarianceMatrix, dict]:
+    """Read state ``which`` ("1" or "2") and the config entries of its source.
+
+    The entries are the matrix file path, or the four inline canonical
+    parameters as resolved (defaults filled in).
+    """
     try:
         path = getattr(args, f"sigma{which}")
         if path is not None:
+            source = {f"sigma{which}": path}
             cvm = matrixio.load_cvm(path)
         else:
             suffix = "" if which == "1" else "0"
@@ -182,8 +193,9 @@ def _load_state(args, which: str) -> CovarianceMatrix:
                 raise UsageError(
                     f"state {which}: pass --sigma{which} FILE or inline "
                     f"--a{suffix}/--b{suffix}[/--c{suffix}/--d{suffix}]")
+            source = {name + suffix: getattr(args, name + suffix) for name in "abcd"}
             cvm = states.canonical_two_mode_cvm(states.CanonicalTwoModeParams(
-                a, b, getattr(args, "c" + suffix), getattr(args, "d" + suffix)))
+                a, b, source["c" + suffix], source["d" + suffix]))
         if cvm.ordering is not None:
             check = rsup_check(cvm, build_symplectic_form(cvm.n_modes, cvm.ordering))
             if not check.valid:
@@ -192,12 +204,12 @@ def _load_state(args, which: str) -> CovarianceMatrix:
                     f"min invariant {check.min_invariant:.12g} < 1")
     except ValueError as exc:
         raise InputValidationError(f"state {which} rejected: {exc}") from exc
-    return cvm
+    return cvm, source
 
 
 def _run_distance(args) -> int:
-    s1 = _load_state(args, "1")
-    s2 = _load_state(args, "2")
+    s1, source1 = _load_state(args, "1")
+    s2, source2 = _load_state(args, "2")
     lam = generalized_eigenvalues(s1, s2)
     results = {
         "distance_half": fisher.fr_distance(s1, s2),
@@ -211,7 +223,7 @@ def _run_distance(args) -> int:
                     - results["distance_half"])
         results["invariance_delta"] = moved
     config = {"command": "distance", "seed": args.seed,
-              "check_invariance": args.check_invariance}
+              "check_invariance": args.check_invariance, **source1, **source2}
     _emit(_json_report("distance", config, results), args.out)
     return EXIT_OK
 
@@ -348,7 +360,8 @@ def main(argv=None) -> int:
     except InputValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericDomainError, SingularMatrixError) as exc:
+    except (NumericDomainError, SingularMatrixError, DegenerateSpectrumError,
+            NormalizationError) as exc:
         print(f"numeric domain error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

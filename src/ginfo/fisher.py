@@ -16,15 +16,16 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, NumericDomainError
 from .policy import DEFAULT_POLICY, NumericPolicy
-from .states import CanonicalTwoModeParams, canonical_two_mode_matrix, ppt_separable
+from .states import CanonicalTwoModeParams, ppt_separable
 from .symplectic import (
     CovarianceMatrix,
     Ordering,
     as_matrix,
     build_symplectic_form,
-    check_spd,
+    _check_spd_matrix,
     generalized_eigenvalues,
-    rsup_check,
+    rsup_check,  # noqa: F401  -- part of this namespace; bench/selftest.py traces it here
+    symplectic_spectrum,
 )
 
 
@@ -54,14 +55,14 @@ def fisher_metric_numeric(sigma_fn, point, step: float = 1e-5,
         raise ValueError(f"step {step} outside [1e-7, 1e-3]")
     theta = np.asarray(point, dtype=float)
     m = theta.size
-    center = check_spd(as_matrix(sigma_fn(theta)), policy)
+    center = _check_spd_matrix(as_matrix(sigma_fn(theta)), policy)
     inv = np.linalg.inv(center)
     partials = []
     for mu in range(m):
         offset = np.zeros(m)
         offset[mu] = step
-        hi = check_spd(as_matrix(sigma_fn(theta + offset)), policy)
-        lo = check_spd(as_matrix(sigma_fn(theta - offset)), policy)
+        hi = _check_spd_matrix(as_matrix(sigma_fn(theta + offset)), policy)
+        lo = _check_spd_matrix(as_matrix(sigma_fn(theta - offset)), policy)
         partials.append((hi - lo) / (2.0 * step))
     g = np.empty((m, m))
     for mu in range(m):
@@ -359,19 +360,15 @@ class Region:
             raise ValueError(f"unknown predicate {self.predicate!r}")
 
 
-def _region_member(params: CanonicalTwoModeParams, predicate: str) -> bool:
-    m = canonical_two_mode_matrix(params)
-    if np.linalg.eigvalsh(m).min() <= 1e-12:
-        return False
-    cvm = CovarianceMatrix(m, ordering=Ordering.MODE_INTERLEAVED)
-    form = build_symplectic_form(2, Ordering.MODE_INTERLEAVED)
-    physical = rsup_check(cvm, form).valid
-    if predicate == "quantum":
-        return physical
-    if not physical:
-        return False
-    separable = ppt_separable(cvm, form).separable
-    return separable if predicate == "separable" else not separable
+def _canonical_stack(draws: np.ndarray) -> np.ndarray:
+    """``(samples, 4, 4)`` canonical matrices of ``(samples, 4)`` rows (a, b, c, d)."""
+    a, b, c, d = draws.T
+    stack = np.zeros((len(draws), 4, 4))
+    stack[:, 0, 0] = stack[:, 1, 1] = a
+    stack[:, 2, 2] = stack[:, 3, 3] = b
+    stack[:, 0, 2] = stack[:, 2, 0] = c
+    stack[:, 1, 3] = stack[:, 3, 1] = d
+    return stack
 
 
 @dataclass(frozen=True)
@@ -391,6 +388,12 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
     Integrates ``regularizer * sqrt(det g)`` over the members of the region
     inside the box, with a deterministic seeded sample stream. Returns a
     zero-measure flag when no sample lands in the region.
+
+    The physicality gate runs once over the whole sample stack: ``a, b > 0``,
+    positive definiteness, and the uncertainty bound on the stacked
+    symplectic spectrum. Only the physical samples then take the per-sample
+    PPT verdict (for the separable and entangled regions), and only the
+    accepted ones evaluate the integrand.
     """
     if samples < 1000:
         raise ValueError("use at least 1e3 samples")
@@ -399,18 +402,23 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
     highs = np.array([hi for _, hi in region.box])
     box_volume = float(np.prod(highs - lows))
     draws = rng.uniform(lows, highs, size=(samples, 4))
+    policy = DEFAULT_POLICY
+    stack = _canonical_stack(draws)
+    form = build_symplectic_form(2, Ordering.MODE_INTERLEAVED)
+    spd = ((draws[:, 0] > 0) & (draws[:, 1] > 0)
+           & (np.linalg.eigvalsh(stack).min(axis=-1) > policy.spd_tol))
+    physical = np.zeros(samples, dtype=bool)
+    physical[spd] = symplectic_spectrum(stack[spd], form, policy)[:, 0] >= 1.0 - policy.rsup_slack
     values = np.zeros(samples)
     accepted = 0
-    for i, (a, b, c, d) in enumerate(draws):
-        if a <= 0 or b <= 0:
-            continue
-        params = CanonicalTwoModeParams(a, b, c, d)
-        if not _region_member(params, region.predicate):
-            continue
+    for i in np.flatnonzero(physical):
+        if region.predicate != "quantum":
+            separable = ppt_separable(CovarianceMatrix(stack[i]), form).separable
+            if separable != (region.predicate == "separable"):
+                continue
         accepted += 1
-        det_g = fisher_det_two_mode(params)
-        values[i] = regularizer_value(canonical_two_mode_matrix(params), reg) \
-            * math.sqrt(max(det_g, 0.0))
+        det_g = fisher_det_two_mode(CanonicalTwoModeParams(*draws[i]))
+        values[i] = regularizer_value(stack[i], reg) * math.sqrt(max(det_g, 0.0))
     mean = values.mean()
     err = box_volume * values.std(ddof=1) / math.sqrt(samples)
     return VolumeEstimate(volume=float(box_volume * mean), std_error=float(err),

@@ -23,7 +23,7 @@ from .symplectic import (
     Ordering,
     as_matrix,
     build_symplectic_form,
-    check_spd,
+    _check_spd_matrix,
     rsup_check,
 )
 
@@ -177,7 +177,7 @@ def partial_transpose(sigma, party: str = "B", momenta=None,
 
     The operation is an involution: applying it twice returns the input.
     """
-    m = check_spd(sigma, policy) if not isinstance(sigma, CovarianceMatrix) else sigma.matrix
+    m = _check_spd_matrix(sigma, policy) if not isinstance(sigma, CovarianceMatrix) else sigma.matrix
     ordering = sigma.ordering if isinstance(sigma, CovarianceMatrix) else None
     n_modes = m.shape[0] // 2
     if momenta is None:
@@ -241,7 +241,7 @@ def simon_invariants(sigma, hbar: float = 1.0,
             raise ValueError("simon_invariants expects the mode-interleaved ordering")
         m = sigma.matrix
     else:
-        m = check_spd(sigma, policy)
+        m = _check_spd_matrix(sigma, policy)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 two-mode matrix, got {m.shape}")
     v11 = m[:2, :2]

@@ -50,25 +50,43 @@ def _ordering_of(obj):
     return None
 
 
+def _check_stack_square_even(matrix: np.ndarray) -> int:
+    """Mode count n of a ``(..., 2n, 2n)`` stack of square matrices."""
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {matrix.shape}")
+    if matrix.shape[-1] % 2:
+        raise ValueError(f"phase-space dimension must be even, got {matrix.shape[-1]}")
+    return matrix.shape[-1] // 2
+
+
 def _check_square_even(matrix: np.ndarray) -> int:
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if matrix.shape[0] % 2:
-        raise ValueError(f"phase-space dimension must be even, got {matrix.shape[0]}")
-    return matrix.shape[0] // 2
+    return _check_stack_square_even(matrix)
 
 
 def check_spd(matrix, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Validate symmetry and positive definiteness, returning the array."""
+    """Validate symmetry and positive definiteness, returning the array.
+
+    Accepts a single matrix or a ``(..., 2n, 2n)`` stack; a stack passes only
+    if every member does.
+    """
     m = as_matrix(matrix)
-    _check_square_even(m)
-    asym = np.abs(m - m.T).max()
+    _check_stack_square_even(m)
+    asym = np.abs(m - np.swapaxes(m, -1, -2)).max(initial=0.0)
     if asym > policy.symmetry_tol:
         raise NumericDomainError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
-    lam_min = np.linalg.eigvalsh(m).min()
+    lam_min = np.linalg.eigvalsh(m).min(initial=np.inf)
     if lam_min <= policy.spd_tol:
         raise NumericDomainError(f"matrix is not positive definite: min eigenvalue = {lam_min:.3e}")
     return m
+
+
+def _check_spd_matrix(matrix, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """:func:`check_spd` for the kernels that take exactly one matrix."""
+    m = as_matrix(matrix)
+    _check_square_even(m)
+    return check_spd(m, policy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +103,7 @@ class CovarianceMatrix:
     policy: NumericPolicy = field(default=DEFAULT_POLICY, repr=False)
 
     def __post_init__(self):
-        m = check_spd(np.asarray(self.matrix, dtype=float), self.policy)
+        m = _check_spd_matrix(np.asarray(self.matrix, dtype=float), self.policy)
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property
@@ -99,7 +117,6 @@ class SymplecticForm:
 
     matrix: np.ndarray
     ordering: Ordering | None = Ordering.MODE_INTERLEAVED
-    hbar_effective: float = 1.0
     policy: NumericPolicy = field(default=DEFAULT_POLICY, repr=False)
 
     def __post_init__(self):
@@ -110,8 +127,6 @@ class SymplecticForm:
             raise NumericDomainError(f"form is not antisymmetric: max |M + M^T| = {asym:.3e}")
         if abs(np.linalg.det(m)) < self.policy.singular_form_tol:
             raise SingularMatrixError("symplectic form is singular")
-        if self.hbar_effective <= 0:
-            raise ValueError("hbar_effective must be positive")
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property
@@ -135,7 +150,7 @@ def build_symplectic_form(n_modes: int, ordering: Ordering = Ordering.MODE_INTER
         m = np.block([[zero, eye], [-eye, zero]])
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
-    return SymplecticForm(m, ordering=ordering, hbar_effective=1.0)
+    return SymplecticForm(m, ordering=ordering)
 
 
 def ordering_permutation(n_modes: int, source: Ordering, target: Ordering) -> np.ndarray:
@@ -170,15 +185,14 @@ def reorder(obj, target: Ordering):
     if isinstance(obj, CovarianceMatrix):
         return CovarianceMatrix(permute_ordering(obj.matrix, ordering, target), ordering=target)
     if isinstance(obj, SymplecticForm):
-        return SymplecticForm(permute_ordering(obj.matrix, ordering, target),
-                              ordering=target, hbar_effective=obj.hbar_effective)
+        return SymplecticForm(permute_ordering(obj.matrix, ordering, target), ordering=target)
     raise TypeError(f"cannot reorder object of type {type(obj).__name__}")
 
 
 def _check_compatible(sigma, form) -> tuple[np.ndarray, np.ndarray]:
     s = as_matrix(sigma)
     w = as_matrix(form)
-    if s.shape != w.shape:
+    if s.shape[-2:] != w.shape:
         raise ValueError(f"size mismatch: state {s.shape} vs form {w.shape}")
     so, wo = _ordering_of(sigma), _ordering_of(form)
     if so is not None and wo is not None and so is not wo:
@@ -190,13 +204,17 @@ def symplectic_spectrum(sigma, form, policy: NumericPolicy = DEFAULT_POLICY) -> 
     """Symplectic (Williamson) invariants of a state with respect to a form.
 
     Args:
-        sigma: SPD state matrix (CovarianceMatrix or ndarray).
-        form: invertible antisymmetric form in the same basis.
+        sigma: SPD state matrix (CovarianceMatrix or ndarray), or a
+            ``(..., 2n, 2n)`` ndarray stack of them.
+        form: one invertible antisymmetric form in the same basis, shared by
+            every member of a stack.
 
     Returns:
         The n moduli of the conjugate eigenvalue pairs of ``Omega^-1 Sigma``
-        times 2, sorted ascending. With this scaling the uncertainty
-        threshold is exactly 1.
+        times 2, sorted ascending, with shape ``(..., n)``. With this scaling
+        the uncertainty threshold is exactly 1. Each member's spectrum is the
+        one a separate call on that member returns, to the last bit; a stack
+        raises if any member fails validation or pairing.
     """
     s, w = _check_compatible(sigma, form)
     if not isinstance(sigma, CovarianceMatrix):
@@ -204,12 +222,12 @@ def symplectic_spectrum(sigma, form, policy: NumericPolicy = DEFAULT_POLICY) -> 
     if abs(np.linalg.det(w)) < policy.singular_form_tol:
         raise SingularMatrixError("symplectic form is singular")
     eigvals = np.linalg.eigvals(np.linalg.solve(w, s))
-    vals = 2.0 * np.sort(np.abs(eigvals.imag))
-    scale = max(1.0, vals[-1])
-    gaps = np.abs(vals[0::2] - vals[1::2])
-    if gaps.max() > policy.pairing_tol * scale:
+    vals = 2.0 * np.sort(np.abs(eigvals.imag), axis=-1)
+    scale = np.maximum(1.0, vals[..., -1])
+    gaps = np.abs(vals[..., 0::2] - vals[..., 1::2]).max(axis=-1)
+    if np.any(gaps > policy.pairing_tol * scale):
         raise NumericDomainError(f"could not pair conjugate eigenvalues: max gap {gaps.max():.3e}")
-    return 0.5 * (vals[0::2] + vals[1::2])
+    return 0.5 * (vals[..., 0::2] + vals[..., 1::2])
 
 
 @dataclass(frozen=True)
@@ -220,6 +238,7 @@ class RsupResult:
 
 def rsup_check(sigma, form, policy: NumericPolicy = DEFAULT_POLICY) -> RsupResult:
     """Robertson-Schrodinger uncertainty check: all invariants >= 1."""
+    _check_square_even(as_matrix(sigma))
     spectrum = symplectic_spectrum(sigma, form, policy)
     lo = float(spectrum[0])
     return RsupResult(valid=lo >= 1.0 - policy.rsup_slack, min_invariant=lo)
@@ -239,7 +258,7 @@ def congruence_apply(s, sigma, policy: NumericPolicy = DEFAULT_POLICY) -> Covari
     coordinate roles, so the caller owns the basis bookkeeping.
     """
     sm = np.asarray(s, dtype=float)
-    m = check_spd(sigma, policy) if not isinstance(sigma, CovarianceMatrix) else sigma.matrix
+    m = _check_spd_matrix(sigma, policy) if not isinstance(sigma, CovarianceMatrix) else sigma.matrix
     _check_invertible_transform(sm, m.shape[0], policy)
     out = sm @ m @ sm.T
     return CovarianceMatrix(0.5 * (out + out.T), ordering=None, policy=policy)
@@ -252,8 +271,7 @@ def congruence_form(s, form, policy: NumericPolicy = DEFAULT_POLICY) -> Symplect
         form = SymplecticForm(as_matrix(form), ordering=None)
     _check_invertible_transform(sm, form.matrix.shape[0], policy)
     out = sm @ form.matrix @ sm.T
-    return SymplecticForm(0.5 * (out - out.T), ordering=None,
-                          hbar_effective=form.hbar_effective, policy=policy)
+    return SymplecticForm(0.5 * (out - out.T), ordering=None, policy=policy)
 
 
 def matrix_sqrt_spd(matrix, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -262,7 +280,7 @@ def matrix_sqrt_spd(matrix, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarra
     Degenerate eigenvalues are fine; only symmetry and positivity are
     required. ``R @ R`` reproduces the input to roundoff.
     """
-    m = check_spd(matrix, policy)
+    m = _check_spd_matrix(matrix, policy)
     w, v = np.linalg.eigh(m)
     root = (v * np.sqrt(w)) @ v.T
     return 0.5 * (root + root.T)
@@ -270,7 +288,7 @@ def matrix_sqrt_spd(matrix, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarra
 
 def matrix_inv_sqrt_spd(matrix, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Inverse SPD square root, same route as :func:`matrix_sqrt_spd`."""
-    m = check_spd(matrix, policy)
+    m = _check_spd_matrix(matrix, policy)
     w, v = np.linalg.eigh(m)
     root = (v / np.sqrt(w)) @ v.T
     return 0.5 * (root + root.T)
@@ -282,8 +300,8 @@ def generalized_eigenvalues(sigma1, sigma2, policy: NumericPolicy = DEFAULT_POLI
     These solve ``det(Sigma2 - lam Sigma1) = 0``; the symmetric route keeps
     them real and positive for SPD inputs.
     """
-    m1 = check_spd(sigma1, policy) if not isinstance(sigma1, CovarianceMatrix) else sigma1.matrix
-    m2 = check_spd(sigma2, policy) if not isinstance(sigma2, CovarianceMatrix) else sigma2.matrix
+    m1 = _check_spd_matrix(sigma1, policy) if not isinstance(sigma1, CovarianceMatrix) else sigma1.matrix
+    m2 = _check_spd_matrix(sigma2, policy) if not isinstance(sigma2, CovarianceMatrix) else sigma2.matrix
     if m1.shape != m2.shape:
         raise ValueError(f"size mismatch: {m1.shape} vs {m2.shape}")
     inv_root = matrix_inv_sqrt_spd(m1, policy)

@@ -92,3 +92,38 @@ def hermitian_crossing(m, n):
             lo = mid
         else:
             hi = mid
+
+
+# ---------------------------------------------------------------------------
+# Hermitian route for the canonical two-mode family (regularized volume)
+#
+# Built with numpy alone from the docstrings of ``ginfo.states`` (the block
+# form [[a I, C], [C, b I]], C = diag(c, d), in the basis (x1, p1, x2, p2))
+# and of ``ginfo.symplectic`` (vacuum at invariant 1). It shares no code with
+# ``symplectic_spectrum``. All symplectic invariants are >= t exactly when
+# ``Sigma + (i t / 2) Omega`` is positive semidefinite, so the volume's gate
+# "smallest invariant >= 1 - rsup_slack" is the Hermitian test at
+# t = 1 - rsup_slack, and the PPT verdict is the same test after flipping p2.
+
+_FORM2 = np.kron(_I2, _J2)
+_FLIP_P2 = np.diag([1.0, 1.0, 1.0, -1.0])
+
+
+def canonical_hermitian_verdicts(draws, rsup_slack=1e-10):
+    """Per-sample (physical, separable) masks of ``(samples, 4)`` rows (a, b, c, d).
+
+    ``physical`` needs a, b > 0 and the Hermitian uncertainty test;
+    ``separable`` is the same test on the reflected matrix and is only
+    meaningful where ``physical`` holds.
+    """
+    t = 1.0 - rsup_slack
+    physical = np.zeros(len(draws), dtype=bool)
+    separable = np.zeros(len(draws), dtype=bool)
+    for i, (a, b, c, d) in enumerate(draws):
+        if a <= 0 or b <= 0:
+            continue
+        sigma = np.block([[a * _I2, np.diag([c, d])], [np.diag([c, d]), b * _I2]])
+        physical[i] = np.linalg.eigvalsh(sigma + 0.5j * t * _FORM2)[0] >= 0.0
+        reflected = _FLIP_P2 @ sigma @ _FLIP_P2
+        separable[i] = np.linalg.eigvalsh(reflected + 0.5j * t * _FORM2)[0] >= 0.0
+    return physical, separable

@@ -81,7 +81,9 @@ class TestBoppShift:
         expected[:4, :4] = party_block
         expected[4:, 4:] = party_block
         np.testing.assert_allclose(shift.form.matrix, expected, atol=1e-14)
-        assert shift.form.hbar_effective == pytest.approx(1.0 + 0.5 * 0.3 / 4)
+        assert he == pytest.approx(1.0 + 0.5 * 0.3 / 4)
+        cross = shift.form.matrix[[0, 1, 4, 5], [2, 3, 6, 7]]   # [x_k, p_k] entries
+        np.testing.assert_allclose(cross, he, rtol=0, atol=1e-14)
 
     def test_position_position_commutator_entry(self):
         cfg = PairConfig(0.1, 0.1, theta=0.7, eta=0.2)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import ginfo
-from ginfo import CovarianceMatrix, Ordering
+from ginfo import CovarianceMatrix, DegenerateSpectrumError, NormalizationError, Ordering
+from ginfo import oscillator
 from ginfo.cli import main
 from ginfo.matrixio import save_cvm
 
@@ -129,6 +130,29 @@ class TestDistance:
         code, _ = run(tmp_path, "--command", "distance", "--a", "1", "--b", "1")
         assert code == 1
 
+    def test_config_echoes_inline_parameters(self, tmp_path):
+        code, text = run(tmp_path, "--command", "distance",
+                         "--a", "1.2", "--b", "0.9", "--c", "0.2",
+                         "--a0", "1.3", "--b0", "1.1", "--d0", "-0.3")
+        assert code == 0
+        config = validate_report(text)["config"]
+        assert config == {"command": "distance", "seed": 20240901,
+                          "check_invariance": False,
+                          "a": 1.2, "b": 0.9, "c": 0.2, "d": 0.0,
+                          "a0": 1.3, "b0": 1.1, "c0": 0.0, "d0": -0.3}
+
+    def test_config_echoes_file_paths(self, tmp_path):
+        path1, path2 = tmp_path / "s1.cvm", tmp_path / "s2.cvm"
+        save_cvm(path1, CovarianceMatrix(np.eye(4), ordering=Ordering.MODE_INTERLEAVED))
+        save_cvm(path2, CovarianceMatrix(2.0 * np.eye(4), ordering=Ordering.MODE_INTERLEAVED))
+        code, text = run(tmp_path, "--command", "distance",
+                         "--sigma1", str(path1), "--sigma2", str(path2))
+        assert code == 0
+        config = validate_report(text)["config"]
+        assert config == {"command": "distance", "seed": 20240901,
+                          "check_invariance": False,
+                          "sigma1": str(path1), "sigma2": str(path2)}
+
 
 class TestReports:
     def test_metric_report(self, tmp_path):
@@ -204,6 +228,18 @@ class TestInputBoundary:
                       "--eta", "4.5")
         assert code == 4
         assert "singular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [DegenerateSpectrumError, NormalizationError])
+    def test_spectral_failure_is_numeric_domain_error(self, tmp_path, capsys,
+                                                       monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("forced by the test")
+
+        monkeypatch.setattr(oscillator, "ground_state", fail)
+        code, text = run(tmp_path, "--command", "oscillator")
+        assert code == 4
+        assert text == ""
+        assert "numeric domain error: forced by the test" in capsys.readouterr().err
 
     def test_cli_import_needs_numpy_only(self):
         probe = ("import sys, ginfo.cli; "

@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from ginfo import fisher
 from ginfo import (
     CanonicalTwoModeParams,
     DegenerateSpectrumError,
@@ -26,7 +28,11 @@ from ginfo import (
 )
 from ginfo.randmat import random_invertible, random_spd
 
-from helpers import random_nondegenerate_canonical, random_valid_canonical
+from helpers import (
+    canonical_hermitian_verdicts,
+    random_nondegenerate_canonical,
+    random_valid_canonical,
+)
 
 
 def canonical_family(theta):
@@ -253,3 +259,101 @@ class TestRegularizedVolume:
         with pytest.raises(ValueError):
             regularized_volume(Region(((0.5, 1.5),) * 4, "quantum"),
                                RegularizerConfig(), samples=10, seed=0)
+
+
+# Boxes whose samples fall on both sides of each physicality decision.
+GATE_BOXES = {
+    "spd-boundary": ((0.3, 1.2), (0.3, 1.2), (-1.2, 1.2), (-1.2, 1.2)),
+    "uncertainty-boundary": ((0.4, 0.9), (0.4, 0.9), (-0.3, 0.3), (-0.3, 0.3)),
+    "ppt-boundary": ((0.5, 1.5), (0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)),
+    "negative-a": ((-0.5, 1.5), (0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)),
+}
+GATE_SAMPLES = 2000
+
+
+def _gate_draws(box, seed):
+    lows = np.array([lo for lo, _ in box])
+    highs = np.array([hi for _, hi in box])
+    draws = np.random.default_rng(seed).uniform(lows, highs, size=(GATE_SAMPLES, 4))
+    return draws, float(np.prod(highs - lows))
+
+
+def _per_sample_volume(box, predicate, reg, seed):
+    """Volume and acceptance with the Hermitian-route verdict taken sample by sample."""
+    draws, box_volume = _gate_draws(box, seed)
+    physical, separable = canonical_hermitian_verdicts(draws)
+    member = {"quantum": physical, "separable": physical & separable,
+              "entangled": physical & ~separable}[predicate]
+    values = np.zeros(GATE_SAMPLES)
+    for i in np.flatnonzero(member):
+        p = CanonicalTwoModeParams(*draws[i])
+        values[i] = (regularizer_value(canonical_two_mode_matrix(p), reg)
+                     * math.sqrt(max(fisher_det_two_mode(p), 0.0)))
+    return box_volume * values.mean(), int(member.sum())
+
+
+class TestVolumeGate:
+    """The batched physicality gate against an independent per-sample route."""
+
+    def test_boxes_straddle_their_boundaries(self):
+        def verdicts(name):
+            draws, _ = _gate_draws(GATE_BOXES[name], seed=11)
+            positive = (draws[:, 0] > 0) & (draws[:, 1] > 0)
+            spd = positive.copy()
+            spd[positive] = [np.linalg.eigvalsh(canonical_two_mode_matrix(
+                CanonicalTwoModeParams(*row))).min() > 0 for row in draws[positive]]
+            return (positive, spd, *canonical_hermitian_verdicts(draws))
+
+        def mixed(mask):
+            return 0 < mask.sum() < mask.size
+
+        positive, spd, _, _ = verdicts("spd-boundary")
+        assert positive.all() and mixed(spd)
+        _, spd, physical, _ = verdicts("uncertainty-boundary")
+        assert spd.all() and mixed(physical)
+        _, _, physical, separable = verdicts("ppt-boundary")
+        assert mixed(separable[physical])
+        positive, _, _, _ = verdicts("negative-a")
+        assert mixed(positive)
+
+    @pytest.mark.parametrize("predicate", ["quantum", "separable", "entangled"])
+    @pytest.mark.parametrize("box", list(GATE_BOXES), ids=list(GATE_BOXES))
+    def test_matches_per_sample_route(self, box, predicate):
+        reg = RegularizerConfig()
+        est = regularized_volume(Region(GATE_BOXES[box], predicate), reg,
+                                 samples=GATE_SAMPLES, seed=11)
+        volume, accepted = _per_sample_volume(GATE_BOXES[box], predicate, reg, seed=11)
+        assert est.accepted == accepted
+        np.testing.assert_allclose(est.volume, volume, rtol=1e-12)
+
+    @pytest.mark.parametrize("predicate", ["quantum", "separable", "entangled"])
+    def test_per_sample_call_counts(self, monkeypatch, predicate):
+        calls = Counter()
+
+        def count(name):
+            real = getattr(fisher, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(fisher, name, wrapper)
+
+        for name in ("ppt_separable", "regularizer_value", "fisher_det_two_mode",
+                     "build_symplectic_form"):
+            count(name)
+        box = GATE_BOXES["negative-a"]
+        est = regularized_volume(Region(box, predicate), RegularizerConfig(),
+                                 samples=GATE_SAMPLES, seed=4)
+        physical, _ = canonical_hermitian_verdicts(_gate_draws(box, seed=4)[0])
+        assert est.accepted > 0
+        assert calls["ppt_separable"] == (0 if predicate == "quantum" else physical.sum())
+        assert calls["regularizer_value"] == est.accepted
+        assert calls["fisher_det_two_mode"] == est.accepted
+        assert calls["build_symplectic_form"] == 1   # one form per call, not per sample
+
+    def test_box_without_positive_samples(self):
+        region = Region(box=((-2.0, -1.0), (0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)),
+                        predicate="separable")
+        est = regularized_volume(region, RegularizerConfig(), samples=1000, seed=2)
+        assert est.zero_measure and est.accepted == 0 and est.volume == 0.0

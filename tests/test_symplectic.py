@@ -20,7 +20,7 @@ from ginfo import (
 )
 from ginfo import bipartite
 from ginfo.randmat import random_invertible, random_spd, random_symplectic
-from ginfo.symplectic import J2
+from ginfo.symplectic import J2, check_spd
 
 
 class TestBuildForm:
@@ -127,6 +127,60 @@ class TestSpectrum:
             after = symplectic_spectrum(congruence_apply(s, sigma), form)
             worst = max(worst, np.abs(before - after).max())
         assert worst < 1e-8
+
+
+class TestSpectrumStack:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_equals_row_by_row_scalar_calls(self, n):
+        rng = np.random.default_rng(40 + n)
+        form = build_symplectic_form(n)
+        stack = np.array([random_spd(2 * n, rng) for _ in range(60)])
+        rows = np.array([symplectic_spectrum(m, form) for m in stack])
+        batched = symplectic_spectrum(stack, form)
+        assert batched.shape == (60, n)
+        assert np.array_equal(batched, rows)
+        grid = symplectic_spectrum(stack.reshape(3, 20, 2 * n, 2 * n), form)
+        assert np.array_equal(grid, rows.reshape(3, 20, n))
+
+    def test_empty_stack(self):
+        out = symplectic_spectrum(np.zeros((0, 4, 4)), build_symplectic_form(2))
+        assert out.shape == (0, 2)
+
+    def test_one_unpairable_member_fails_the_stack(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        form = build_symplectic_form(2)
+        stack = np.array([random_spd(4, rng) for _ in range(6)])
+        symplectic_spectrum(stack, form)
+        exact_eigvals = np.linalg.eigvals
+
+        def split_one_pair(matrix):
+            vals = exact_eigvals(matrix)
+            vals[3, 0] += 1e-3j   # member 3 loses its exact conjugate pairing
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvals", split_one_pair)
+        with pytest.raises(NumericDomainError, match="could not pair"):
+            symplectic_spectrum(stack, form)
+
+    def test_one_indefinite_member_fails_the_stack(self):
+        stack = np.array([np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0]), np.eye(4)])
+        with pytest.raises(NumericDomainError, match="positive definite"):
+            check_spd(stack)
+        with pytest.raises(NumericDomainError, match="positive definite"):
+            symplectic_spectrum(stack, build_symplectic_form(2))
+
+    def test_single_matrix_apis_reject_stacks(self):
+        stack = np.array([np.eye(4), 2.0 * np.eye(4)])
+        form = build_symplectic_form(2)
+        with pytest.raises(ValueError, match="square matrix"):
+            CovarianceMatrix(stack)
+        with pytest.raises(ValueError, match="square matrix"):
+            SymplecticForm(np.array([form.matrix, form.matrix]))
+        for kernel in (lambda: rsup_check(stack, form), lambda: matrix_sqrt_spd(stack),
+                       lambda: generalized_eigenvalues(stack, stack),
+                       lambda: congruence_apply(np.eye(4), stack)):
+            with pytest.raises(ValueError, match="square matrix"):
+                kernel()
 
 
 class TestRandomSymplectic:
