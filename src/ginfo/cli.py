@@ -313,10 +313,6 @@ def _run_selftest(args) -> int:
     for res in report.results:
         status = "PASS" if res.passed else "FAIL"
         lines.append(f"{status}  {res.name}  [n={res.cases}]  {res.detail}")
-    deviations = [r["max_rel_deviation"] for r in report.deviation_report
-                  if np.isfinite(r["max_rel_deviation"])]
-    lines.append(f"closed-form deviation report: {len(report.deviation_report)} grid points, "
-                 f"worst relative deviation {max(deviations):.6g}")
     lines.append("selftest " + ("PASSED" if report.passed else "FAILED"))
     sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
@@ -325,10 +321,6 @@ def _run_selftest(args) -> int:
             "properties": [{"name": r.name, "passed": r.passed,
                             "cases": r.cases, "detail": r.detail}
                            for r in report.results],
-            "deviation_report": [
-                {k: (None if isinstance(v, float) and not np.isfinite(v) else v)
-                 for k, v in row.items()}
-                for row in report.deviation_report],
         }
         config = {"command": "selftest", "seed": args.seed}
         _emit(_json_report("selftest", config, results), args.out)

@@ -12,7 +12,6 @@ class NumericPolicy:
     symmetry_tol: float = 1e-12        # max |M - M^T| for symmetric inputs
     spd_tol: float = 1e-12             # smallest admissible eigenvalue of an SPD matrix
     equality_tol: float = 1e-10        # generic elementwise equality checks
-    pairing_tol: float = 1e-9          # matching +i/-i eigenvalue pairs
     singular_form_tol: float = 1e-14   # |det| floor for symplectic forms
     singular_transform_tol: float = 1e-12  # |det| floor for congruence transforms
     rsup_slack: float = 1e-10          # uncertainty threshold is 1 - rsup_slack

@@ -1,15 +1,13 @@
 """Seeded property batteries behind the CLI selftest command.
 
 Each battery checks one documented invariant of a module and reports a name,
-a pass flag, the number of cases exercised and a short detail string. The
-closed-form invariant comparison produces a deviation report instead of a
-verdict; producing the report is its purpose.
+a pass flag, the number of cases exercised and a short detail string.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -443,44 +441,19 @@ def battery_margin_continuity(rng) -> PropertyResult:
                           f"max jump {jumps.max():.3e}, bound {bound:.3e}")
 
 
-def closed_form_deviation_report() -> list[dict]:
-    """Closed-form vs spectral invariants on every figure grid point.
-
-    Returns one record per (figure, theta) with the two minima and the
-    maximal relative deviation across all four invariants; NaN deviation
-    marks points where the closed-form expressions leave their real domain.
-    """
-    report = []
+def battery_boundary_agreement(rng) -> PropertyResult:
     grid = np.linspace(0.01, 0.99, 99)
-    for figure, mn in (("figure1", 0.125), ("figure2", 0.25), ("figure3", 0.0625)):
-        base = bipartite.PairConfig(mn, mn)
+    bad = 0
+    closest = math.inf
+    for mn in (0.125, 0.25, 0.0625):   # figures 1, 2 and 3
         for theta in grid:
-            cfg = replace(base, theta=float(theta))
-            oracle = bipartite.deformed_pt_spectrum(cfg)
-            row = {"figure": figure, "theta": float(theta),
-                   "oracle_min": oracle.min_invariant}
-            try:
-                closed = bipartite.closed_form_spectrum(cfg)
-                row["closed_min"] = float(closed.scaled.min())
-                row["max_rel_deviation"] = closed.oracle_deviation
-            except ValueError as exc:
-                row["closed_min"] = float("nan")
-                row["max_rel_deviation"] = float("nan")
-                row["note"] = str(exc)
-            report.append(row)
-    return report
-
-
-def battery_deviation_report() -> tuple[PropertyResult, list[dict]]:
-    report = closed_form_deviation_report()
-    finite = [r for r in report if math.isfinite(r["max_rel_deviation"])]
-    worst = max((r["max_rel_deviation"] for r in finite), default=float("nan"))
-    ok = len(report) == 3 * 99 and len(finite) > 0
-    return (PropertyResult(
-        "closed-form invariant deviation report produced",
-        ok, len(report),
-        f"{len(finite)} finite comparisons, worst relative deviation {worst:.3e}"),
-        report)
+            cfg = bipartite.PairConfig(mn, mn, theta=float(theta))
+            margin = bipartite.separability_margin(cfg)
+            bad += (min(bipartite.pair_boundary(cfg)) >= 0.0) != (margin >= 0.0)
+            closest = min(closest, abs(margin))
+    return PropertyResult("exact boundary agrees with the reflection spectrum",
+                          bad == 0, 3 * grid.size,
+                          f"{bad} disagreements; smallest |margin| {closest:.3e}")
 
 
 BATTERIES = [
@@ -508,6 +481,7 @@ BATTERIES = [
     battery_pair_distance_isometry,
     battery_reflection_structure,
     battery_margin_continuity,
+    battery_boundary_agreement,
 ]
 
 
@@ -515,7 +489,6 @@ BATTERIES = [
 class SelftestReport:
     seed: int
     results: tuple[PropertyResult, ...]
-    deviation_report: tuple[dict, ...]
 
     @property
     def passed(self) -> bool:
@@ -528,7 +501,4 @@ def run_all(seed: int = 20240901) -> SelftestReport:
     for index, battery in enumerate(BATTERIES):
         rng = np.random.default_rng(seed + index)
         results.append(battery(rng))
-    report_result, deviations = battery_deviation_report()
-    results.append(report_result)
-    return SelftestReport(seed=seed, results=tuple(results),
-                          deviation_report=tuple(deviations))
+    return SelftestReport(seed=seed, results=tuple(results))

@@ -2,20 +2,21 @@
 
 All 15 criteria pass. Criterion 4 (the m = n = 1/4 sweep of figure 2) was
 corrected: it used to assert that this sweep stays separable at every grid
-point, an expectation that came only from the closed-form invariants of
-``bipartite.closed_form_spectrum``, which already disagree with the exact
-reflection spectrum at theta = 0 (criterion 2; criterion 15 reports the
-deviation). The mirror-reflection spectrum and the independent Hermitian test
-``R S Sigma S^T R + (i/2) S Omega S^T >= 0`` both find a single crossing at
-theta* = 0.492689293595588..., confirmed by a 40-digit root of the
-determinant. The criterion now asserts that crossing: separable below theta*
-at the unchanged 1e-10 tolerance, entangled above it, and the latest crossing
-of the correlation strengths, so the strongest correlation stays separable
-longest.
+point, an expectation that came only from closed-form invariant expressions
+that disagreed with the exact reflection spectrum already at theta = 0
+(criterion 2) and have since been deleted. The mirror-reflection spectrum
+and the independent Hermitian test ``R S Sigma S^T R + (i/2) S Omega S^T >= 0``
+both find a single crossing at theta* = 0.492689293595588..., confirmed by a
+40-digit root of the determinant. The criterion now asserts that crossing:
+separable below theta* at the unchanged 1e-10 tolerance, entangled above it,
+and the latest crossing of the correlation strengths, so the strongest
+correlation stays separable longest. Criterion 15 checks the exact
+separability boundary ``bipartite.pair_boundary`` against the spectrum at
+every figure grid point.
 """
 
-import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from ginfo.oscillator import (
     mode_spectrum,
     separability_condition,
 )
-from ginfo.selftest import closed_form_deviation_report
 from ginfo.randmat import random_invertible, random_spd, random_symplectic
 
 from helpers import (
@@ -262,17 +262,14 @@ def test_ac14_deformation_parameter_symmetry():
     assert worst < 1e-9, worst
 
 
-def test_ac15_closed_form_deviation_report(tmp_path):
-    # the criterion passes by producing the report, never by trusting the
-    # closed forms: one record per figure grid point, logged to a file
-    report = closed_form_deviation_report()
-    assert len(report) == 3 * 99
-    finite = [r for r in report if math.isfinite(r["max_rel_deviation"])]
-    assert finite, "no comparable grid points at all"
-    log_path = tmp_path / "closed_form_deviations.json"
-    log_path.write_text(json.dumps(report, indent=1, default=float))
-    logged = json.loads(log_path.read_text())
-    assert len(logged) == len(report)
-    worst = max(r["max_rel_deviation"] for r in finite)
-    print(f"\nclosed-form deviation report: {len(report)} points, "
-          f"worst relative deviation {worst:.4g} (logged to {log_path})")
+def test_ac15_exact_boundary_matches_figure_spectra():
+    # the closed-form boundary and the reflection spectrum give the same
+    # verdict at all 3 x 99 figure points
+    checked = 0
+    for mn in PAIR_CASES:
+        cfg = bipartite.PairConfig(mn, mn)
+        for row in bipartite.theta_sweep(cfg, GRID99).rows:
+            f_plus, f_minus = bipartite.pair_boundary(replace(cfg, theta=row.theta))
+            assert (min(f_plus, f_minus) >= 0.0) == (row.margin >= 0.0), (mn, row.theta)
+            checked += 1
+    assert checked == 3 * 99

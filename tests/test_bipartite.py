@@ -1,17 +1,15 @@
 import math
-import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from ginfo import fr_distance
+from ginfo import bipartite, fr_distance
 from ginfo.bipartite import (
     PairConfig,
     bopp_shift,
-    closed_form_coefficients,
-    closed_form_spectrum,
     deformed_pt_spectrum,
-    limiting_min_invariant,
+    pair_boundary,
     pair_cvm,
     party_form,
     party_to_interleaved,
@@ -147,42 +145,99 @@ class TestDeformedSpectrum:
         np.testing.assert_array_equal(refl @ refl, np.eye(8))
 
 
-class TestClosedForm:
-    def test_undeformed_coefficients(self):
-        cfg = PairConfig(0.125, 0.125)
-        const, lead, inner, skew = closed_form_coefficients(cfg)
-        rsq = cfg.radius ** 2
-        assert const == pytest.approx(1 + rsq, abs=1e-14)
-        assert lead == pytest.approx(4 * rsq, abs=1e-14)
-        assert skew == 0.0
+def _boundary_roots(m, n, eta):
+    """Real roots in theta of F+ and F- at fixed (m, n, eta).
 
-    def test_undeformed_extreme_values(self):
-        # outermost assembled values reproduce the reflection extremes; the
-        # middle pair does not (the closed-form expressions are unreliable, which
-        # is why the spectrum stays the verdict authority)
-        cfg = PairConfig(0.125, 0.125)
-        out = closed_form_spectrum(cfg)
-        r = cfg.radius
-        assert out.values[0] == pytest.approx((1 + r) ** 2, abs=1e-12)
-        assert out.values[3] == pytest.approx((1 - r) ** 2, abs=1e-12)
-        assert out.scaled.max() == pytest.approx(cfg.scale * (1 + r), abs=1e-9)
-        assert out.scaled.min() == pytest.approx(cfg.scale * (1 - r), abs=1e-9)
-        assert out.oracle_deviation > 0.01   # middle pair disagrees
+    Each factor is quadratic in theta at fixed eta; its coefficients are read
+    off three evaluations of ``pair_boundary`` and the quadratic is solved in
+    the cancellation-free form, which also covers a vanishing leading term.
+    """
+    roots = []
+    for factor in (0, 1):
+        at = [pair_boundary(PairConfig(m, n, theta=t, eta=eta))[factor]
+              for t in (-1.0, 0.0, 1.0)]
+        c = at[1]
+        b = 0.5 * (at[2] - at[0])
+        a = 0.5 * (at[2] + at[0]) - c
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            continue
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        roots.append(c / q)
+        if a != 0.0:
+            roots.append(q / a)
+    return roots
 
-    def test_limiting_function_matches_min_value(self):
-        for mn in (0.125, 0.25):
-            radius = PairConfig(mn, mn).radius
-            for t in (0.2, 0.5, 0.9):
-                eta_zero = closed_form_spectrum(PairConfig(mn, mn, theta=t)).values[3]
-                theta_zero = closed_form_spectrum(PairConfig(mn, mn, eta=t)).values[3]
-                limit = limiting_min_invariant(t, radius)
-                assert eta_zero == pytest.approx(limit, abs=1e-12)
-                assert theta_zero == pytest.approx(limit, abs=1e-12)
 
-    def test_deviation_reported(self):
-        out = closed_form_spectrum(PairConfig(0.125, 0.125, theta=0.5))
-        assert np.isfinite(out.oracle_deviation)
-        assert out.oracle_deviation > 0.0
+class TestPairBoundary:
+    def test_verdict_matches_spectrum_on_random_points(self):
+        rng = np.random.default_rng(52)
+        used = entangled = mismatches = 0
+        for _ in range(2400):
+            radius = rng.uniform(0.005, 0.97)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            theta, eta = rng.uniform(-1.9, 1.9, size=2)
+            cfg = PairConfig(radius * math.cos(angle), radius * math.sin(angle),
+                             theta=theta, eta=eta)
+            margin = separability_margin(cfg)
+            if abs(margin) < 1e-9:
+                continue
+            used += 1
+            entangled += margin < 0.0
+            mismatches += (min(pair_boundary(cfg)) >= 0.0) != (margin >= 0.0)
+        assert used >= 2000
+        assert 0 < entangled < used
+        assert mismatches == 0
+
+    def test_factors_the_threshold_quartic(self):
+        # prod(nu_k^2 - 1) / 4^4 = R^2 F+ F- / (4^8 (1 - R)^4 (1 - theta eta / 4)^4)
+        rng = np.random.default_rng(55)
+        worst = 0.0
+        for _ in range(200):
+            radius = rng.uniform(0.005, 0.97)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            theta, eta = rng.uniform(-1.9, 1.9, size=2)
+            cfg = PairConfig(radius * math.cos(angle), radius * math.sin(angle),
+                             theta=theta, eta=eta)
+            nu = deformed_pt_spectrum(cfg).invariants
+            quartic = np.prod(nu ** 2 - 1.0) / 4.0 ** 4
+            f_plus, f_minus = pair_boundary(cfg)
+            closed = radius ** 2 * f_plus * f_minus / (
+                4.0 ** 8 * (1.0 - radius) ** 4 * (1.0 - theta * eta / 4.0) ** 4)
+            worst = max(worst, abs(quartic - closed) / abs(quartic))
+        assert worst < 1e-10
+
+    def test_eta_zero_crossing_reproduces_quarter_crossing(self):
+        # at eta = 0, F+- = 16 P +- 32 Q theta, so at theta = 1 the ratio
+        # (F+ + F-) / (F+ - F-) is the crossing P / (2 Q)
+        f_plus, f_minus = pair_boundary(PairConfig(0.25, 0.25, theta=1.0))
+        assert abs((f_plus + f_minus) / (f_plus - f_minus) - QUARTER_CROSSING) <= 1e-15
+
+    def test_roots_match_sweep_bisection(self):
+        configs = [(mn, mn, 0.0) for mn in (0.125, 0.25, 0.0625)]   # figures 1-3
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            radius = rng.uniform(0.05, 0.6)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            configs.append((radius * math.cos(angle), radius * math.sin(angle),
+                            rng.uniform(0.0, 0.05)))
+        for m, n, eta in configs:
+            crossing = theta_sweep(PairConfig(m, n, eta=eta), GRID).crossing_theta
+            assert crossing is not None
+            assert min(abs(r - crossing) for r in _boundary_roots(m, n, eta)) < 1e-6, (m, n, eta)
+
+    def test_margin_invariant_under_rotation(self):
+        rng = np.random.default_rng(54)
+        worst = 0.0
+        for _ in range(40):
+            radius = rng.uniform(0.005, 0.97)
+            theta, eta = rng.uniform(-1.9, 1.9, size=2)
+            axis = separability_margin(PairConfig(radius, 0.0, theta=theta, eta=eta))
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            turned = separability_margin(PairConfig(
+                radius * math.cos(angle), radius * math.sin(angle), theta=theta, eta=eta))
+            worst = max(worst, abs(turned - axis))
+        assert worst < 1e-12
 
 
 class TestThetaSweep:
@@ -212,16 +267,38 @@ class TestThetaSweep:
         assert [r.theta for r in sweep1.rows] == [r.theta for r in sweep2.rows]
         assert [r.margin for r in sweep1.rows] == [r.margin for r in sweep2.rows]
 
-    def test_thread_env_equivalence(self):
-        grid = np.linspace(0.05, 0.95, 12)
-        serial = theta_sweep(PairConfig(0.125, 0.125), grid)
-        os.environ["GINFO_NUM_THREADS"] = "3"
-        try:
-            threaded = theta_sweep(PairConfig(0.125, 0.125), grid)
-        finally:
-            del os.environ["GINFO_NUM_THREADS"]
-        assert [r.margin for r in serial.rows] == [r.margin for r in threaded.rows]
-        assert serial.crossing_theta == threaded.crossing_theta
+    @pytest.mark.parametrize("eta", [0.0, 0.8])   # one crossing, none
+    def test_one_spectrum_per_grid_point_and_bisection_step(self, monkeypatch, eta):
+        calls = Counter()
+
+        def count(name):
+            real = getattr(bipartite, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(bipartite, name, wrapper)
+
+        for name in ("separability_margin", "deformed_pt_spectrum"):
+            count(name)
+        grid = np.linspace(0.01, 0.99, 30)
+        sweep = theta_sweep(PairConfig(0.125, 0.125, eta=eta), grid, bisect_tol=1e-6)
+        assert (sweep.crossing_theta is None) == (eta != 0.0)
+        steps = 0
+        if sweep.crossing_theta is not None:
+            # replay the bisection: every kept half contains the final midpoint
+            margins = [row.margin for row in sweep.rows]
+            k = next(i for i in range(grid.size - 1)
+                     if (margins[i] >= 0.0) != (margins[i + 1] >= 0.0))
+            lo, hi = sweep.rows[k].theta, sweep.rows[k + 1].theta
+            while hi - lo > 1e-6:
+                steps += 1
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if mid < sweep.crossing_theta else (lo, mid)
+            assert 0.5 * (lo + hi) == sweep.crossing_theta
+        assert calls["separability_margin"] == grid.size + steps
+        assert calls["deformed_pt_spectrum"] == grid.size + steps
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -119,6 +119,16 @@ class TestDistance:
                       "--a", "0.4", "--b", "0.4", "--a0", "1", "--b0", "1")
         assert code == 3
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_file_entry_rejected(self, tmp_path, capsys, entry):
+        bad = tmp_path / "bad.cvm"
+        bad.write_text(f"# cvm modes=1 ordering=mode_interleaved\n{entry} 0\n0 1\n")
+        code, text = run(tmp_path, "--command", "distance",
+                         "--sigma1", str(bad), "--sigma2", str(bad))
+        assert code == 3
+        assert text == ""
+        assert "finite" in capsys.readouterr().err
+
     def test_malformed_file_rejected(self, tmp_path):
         bad = tmp_path / "bad.cvm"
         bad.write_text("no header\n1 0\n0 1\n")
@@ -203,7 +213,11 @@ class TestSelftest:
         assert elapsed < 60.0
         doc = validate_report(out.read_text())
         assert doc["results"]["passed"] is True
-        assert len(doc["results"]["deviation_report"]) == 3 * 99
+        assert len(doc["results"]["properties"]) == 25
+        boundary = [p for p in doc["results"]["properties"]
+                    if p["name"] == "exact boundary agrees with the reflection spectrum"]
+        assert len(boundary) == 1
+        assert boundary[0]["passed"] is True and boundary[0]["cases"] == 3 * 99
 
 
 class TestInputBoundary:

@@ -40,3 +40,10 @@ def test_non_spd_rejected():
     text = "# cvm modes=1 ordering=mode_interleaved\n1 0\n0 -1\n"
     with pytest.raises(ValueError):
         parse_cvm(text)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_non_finite_entry_rejected(entry):
+    text = f"# cvm modes=1 ordering=mode_interleaved\n1 0\n0 {entry}\n"
+    with pytest.raises(ValueError, match="non-finite"):
+        parse_cvm(text)
