@@ -72,6 +72,9 @@ def party_form() -> SymplecticForm:
     return SymplecticForm(m, ordering=None)
 
 
+_PARTY_FORM = party_form()
+
+
 def reflection_matrix() -> np.ndarray:
     """Mirror reflection of party B: flips its two momentum coordinates."""
     return np.diag([1.0, 1, 1, 1, 1, 1, -1, -1])
@@ -118,8 +121,7 @@ def bopp_shift(cfg: PairConfig) -> BoppShift:
     s = np.zeros((8, 8))
     s[:4, :4] = party
     s[4:, 4:] = party
-    omega = party_form().matrix
-    deformed = s @ omega @ s.T
+    deformed = s @ _PARTY_FORM.matrix @ s.T
     return BoppShift(matrix=s,
                      form=SymplecticForm(0.5 * (deformed - deformed.T), ordering=None))
 

@@ -71,7 +71,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--command", required=True, choices=COMMANDS)
     parser.add_argument("--m", type=_finite_float, help="first correlation amplitude (sweep)")
     parser.add_argument("--n", type=_finite_float, help="second correlation amplitude (sweep)")
-    parser.add_argument("--theta", type=_finite_float, default=0.0)
+    parser.add_argument("--theta", type=_finite_float, help="oscillator deformation (default 0)")
     parser.add_argument("--eta", type=_finite_float, default=0.0)
     parser.add_argument("--grid", type=int, default=99, help="sweep grid size (>= 10)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -162,6 +162,8 @@ def _run_sweep(command: str, args) -> int:
         if args.m is None or args.n is None:
             raise UsageError("sweep requires --m and --n")
         m, n = args.m, args.n
+    if args.theta is not None:
+        raise UsageError(f"--theta does not apply to {command}: it sweeps theta over its grid")
     if args.grid < 10:
         raise UsageError("--grid must be at least 10")
     fmt = args.format or "csv"
@@ -251,9 +253,10 @@ def _run_metric(args) -> int:
 
 
 def _run_oscillator(args) -> int:
+    theta = 0.0 if args.theta is None else args.theta
     p = oscillator.OscillatorParams(mass1=args.m1, mass2=args.m2,
                                     freq1=args.w1, freq2=args.w2,
-                                    theta=args.theta, eta=args.eta, hbar=args.hbar)
+                                    theta=theta, eta=args.eta, hbar=args.hbar)
     _, eq = oscillator.equivalent_hamiltonian(p)
     exponent = oscillator.ground_state(p)
     cvm = oscillator.ground_state_cvm(exponent, p.hbar)
@@ -280,7 +283,7 @@ def _run_oscillator(args) -> int:
     except ValueError:
         results["mode_freqs"] = None   # degenerate isotropic undeformed case
     config = {"command": "oscillator", "m1": args.m1, "m2": args.m2,
-              "w1": args.w1, "w2": args.w2, "theta": args.theta,
+              "w1": args.w1, "w2": args.w2, "theta": theta,
               "eta": args.eta, "hbar": args.hbar, "seed": args.seed}
     _emit(_json_report("oscillator", config, results), args.out)
     return EXIT_OK

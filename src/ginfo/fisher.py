@@ -23,6 +23,7 @@ from .symplectic import (
     as_matrix,
     build_symplectic_form,
     _check_spd_matrix,
+    _validated,
     generalized_eigenvalues,
     rsup_check,  # noqa: F401  -- part of this namespace; bench/selftest.py traces it here
     symplectic_spectrum,
@@ -393,7 +394,8 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
     positive definiteness, and the uncertainty bound on the stacked
     symplectic spectrum. Only the physical samples then take the per-sample
     PPT verdict (for the separable and entangled regions), and only the
-    accepted ones evaluate the integrand.
+    accepted ones evaluate the integrand. The gate validates each sample
+    once; the per-sample verdict runs no further SPD check.
     """
     if samples < 1000:
         raise ValueError("use at least 1e3 samples")
@@ -413,7 +415,8 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
     accepted = 0
     for i in np.flatnonzero(physical):
         if region.predicate != "quantum":
-            separable = ppt_separable(CovarianceMatrix(stack[i]), form).separable
+            sigma = _validated(stack[i], Ordering.MODE_INTERLEAVED, policy)
+            separable = ppt_separable(sigma, form, policy=policy).separable
             if separable != (region.predicate == "separable"):
                 continue
         accepted += 1

@@ -24,6 +24,7 @@ from .symplectic import (
     as_matrix,
     build_symplectic_form,
     _check_spd_matrix,
+    _validated,
     rsup_check,
 )
 
@@ -176,6 +177,8 @@ def partial_transpose(sigma, party: str = "B", momenta=None,
             a caller-managed basis (ordering None) and otherwise overriding.
 
     The operation is an involution: applying it twice returns the input.
+    A CovarianceMatrix under the same ``policy`` is not validated again: the
+    sign flips are exact, so the output keeps the spectrum that passed.
     """
     m = _check_spd_matrix(sigma, policy) if not isinstance(sigma, CovarianceMatrix) else sigma.matrix
     ordering = sigma.ordering if isinstance(sigma, CovarianceMatrix) else None
@@ -188,6 +191,8 @@ def partial_transpose(sigma, party: str = "B", momenta=None,
     for idx in momenta:
         signs[idx] = -1.0
     out = m * np.outer(signs, signs)
+    if isinstance(sigma, CovarianceMatrix) and sigma.policy == policy:
+        return _validated(out, ordering, policy)
     return CovarianceMatrix(out, ordering=ordering, policy=policy)
 
 

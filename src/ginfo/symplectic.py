@@ -115,6 +115,15 @@ class CovarianceMatrix:
         return self.matrix.shape[0] // 2
 
 
+def _validated(matrix, ordering: Ordering | None, policy: NumericPolicy) -> CovarianceMatrix:
+    """Wrap a matrix that already passed :func:`check_spd` under ``policy``, unchecked."""
+    cvm = object.__new__(CovarianceMatrix)
+    object.__setattr__(cvm, "matrix", _freeze(matrix))
+    object.__setattr__(cvm, "ordering", ordering)
+    object.__setattr__(cvm, "policy", policy)
+    return cvm
+
+
 @dataclass(frozen=True, eq=False)
 class SymplecticForm:
     """Antisymmetric invertible matrix encoding the commutation relations."""

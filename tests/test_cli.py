@@ -64,6 +64,16 @@ class TestFigures:
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["--command", "figure1", "--bogus", "1"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("--command", "sweep", "--m", "0.2", "--n", "0.1", "--grid", "10"),
+        ("--command", "figure1", "--grid", "10"),
+    ])
+    def test_theta_is_usage_error(self, tmp_path, capsys, argv):
+        code, text = run(tmp_path, *argv, "--theta", "0.7")
+        assert code == 1
+        assert text == ""
+        assert "--theta" in capsys.readouterr().err
+
     def test_unwritable_path_is_io_error(self):
         code = main(["--command", "figure1", "--grid", "10",
                      "--out", "/nonexistent-dir/f.csv"])
@@ -186,6 +196,12 @@ class TestReports:
         assert res["ppt_margin"] < 0
         assert res["min_invariant"] == pytest.approx(1.0, abs=1e-9)
         assert res["hbar_effective"] == pytest.approx(1.015)
+
+    def test_oscillator_theta_defaults_to_zero(self, tmp_path):
+        code, text = run(tmp_path, "--command", "oscillator")
+        assert code == 0
+        assert '"theta": 0.0' in text
+        assert validate_report(text)["config"]["theta"] == 0.0
 
     def test_volume_report(self, tmp_path):
         args = ("--command", "volume", "--region", "separable",

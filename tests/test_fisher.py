@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ginfo import fisher
+from ginfo import fisher, symplectic
 from ginfo import (
     CanonicalTwoModeParams,
     DegenerateSpectrumError,
@@ -351,6 +351,22 @@ class TestVolumeGate:
         assert calls["regularizer_value"] == est.accepted
         assert calls["fisher_det_two_mode"] == est.accepted
         assert calls["build_symplectic_form"] == 1   # one form per call, not per sample
+
+    @pytest.mark.parametrize("predicate", ["quantum", "separable", "entangled"])
+    def test_each_sample_validated_once(self, monkeypatch, predicate):
+        calls = []
+        real = symplectic.check_spd
+
+        def counted(matrix, *args, **kwargs):
+            calls.append(np.shape(matrix))
+            return real(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(symplectic, "check_spd", counted)
+        est = regularized_volume(Region(GATE_BOXES["ppt-boundary"], predicate),
+                                 RegularizerConfig(), samples=GATE_SAMPLES, seed=4)
+        assert est.accepted > 0
+        assert len(calls) == 1                      # the stacked gate only
+        assert calls[0][1:] == (4, 4) and calls[0][0] > 1000
 
     def test_box_without_positive_samples(self):
         region = Region(box=((-2.0, -1.0), (0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)),

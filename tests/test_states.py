@@ -5,6 +5,8 @@ from ginfo import (
     BoundaryIndeterminateError,
     CanonicalTwoModeParams,
     CovarianceMatrix,
+    NumericDomainError,
+    NumericPolicy,
     Ordering,
     bipartite,
     build_symplectic_form,
@@ -16,6 +18,7 @@ from ginfo import (
     partial_transpose,
     ppt_separable,
     simon_invariants,
+    symplectic,
     two_mode_bounds,
 )
 from ginfo.randmat import random_local_symplectic, random_spd
@@ -135,6 +138,59 @@ class TestPartialTranspose:
     def test_custom_basis_requires_momenta(self):
         with pytest.raises(ValueError, match="momentum"):
             partial_transpose(bipartite.pair_cvm(bipartite.PairConfig(0.1, 0.1)))
+
+
+class TestPartialTransposeValidation:
+    """A matrix validated under the same policy is reflected without a second check."""
+
+    @pytest.fixture
+    def spd_calls(self, monkeypatch):
+        calls = []
+        real = symplectic.check_spd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(symplectic, "check_spd", counted)
+        return calls
+
+    @pytest.mark.parametrize("ordering, flipped", [
+        (Ordering.MODE_INTERLEAVED, (5, 7)),
+        (Ordering.BLOCK_XP, (6, 7)),
+    ])
+    def test_validated_input_is_not_rechecked(self, spd_calls, ordering, flipped):
+        cvm = CovarianceMatrix(random_spd(8, np.random.default_rng(5)), ordering=ordering)
+        spd_calls.clear()
+        out = partial_transpose(cvm, party="B")
+        assert spd_calls == []
+        signs = np.ones(8)
+        signs[list(flipped)] = -1.0
+        np.testing.assert_array_equal(out.matrix, cvm.matrix * np.outer(signs, signs))
+        assert out.ordering is ordering and out.policy == cvm.policy
+        assert not out.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            out.matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("entry, message", [(-0.5, "positive definite"),
+                                                (np.nan, "non-finite")])
+    def test_raw_input_is_checked(self, spd_calls, entry, message):
+        m = np.eye(4)
+        m[3, 3] = entry
+        with pytest.raises(NumericDomainError, match=message):
+            partial_transpose(m, momenta=(3,))
+        assert len(spd_calls) == 1
+
+    def test_other_policy_is_rechecked(self, spd_calls):
+        loose = NumericPolicy(spd_tol=-1.0)
+        cvm = CovarianceMatrix(np.diag([1.0, 1.0, 1.0, -0.5]),
+                               ordering=Ordering.MODE_INTERLEAVED, policy=loose)
+        spd_calls.clear()
+        assert partial_transpose(cvm, policy=loose).policy is loose
+        assert spd_calls == []
+        with pytest.raises(NumericDomainError, match="positive definite"):
+            partial_transpose(cvm)
+        assert len(spd_calls) == 1
 
 
 class TestPptSeparable:
