@@ -177,10 +177,14 @@ def partial_transpose(sigma, party: str = "B", momenta=None,
             a caller-managed basis (ordering None) and otherwise overriding.
 
     The operation is an involution: applying it twice returns the input.
-    A CovarianceMatrix under the same ``policy`` is not validated again: the
-    sign flips are exact, so the output keeps the spectrum that passed.
+    The input is validated once, and a CovarianceMatrix under the same
+    ``policy`` not at all: the sign flips are exact, so the output keeps the
+    symmetry and spectrum that passed and is not checked again.
     """
-    m = _check_spd_matrix(sigma, policy) if not isinstance(sigma, CovarianceMatrix) else sigma.matrix
+    if isinstance(sigma, CovarianceMatrix) and sigma.policy == policy:
+        m = sigma.matrix
+    else:
+        m = _check_spd_matrix(sigma, policy)
     ordering = sigma.ordering if isinstance(sigma, CovarianceMatrix) else None
     n_modes = m.shape[0] // 2
     if momenta is None:
@@ -190,10 +194,7 @@ def partial_transpose(sigma, party: str = "B", momenta=None,
     signs = np.ones(2 * n_modes)
     for idx in momenta:
         signs[idx] = -1.0
-    out = m * np.outer(signs, signs)
-    if isinstance(sigma, CovarianceMatrix) and sigma.policy == policy:
-        return _validated(out, ordering, policy)
-    return CovarianceMatrix(out, ordering=ordering, policy=policy)
+    return _validated(m * np.outer(signs, signs), ordering, policy)
 
 
 @dataclass(frozen=True)

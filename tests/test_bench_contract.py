@@ -6,38 +6,42 @@ in-process workload under the benchmark's own tracer, so a change that breaks
 the contract fails here first. ``bench/`` is read, never changed.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
-sys.path.insert(0, str(BENCH_DIR))
-
-from run import traced_pass  # noqa: E402
-from workloads import SweepDense, VolumeMC  # noqa: E402
-
 SEED = 21
 
 
-def _traced(cls, tmp_path):
+@pytest.fixture(scope="module")
+def bench():
+    """The benchmark's ``run`` and ``workloads`` modules, imported from ``bench/``.
+
+    ``bench/`` is on ``sys.path`` and its modules are in ``sys.modules`` only
+    while this module's tests run, so their bare names (``run``, ``oracle``,
+    ...) shadow nothing elsewhere in the session.
+    """
+    before = set(sys.modules)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH_DIR))
+        yield importlib.import_module("run"), importlib.import_module("workloads")
+    for name in set(sys.modules) - before:
+        if str(getattr(sys.modules[name], "__file__", "")).startswith(str(BENCH_DIR)):
+            del sys.modules[name]
+
+
+@pytest.mark.parametrize("name", ["volume-mc", "sweep-dense"])
+def test_traced_counts_match_the_oracle(bench, tmp_path, name):
+    run, workloads = bench
+    cls = {"volume-mc": workloads.VolumeMC, "sweep-dense": workloads.SweepDense}[name]
     workload = cls(SEED, tmp_path / cls.name)
     workload.setup()
     ops = workload.ops[1:3]
-    outcomes, problems, layers = traced_pass(workload, ops)
+    outcomes, problems, layers = run.traced_pass(workload, ops)
     assert [notes for notes in problems if notes] == []
-    return workload, ops, outcomes, layers
-
-
-@pytest.mark.parametrize("cls", [VolumeMC, SweepDense], ids=lambda cls: cls.name)
-def test_traced_counts_match_the_oracle(tmp_path, cls):
-    workload, ops, outcomes, layers = _traced(cls, tmp_path)
     expected = workload.expected_calls(ops, outcomes)
-    got = {name: layers.get(name, {}).get("calls", 0) for name in expected}
+    got = {span: layers.get(span, {}).get("calls", 0) for span in expected}
     assert got == expected
-
-
-def test_volume_samples_are_validated_by_the_gate_only(tmp_path):
-    _, ops, _, layers = _traced(VolumeMC, tmp_path)
-    assert "symplectic.CovarianceMatrix" not in layers
-    assert layers["symplectic.check_spd"]["calls"] == len(ops)

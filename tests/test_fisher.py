@@ -355,18 +355,26 @@ class TestVolumeGate:
     @pytest.mark.parametrize("predicate", ["quantum", "separable", "entangled"])
     def test_each_sample_validated_once(self, monkeypatch, predicate):
         calls = []
+        built = []
         real = symplectic.check_spd
+        real_post_init = symplectic.CovarianceMatrix.__post_init__
 
         def counted(matrix, *args, **kwargs):
             calls.append(np.shape(matrix))
             return real(matrix, *args, **kwargs)
 
+        def counted_post_init(self):
+            built.append(self)
+            real_post_init(self)
+
         monkeypatch.setattr(symplectic, "check_spd", counted)
+        monkeypatch.setattr(symplectic.CovarianceMatrix, "__post_init__", counted_post_init)
         est = regularized_volume(Region(GATE_BOXES["ppt-boundary"], predicate),
                                  RegularizerConfig(), samples=GATE_SAMPLES, seed=4)
         assert est.accepted > 0
         assert len(calls) == 1                      # the stacked gate only
         assert calls[0][1:] == (4, 4) and calls[0][0] > 1000
+        assert built == []                          # samples are wrapped, not rebuilt
 
     def test_box_without_positive_samples(self):
         region = Region(box=((-2.0, -1.0), (0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)),

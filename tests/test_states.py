@@ -172,6 +172,15 @@ class TestPartialTransposeValidation:
         with pytest.raises(ValueError):
             out.matrix[0, 0] = 1.0
 
+    def test_raw_input_is_checked_once(self, spd_calls):
+        m = random_spd(4, np.random.default_rng(6))
+        out = partial_transpose(m, momenta=(3,))
+        assert len(spd_calls) == 1
+        signs = np.array([1.0, 1.0, 1.0, -1.0])
+        np.testing.assert_array_equal(out.matrix, m * np.outer(signs, signs))
+        assert out.ordering is None and not out.matrix.flags.writeable
+        assert m.flags.writeable                    # the caller's array is not frozen
+
     @pytest.mark.parametrize("entry, message", [(-0.5, "positive definite"),
                                                 (np.nan, "non-finite")])
     def test_raw_input_is_checked(self, spd_calls, entry, message):
