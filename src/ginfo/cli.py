@@ -15,14 +15,14 @@ import sys
 
 import numpy as np
 
-from . import bipartite, fisher, matrixio, oscillator, selftest, states
+# the command modules are imported by the commands that use them, so that a
+# process compiles and loads only what its one command needs
 from .errors import (
     DegenerateSpectrumError,
     NormalizationError,
     NumericDomainError,
     SingularMatrixError,
 )
-from .randmat import random_invertible
 from .symplectic import (
     CovarianceMatrix,
     build_symplectic_form,
@@ -50,7 +50,40 @@ class InputValidationError(Exception):
     """Invalid input state or file; maps to exit code 3."""
 
 
+def _is_numbers(text: str) -> bool:
+    """Whether every comma-separated field of ``text`` parses as a float."""
+    try:
+        for field in text.split(","):
+            float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join a flag and a negative number after it: ``--c -1e-05`` -> ``--c=-1e-05``.
+
+    argparse reads only tokens like ``-123`` and ``-1.5`` as negative numbers
+    and takes every other token that starts with ``-`` (``-1e-05``,
+    ``-2.5E+3``, a ``--box`` list ``-0.5,1.5,...``) for an option. No ginfo
+    option looks like a number, so a token of comma-separated numbers is
+    always the value of the flag before it.
+    """
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and token.startswith("-") and _is_numbers(token)):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(_attach_negative_values(argv), namespace)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -140,8 +173,7 @@ def _json_report(command: str, config: dict, results: dict) -> str:
                       default=_json_default) + "\n"
 
 
-def _sweep_output(command: str, config: dict, sweep: bipartite.SweepResult,
-                  fmt: str, out_path):
+def _sweep_output(command: str, config: dict, sweep, fmt: str, out_path):
     crossing = "" if sweep.crossing_theta is None else _fmt(sweep.crossing_theta)
     if fmt == "json":
         results = {"rows": [{"theta": r.theta, "min_invariant": r.min_invariant,
@@ -156,6 +188,8 @@ def _sweep_output(command: str, config: dict, sweep: bipartite.SweepResult,
 
 
 def _run_sweep(command: str, args) -> int:
+    from . import bipartite
+
     if command in FIGURE_CORRELATIONS:
         m = n = FIGURE_CORRELATIONS[command]
     else:
@@ -182,6 +216,8 @@ def _load_state(args, which: str) -> tuple[CovarianceMatrix, dict]:
     The entries are the matrix file path, or the four inline canonical
     parameters as resolved (defaults filled in).
     """
+    from . import matrixio, states
+
     try:
         path = getattr(args, f"sigma{which}")
         if path is not None:
@@ -210,6 +246,9 @@ def _load_state(args, which: str) -> tuple[CovarianceMatrix, dict]:
 
 
 def _run_distance(args) -> int:
+    from . import fisher
+    from .randmat import random_invertible
+
     s1, source1 = _load_state(args, "1")
     s2, source2 = _load_state(args, "2")
     lam = generalized_eigenvalues(s1, s2)
@@ -231,6 +270,8 @@ def _run_distance(args) -> int:
 
 
 def _run_metric(args) -> int:
+    from . import fisher, states
+
     if args.a is None or args.b is None:
         raise UsageError("metric requires --a and --b (and optional --c/--d)")
     p = states.CanonicalTwoModeParams(args.a, args.b, args.c, args.d)
@@ -253,6 +294,8 @@ def _run_metric(args) -> int:
 
 
 def _run_oscillator(args) -> int:
+    from . import oscillator, states
+
     theta = 0.0 if args.theta is None else args.theta
     p = oscillator.OscillatorParams(mass1=args.m1, mass2=args.m2,
                                     freq1=args.w1, freq2=args.w2,
@@ -290,6 +333,8 @@ def _run_oscillator(args) -> int:
 
 
 def _run_volume(args) -> int:
+    from . import fisher
+
     try:
         edges = [_finite_float(x) for x in args.box.split(",")]
     except argparse.ArgumentTypeError as exc:
@@ -311,6 +356,8 @@ def _run_volume(args) -> int:
 
 
 def _run_selftest(args) -> int:
+    from . import selftest
+
     report = selftest.run_all(seed=args.seed)
     lines = [f"selftest seed={report.seed}"]
     for res in report.results:

@@ -11,6 +11,7 @@ authoritative verdicts whenever the two disagree on a boundary.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +167,17 @@ def momentum_indices(ordering: Ordering, n_modes: int, modes) -> tuple[int, ...]
     raise ValueError(f"unknown ordering {ordering!r}")
 
 
+@functools.lru_cache(maxsize=64)
+def _sign_pattern(dim: int, momenta: tuple) -> np.ndarray:
+    """Read-only ``outer(s, s)`` for the signs ``s`` that flip the given momenta."""
+    signs = np.ones(dim)
+    for idx in momenta:
+        signs[idx] = -1.0
+    pattern = np.outer(signs, signs)
+    pattern.setflags(write=False)
+    return pattern
+
+
 def partial_transpose(sigma, party: str = "B", momenta=None,
                       policy: NumericPolicy = DEFAULT_POLICY) -> CovarianceMatrix:
     """Flip the momentum coordinates of one party (mirror reflection).
@@ -191,10 +203,7 @@ def partial_transpose(sigma, party: str = "B", momenta=None,
         if ordering is None:
             raise ValueError("matrix has no named ordering; pass explicit momentum indices")
         momenta = momentum_indices(ordering, n_modes, _party_modes(n_modes, party))
-    signs = np.ones(2 * n_modes)
-    for idx in momenta:
-        signs[idx] = -1.0
-    return _validated(m * np.outer(signs, signs), ordering, policy)
+    return _validated(m * _sign_pattern(2 * n_modes, tuple(momenta)), ordering, policy)
 
 
 @dataclass(frozen=True)

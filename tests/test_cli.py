@@ -271,9 +271,31 @@ class TestInputBoundary:
         assert text == ""
         assert "numeric domain error: forced by the test" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-1e-05", "-2.5E+3"])
+    @pytest.mark.parametrize("command, flags", [
+        ("metric", ("--a", "3000", "--b", "3000", "--c")),
+        ("distance", ("--a", "3000", "--b", "3000", "--a0", "3000", "--b0", "3000", "--d0")),
+    ], ids=["metric", "distance"])
+    def test_negative_e_notation_value(self, tmp_path, command, flags, value):
+        code, text = run(tmp_path, "--command", command, *flags, value)
+        assert code == 0
+        assert validate_report(text)["config"][flags[-1][2:]] == float(value)
+        joined = run(tmp_path, "--command", command, *flags[:-1], f"{flags[-1]}={value}")
+        assert joined == (0, text)
+
+    def test_negative_box_edge_value(self, tmp_path):
+        box = "-0.5,1.5,0.5,1.5,-0.5,0.5,-0.5,0.5"
+        code, text = run(tmp_path, "--command", "volume", "--samples", "1000", "--box", box)
+        assert code == 0
+        assert validate_report(text)["config"]["box"] == box
+        assert run(tmp_path, "--command", "volume", "--samples", "1000", f"--box={box}") == (0, text)
+
     def test_cli_import_needs_numpy_only(self):
+        # each command imports its own modules; importing the CLI loads none of them
         probe = ("import sys, ginfo.cli; "
-                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in "
+                 "('ginfo.selftest', 'ginfo.oscillator', 'ginfo.bipartite', 'ginfo.matrixio', "
+                 "'ginfo.randmat')))")
         src = str(Path(ginfo.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

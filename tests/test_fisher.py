@@ -26,6 +26,7 @@ from ginfo import (
     regularized_volume,
     regularizer_value,
 )
+from ginfo.policy import DEFAULT_POLICY
 from ginfo.randmat import random_invertible, random_spd
 
 from helpers import (
@@ -255,6 +256,13 @@ class TestRegularizedVolume:
         assert vol_e.volume <= vol_q.volume + 1e-12
         np.testing.assert_allclose(vol_s.volume + vol_e.volume, vol_q.volume, rtol=1e-10)
 
+    @pytest.mark.parametrize("edge", [math.inf, -math.inf, math.nan])
+    def test_non_finite_box_edge_rejected(self, edge):
+        box = [(0.5, 1.5), (0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)]
+        box[1] = (0.5, edge) if edge > 0 else (edge, 1.5)
+        with pytest.raises(ValueError, match="finite"):
+            Region(tuple(box), "quantum")
+
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             regularized_volume(Region(((0.5, 1.5),) * 4, "quantum"),
@@ -269,6 +277,7 @@ GATE_BOXES = {
     "negative-a": ((-0.5, 1.5), (0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)),
 }
 GATE_SAMPLES = 2000
+NEAR_PURE_SAMPLES = 4000
 
 
 def _gate_draws(box, seed):
@@ -372,9 +381,40 @@ class TestVolumeGate:
         est = regularized_volume(Region(GATE_BOXES["ppt-boundary"], predicate),
                                  RegularizerConfig(), samples=GATE_SAMPLES, seed=4)
         assert est.accepted > 0
-        assert len(calls) == 1                      # the stacked gate only
-        assert calls[0][1:] == (4, 4) and calls[0][0] > 1000
+        assert calls == []                          # the closed-form gate validates
         assert built == []                          # samples are wrapped, not rebuilt
+
+    @pytest.mark.parametrize("box", list(GATE_BOXES), ids=list(GATE_BOXES))
+    def test_closed_form_gate_matches_spectral_routes(self, box):
+        draws, _ = _gate_draws(GATE_BOXES[box], seed=11)
+        physical = fisher._physical(draws, DEFAULT_POLICY)
+        np.testing.assert_array_equal(physical, canonical_hermitian_verdicts(draws)[0])
+        # the eigenvalue route the gate replaced
+        positive = (draws[:, 0] > 0) & (draws[:, 1] > 0)
+        stack = fisher._canonical_stack(draws[positive])
+        spd = np.linalg.eigvalsh(stack)[:, 0] > DEFAULT_POLICY.spd_tol
+        spectral = np.zeros_like(positive)
+        spectral[np.flatnonzero(positive)[spd]] = (
+            symplectic.symplectic_spectrum(stack[spd], symplectic.build_symplectic_form(2))[:, 0]
+            >= 1.0 - DEFAULT_POLICY.rsup_slack)
+        np.testing.assert_array_equal(physical, spectral)
+
+    def test_near_pure_symmetric_states(self):
+        # two-mode squeezed vacua nudged by 1e-12 ... 1e-4 per entry: the
+        # smaller invariant sits within that distance of 1, where the
+        # unfactored discriminant Delta^2 - 4 det S cancels to ~1e-17 absolute
+        # and moves nu_- by up to ~1e-9
+        rng = np.random.default_rng(2024)
+        r = rng.uniform(0.05, 0.6, NEAR_PURE_SAMPLES)
+        a = np.cosh(2.0 * r) / 2.0
+        c = np.sinh(2.0 * r) / 2.0
+        draws = np.column_stack([a, a, c, -c])
+        nudge = rng.choice([-1.0, 1.0], draws.shape) * 10.0 ** rng.uniform(-12, -4, draws.shape)
+        draws = draws + nudge
+        physical = fisher._physical(draws, DEFAULT_POLICY)
+        expected = canonical_hermitian_verdicts(draws)[0]
+        assert 0 < expected.sum() < expected.size
+        np.testing.assert_array_equal(physical, expected)
 
     def test_box_without_positive_samples(self):
         region = Region(box=((-2.0, -1.0), (0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)),

@@ -18,6 +18,7 @@ from ginfo import (
     partial_transpose,
     ppt_separable,
     simon_invariants,
+    states,
     symplectic,
     two_mode_bounds,
 )
@@ -200,6 +201,38 @@ class TestPartialTransposeValidation:
         with pytest.raises(NumericDomainError, match="positive definite"):
             partial_transpose(cvm)
         assert len(spd_calls) == 1
+
+
+class TestSignPattern:
+    """The reflection multiplies by one cached, read-only sign pattern."""
+
+    @pytest.mark.parametrize("dim, ordering, party, momenta, flipped", [
+        (2, None, "B", (1,), (1,)),
+        (4, None, "B", (3,), (3,)),
+        (4, Ordering.MODE_INTERLEAVED, "A", None, (1,)),
+        (4, Ordering.MODE_INTERLEAVED, "B", None, (3,)),
+        (4, Ordering.BLOCK_XP, "A", None, (2,)),
+        (4, Ordering.BLOCK_XP, "B", None, (3,)),
+        (8, Ordering.MODE_INTERLEAVED, "A", None, (1, 3)),
+        (8, Ordering.MODE_INTERLEAVED, "B", None, (5, 7)),
+        (8, Ordering.BLOCK_XP, "A", None, (4, 5)),
+        (8, Ordering.BLOCK_XP, "B", None, (6, 7)),
+        (8, Ordering.MODE_INTERLEAVED, "B", [0, 6], (0, 6)),
+        (8, None, "B", (6, 7), (6, 7)),
+    ])
+    def test_pattern_equals_outer_product(self, dim, ordering, party, momenta, flipped):
+        m = random_spd(dim, np.random.default_rng(dim))
+        sigma = m if ordering is None else CovarianceMatrix(m, ordering=ordering)
+        signs = np.ones(dim)
+        signs[list(flipped)] = -1.0
+        outer = np.outer(signs, signs)
+        out = partial_transpose(sigma, party=party, momenta=momenta)
+        np.testing.assert_array_equal(out.matrix, m * outer)
+        pattern = states._sign_pattern(dim, flipped)
+        np.testing.assert_array_equal(pattern, outer)
+        assert states._sign_pattern(dim, flipped) is pattern
+        assert not pattern.flags.writeable and not out.matrix.flags.writeable
+        assert not np.shares_memory(out.matrix, pattern)
 
 
 class TestPptSeparable:

@@ -4,6 +4,7 @@ import pytest
 from ginfo import (
     CovarianceMatrix,
     NumericDomainError,
+    NumericPolicy,
     Ordering,
     SingularMatrixError,
     SymplecticForm,
@@ -127,6 +128,46 @@ class TestSpectrum:
             after = symplectic_spectrum(congruence_apply(s, sigma), form)
             worst = max(worst, np.abs(before - after).max())
         assert worst < 1e-8
+
+
+class TestSpectrumFormCheck:
+    """The form's |det| check is skipped only where its constructor already made it."""
+
+    @pytest.fixture
+    def det_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.det
+
+        def counted(matrix):
+            calls.append(np.shape(matrix))
+            return real(matrix)
+
+        monkeypatch.setattr(np.linalg, "det", counted)
+        return calls
+
+    def test_raw_singular_array_raises(self):
+        bad = np.zeros((4, 4))
+        bad[:2, :2] = J2
+        with pytest.raises(SingularMatrixError):
+            symplectic_spectrum(np.eye(4), bad)
+
+    def test_form_of_another_policy_is_rechecked(self):
+        lax = NumericPolicy(singular_form_tol=0.0)
+        form = SymplecticForm(np.kron(np.diag([1.0, 1e-10]), J2), ordering=None, policy=lax)
+        assert symplectic_spectrum(np.eye(4), form, lax).shape == (2,)
+        with pytest.raises(SingularMatrixError):
+            symplectic_spectrum(np.eye(4), form)
+
+    def test_form_of_an_equal_policy_is_not_rechecked(self, det_calls):
+        form = build_symplectic_form(2)
+        sigma = CovarianceMatrix(np.diag([1.0, 1.0, 2.0, 2.0]))
+        det_calls.clear()
+        expected = symplectic_spectrum(sigma, form.matrix)
+        assert det_calls == [(4, 4)]                 # a raw array is checked
+        det_calls.clear()
+        for policy in (form.policy, NumericPolicy()):
+            np.testing.assert_array_equal(symplectic_spectrum(sigma, form, policy), expected)
+        assert det_calls == []
 
 
 class TestSpectrumStack:
