@@ -22,13 +22,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import NumericDomainError, SingularMatrixError
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .symplectic import (
     J2,
     CovarianceMatrix,
     Ordering,
     SymplecticForm,
+    _validated,
     ordering_permutation,
     symplectic_spectrum,
 )
@@ -46,6 +47,9 @@ class PairConfig:
     eta: float = 0.0
 
     def __post_init__(self):
+        values = (self.m, self.n, self.theta, self.eta)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"m, n, theta and eta must be finite, got {values}")
         if self.radius >= 1.0:
             raise ValueError(f"correlation radius must stay below 1, got {self.radius}")
 
@@ -93,12 +97,16 @@ def pair_cvm(cfg: PairConfig, policy: NumericPolicy = DEFAULT_POLICY) -> Covaria
     """Covariance matrix ``(b/2) [[I, gamma], [gamma, I]]`` of the pair.
 
     ``gamma = [[n I, m sz], [m sz, -n I]]`` couples the parties; it is
-    symmetric with eigenvalues +-R, so the matrix is SPD for every R < 1.
+    symmetric with eigenvalues +-R, so the matrix is symmetric by construction
+    and its eigenvalues ``(b/2)(1 +- R)`` are at least ``(1 + R)/2 >= 1/2``
+    for every R < 1. It is wrapped without a numeric SPD check.
     """
     gamma = np.block([[cfg.n * np.eye(2), cfg.m * _SZ],
                       [cfg.m * _SZ, -cfg.n * np.eye(2)]])
     m = cfg.scale / 2.0 * np.block([[np.eye(4), gamma.T], [gamma, np.eye(4)]])
-    return CovarianceMatrix(m, ordering=None, policy=policy)
+    if not 0.5 * (1.0 + cfg.radius) > policy.spd_tol:
+        raise NumericDomainError(f"pair matrix is not positive definite under spd_tol = {policy.spd_tol}")
+    return _validated(m, None, policy)
 
 
 @dataclass(frozen=True, eq=False)

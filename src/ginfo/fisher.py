@@ -337,8 +337,8 @@ def regularizer_value(sigma, reg: RegularizerConfig) -> float:
     ``exp(-Tr[adj(S)]/kappa) * log(1 + det(S)^m)``; the adjugate trace is the
     degree-(n-1) elementary symmetric polynomial of the eigenvalues.
     """
-    w = np.linalg.eigvalsh(as_matrix(sigma))
-    det = float(np.prod(w))
+    w = np.linalg.eigvalsh(as_matrix(sigma)).tolist()
+    det = math.prod(w)
     adj_trace = sum(det / wi for wi in w) if det != 0 else 0.0
     return math.exp(-adj_trace / reg.kappa) * math.log1p(det ** reg.power)
 
@@ -452,14 +452,15 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
     physical = _physical(draws, policy)
     values = np.zeros(samples)
     accepted = 0
-    for i in np.flatnonzero(physical):
+    rows = draws.tolist()
+    for i in np.flatnonzero(physical).tolist():
         if region.predicate != "quantum":
             sigma = _validated(stack[i], Ordering.MODE_INTERLEAVED, policy)
             separable = ppt_separable(sigma, form, policy=policy).separable
             if separable != (region.predicate == "separable"):
                 continue
         accepted += 1
-        det_g = fisher_det_two_mode(CanonicalTwoModeParams(*draws[i]))
+        det_g = fisher_det_two_mode(CanonicalTwoModeParams(*rows[i]))
         values[i] = regularizer_value(stack[i], reg) * math.sqrt(max(det_g, 0.0))
     mean = values.mean()
     err = box_volume * values.std(ddof=1) / math.sqrt(samples)

@@ -193,7 +193,7 @@ def partial_transpose(sigma, party: str = "B", momenta=None,
     ``policy`` not at all: the sign flips are exact, so the output keeps the
     symmetry and spectrum that passed and is not checked again.
     """
-    if isinstance(sigma, CovarianceMatrix) and sigma.policy == policy:
+    if isinstance(sigma, CovarianceMatrix) and (sigma.policy is policy or sigma.policy == policy):
         m = sigma.matrix
     else:
         m = _check_spd_matrix(sigma, policy)

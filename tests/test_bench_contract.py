@@ -2,8 +2,9 @@
 
 A traced benchmark run fails when a span count differs from what its oracle
 expects (``Workload.expected_calls``). This runs two operations of each
-in-process workload under the benchmark's own tracer, so a change that breaks
-the contract fails here first. ``bench/`` is read, never changed.
+workload under the benchmark's own tracer (for ``cli-mix``, two CLI commands
+in traced child processes), so a change that breaks the contract fails here
+first. ``bench/`` is read, never changed.
 """
 
 import importlib
@@ -33,13 +34,23 @@ def bench():
             del sys.modules[name]
 
 
-@pytest.mark.parametrize("name", ["volume-mc", "sweep-dense"])
+# operations traced per workload: two in-process ones each, and for cli-mix
+# one ``sweep`` and one ``volume --region separable`` command, each in a
+# fresh traced process (cli-mix op i runs CLI_KINDS[i % 9])
+TRACED_OPS = {"volume-mc": (1, 2), "sweep-dense": (1, 2), "cli-mix": (3, 17)}
+
+
+@pytest.mark.parametrize("name", ["volume-mc", "sweep-dense", "cli-mix"])
 def test_traced_counts_match_the_oracle(bench, tmp_path, name):
     run, workloads = bench
-    cls = {"volume-mc": workloads.VolumeMC, "sweep-dense": workloads.SweepDense}[name]
+    cls = {"volume-mc": workloads.VolumeMC, "sweep-dense": workloads.SweepDense,
+           "cli-mix": workloads.CliMix}[name]
     workload = cls(SEED, tmp_path / cls.name)
     workload.setup()
-    ops = workload.ops[1:3]
+    ops = [workload.ops[i] for i in TRACED_OPS[name]]
+    if name == "cli-mix":
+        assert [(op.kind, op.inputs.get("predicate")) for op in ops] == [
+            ("sweep", None), ("volume", "separable")]
     outcomes, problems, layers = run.traced_pass(workload, ops)
     assert [notes for notes in problems if notes] == []
     expected = workload.expected_calls(ops, outcomes)

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ginfo import bipartite, fr_distance
+from ginfo import CovarianceMatrix, NumericPolicy, bipartite, fr_distance, symplectic
 from ginfo.bipartite import (
     PairConfig,
     bopp_shift,
@@ -17,7 +17,8 @@ from ginfo.bipartite import (
     separability_margin,
     theta_sweep,
 )
-from ginfo.errors import SingularMatrixError
+from ginfo.errors import NumericDomainError, SingularMatrixError
+from ginfo.policy import DEFAULT_POLICY
 from ginfo.symplectic import J2, Ordering, build_symplectic_form, symplectic_spectrum
 
 from helpers import QUARTER_CROSSING
@@ -60,6 +61,50 @@ class TestPairCvm:
         np.testing.assert_allclose(
             np.sort(symplectic_spectrum(state, form)),
             np.sort(symplectic_spectrum(pair_cvm(cfg), party_form())), atol=1e-10)
+
+
+    @pytest.mark.parametrize("field", ["m", "n", "theta", "eta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_config_rejected(self, field, value):
+        values = {"m": 0.1, "n": 0.1, "theta": 0.2, "eta": 0.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            PairConfig(**values)
+
+    @pytest.fixture
+    def spd_calls(self, monkeypatch):
+        calls = []
+        real = symplectic.check_spd
+
+        def counted(matrix, *args, **kwargs):
+            calls.append(np.shape(matrix))
+            return real(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(symplectic, "check_spd", counted)
+        return calls
+
+    def test_built_without_an_spd_check(self, spd_calls):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            cfg = PairConfig(*rng.uniform(-0.7, 0.7, 2))
+            cvm = pair_cvm(cfg)
+            assert spd_calls == []
+            checked = CovarianceMatrix(cvm.matrix, ordering=None)
+            assert spd_calls == [(8, 8)]
+            spd_calls.clear()
+            np.testing.assert_array_equal(cvm.matrix, checked.matrix)
+            assert not cvm.matrix.flags.writeable
+            assert cvm.ordering is None and cvm.policy is DEFAULT_POLICY
+
+    def test_policy_floor_above_the_smallest_eigenvalue(self):
+        # the smallest eigenvalue is (1 + R)/2
+        cfg = PairConfig(0.3, 0.4)
+        assert pair_cvm(cfg, NumericPolicy(spd_tol=0.74)).policy.spd_tol == 0.74
+        with pytest.raises(NumericDomainError, match="positive definite"):
+            pair_cvm(cfg, NumericPolicy(spd_tol=0.75))
+
+    def test_one_spd_check_per_margin(self, spd_calls):
+        separability_margin(PairConfig(0.125, 0.125, theta=0.4, eta=0.1))
+        assert spd_calls == [(8, 8)]      # the reflected deformed matrix
 
 
 class TestBoppShift:

@@ -229,6 +229,19 @@ class TestRegularizedVolume:
             expected = math.exp(-adj_trace / reg.kappa) * math.log1p(det ** reg.power)
             np.testing.assert_allclose(regularizer_value(m, reg), expected, rtol=1e-10)
 
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_regularizer_float_route_keeps_the_bits(self, dim):
+        # the numpy-scalar arithmetic the float-only integrand replaced
+        rng = np.random.default_rng(33 + dim)
+        reg = RegularizerConfig(kappa=1.3, power=4)
+        for _ in range(200):
+            m = random_spd(dim, rng)
+            w = np.linalg.eigvalsh(m)
+            det = float(np.prod(w))
+            adj_trace = sum(det / wi for wi in w)
+            expected = math.exp(-adj_trace / reg.kappa) * math.log1p(det ** reg.power)
+            assert regularizer_value(m, reg) == expected
+
     def test_empty_region(self):
         region = Region(box=((10.0, 10.1), (10.0, 10.1), (-9.9, -9.8), (-9.9, -9.8)),
                         predicate="quantum")

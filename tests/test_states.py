@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,38 @@ class TestPptSeparable:
                                 momenta=(6, 7))
             assert res.separable
             np.testing.assert_allclose(res.margin, cfg.radius, atol=1e-9)
+
+
+class TestPptEigensolverOnly:
+    """A verdict on a validated state under a standard form runs one eigensolve and nothing else."""
+
+    @pytest.fixture
+    def linalg_calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("solve", "det", "eigvals", "eigvalsh", "inv"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_one_eigvals_call(self, linalg_calls, ordering):
+        rng = np.random.default_rng(13)
+        form = build_symplectic_form(2, ordering)
+        perm = symplectic.ordering_permutation(2, Ordering.MODE_INTERLEAVED, ordering)
+        for _ in range(50):
+            m = canonical_two_mode_matrix(random_valid_canonical(rng))
+            cvm = CovarianceMatrix(perm @ m @ perm.T, ordering=ordering)
+            linalg_calls.clear()
+            res = ppt_separable(cvm, form)
+            assert linalg_calls == {"eigvals": 1}
+            raw = ppt_separable(cvm, form.matrix)    # the solve route
+            assert raw.separable == res.separable
+            np.testing.assert_allclose(res.margin, raw.margin, rtol=0, atol=1e-13)
 
 
 class TestSimonInvariants:

@@ -21,7 +21,8 @@ from ginfo import (
 )
 from ginfo import bipartite
 from ginfo.randmat import random_invertible, random_spd, random_symplectic
-from ginfo.symplectic import J2, check_spd
+from ginfo.policy import DEFAULT_POLICY
+from ginfo.symplectic import J2, _validated, check_spd
 
 
 class TestBuildForm:
@@ -218,6 +219,100 @@ class TestSpectrumStack:
                        lambda: congruence_apply(np.eye(4), stack)):
             with pytest.raises(ValueError, match="square matrix"):
                 kernel()
+
+
+class TestFormValidation:
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0)])
+    def test_non_finite_entry_rejected_by_name(self, entry, where):
+        m = J2.copy()
+        m[where] = entry
+        with pytest.raises(NumericDomainError, match="non-finite"):
+            SymplecticForm(m)
+
+    def test_non_antisymmetric_rejected(self):
+        with pytest.raises(NumericDomainError, match="not antisymmetric"):
+            SymplecticForm([[0.0, 1.0], [-0.5, 0.0]])
+
+
+class TestOrthogonalForms:
+    """A signed-permutation form inverts by its transpose instead of ``solve``."""
+
+    @pytest.fixture
+    def solve_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(np.shape(b))
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_spectrum_equals_the_solve_route(self, solve_calls, n, ordering):
+        form = build_symplectic_form(n, ordering)
+        assert form.orthogonal
+        rng = np.random.default_rng(70 + n)
+        stack = np.array([random_spd(2 * n, rng) for _ in range(40)])
+        solve_calls.clear()
+        rows = np.array([symplectic_spectrum(m, form) for m in stack])
+        batched = symplectic_spectrum(stack, form)
+        assert solve_calls == []                    # the transpose route was taken
+        assert np.array_equal(rows, np.array([symplectic_spectrum(m, form.matrix) for m in stack]))
+        assert np.array_equal(batched, symplectic_spectrum(stack, form.matrix))
+        assert np.array_equal(batched, rows)
+        assert len(solve_calls) == len(stack) + 1   # a raw array takes solve
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_signed_zeros_move_last_bits_only(self, n, ordering):
+        # block-diagonal states reflected by sign flips: the two products
+        # agree in value but not in the signs of their zeros
+        form = build_symplectic_form(n, ordering)
+        rng = np.random.default_rng(80 + n)
+        signs = np.where(np.arange(2 * n) % 3 == 1, -1.0, 1.0)
+        mask = np.kron(np.eye(n), np.ones((2, 2)))
+        stack = np.array([(mask * random_spd(2 * n, rng) + np.eye(2 * n)) * np.outer(signs, signs)
+                          for _ in range(200)])
+        assert np.array_equal(form.matrix.T @ stack, np.linalg.solve(form.matrix, stack))
+        np.testing.assert_allclose(symplectic_spectrum(stack, form),
+                                   symplectic_spectrum(stack, form.matrix), rtol=1e-13, atol=0)
+
+    def test_party_forms_are_orthogonal(self):
+        assert bipartite.party_form().orthogonal
+        assert bipartite.bopp_shift(bipartite.PairConfig(0.1, 0.2)).form.orthogonal
+
+    @pytest.mark.parametrize("theta, eta", [(0.3, 0.0), (0.0, 0.7), (0.4, -0.9)])
+    def test_bopp_form_takes_solve(self, solve_calls, theta, eta):
+        form = bipartite.bopp_shift(bipartite.PairConfig(0.1, 0.2, theta, eta)).form
+        assert not form.orthogonal
+        sigma = random_spd(8, np.random.default_rng(9))
+        solve_calls.clear()
+        np.testing.assert_array_equal(symplectic_spectrum(sigma, form),
+                                      symplectic_spectrum(sigma, form.matrix))
+        assert solve_calls == [(8, 8), (8, 8)]
+
+
+class TestValidatedWrapper:
+    """``_validated`` takes ownership of its array; ``CovarianceMatrix`` copies."""
+
+    def test_shares_memory_and_freezes(self):
+        m = random_spd(4, np.random.default_rng(3))
+        cvm = _validated(m, Ordering.BLOCK_XP, DEFAULT_POLICY)
+        assert np.shares_memory(cvm.matrix, m)
+        assert not m.flags.writeable and not cvm.matrix.flags.writeable
+        assert cvm.ordering is Ordering.BLOCK_XP and cvm.policy is DEFAULT_POLICY
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+    def test_covariance_matrix_keeps_its_copy(self):
+        m = random_spd(4, np.random.default_rng(4))
+        cvm = CovarianceMatrix(m)
+        assert not np.shares_memory(cvm.matrix, m)
+        assert m.flags.writeable and not cvm.matrix.flags.writeable
 
 
 class TestRandomSymplectic:
