@@ -36,7 +36,6 @@ from .fisher import (
     regularized_volume,
     regularizer_value,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy
 from .states import (
     CanonicalTwoModeParams,
     PptResult,

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericDomainError, SingularMatrixError
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .errors import SingularMatrixError
+from .policy import VANISHING_TOL
 from .symplectic import (
     J2,
     CovarianceMatrix,
@@ -93,7 +93,7 @@ def party_to_interleaved() -> np.ndarray:
     return out
 
 
-def pair_cvm(cfg: PairConfig, policy: NumericPolicy = DEFAULT_POLICY) -> CovarianceMatrix:
+def pair_cvm(cfg: PairConfig) -> CovarianceMatrix:
     """Covariance matrix ``(b/2) [[I, gamma], [gamma, I]]`` of the pair.
 
     ``gamma = [[n I, m sz], [m sz, -n I]]`` couples the parties; it is
@@ -104,9 +104,7 @@ def pair_cvm(cfg: PairConfig, policy: NumericPolicy = DEFAULT_POLICY) -> Covaria
     gamma = np.block([[cfg.n * np.eye(2), cfg.m * _SZ],
                       [cfg.m * _SZ, -cfg.n * np.eye(2)]])
     m = cfg.scale / 2.0 * np.block([[np.eye(4), gamma.T], [gamma, np.eye(4)]])
-    if not 0.5 * (1.0 + cfg.radius) > policy.spd_tol:
-        raise NumericDomainError(f"pair matrix is not positive definite under spd_tol = {policy.spd_tol}")
-    return _validated(m, None, policy)
+    return _validated(m, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +120,7 @@ def bopp_shift(cfg: PairConfig) -> BoppShift:
     (x1, x2, p1, p2); the induced form has ``theta J2`` and ``eta J2`` corner
     blocks and ``hbar_effective I`` cross blocks.
     """
-    if abs(1.0 - cfg.theta * cfg.eta / 4.0) < 1e-14:
+    if abs(1.0 - cfg.theta * cfg.eta / 4.0) < VANISHING_TOL:
         raise SingularMatrixError("shift is singular at theta*eta = 4")
     party = np.block([[np.eye(2), -cfg.theta / 2.0 * J2],
                       [cfg.eta / 2.0 * J2, np.eye(2)]])
@@ -140,8 +138,7 @@ class PtSpectrum:
     min_invariant: float
 
 
-def deformed_pt_spectrum(cfg: PairConfig,
-                         policy: NumericPolicy = DEFAULT_POLICY) -> PtSpectrum:
+def deformed_pt_spectrum(cfg: PairConfig) -> PtSpectrum:
     """Mirror-reflection spectrum of the deformed pair (authoritative path).
 
     Applies the shift to the state, reflects party B, and returns the
@@ -149,18 +146,17 @@ def deformed_pt_spectrum(cfg: PairConfig,
     1 certifies entanglement.
     """
     shift = bopp_shift(cfg)
-    state = pair_cvm(cfg, policy).matrix
+    state = pair_cvm(cfg).matrix
     deformed = shift.matrix @ state @ shift.matrix.T
     refl = reflection_matrix()
     reflected = refl @ deformed @ refl.T
-    invariants = symplectic_spectrum(0.5 * (reflected + reflected.T), shift.form, policy)
+    invariants = symplectic_spectrum(0.5 * (reflected + reflected.T), shift.form)
     return PtSpectrum(invariants=invariants, min_invariant=float(invariants[0]))
 
 
-def separability_margin(cfg: PairConfig,
-                        policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def separability_margin(cfg: PairConfig) -> float:
     """Minimum reflected invariant minus one; nonnegative means separable."""
-    return deformed_pt_spectrum(cfg, policy).min_invariant - 1.0
+    return deformed_pt_spectrum(cfg).min_invariant - 1.0
 
 
 def pair_boundary(cfg: PairConfig) -> tuple[float, float]:
@@ -219,8 +215,7 @@ class SweepResult:
 
 
 def theta_sweep(cfg_base: PairConfig, theta_grid,
-                bisect_tol: float = 1e-6,
-                policy: NumericPolicy = DEFAULT_POLICY) -> SweepResult:
+                bisect_tol: float = 1e-6) -> SweepResult:
     """Margin table over a grid of deformation strengths.
 
     One row per theta value (eta and the correlations fixed by ``cfg_base``),
@@ -234,7 +229,7 @@ def theta_sweep(cfg_base: PairConfig, theta_grid,
         raise ValueError("theta grid must lie strictly inside (0, 1)")
 
     def margin_at(t: float) -> float:
-        return separability_margin(replace(cfg_base, theta=t), policy)
+        return separability_margin(replace(cfg_base, theta=t))
 
     margins = [margin_at(t) for t in grid]
     rows = tuple(SweepRow(theta=t, min_invariant=m + 1.0, margin=m)

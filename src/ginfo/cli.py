@@ -25,6 +25,7 @@ from .errors import (
 )
 from .symplectic import (
     CovarianceMatrix,
+    _validated,
     build_symplectic_form,
     generalized_eigenvalues,
     rsup_check,
@@ -303,9 +304,12 @@ def _run_oscillator(args) -> int:
     _, eq = oscillator.equivalent_hamiltonian(p)
     exponent = oscillator.ground_state(p)
     cvm = oscillator.ground_state_cvm(exponent, p.hbar)
+    # the thresholds hold for the state in units of hbar, a positive multiple
+    # of the validated state
+    units = _validated(cvm.matrix / p.hbar, cvm.ordering)
     form = build_symplectic_form(2)
     report = oscillator.separability_condition(p)
-    ppt = states.ppt_separable(cvm, form)
+    ppt = states.ppt_separable(units, form)
     results = {
         "equivalent": {"mass1": eq.mass1, "mass2": eq.mass2,
                        "stiffness1": eq.stiffness1, "stiffness2": eq.stiffness2,
@@ -314,7 +318,7 @@ def _run_oscillator(args) -> int:
         "exponent": {"m11": exponent.m11, "m22": exponent.m22,
                      "cross_imag": exponent.cross_imag},
         "covariance": [list(row) for row in cvm.matrix],
-        "min_invariant": rsup_check(cvm, form).min_invariant,
+        "min_invariant": rsup_check(units, form).min_invariant,
         "separable": report.separable,
         "constraint_gap": report.lhs_rhs_gap,
         "ppt_margin": ppt.margin,

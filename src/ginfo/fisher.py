@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NumericDomainError
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import RSUP_SLACK, SECTOR_GAP_TOL, SPD_TOL, VANISHING_TOL
 from .states import CanonicalTwoModeParams, ppt_separable
 from .symplectic import (
     CovarianceMatrix,
@@ -39,8 +39,7 @@ class FisherMetric:
 
 
 def fisher_metric_numeric(sigma_fn, point, step: float = 1e-5,
-                          parameter_names=None,
-                          policy: NumericPolicy = DEFAULT_POLICY) -> FisherMetric:
+                          parameter_names=None) -> FisherMetric:
     """Fisher matrix by central differences of a covariance-matrix family.
 
     Evaluates ``g_mn = Tr[S^-1 dS_m S^-1 dS_n] / 2`` with the partial
@@ -55,14 +54,14 @@ def fisher_metric_numeric(sigma_fn, point, step: float = 1e-5,
         raise ValueError(f"step {step} outside [1e-7, 1e-3]")
     theta = np.asarray(point, dtype=float)
     m = theta.size
-    center = _check_spd_matrix(as_matrix(sigma_fn(theta)), policy)
+    center = _check_spd_matrix(as_matrix(sigma_fn(theta)))
     inv = np.linalg.inv(center)
     partials = []
     for mu in range(m):
         offset = np.zeros(m)
         offset[mu] = step
-        hi = _check_spd_matrix(as_matrix(sigma_fn(theta + offset)), policy)
-        lo = _check_spd_matrix(as_matrix(sigma_fn(theta - offset)), policy)
+        hi = _check_spd_matrix(as_matrix(sigma_fn(theta + offset)))
+        lo = _check_spd_matrix(as_matrix(sigma_fn(theta - offset)))
         partials.append((hi - lo) / (2.0 * step))
     g = np.empty((m, m))
     for mu in range(m):
@@ -127,8 +126,7 @@ def pure_state_det_ratio(p: CanonicalTwoModeParams) -> dict:
     return {"determinant": full, "simple_ratio": shortcut, "ratio": full / shortcut}
 
 
-def fr_distance(sigma1, sigma2, dim_scaled: bool = False,
-                policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def fr_distance(sigma1, sigma2, dim_scaled: bool = False) -> float:
     """Affine-invariant distance between two SPD covariance matrices.
 
     ``sqrt(pref * sum_j log^2 lam_j)`` over the generalized eigenvalues of
@@ -136,7 +134,7 @@ def fr_distance(sigma1, sigma2, dim_scaled: bool = False,
     alternative (dim/2) normalization, exposed separately because the two
     differ for more than one mode and must never be silently mixed.
     """
-    lam = generalized_eigenvalues(sigma1, sigma2, policy)
+    lam = generalized_eigenvalues(sigma1, sigma2)
     pref = lam.size / 2.0 if dim_scaled else 0.5
     return float(np.sqrt(pref * np.sum(np.log(lam) ** 2)))
 
@@ -153,8 +151,7 @@ def _canonical_eigvals(p: CanonicalTwoModeParams) -> tuple[float, float, float, 
     return lam1, lam2, lam3, lam4
 
 
-def canonical_sqrt_closed(p: CanonicalTwoModeParams,
-                          gap_tol: float = 1e-10) -> np.ndarray:
+def canonical_sqrt_closed(p: CanonicalTwoModeParams) -> np.ndarray:
     """Elementwise closed form of the SPD square root of a canonical state.
 
     Valid only where the sector denominators do not vanish (they do at c = 0
@@ -165,7 +162,7 @@ def canonical_sqrt_closed(p: CanonicalTwoModeParams,
     lam1, lam2, lam3, lam4 = _canonical_eigvals(p)
     den_x = a - b + lam1 - lam2
     den_p = a - b + lam4 - lam3
-    if abs(den_x) < gap_tol or abs(den_p) < gap_tol:
+    if abs(den_x) < SECTOR_GAP_TOL or abs(den_p) < SECTOR_GAP_TOL:
         raise DegenerateSpectrumError(
             f"sector denominators vanish (x: {den_x:.3e}, p: {den_p:.3e}); "
             "use matrix_sqrt_spd instead")
@@ -288,7 +285,7 @@ def normal_form_metric(pt: NormalFormPoint) -> NormalFormMetric:
     """
     a, c = pt.a, pt.c
     r2 = a * a + c * c
-    if r2 <= 1e-14:
+    if r2 <= VANISHING_TOL:
         raise ValueError("the point (a, c) = (0, 0) is outside the family")
     g = np.array([
         [2.0 * (a * a - c * c) / r2 ** 2, 4.0 * a * c / r2 ** 2],
@@ -301,8 +298,7 @@ def normal_form_metric(pt: NormalFormPoint) -> NormalFormMetric:
                             rotation=q, transformed=transformed)
 
 
-def normal_form_cvm(pt: NormalFormPoint,
-                    policy: NumericPolicy = DEFAULT_POLICY) -> CovarianceMatrix:
+def normal_form_cvm(pt: NormalFormPoint) -> CovarianceMatrix:
     """Covariance matrix of the normal-form point (positive-definite reading).
 
     A sign-flipped lower-right block would not be a state, so the +a reading
@@ -311,7 +307,7 @@ def normal_form_cvm(pt: NormalFormPoint,
     a, c = pt.a, pt.c
     sz = np.diag([1.0, -1.0])
     m = np.block([[a * np.eye(2), c * sz], [c * sz, a * np.eye(2)]])
-    return CovarianceMatrix(m, ordering=Ordering.MODE_INTERLEAVED, policy=policy)
+    return CovarianceMatrix(m, ordering=Ordering.MODE_INTERLEAVED)
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +369,11 @@ def _canonical_stack(draws: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _physical(draws: np.ndarray, policy: NumericPolicy) -> np.ndarray:
+def _physical(draws: np.ndarray) -> np.ndarray:
     """Physicality mask of ``(samples, 4)`` canonical rows (a, b, c, d), in closed form.
 
     A row passes when ``a, b > 0``, the matrix is positive definite and its
-    smaller symplectic invariant is at least ``1 - policy.rsup_slack``.
+    smaller symplectic invariant is at least ``1 - RSUP_SLACK``.
 
     * Positive definiteness: the matrix splits into the x sector
       ``[[a, c], [c, b]]`` and the p sector ``[[a, d], [d, b]]``, so its
@@ -399,13 +395,13 @@ def _physical(draws: np.ndarray, policy: NumericPolicy) -> np.ndarray:
     a, b, c, d = a[positive], b[positive], c[positive], d[positive]
     cross = np.maximum(np.abs(c), np.abs(d))
     lam_min = (a * b - cross * cross) / (0.5 * (a + b) + np.hypot(0.5 * (a - b), cross))
-    spd = lam_min > policy.spd_tol
+    spd = lam_min > SPD_TOL
     a, b, c, d = a[spd], b[spd], c[spd], d[spd]
     delta = a * a + b * b + 2.0 * c * d
     det = (a * b - c * c) * (a * b - d * d)
     disc = (a * a - b * b) ** 2 + 4.0 * (a * c + b * d) * (a * d + b * c)
     nu_minus = np.sqrt(8.0 * det / (delta + np.sqrt(np.maximum(disc, 0.0))))
-    spd[spd] = nu_minus >= 1.0 - policy.rsup_slack
+    spd[spd] = nu_minus >= 1.0 - RSUP_SLACK
     positive[positive] = spd
     return positive
 
@@ -430,8 +426,8 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
 
     The physicality gate evaluates the closed-form two-mode invariants on
     the whole sample array at once: ``a, b > 0``, the smallest eigenvalue
-    above ``spd_tol``, and the smaller symplectic invariant
-    ``sqrt(8 det S / (Delta + sqrt(D)))`` at least ``1 - rsup_slack``. The
+    above ``SPD_TOL``, and the smaller symplectic invariant
+    ``sqrt(8 det S / (Delta + sqrt(D)))`` at least ``1 - RSUP_SLACK``. The
     discriminant ``D`` is taken in factored form, because near pure states
     ``Delta^2 - 4 det S`` cancels catastrophically (see :func:`_physical`).
     Only the physical samples then take the per-sample PPT verdict on the
@@ -446,17 +442,16 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
     highs = np.array([hi for _, hi in region.box])
     box_volume = float(np.prod(highs - lows))
     draws = rng.uniform(lows, highs, size=(samples, 4))
-    policy = DEFAULT_POLICY
     stack = _canonical_stack(draws)
     form = build_symplectic_form(2, Ordering.MODE_INTERLEAVED)
-    physical = _physical(draws, policy)
+    physical = _physical(draws)
     values = np.zeros(samples)
     accepted = 0
     rows = draws.tolist()
     for i in np.flatnonzero(physical).tolist():
         if region.predicate != "quantum":
-            sigma = _validated(stack[i], Ordering.MODE_INTERLEAVED, policy)
-            separable = ppt_separable(sigma, form, policy=policy).separable
+            sigma = _validated(stack[i], Ordering.MODE_INTERLEAVED)
+            separable = ppt_separable(sigma, form).separable
             if separable != (region.predicate == "separable"):
                 continue
         accepted += 1

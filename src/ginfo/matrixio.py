@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .policy import DEFAULT_POLICY, NumericPolicy
 from .symplectic import CovarianceMatrix, Ordering
 
 _HEADER_TAG = "# cvm"
@@ -40,7 +39,7 @@ def save_cvm(path, cvm: CovarianceMatrix) -> None:
         fh.write(dump_cvm(cvm))
 
 
-def parse_cvm(text: str, policy: NumericPolicy = DEFAULT_POLICY) -> CovarianceMatrix:
+def parse_cvm(text: str) -> CovarianceMatrix:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(_HEADER_TAG):
         raise ValueError("matrix file must start with a '# cvm' header line")
@@ -54,9 +53,9 @@ def parse_cvm(text: str, policy: NumericPolicy = DEFAULT_POLICY) -> CovarianceMa
     matrix = np.vstack(rows)
     if matrix.shape != (2 * modes, 2 * modes):
         raise ValueError(f"matrix body {matrix.shape} does not match modes={modes}")
-    return CovarianceMatrix(matrix, ordering=ordering, policy=policy)
+    return CovarianceMatrix(matrix, ordering=ordering)
 
 
-def load_cvm(path, policy: NumericPolicy = DEFAULT_POLICY) -> CovarianceMatrix:
+def load_cvm(path) -> CovarianceMatrix:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_cvm(fh.read(), policy)
+        return parse_cvm(fh.read())

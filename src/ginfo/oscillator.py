@@ -23,7 +23,8 @@ from .errors import (
     NumericDomainError,
     SingularMatrixError,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import (DECOUPLED_TOL, DEGENERATE_MODES_TOL, EXPONENT_CHECK_TOL, HAMILTONIAN_CHECK_TOL,
+                     NORMAL_MODE_CHECK_TOL, SINGULAR_MOMENTUM_TOL, ZERO_COUPLING_TOL)
 from .symplectic import J2, CovarianceMatrix, Ordering, build_symplectic_form
 
 _J4 = build_symplectic_form(2, Ordering.MODE_INTERLEAVED).matrix
@@ -113,20 +114,19 @@ def equivalent_hamiltonian_matrix(eq: EquivalentParams) -> np.ndarray:
     return np.block([[h1, cross], [cross.T, h2]])
 
 
-def equivalent_hamiltonian(p: OscillatorParams,
-                           policy: NumericPolicy = DEFAULT_POLICY
-                           ) -> tuple[np.ndarray, EquivalentParams]:
+def equivalent_hamiltonian(p: OscillatorParams) -> tuple[np.ndarray, EquivalentParams]:
     """Transform the Hamiltonian to the standard frame, both routes checked.
 
     The matrix product route and the closed-form block assembly must agree
-    elementwise to 1e-10; a mismatch indicates corrupted inputs.
+    elementwise to ``HAMILTONIAN_CHECK_TOL``; a mismatch indicates corrupted
+    inputs.
     """
     ups = darboux_matrix(p)
     transformed = ups.T @ nc_hamiltonian_matrix(p) @ ups
     eq = equivalent_params(p)
     assembled = equivalent_hamiltonian_matrix(eq)
     dev = np.abs(transformed - assembled).max()
-    if dev > 1e-10 * max(1.0, np.abs(transformed).max()):
+    if dev > HAMILTONIAN_CHECK_TOL * max(1.0, np.abs(transformed).max()):
         raise NumericDomainError(f"closed-form Hamiltonian deviates from transform route by {dev:.3e}")
     return 0.5 * (transformed + transformed.T), eq
 
@@ -145,7 +145,7 @@ class ModeSpectrum:
         return self.freq1 * self.freq2
 
 
-def mode_spectrum(eq: EquivalentParams, check_tol: float = 1e-8) -> ModeSpectrum:
+def mode_spectrum(eq: EquivalentParams) -> ModeSpectrum:
     """Normal-mode frequencies of the equivalent Hamiltonian.
 
     Closed form via the block-determinant sum and the discriminant, verified
@@ -160,12 +160,12 @@ def mode_spectrum(eq: EquivalentParams, check_tol: float = 1e-8) -> ModeSpectrum
         + 16.0 * (math.sqrt(eq.mass1 / eq.mass2) * eq.freq1 * eq.coupling1
                   + math.sqrt(eq.mass2 / eq.mass1) * eq.freq2 * eq.coupling2) ** 2
     disc = math.sqrt(max(disc_sq, 0.0))
-    if disc <= 1e-12:
+    if disc <= DEGENERATE_MODES_TOL:
         raise DegenerateSpectrumError("degenerate normal modes (isotropic undeformed case)")
     low = math.sqrt((inv_sum - disc) / 2.0)
     high = math.sqrt((inv_sum + disc) / 2.0)
     numeric = np.sort(np.abs(np.linalg.eigvals(_J4 @ equivalent_hamiltonian_matrix(eq)).imag))[::2]
-    if np.abs(numeric - [low, high]).max() > check_tol * max(1.0, high):
+    if np.abs(numeric - [low, high]).max() > NORMAL_MODE_CHECK_TOL * max(1.0, high):
         raise NumericDomainError("closed-form mode frequencies disagree with eig(JH)")
     return ModeSpectrum(freq1=low, freq2=high, invariant_sum=inv_sum, discriminant=disc)
 
@@ -196,8 +196,7 @@ def _mode_coeff_row(lam: float, eq: EquivalentParams) -> np.ndarray:
     ])
 
 
-def eigvec_coefficients(eq: EquivalentParams, spec: ModeSpectrum,
-                        residual_tol: float = 1e-8) -> ModeCoefficients:
+def eigvec_coefficients(eq: EquivalentParams, spec: ModeSpectrum) -> ModeCoefficients:
     """Polynomial left-eigenvector components for both modes.
 
     Raises NormalizationError when the norm-square ``2(k2 k3 - k0 k1)`` is
@@ -219,7 +218,7 @@ def eigvec_coefficients(eq: EquivalentParams, spec: ModeSpectrum,
         chi = np.array([1j * k0, k1, k2, 1j * k3])
         scale = np.abs(chi).max()
         residual = np.abs(chi @ hj + 1j * lam * chi).max()
-        if residual > residual_tol * max(scale, 1.0):
+        if residual > NORMAL_MODE_CHECK_TOL * max(scale, 1.0):
             raise NumericDomainError(
                 f"mode {j + 1} left-eigenvector residual {residual:.3e} exceeds tolerance")
     return ModeCoefficients(coeffs=rows, norms=(norms[0], norms[1]))
@@ -264,17 +263,16 @@ class GroundStateExponent:
         return self.m11 * self.m22 + self.cross_imag ** 2
 
 
-def ground_state_exponent(coeffs: ModeCoefficients, hbar: float = 1.0,
-                          check_tol: float = 1e-9) -> GroundStateExponent:
+def ground_state_exponent(coeffs: ModeCoefficients, hbar: float = 1.0) -> GroundStateExponent:
     """Exponent matrix from the eigenvector components, two routes checked.
 
     The display ratios and the matrix route ``(i/hbar) Up^-1 Ux`` must agree
-    to ``check_tol``, and the matrix route must show the real/imaginary
+    to ``EXPONENT_CHECK_TOL``, and the matrix route must show the real/imaginary
     structure to the same tolerance.
     """
     (k10, k11, k12, k13), (k20, k21, k22, k23) = coeffs.coeffs
     den = hbar * (k11 * k23 - k21 * k13)
-    if abs(den) < 1e-12 * max(1.0, np.abs(coeffs.coeffs).max() ** 2):
+    if abs(den) < SINGULAR_MOMENTUM_TOL * max(1.0, np.abs(coeffs.coeffs).max() ** 2):
         raise NormalizationError("momentum coefficient matrix is singular; ansatz not normalizable")
     m11 = (k13 * k20 - k23 * k10) / den
     m22 = (k11 * k22 - k21 * k12) / den
@@ -288,17 +286,17 @@ def ground_state_exponent(coeffs: ModeCoefficients, hbar: float = 1.0,
     structure = max(abs(mat[0, 0].imag), abs(mat[1, 1].imag),
                     abs(mat[0, 1].real), abs(mat[1, 0].real),
                     np.abs(mat[0, 1] - mat[1, 0]).max())
-    if structure > check_tol * scale:
+    if structure > EXPONENT_CHECK_TOL * scale:
         raise NumericDomainError(f"exponent matrix structure violation: {structure:.3e}")
     dev = max(abs(mat[0, 0].real - m11), abs(mat[1, 1].real - m22),
               abs(mat[0, 1].imag - cross), abs(cross_alt - cross))
-    if dev > check_tol * scale:
+    if dev > EXPONENT_CHECK_TOL * scale:
         raise NumericDomainError(f"exponent ratios deviate from matrix route by {dev:.3e}")
     return GroundStateExponent(m11=float(m11), m22=float(m22), cross_imag=float(cross))
 
 
 def _decoupled(eq: EquivalentParams, scale: float) -> bool:
-    return max(abs(eq.coupling1), abs(eq.coupling2)) < 1e-13 * scale
+    return max(abs(eq.coupling1), abs(eq.coupling2)) < DECOUPLED_TOL * scale
 
 
 def ground_state(p: OscillatorParams) -> GroundStateExponent:
@@ -318,8 +316,7 @@ def ground_state(p: OscillatorParams) -> GroundStateExponent:
     return ground_state_exponent(coeffs, p.hbar)
 
 
-def ground_state_cvm(exponent: GroundStateExponent, hbar: float = 1.0,
-                     policy: NumericPolicy = DEFAULT_POLICY) -> CovarianceMatrix:
+def ground_state_cvm(exponent: GroundStateExponent, hbar: float = 1.0) -> CovarianceMatrix:
     """Covariance matrix of the Gaussian ground state (interleaved basis)."""
     m11, m22 = exponent.m11, exponent.m22
     cross = exponent.cross_imag
@@ -329,7 +326,7 @@ def ground_state_cvm(exponent: GroundStateExponent, hbar: float = 1.0,
     v12 = np.array([[0.0, -cross / m11], [-cross / m22, 0.0]])
     m = hbar / 2.0 * np.block([[v11, v12], [v12.T, v22]])
     try:
-        return CovarianceMatrix(m, ordering=Ordering.MODE_INTERLEAVED, policy=policy)
+        return CovarianceMatrix(m, ordering=Ordering.MODE_INTERLEAVED)
     except NumericDomainError as exc:
         raise NumericDomainError(f"inconsistent exponent produced a non-SPD state: {exc}") from exc
 
@@ -368,8 +365,7 @@ class SeparabilityReport:
     cross_imag: float
 
 
-def separability_condition(p: OscillatorParams,
-                           policy: NumericPolicy = DEFAULT_POLICY) -> SeparabilityReport:
+def separability_condition(p: OscillatorParams) -> SeparabilityReport:
     """Ground-state separability verdict with the closed-form gap.
 
     Separable exactly when the imaginary cross coupling of the ground-state
@@ -380,7 +376,7 @@ def separability_condition(p: OscillatorParams,
     exponent = ground_state(p)
     lhs, rhs = separability_sides(p)
     return SeparabilityReport(
-        separable=bool(abs(exponent.cross_imag) < policy.zero_coupling_tol),
+        separable=bool(abs(exponent.cross_imag) < ZERO_COUPLING_TOL),
         lhs_rhs_gap=float(lhs - rhs),
         cross_imag=float(exponent.cross_imag),
     )

@@ -1,21 +1,28 @@
-"""Central numeric tolerance policy.
+"""Numeric tolerances, one named constant each.
 
-Every kernel that needs a tolerance takes an optional ``policy`` argument and
-falls back to :data:`DEFAULT_POLICY`, so tolerances live in exactly one place.
+The kernels read these constants directly and take no tolerance argument,
+so a verdict always means the same thing. The one resolution a caller sets
+is the crossing width ``bisect_tol`` of :func:`ginfo.bipartite.theta_sweep`,
+a sweep parameter rather than a validity threshold. "Relative" tolerances
+are multiplied by the scale their check names.
 """
 
-from dataclasses import dataclass
+# input validation
+SYMMETRY_TOL = 1e-12            # max |M - M^T| of a state (|M + M^T| of a form) taken as exact
+SPD_TOL = 1e-12                 # a positive-definite matrix's eigenvalues must exceed this
+SINGULAR_FORM_TOL = 1e-14       # a symplectic form with |det| below this is singular
+SINGULAR_TRANSFORM_TOL = 1e-12  # a congruence transform with |det| at or below this is singular
+VANISHING_TOL = 1e-14           # 1 - theta*eta/4, 4ab - 4c^2 or a^2 + c^2 below this is zero
 
+# verdicts
+RSUP_SLACK = 1e-10              # an invariant >= 1 - RSUP_SLACK meets the uncertainty threshold 1
+ZERO_COUPLING_TOL = 1e-10       # |imaginary cross coupling| of a product ground state
 
-@dataclass(frozen=True)
-class NumericPolicy:
-    symmetry_tol: float = 1e-12        # max |M - M^T| for symmetric inputs
-    spd_tol: float = 1e-12             # smallest admissible eigenvalue of an SPD matrix
-    equality_tol: float = 1e-10        # generic elementwise equality checks
-    singular_form_tol: float = 1e-14   # |det| floor for symplectic forms
-    singular_transform_tol: float = 1e-12  # |det| floor for congruence transforms
-    rsup_slack: float = 1e-10          # uncertainty threshold is 1 - rsup_slack
-    zero_coupling_tol: float = 1e-10   # |imag cross coupling| treated as zero
-
-
-DEFAULT_POLICY = NumericPolicy()
+# closed forms against their numeric routes
+SECTOR_GAP_TOL = 1e-10          # smallest sector denominator of the closed-form square root
+HAMILTONIAN_CHECK_TOL = 1e-10   # relative gap of the two equivalent-Hamiltonian routes
+DEGENERATE_MODES_TOL = 1e-12    # normal modes with a frequency discriminant at or below this coincide
+NORMAL_MODE_CHECK_TOL = 1e-8    # relative gap of closed-form mode data to the eigenproblem of J H
+SINGULAR_MOMENTUM_TOL = 1e-12   # relative floor of the momentum coefficient determinant
+EXPONENT_CHECK_TOL = 1e-9       # relative gap of the two ground-state exponent routes
+DECOUPLED_TOL = 1e-13           # cross couplings below this, relative to the frequency, vanish

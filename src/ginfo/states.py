@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryIndeterminateError
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import VANISHING_TOL
 from .symplectic import (
     J2,
     CovarianceMatrix,
@@ -55,11 +55,9 @@ def canonical_two_mode_matrix(p: CanonicalTwoModeParams) -> np.ndarray:
     ], dtype=float)
 
 
-def canonical_two_mode_cvm(p: CanonicalTwoModeParams,
-                           policy: NumericPolicy = DEFAULT_POLICY) -> CovarianceMatrix:
+def canonical_two_mode_cvm(p: CanonicalTwoModeParams) -> CovarianceMatrix:
     """Canonical two-mode covariance matrix (mode-interleaved ordering)."""
-    return CovarianceMatrix(canonical_two_mode_matrix(p),
-                            ordering=Ordering.MODE_INTERLEAVED, policy=policy)
+    return CovarianceMatrix(canonical_two_mode_matrix(p), ordering=Ordering.MODE_INTERLEAVED)
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,7 @@ def two_mode_bounds(p: CanonicalTwoModeParams) -> TwoModeBounds:
     ratio = a / b
     scale = 4.0 * a * b
     denom = scale - 4.0 * c * c
-    if abs(denom) < 1e-14:
+    if abs(denom) < VANISHING_TOL:
         raise BoundaryIndeterminateError("window endpoints are undefined at 4ab = 4c^2")
     gap = (np.sqrt(scale) + 1.0 / np.sqrt(scale)) ** 2 \
         - (np.sqrt(ratio) + 1.0 / np.sqrt(ratio)) ** 2
@@ -178,8 +176,7 @@ def _sign_pattern(dim: int, momenta: tuple) -> np.ndarray:
     return pattern
 
 
-def partial_transpose(sigma, party: str = "B", momenta=None,
-                      policy: NumericPolicy = DEFAULT_POLICY) -> CovarianceMatrix:
+def partial_transpose(sigma, party: str = "B", momenta=None) -> CovarianceMatrix:
     """Flip the momentum coordinates of one party (mirror reflection).
 
     Args:
@@ -189,21 +186,20 @@ def partial_transpose(sigma, party: str = "B", momenta=None,
             a caller-managed basis (ordering None) and otherwise overriding.
 
     The operation is an involution: applying it twice returns the input.
-    The input is validated once, and a CovarianceMatrix under the same
-    ``policy`` not at all: the sign flips are exact, so the output keeps the
-    symmetry and spectrum that passed and is not checked again.
+    A raw array is validated once and a CovarianceMatrix not at all: the sign
+    flips are exact, so the output keeps the symmetry and spectrum that
+    passed and is not checked again.
     """
-    if isinstance(sigma, CovarianceMatrix) and (sigma.policy is policy or sigma.policy == policy):
-        m = sigma.matrix
+    if isinstance(sigma, CovarianceMatrix):
+        m, ordering = sigma.matrix, sigma.ordering
     else:
-        m = _check_spd_matrix(sigma, policy)
-    ordering = sigma.ordering if isinstance(sigma, CovarianceMatrix) else None
+        m, ordering = _check_spd_matrix(sigma), None
     n_modes = m.shape[0] // 2
     if momenta is None:
         if ordering is None:
             raise ValueError("matrix has no named ordering; pass explicit momentum indices")
         momenta = momentum_indices(ordering, n_modes, _party_modes(n_modes, party))
-    return _validated(m * _sign_pattern(2 * n_modes, tuple(momenta)), ordering, policy)
+    return _validated(m * _sign_pattern(2 * n_modes, tuple(momenta)), ordering)
 
 
 @dataclass(frozen=True)
@@ -212,8 +208,7 @@ class PptResult:
     margin: float   # min post-reflection invariant minus 1
 
 
-def ppt_separable(sigma, form=None, party: str = "B", momenta=None,
-                  policy: NumericPolicy = DEFAULT_POLICY) -> PptResult:
+def ppt_separable(sigma, form=None, party: str = "B", momenta=None) -> PptResult:
     """Positive-partial-transpose separability verdict for a bipartite state.
 
     A separable Gaussian state stays a valid state after the mirror
@@ -225,8 +220,8 @@ def ppt_separable(sigma, form=None, party: str = "B", momenta=None,
         if ordering is None:
             raise ValueError("pass an explicit form for matrices without a named ordering")
         form = build_symplectic_form(as_matrix(sigma).shape[0] // 2, ordering)
-    reflected = partial_transpose(sigma, party=party, momenta=momenta, policy=policy)
-    result = rsup_check(reflected, form, policy)
+    reflected = partial_transpose(sigma, party=party, momenta=momenta)
+    result = rsup_check(reflected, form)
     return PptResult(separable=result.valid, margin=result.min_invariant - 1.0)
 
 
@@ -248,15 +243,14 @@ class SimonInvariants:
     hbar: float
 
 
-def simon_invariants(sigma, hbar: float = 1.0,
-                     policy: NumericPolicy = DEFAULT_POLICY) -> SimonInvariants:
+def simon_invariants(sigma, hbar: float = 1.0) -> SimonInvariants:
     """Invariant-based separability criterion for a 4x4 interleaved state."""
     if isinstance(sigma, CovarianceMatrix):
         if sigma.ordering is not Ordering.MODE_INTERLEAVED:
             raise ValueError("simon_invariants expects the mode-interleaved ordering")
         m = sigma.matrix
     else:
-        m = _check_spd_matrix(sigma, policy)
+        m = _check_spd_matrix(sigma)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 two-mode matrix, got {m.shape}")
     v11 = m[:2, :2]

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericDomainError, SingularMatrixError
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import RSUP_SLACK, SINGULAR_FORM_TOL, SINGULAR_TRANSFORM_TOL, SPD_TOL, SYMMETRY_TOL
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -65,7 +65,7 @@ def _check_square_even(matrix: np.ndarray) -> int:
     return _check_stack_square_even(matrix)
 
 
-def check_spd(matrix, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def check_spd(matrix) -> np.ndarray:
     """Validate symmetry and positive definiteness, returning the array.
 
     Accepts a single matrix or a ``(..., 2n, 2n)`` stack; a stack passes only
@@ -77,20 +77,20 @@ def check_spd(matrix, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
         asym = np.abs(m - np.swapaxes(m, -1, -2)).max(initial=0.0)
     # a nan or inf entry makes asym nan or inf, so this also stops non-finite
     # input before LAPACK sees it
-    if not asym <= policy.symmetry_tol:
+    if not asym <= SYMMETRY_TOL:
         fault = "is not symmetric" if np.isfinite(asym) else "has non-finite entries"
         raise NumericDomainError(f"matrix {fault}: max |M - M^T| = {asym:.3e}")
     lam_min = np.linalg.eigvalsh(m).min(initial=np.inf)
-    if lam_min <= policy.spd_tol:
+    if lam_min <= SPD_TOL:
         raise NumericDomainError(f"matrix is not positive definite: min eigenvalue = {lam_min:.3e}")
     return m
 
 
-def _check_spd_matrix(matrix, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def _check_spd_matrix(matrix) -> np.ndarray:
     """:func:`check_spd` for the kernels that take exactly one matrix."""
     m = as_matrix(matrix)
     _check_square_even(m)
-    return check_spd(m, policy)
+    return check_spd(m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +104,9 @@ class CovarianceMatrix:
 
     matrix: np.ndarray
     ordering: Ordering | None = Ordering.MODE_INTERLEAVED
-    policy: NumericPolicy = field(default=DEFAULT_POLICY, repr=False)
 
     def __post_init__(self):
-        m = _check_spd_matrix(np.asarray(self.matrix, dtype=float), self.policy)
+        m = _check_spd_matrix(np.asarray(self.matrix, dtype=float))
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property
@@ -115,9 +114,8 @@ class CovarianceMatrix:
         return self.matrix.shape[0] // 2
 
 
-def _validated(matrix: np.ndarray, ordering: Ordering | None,
-               policy: NumericPolicy) -> CovarianceMatrix:
-    """Wrap a matrix known to be symmetric positive definite under ``policy``, unchecked.
+def _validated(matrix: np.ndarray, ordering: Ordering | None) -> CovarianceMatrix:
+    """Wrap a matrix known to be symmetric positive definite, unchecked.
 
     Takes ownership: a float array is not copied but made read-only in place,
     so the caller must not write to it afterwards.
@@ -127,7 +125,6 @@ def _validated(matrix: np.ndarray, ordering: Ordering | None,
     cvm = object.__new__(CovarianceMatrix)
     object.__setattr__(cvm, "matrix", matrix)
     object.__setattr__(cvm, "ordering", ordering)
-    object.__setattr__(cvm, "policy", policy)
     return cvm
 
 
@@ -143,7 +140,6 @@ class SymplecticForm:
 
     matrix: np.ndarray
     ordering: Ordering | None = Ordering.MODE_INTERLEAVED
-    policy: NumericPolicy = field(default=DEFAULT_POLICY, repr=False)
     orthogonal: bool = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -152,10 +148,10 @@ class SymplecticForm:
         with np.errstate(invalid="ignore"):
             asym = np.abs(m + m.T).max()
         # a nan or inf entry makes asym nan or inf; it must not reach det
-        if not asym <= self.policy.symmetry_tol:
+        if not asym <= SYMMETRY_TOL:
             fault = "is not antisymmetric" if np.isfinite(asym) else "has non-finite entries"
             raise NumericDomainError(f"form {fault}: max |M + M^T| = {asym:.3e}")
-        if abs(np.linalg.det(m)) < self.policy.singular_form_tol:
+        if abs(np.linalg.det(m)) < SINGULAR_FORM_TOL:
             raise SingularMatrixError("symplectic form is singular")
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "orthogonal", np.array_equal(m.T @ m, np.eye(len(m))))
@@ -231,7 +227,7 @@ def _check_compatible(sigma, form) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
-def symplectic_spectrum(sigma, form, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def symplectic_spectrum(sigma, form) -> np.ndarray:
     """Symplectic (Williamson) invariants of a state with respect to a form.
 
     Args:
@@ -260,15 +256,13 @@ def symplectic_spectrum(sigma, form, policy: NumericPolicy = DEFAULT_POLICY) -> 
     """
     s, w = _check_compatible(sigma, form)
     if not isinstance(sigma, CovarianceMatrix):
-        s = check_spd(s, policy)
+        s = check_spd(s)
     if isinstance(form, SymplecticForm):
-        # the constructor made the |det| check under its policy
-        checked = form.policy is policy or form.policy == policy
-        orthogonal = form.orthogonal
+        orthogonal = form.orthogonal   # the constructor made the |det| check
     else:
-        checked = orthogonal = False
-    if not checked and abs(np.linalg.det(w)) < policy.singular_form_tol:
-        raise SingularMatrixError("symplectic form is singular")
+        orthogonal = False
+        if abs(np.linalg.det(w)) < SINGULAR_FORM_TOL:
+            raise SingularMatrixError("symplectic form is singular")
     eigvals = np.linalg.eigvals(w.T @ s if orthogonal else np.linalg.solve(w, s))
     # LAPACK returns the complex eigenvalues of a real matrix in exact
     # conjugate pairs, and an even dimension leaves an even number of real
@@ -284,75 +278,75 @@ class RsupResult:
     min_invariant: float
 
 
-def rsup_check(sigma, form, policy: NumericPolicy = DEFAULT_POLICY) -> RsupResult:
+def rsup_check(sigma, form) -> RsupResult:
     """Robertson-Schrodinger uncertainty check: all invariants >= 1."""
     _check_square_even(as_matrix(sigma))
-    spectrum = symplectic_spectrum(sigma, form, policy)
+    spectrum = symplectic_spectrum(sigma, form)
     lo = float(spectrum[0])
-    return RsupResult(valid=lo >= 1.0 - policy.rsup_slack, min_invariant=lo)
+    return RsupResult(valid=lo >= 1.0 - RSUP_SLACK, min_invariant=lo)
 
 
-def _check_invertible_transform(s: np.ndarray, dim: int, policy: NumericPolicy):
+def _check_invertible_transform(s: np.ndarray, dim: int):
     if s.shape != (dim, dim):
         raise ValueError(f"transform shape {s.shape} does not match dimension {dim}")
-    if abs(np.linalg.det(s)) <= policy.singular_transform_tol:
+    if abs(np.linalg.det(s)) <= SINGULAR_TRANSFORM_TOL:
         raise SingularMatrixError("congruence transform is singular")
 
 
-def congruence_apply(s, sigma, policy: NumericPolicy = DEFAULT_POLICY) -> CovarianceMatrix:
+def congruence_apply(s, sigma) -> CovarianceMatrix:
     """Transform a state by ``Sigma -> S Sigma S^T``.
 
     The result carries no named ordering: a general invertible S mixes the
     coordinate roles, so the caller owns the basis bookkeeping.
     """
     sm = np.asarray(s, dtype=float)
-    m = _check_spd_matrix(sigma, policy) if not isinstance(sigma, CovarianceMatrix) else sigma.matrix
-    _check_invertible_transform(sm, m.shape[0], policy)
+    m = _check_spd_matrix(sigma) if not isinstance(sigma, CovarianceMatrix) else sigma.matrix
+    _check_invertible_transform(sm, m.shape[0])
     out = sm @ m @ sm.T
-    return CovarianceMatrix(0.5 * (out + out.T), ordering=None, policy=policy)
+    return CovarianceMatrix(0.5 * (out + out.T), ordering=None)
 
 
-def congruence_form(s, form, policy: NumericPolicy = DEFAULT_POLICY) -> SymplecticForm:
+def congruence_form(s, form) -> SymplecticForm:
     """Transform a form by ``Omega -> S Omega S^T`` (same basis caveat)."""
     sm = np.asarray(s, dtype=float)
     if not isinstance(form, SymplecticForm):
         form = SymplecticForm(as_matrix(form), ordering=None)
-    _check_invertible_transform(sm, form.matrix.shape[0], policy)
+    _check_invertible_transform(sm, form.matrix.shape[0])
     out = sm @ form.matrix @ sm.T
-    return SymplecticForm(0.5 * (out - out.T), ordering=None, policy=policy)
+    return SymplecticForm(0.5 * (out - out.T), ordering=None)
 
 
-def matrix_sqrt_spd(matrix, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def matrix_sqrt_spd(matrix) -> np.ndarray:
     """Symmetric positive-definite square root via eigendecomposition.
 
     Degenerate eigenvalues are fine; only symmetry and positivity are
     required. ``R @ R`` reproduces the input to roundoff.
     """
-    m = _check_spd_matrix(matrix, policy)
+    m = _check_spd_matrix(matrix)
     w, v = np.linalg.eigh(m)
     root = (v * np.sqrt(w)) @ v.T
     return 0.5 * (root + root.T)
 
 
-def matrix_inv_sqrt_spd(matrix, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def matrix_inv_sqrt_spd(matrix) -> np.ndarray:
     """Inverse SPD square root, same route as :func:`matrix_sqrt_spd`."""
-    m = _check_spd_matrix(matrix, policy)
+    m = _check_spd_matrix(matrix)
     w, v = np.linalg.eigh(m)
     root = (v / np.sqrt(w)) @ v.T
     return 0.5 * (root + root.T)
 
 
-def generalized_eigenvalues(sigma1, sigma2, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def generalized_eigenvalues(sigma1, sigma2) -> np.ndarray:
     """Eigenvalues of ``Sigma1^-1/2 Sigma2 Sigma1^-1/2``, sorted ascending.
 
     These solve ``det(Sigma2 - lam Sigma1) = 0``; the symmetric route keeps
     them real and positive for SPD inputs.
     """
-    m1 = _check_spd_matrix(sigma1, policy) if not isinstance(sigma1, CovarianceMatrix) else sigma1.matrix
-    m2 = _check_spd_matrix(sigma2, policy) if not isinstance(sigma2, CovarianceMatrix) else sigma2.matrix
+    m1 = _check_spd_matrix(sigma1) if not isinstance(sigma1, CovarianceMatrix) else sigma1.matrix
+    m2 = _check_spd_matrix(sigma2) if not isinstance(sigma2, CovarianceMatrix) else sigma2.matrix
     if m1.shape != m2.shape:
         raise ValueError(f"size mismatch: {m1.shape} vs {m2.shape}")
-    inv_root = matrix_inv_sqrt_spd(m1, policy)
+    inv_root = matrix_inv_sqrt_spd(m1)
     vals = np.linalg.eigvalsh(inv_root @ m2 @ inv_root)
     if vals.min() <= 0:
         raise NumericDomainError("generalized eigenvalues came out nonpositive")

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ginfo import CovarianceMatrix, NumericPolicy, bipartite, fr_distance, symplectic
+from ginfo import CovarianceMatrix, bipartite, fr_distance, symplectic
 from ginfo.bipartite import (
     PairConfig,
     bopp_shift,
@@ -17,8 +17,7 @@ from ginfo.bipartite import (
     separability_margin,
     theta_sweep,
 )
-from ginfo.errors import NumericDomainError, SingularMatrixError
-from ginfo.policy import DEFAULT_POLICY
+from ginfo.errors import SingularMatrixError
 from ginfo.symplectic import J2, Ordering, build_symplectic_form, symplectic_spectrum
 
 from helpers import QUARTER_CROSSING
@@ -93,14 +92,7 @@ class TestPairCvm:
             spd_calls.clear()
             np.testing.assert_array_equal(cvm.matrix, checked.matrix)
             assert not cvm.matrix.flags.writeable
-            assert cvm.ordering is None and cvm.policy is DEFAULT_POLICY
-
-    def test_policy_floor_above_the_smallest_eigenvalue(self):
-        # the smallest eigenvalue is (1 + R)/2
-        cfg = PairConfig(0.3, 0.4)
-        assert pair_cvm(cfg, NumericPolicy(spd_tol=0.74)).policy.spd_tol == 0.74
-        with pytest.raises(NumericDomainError, match="positive definite"):
-            pair_cvm(cfg, NumericPolicy(spd_tol=0.75))
+            assert cvm.ordering is None
 
     def test_one_spd_check_per_margin(self, spd_calls):
         separability_margin(PairConfig(0.125, 0.125, theta=0.4, eta=0.1))

@@ -15,6 +15,7 @@ from ginfo import CovarianceMatrix, DegenerateSpectrumError, NormalizationError,
 from ginfo import oscillator
 from ginfo.cli import main
 from ginfo.matrixio import save_cvm
+from ginfo.policy import RSUP_SLACK
 
 SCHEMA = json.loads(resources.files("ginfo").joinpath("schemas/report.schema.json").read_text())
 
@@ -196,6 +197,20 @@ class TestReports:
         assert res["ppt_margin"] < 0
         assert res["min_invariant"] == pytest.approx(1.0, abs=1e-9)
         assert res["hbar_effective"] == pytest.approx(1.015)
+
+    @pytest.mark.parametrize("hbar", ["0.5", "2"])
+    @pytest.mark.parametrize("state", [
+        ("--m1", "1.3", "--m2", "1.3", "--w1", "1.7", "--w2", "1.7", "--theta", "0.4", "--eta", "0.3"),
+        ("--m1", "1", "--m2", "1", "--w1", "1", "--w2", "2", "--theta", "0.3", "--eta", "0.2"),
+    ], ids=["isotropic", "anisotropic"])
+    def test_oscillator_report_in_units_of_hbar(self, tmp_path, state, hbar):
+        # the ground state is pure whatever hbar is, and the PPT margin must
+        # agree with the verdict
+        code, text = run(tmp_path, "--command", "oscillator", *state, "--hbar", hbar)
+        assert code == 0
+        res = validate_report(text)["results"]
+        assert res["min_invariant"] == pytest.approx(1.0, abs=1e-9)
+        assert (res["ppt_margin"] >= -RSUP_SLACK) == res["separable"]
 
     def test_oscillator_theta_defaults_to_zero(self, tmp_path):
         code, text = run(tmp_path, "--command", "oscillator")

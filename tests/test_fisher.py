@@ -26,7 +26,7 @@ from ginfo import (
     regularized_volume,
     regularizer_value,
 )
-from ginfo.policy import DEFAULT_POLICY
+from ginfo.policy import RSUP_SLACK, SPD_TOL
 from ginfo.randmat import random_invertible, random_spd
 
 from helpers import (
@@ -400,16 +400,16 @@ class TestVolumeGate:
     @pytest.mark.parametrize("box", list(GATE_BOXES), ids=list(GATE_BOXES))
     def test_closed_form_gate_matches_spectral_routes(self, box):
         draws, _ = _gate_draws(GATE_BOXES[box], seed=11)
-        physical = fisher._physical(draws, DEFAULT_POLICY)
+        physical = fisher._physical(draws)
         np.testing.assert_array_equal(physical, canonical_hermitian_verdicts(draws)[0])
         # the eigenvalue route the gate replaced
         positive = (draws[:, 0] > 0) & (draws[:, 1] > 0)
         stack = fisher._canonical_stack(draws[positive])
-        spd = np.linalg.eigvalsh(stack)[:, 0] > DEFAULT_POLICY.spd_tol
+        spd = np.linalg.eigvalsh(stack)[:, 0] > SPD_TOL
         spectral = np.zeros_like(positive)
         spectral[np.flatnonzero(positive)[spd]] = (
             symplectic.symplectic_spectrum(stack[spd], symplectic.build_symplectic_form(2))[:, 0]
-            >= 1.0 - DEFAULT_POLICY.rsup_slack)
+            >= 1.0 - RSUP_SLACK)
         np.testing.assert_array_equal(physical, spectral)
 
     def test_near_pure_symmetric_states(self):
@@ -424,7 +424,7 @@ class TestVolumeGate:
         draws = np.column_stack([a, a, c, -c])
         nudge = rng.choice([-1.0, 1.0], draws.shape) * 10.0 ** rng.uniform(-12, -4, draws.shape)
         draws = draws + nudge
-        physical = fisher._physical(draws, DEFAULT_POLICY)
+        physical = fisher._physical(draws)
         expected = canonical_hermitian_verdicts(draws)[0]
         assert 0 < expected.sum() < expected.size
         np.testing.assert_array_equal(physical, expected)

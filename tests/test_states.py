@@ -8,7 +8,6 @@ from ginfo import (
     CanonicalTwoModeParams,
     CovarianceMatrix,
     NumericDomainError,
-    NumericPolicy,
     Ordering,
     bipartite,
     build_symplectic_form,
@@ -144,7 +143,7 @@ class TestPartialTranspose:
 
 
 class TestPartialTransposeValidation:
-    """A matrix validated under the same policy is reflected without a second check."""
+    """A validated matrix is reflected without a second check."""
 
     @pytest.fixture
     def spd_calls(self, monkeypatch):
@@ -170,7 +169,7 @@ class TestPartialTransposeValidation:
         signs = np.ones(8)
         signs[list(flipped)] = -1.0
         np.testing.assert_array_equal(out.matrix, cvm.matrix * np.outer(signs, signs))
-        assert out.ordering is ordering and out.policy == cvm.policy
+        assert out.ordering is ordering
         assert not out.matrix.flags.writeable
         with pytest.raises(ValueError):
             out.matrix[0, 0] = 1.0
@@ -191,17 +190,6 @@ class TestPartialTransposeValidation:
         m[3, 3] = entry
         with pytest.raises(NumericDomainError, match=message):
             partial_transpose(m, momenta=(3,))
-        assert len(spd_calls) == 1
-
-    def test_other_policy_is_rechecked(self, spd_calls):
-        loose = NumericPolicy(spd_tol=-1.0)
-        cvm = CovarianceMatrix(np.diag([1.0, 1.0, 1.0, -0.5]),
-                               ordering=Ordering.MODE_INTERLEAVED, policy=loose)
-        spd_calls.clear()
-        assert partial_transpose(cvm, policy=loose).policy is loose
-        assert spd_calls == []
-        with pytest.raises(NumericDomainError, match="positive definite"):
-            partial_transpose(cvm)
         assert len(spd_calls) == 1
 
 

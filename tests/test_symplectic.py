@@ -4,7 +4,6 @@ import pytest
 from ginfo import (
     CovarianceMatrix,
     NumericDomainError,
-    NumericPolicy,
     Ordering,
     SingularMatrixError,
     SymplecticForm,
@@ -21,7 +20,6 @@ from ginfo import (
 )
 from ginfo import bipartite
 from ginfo.randmat import random_invertible, random_spd, random_symplectic
-from ginfo.policy import DEFAULT_POLICY
 from ginfo.symplectic import J2, _validated, check_spd
 
 
@@ -152,23 +150,18 @@ class TestSpectrumFormCheck:
         with pytest.raises(SingularMatrixError):
             symplectic_spectrum(np.eye(4), bad)
 
-    def test_form_of_another_policy_is_rechecked(self):
-        lax = NumericPolicy(singular_form_tol=0.0)
-        form = SymplecticForm(np.kron(np.diag([1.0, 1e-10]), J2), ordering=None, policy=lax)
-        assert symplectic_spectrum(np.eye(4), form, lax).shape == (2,)
-        with pytest.raises(SingularMatrixError):
-            symplectic_spectrum(np.eye(4), form)
-
     def test_form_of_an_equal_policy_is_not_rechecked(self, det_calls):
-        form = build_symplectic_form(2)
         sigma = CovarianceMatrix(np.diag([1.0, 1.0, 2.0, 2.0]))
-        det_calls.clear()
-        expected = symplectic_spectrum(sigma, form.matrix)
-        assert det_calls == [(4, 4)]                 # a raw array is checked
-        det_calls.clear()
-        for policy in (form.policy, NumericPolicy()):
-            np.testing.assert_array_equal(symplectic_spectrum(sigma, form, policy), expected)
-        assert det_calls == []
+        standard = build_symplectic_form(2)
+        skewed = congruence_form(random_invertible(4, np.random.default_rng(2)), standard)
+        assert standard.orthogonal and not skewed.orthogonal
+        for form in (standard, skewed):
+            det_calls.clear()
+            expected = symplectic_spectrum(sigma, form.matrix)
+            assert det_calls == [(4, 4)]             # a raw array is checked
+            det_calls.clear()
+            np.testing.assert_array_equal(symplectic_spectrum(sigma, form), expected)
+            assert det_calls == []
 
 
 class TestSpectrumStack:
@@ -301,10 +294,10 @@ class TestValidatedWrapper:
 
     def test_shares_memory_and_freezes(self):
         m = random_spd(4, np.random.default_rng(3))
-        cvm = _validated(m, Ordering.BLOCK_XP, DEFAULT_POLICY)
+        cvm = _validated(m, Ordering.BLOCK_XP)
         assert np.shares_memory(cvm.matrix, m)
         assert not m.flags.writeable and not cvm.matrix.flags.writeable
-        assert cvm.ordering is Ordering.BLOCK_XP and cvm.policy is DEFAULT_POLICY
+        assert cvm.ordering is Ordering.BLOCK_XP
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
 
