@@ -327,7 +327,7 @@ def _run_oscillator(args) -> int:
     try:
         spec = oscillator.mode_spectrum(eq)
         results["mode_freqs"] = [spec.freq1, spec.freq2]
-    except ValueError:
+    except DegenerateSpectrumError:
         results["mode_freqs"] = None   # degenerate isotropic undeformed case
     config = {"command": "oscillator", "m1": args.m1, "m2": args.m2,
               "w1": args.w1, "w2": args.w2, "theta": theta,

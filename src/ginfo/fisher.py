@@ -54,14 +54,14 @@ def fisher_metric_numeric(sigma_fn, point, step: float = 1e-5,
         raise ValueError(f"step {step} outside [1e-7, 1e-3]")
     theta = np.asarray(point, dtype=float)
     m = theta.size
-    center = _check_spd_matrix(as_matrix(sigma_fn(theta)))
+    center = _check_spd_matrix(sigma_fn(theta))
     inv = np.linalg.inv(center)
     partials = []
     for mu in range(m):
         offset = np.zeros(m)
         offset[mu] = step
-        hi = _check_spd_matrix(as_matrix(sigma_fn(theta + offset)))
-        lo = _check_spd_matrix(as_matrix(sigma_fn(theta - offset)))
+        hi = _check_spd_matrix(sigma_fn(theta + offset))
+        lo = _check_spd_matrix(sigma_fn(theta - offset))
         partials.append((hi - lo) / (2.0 * step))
     g = np.empty((m, m))
     for mu in range(m):

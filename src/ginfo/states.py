@@ -245,12 +245,9 @@ class SimonInvariants:
 
 def simon_invariants(sigma, hbar: float = 1.0) -> SimonInvariants:
     """Invariant-based separability criterion for a 4x4 interleaved state."""
-    if isinstance(sigma, CovarianceMatrix):
-        if sigma.ordering is not Ordering.MODE_INTERLEAVED:
-            raise ValueError("simon_invariants expects the mode-interleaved ordering")
-        m = sigma.matrix
-    else:
-        m = _check_spd_matrix(sigma)
+    if isinstance(sigma, CovarianceMatrix) and sigma.ordering is not Ordering.MODE_INTERLEAVED:
+        raise ValueError("simon_invariants expects the mode-interleaved ordering")
+    m = _check_spd_matrix(sigma)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 two-mode matrix, got {m.shape}")
     v11 = m[:2, :2]

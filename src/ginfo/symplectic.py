@@ -87,7 +87,9 @@ def check_spd(matrix) -> np.ndarray:
 
 
 def _check_spd_matrix(matrix) -> np.ndarray:
-    """:func:`check_spd` for the kernels that take exactly one matrix."""
+    """:func:`check_spd` for one-matrix kernels; a CovarianceMatrix was checked when built."""
+    if isinstance(matrix, CovarianceMatrix):
+        return matrix.matrix
     m = as_matrix(matrix)
     _check_square_even(m)
     return check_spd(m)
@@ -300,7 +302,7 @@ def congruence_apply(s, sigma) -> CovarianceMatrix:
     coordinate roles, so the caller owns the basis bookkeeping.
     """
     sm = np.asarray(s, dtype=float)
-    m = _check_spd_matrix(sigma) if not isinstance(sigma, CovarianceMatrix) else sigma.matrix
+    m = _check_spd_matrix(sigma)
     _check_invertible_transform(sm, m.shape[0])
     out = sm @ m @ sm.T
     return CovarianceMatrix(0.5 * (out + out.T), ordering=None)
@@ -342,11 +344,10 @@ def generalized_eigenvalues(sigma1, sigma2) -> np.ndarray:
     These solve ``det(Sigma2 - lam Sigma1) = 0``; the symmetric route keeps
     them real and positive for SPD inputs.
     """
-    m1 = _check_spd_matrix(sigma1) if not isinstance(sigma1, CovarianceMatrix) else sigma1.matrix
-    m2 = _check_spd_matrix(sigma2) if not isinstance(sigma2, CovarianceMatrix) else sigma2.matrix
-    if m1.shape != m2.shape:
-        raise ValueError(f"size mismatch: {m1.shape} vs {m2.shape}")
-    inv_root = matrix_inv_sqrt_spd(m1)
+    inv_root = matrix_inv_sqrt_spd(sigma1)
+    m2 = _check_spd_matrix(sigma2)
+    if inv_root.shape != m2.shape:
+        raise ValueError(f"size mismatch: {inv_root.shape} vs {m2.shape}")
     vals = np.linalg.eigvalsh(inv_root @ m2 @ inv_root)
     if vals.min() <= 0:
         raise NumericDomainError("generalized eigenvalues came out nonpositive")

@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 
 import ginfo
-from ginfo import CovarianceMatrix, DegenerateSpectrumError, NormalizationError, Ordering
-from ginfo import oscillator
+from ginfo import (
+    CovarianceMatrix,
+    DegenerateSpectrumError,
+    NormalizationError,
+    NumericDomainError,
+    Ordering,
+)
+from ginfo import oscillator, selftest
 from ginfo.cli import main
 from ginfo.matrixio import save_cvm
 from ginfo.policy import RSUP_SLACK
@@ -218,6 +224,13 @@ class TestReports:
         assert '"theta": 0.0' in text
         assert validate_report(text)["config"]["theta"] == 0.0
 
+    def test_oscillator_degenerate_modes_report_null(self, tmp_path):
+        # isotropic and undeformed: the closed-form mode frequencies coincide
+        code, text = run(tmp_path, "--command", "oscillator",
+                         "--m1", "1", "--m2", "1", "--w1", "1.5", "--w2", "1.5")
+        assert code == 0
+        assert validate_report(text)["results"]["mode_freqs"] is None
+
     def test_volume_report(self, tmp_path):
         args = ("--command", "volume", "--region", "separable",
                 "--samples", "2000", "--seed", "3")
@@ -240,11 +253,11 @@ class TestSelftest:
         assert "seed=20240901" in captured
         assert "selftest PASSED" in captured
         assert code == 0
-        assert captured.count("PASS") >= 25
+        assert captured.count("PASS") >= len(selftest.BATTERIES)
         assert elapsed < 60.0
         doc = validate_report(out.read_text())
         assert doc["results"]["passed"] is True
-        assert len(doc["results"]["properties"]) == 25
+        assert len(doc["results"]["properties"]) == len(selftest.BATTERIES)
         boundary = [p for p in doc["results"]["properties"]
                     if p["name"] == "exact boundary agrees with the reflection spectrum"]
         assert len(boundary) == 1
@@ -274,13 +287,17 @@ class TestInputBoundary:
         assert code == 4
         assert "singular" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("error", [DegenerateSpectrumError, NormalizationError])
+    @pytest.mark.parametrize("kernel, error", [
+        ("ground_state", DegenerateSpectrumError),
+        ("ground_state", NormalizationError),
+        ("mode_spectrum", NumericDomainError),
+    ], ids=["DegenerateSpectrumError", "NormalizationError", "mode_spectrum"])
     def test_spectral_failure_is_numeric_domain_error(self, tmp_path, capsys,
-                                                       monkeypatch, error):
+                                                       monkeypatch, kernel, error):
         def fail(*args, **kwargs):
             raise error("forced by the test")
 
-        monkeypatch.setattr(oscillator, "ground_state", fail)
+        monkeypatch.setattr(oscillator, kernel, fail)
         code, text = run(tmp_path, "--command", "oscillator")
         assert code == 4
         assert text == ""

@@ -103,15 +103,6 @@ class TestModeSpectrum:
         with pytest.raises(DegenerateSpectrumError):
             mode_spectrum(eq)
 
-    def test_matches_numeric_eigenvalues(self):
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            eq = equivalent_params(random_params(rng))
-            spec = mode_spectrum(eq)
-            numeric = np.sort(np.abs(np.linalg.eigvals(
-                FORM2.matrix @ equivalent_hamiltonian_matrix(eq)).imag))[::2]
-            np.testing.assert_allclose([spec.freq1, spec.freq2], numeric, atol=1e-8)
-
 
 class TestEigvecCoefficients:
     def test_left_eigenvector_residual(self):
