@@ -23,12 +23,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularMatrixError
-from .policy import VANISHING_TOL
+from .policy import BISECT_TOL, VANISHING_TOL
 from .symplectic import (
     J2,
     CovarianceMatrix,
     Ordering,
     SymplecticForm,
+    _check_finite,
     _validated,
     ordering_permutation,
     symplectic_spectrum,
@@ -47,9 +48,7 @@ class PairConfig:
     eta: float = 0.0
 
     def __post_init__(self):
-        values = (self.m, self.n, self.theta, self.eta)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"m, n, theta and eta must be finite, got {values}")
+        _check_finite("m, n, theta and eta", self.m, self.n, self.theta, self.eta)
         if self.radius >= 1.0:
             raise ValueError(f"correlation radius must stay below 1, got {self.radius}")
 
@@ -214,13 +213,12 @@ class SweepResult:
     crossing_theta: float | None
 
 
-def theta_sweep(cfg_base: PairConfig, theta_grid,
-                bisect_tol: float = 1e-6) -> SweepResult:
+def theta_sweep(cfg_base: PairConfig, theta_grid) -> SweepResult:
     """Margin table over a grid of deformation strengths.
 
     One row per theta value (eta and the correlations fixed by ``cfg_base``),
     sorted ascending. When the margin changes sign between neighbours, the
-    crossing is refined by bisection to ``bisect_tol``.
+    crossing is refined by bisection to ``policy.BISECT_TOL``.
     """
     grid = sorted(float(t) for t in theta_grid)
     if not grid:
@@ -237,15 +235,14 @@ def theta_sweep(cfg_base: PairConfig, theta_grid,
     crossing = None
     for (t_lo, m_lo), (t_hi, m_hi) in zip(zip(grid, margins), zip(grid[1:], margins[1:])):
         if m_lo >= 0.0 > m_hi or m_lo < 0.0 <= m_hi:
-            crossing = _bisect_margin(margin_at, t_lo, t_hi, m_lo, bisect_tol)
+            crossing = _bisect_margin(margin_at, t_lo, t_hi, m_lo)
             break
     return SweepResult(rows=rows, crossing_theta=crossing)
 
 
-def _bisect_margin(margin_at, lo: float, hi: float, margin_lo: float,
-                   tol: float) -> float:
+def _bisect_margin(margin_at, lo: float, hi: float, margin_lo: float) -> float:
     lo_nonneg = margin_lo >= 0.0
-    while hi - lo > tol:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if (margin_at(mid) >= 0.0) == lo_nonneg:
             lo = mid

@@ -2,8 +2,9 @@
 
 One process runs one command, echoes its fully resolved configuration into
 the output header, and writes the result once at the end, as CSV (sweeps) or
-JSON (reports). Exit codes: 0 success, 1 usage, 2 I/O, 3 validation,
-4 numeric domain failure.
+JSON (reports). A flag the command does not read is a usage error. Exit
+codes: 0 success, 1 usage, 2 I/O, 3 validation, 4 numeric domain failure
+(an overflow or a non-finite result among them).
 """
 
 from __future__ import annotations
@@ -31,8 +32,21 @@ from .symplectic import (
     rsup_check,
 )
 
-COMMANDS = ("figure1", "figure2", "figure3", "sweep", "distance", "metric",
-            "oscillator", "volume", "selftest")
+# the flags each command reads, and so accepts: the inputs its report echoes, and --out
+_SWEEP_FLAGS = frozenset({"eta", "grid", "format", "seed", "out"})
+COMMAND_FLAGS = {
+    **dict.fromkeys(("figure1", "figure2", "figure3"), _SWEEP_FLAGS),
+    "sweep": _SWEEP_FLAGS | {"m", "n"},
+    "distance": frozenset({"a", "b", "c", "d", "a0", "b0", "c0", "d0", "sigma1", "sigma2",
+                           "check_invariance", "seed", "out"}),
+    "metric": frozenset({"a", "b", "c", "d", "seed", "out"}),
+    "oscillator": frozenset({"m1", "m2", "w1", "w2", "theta", "eta", "hbar", "seed", "out"}),
+    "volume": frozenset({"region", "samples", "seed", "kappa", "power", "box", "out"}),
+    "selftest": frozenset({"seed", "out"}),
+}
+COMMANDS = tuple(COMMAND_FLAGS)
+_FLAGS = frozenset().union(*COMMAND_FLAGS.values())
+_UNSET = object()
 
 FIGURE_CORRELATIONS = {"figure1": 0.125, "figure2": 0.25, "figure3": 0.0625}
 
@@ -105,7 +119,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--command", required=True, choices=COMMANDS)
     parser.add_argument("--m", type=_finite_float, help="first correlation amplitude (sweep)")
     parser.add_argument("--n", type=_finite_float, help="second correlation amplitude (sweep)")
-    parser.add_argument("--theta", type=_finite_float, help="oscillator deformation (default 0)")
+    parser.add_argument("--theta", type=_finite_float, default=0.0, help="oscillator deformation")
     parser.add_argument("--eta", type=_finite_float, default=0.0)
     parser.add_argument("--grid", type=int, default=99, help="sweep grid size (>= 10)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -169,9 +183,11 @@ def _json_default(obj):
 
 
 def _json_report(command: str, config: dict, results: dict) -> str:
-    return json.dumps({"command": command, "config": config, "results": results},
-                      sort_keys=True, indent=2, allow_nan=False,
-                      default=_json_default) + "\n"
+    try:   # allow_nan=False stops a nan or inf among the results
+        return json.dumps({"command": command, "config": config, "results": results},
+                          sort_keys=True, indent=2, allow_nan=False, default=_json_default) + "\n"
+    except ValueError as exc:
+        raise NumericDomainError(f"non-finite result: {exc}") from None
 
 
 def _sweep_output(command: str, config: dict, sweep, fmt: str, out_path):
@@ -197,8 +213,6 @@ def _run_sweep(command: str, args) -> int:
         if args.m is None or args.n is None:
             raise UsageError("sweep requires --m and --n")
         m, n = args.m, args.n
-    if args.theta is not None:
-        raise UsageError(f"--theta does not apply to {command}: it sweeps theta over its grid")
     if args.grid < 10:
         raise UsageError("--grid must be at least 10")
     fmt = args.format or "csv"
@@ -297,10 +311,9 @@ def _run_metric(args) -> int:
 def _run_oscillator(args) -> int:
     from . import oscillator, states
 
-    theta = 0.0 if args.theta is None else args.theta
     p = oscillator.OscillatorParams(mass1=args.m1, mass2=args.m2,
                                     freq1=args.w1, freq2=args.w2,
-                                    theta=theta, eta=args.eta, hbar=args.hbar)
+                                    theta=args.theta, eta=args.eta, hbar=args.hbar)
     _, eq = oscillator.equivalent_hamiltonian(p)
     exponent = oscillator.ground_state(p)
     cvm = oscillator.ground_state_cvm(exponent, p.hbar)
@@ -330,7 +343,7 @@ def _run_oscillator(args) -> int:
     except DegenerateSpectrumError:
         results["mode_freqs"] = None   # degenerate isotropic undeformed case
     config = {"command": "oscillator", "m1": args.m1, "m2": args.m2,
-              "w1": args.w1, "w2": args.w2, "theta": theta,
+              "w1": args.w1, "w2": args.w2, "theta": args.theta,
               "eta": args.eta, "hbar": args.hbar, "seed": args.seed}
     _emit(_json_report("oscillator", config, results), args.out)
     return EXIT_OK
@@ -381,22 +394,27 @@ def _run_selftest(args) -> int:
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
+def _parse(parser: _Parser, argv) -> tuple[argparse.Namespace, set[str]]:
+    """Parse ``argv``; also return the flags given on the command line, whatever their values."""
+    args = parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(_FLAGS, _UNSET)))
+    given = {dest for dest in _FLAGS if getattr(args, dest) is not _UNSET}
+    for dest in _FLAGS - given:
+        setattr(args, dest, parser.get_default(dest))
+    return args, given
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, given = _parse(parser, argv)
         command = args.command
+        unread = sorted("--" + dest.replace("_", "-") for dest in given - COMMAND_FLAGS[command])
+        if unread:
+            raise UsageError(f"{command} does not read {', '.join(unread)}")
         if command in ("figure1", "figure2", "figure3", "sweep"):
             return _run_sweep(command, args)
-        if command == "distance":
-            return _run_distance(args)
-        if command == "metric":
-            return _run_metric(args)
-        if command == "oscillator":
-            return _run_oscillator(args)
-        if command == "volume":
-            return _run_volume(args)
-        return _run_selftest(args)
+        return {"distance": _run_distance, "metric": _run_metric, "oscillator": _run_oscillator,
+                "volume": _run_volume, "selftest": _run_selftest}[command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -407,7 +425,7 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericDomainError, SingularMatrixError, DegenerateSpectrumError,
-            NormalizationError) as exc:
+            NormalizationError, OverflowError) as exc:
         print(f"numeric domain error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

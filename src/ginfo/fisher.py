@@ -15,13 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NumericDomainError
-from .policy import RSUP_SLACK, SECTOR_GAP_TOL, SPD_TOL, VANISHING_TOL
+from .policy import FD_STEP, RSUP_SLACK, SECTOR_GAP_TOL, SPD_TOL, VANISHING_TOL
 from .states import CanonicalTwoModeParams, ppt_separable
 from .symplectic import (
     CovarianceMatrix,
     Ordering,
     as_matrix,
     build_symplectic_form,
+    _check_finite,
     _check_spd_matrix,
     _validated,
     generalized_eigenvalues,
@@ -38,20 +39,17 @@ class FisherMetric:
     point: tuple[float, ...]
 
 
-def fisher_metric_numeric(sigma_fn, point, step: float = 1e-5,
-                          parameter_names=None) -> FisherMetric:
+def fisher_metric_numeric(sigma_fn, point) -> FisherMetric:
     """Fisher matrix by central differences of a covariance-matrix family.
 
     Evaluates ``g_mn = Tr[S^-1 dS_m S^-1 dS_n] / 2`` with the partial
-    derivatives taken by central differences of ``sigma_fn`` around ``point``.
+    derivatives taken by central differences of ``sigma_fn`` around ``point``,
+    of step ``policy.FD_STEP``. The parameters are named ``theta0, theta1, ...``.
 
     Args:
         sigma_fn: map from a parameter vector to an SPD matrix.
         point: parameter values at which to evaluate.
-        step: finite-difference step, restricted to [1e-7, 1e-3].
     """
-    if not 1e-7 <= step <= 1e-3:
-        raise ValueError(f"step {step} outside [1e-7, 1e-3]")
     theta = np.asarray(point, dtype=float)
     m = theta.size
     center = _check_spd_matrix(sigma_fn(theta))
@@ -59,18 +57,18 @@ def fisher_metric_numeric(sigma_fn, point, step: float = 1e-5,
     partials = []
     for mu in range(m):
         offset = np.zeros(m)
-        offset[mu] = step
+        offset[mu] = FD_STEP
         hi = _check_spd_matrix(sigma_fn(theta + offset))
         lo = _check_spd_matrix(sigma_fn(theta - offset))
-        partials.append((hi - lo) / (2.0 * step))
+        partials.append((hi - lo) / (2.0 * FD_STEP))
     g = np.empty((m, m))
     for mu in range(m):
         left = inv @ partials[mu] @ inv
         for nu in range(mu, m):
             g[mu, nu] = 0.5 * np.trace(left @ partials[nu])
             g[nu, mu] = g[mu, nu]
-    names = tuple(parameter_names) if parameter_names else tuple(f"theta{i}" for i in range(m))
-    return FisherMetric(matrix=0.5 * (g + g.T), parameter_names=names, point=tuple(theta))
+    return FisherMetric(matrix=0.5 * (g + g.T),
+                        parameter_names=tuple(f"theta{i}" for i in range(m)), point=tuple(theta))
 
 
 def _deltas(p: CanonicalTwoModeParams) -> tuple[float, float, float]:
@@ -255,6 +253,9 @@ class NormalFormPoint:
     a: float
     c: float
 
+    def __post_init__(self):
+        _check_finite("a and c", self.a, self.c)
+
     @classmethod
     def from_exponent(cls, m11: float, m22: float, cross_imag: float,
                       hbar: float = 1.0) -> "NormalFormPoint":
@@ -321,6 +322,7 @@ class RegularizerConfig:
     power: int = 4    # defaults to the parameter count of the canonical family
 
     def __post_init__(self):
+        _check_finite("kappa and power", self.kappa, self.power)
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
         if self.power < 1:
@@ -349,9 +351,8 @@ class Region:
     def __post_init__(self):
         if len(self.box) != 4:
             raise ValueError("box must give (low, high) for each of a, b, c, d")
+        _check_finite("box edges", *(edge for pair in self.box for edge in pair))
         for lo, hi in self.box:
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"box edges must be finite, got ({lo}, {hi})")
             if not hi > lo:
                 raise ValueError(f"empty box interval ({lo}, {hi})")
         if self.predicate not in ("quantum", "separable", "entangled"):

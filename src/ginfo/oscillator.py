@@ -25,7 +25,7 @@ from .errors import (
 )
 from .policy import (DECOUPLED_TOL, DEGENERATE_MODES_TOL, EXPONENT_CHECK_TOL, HAMILTONIAN_CHECK_TOL,
                      NORMAL_MODE_CHECK_TOL, SINGULAR_MOMENTUM_TOL, ZERO_COUPLING_TOL)
-from .symplectic import J2, CovarianceMatrix, Ordering, build_symplectic_form
+from .symplectic import J2, CovarianceMatrix, Ordering, _check_finite, build_symplectic_form
 
 _J4 = build_symplectic_form(2, Ordering.MODE_INTERLEAVED).matrix
 
@@ -43,6 +43,8 @@ class OscillatorParams:
     hbar: float = 1.0
 
     def __post_init__(self):
+        _check_finite("masses, frequencies, theta, eta and hbar", self.mass1, self.mass2,
+                      self.freq1, self.freq2, self.theta, self.eta, self.hbar)
         for name in ("mass1", "mass2", "freq1", "freq2", "hbar"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -1,10 +1,8 @@
-"""Numeric tolerances, one named constant each.
+"""Numeric tolerances and resolutions, one named constant each.
 
-The kernels read these constants directly and take no tolerance argument,
-so a verdict always means the same thing. The one resolution a caller sets
-is the crossing width ``bisect_tol`` of :func:`ginfo.bipartite.theta_sweep`,
-a sweep parameter rather than a validity threshold. "Relative" tolerances
-are multiplied by the scale their check names.
+The kernels read these constants directly and take no tolerance, step or
+resolution argument, so a verdict or a figure always means the same thing.
+"Relative" tolerances are multiplied by the scale their check names.
 """
 
 # input validation
@@ -26,3 +24,7 @@ NORMAL_MODE_CHECK_TOL = 1e-8    # relative gap of closed-form mode data to the e
 SINGULAR_MOMENTUM_TOL = 1e-12   # relative floor of the momentum coefficient determinant
 EXPONENT_CHECK_TOL = 1e-9       # relative gap of the two ground-state exponent routes
 DECOUPLED_TOL = 1e-13           # cross couplings below this, relative to the frequency, vanish
+
+# resolutions
+BISECT_TOL = 1e-6               # width to which theta_sweep bisects a margin crossing
+FD_STEP = 1e-5                  # central-difference step of fisher_metric_numeric

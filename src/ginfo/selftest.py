@@ -36,11 +36,9 @@ class PropertyResult:
     detail: str
 
 
-def _result(name, deviation, tol, cases, extra="") -> PropertyResult:
-    note = f"max deviation {deviation:.3e} (tol {tol:.0e})"
-    if extra:
-        note += f"; {extra}"
-    return PropertyResult(name=name, passed=deviation <= tol, cases=cases, detail=note)
+def _result(name, deviation, tol, cases) -> PropertyResult:
+    return PropertyResult(name=name, passed=deviation <= tol, cases=cases,
+                          detail=f"max deviation {deviation:.3e} (tol {tol:.0e})")
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +122,7 @@ def battery_mirror_invariants(rng, cases=200) -> PropertyResult:
     for _ in range(cases):
         sigma = CovarianceMatrix(random_spd(4, rng))
         inv = states.simon_invariants(sigma)
-        refl = states.partial_transpose(sigma, party="B")
+        refl = states.partial_transpose(sigma)
         inv_r = states.simon_invariants(refl)
         dev = max(dev,
                   abs(inv.det_a - inv_r.det_a),

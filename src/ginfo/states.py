@@ -22,8 +22,7 @@ from .symplectic import (
     J2,
     CovarianceMatrix,
     Ordering,
-    as_matrix,
-    build_symplectic_form,
+    _check_finite,
     _check_spd_matrix,
     _validated,
     rsup_check,
@@ -40,6 +39,7 @@ class CanonicalTwoModeParams:
     d: float = 0.0
 
     def __post_init__(self):
+        _check_finite("a, b, c and d", self.a, self.b, self.c, self.d)
         if self.a <= 0 or self.b <= 0:
             raise ValueError(f"diagonal entries must be positive, got a={self.a}, b={self.b}")
 
@@ -145,61 +145,40 @@ def in_separable_region(p: CanonicalTwoModeParams) -> bool:
     return False
 
 
-def _party_modes(n_modes: int, party: str) -> tuple[int, ...]:
+@functools.cache
+def _sign_pattern(dim: int, ordering: Ordering) -> np.ndarray:
+    """Read-only ``outer(s, s)`` for the signs ``s`` that flip party B's momenta.
+
+    Party B holds the second half of the modes; ``ordering`` locates their
+    momentum coordinates.
+    """
+    n_modes = dim // 2
     if n_modes % 2:
         raise ValueError(f"cannot split {n_modes} modes into two equal parties")
-    half = n_modes // 2
-    if party == "A":
-        return tuple(range(half))
-    if party == "B":
-        return tuple(range(half, n_modes))
-    raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-
-
-def momentum_indices(ordering: Ordering, n_modes: int, modes) -> tuple[int, ...]:
-    """Positions of the momentum coordinates of the given modes."""
     if ordering is Ordering.MODE_INTERLEAVED:
-        return tuple(2 * j + 1 for j in modes)
-    if ordering is Ordering.BLOCK_XP:
-        return tuple(n_modes + j for j in modes)
-    raise ValueError(f"unknown ordering {ordering!r}")
-
-
-@functools.lru_cache(maxsize=64)
-def _sign_pattern(dim: int, momenta: tuple) -> np.ndarray:
-    """Read-only ``outer(s, s)`` for the signs ``s`` that flip the given momenta."""
+        momenta = slice(n_modes + 1, dim, 2)
+    else:
+        momenta = slice(n_modes + n_modes // 2, dim)
     signs = np.ones(dim)
-    for idx in momenta:
-        signs[idx] = -1.0
+    signs[momenta] = -1.0
     pattern = np.outer(signs, signs)
     pattern.setflags(write=False)
     return pattern
 
 
-def partial_transpose(sigma, party: str = "B", momenta=None) -> CovarianceMatrix:
-    """Flip the momentum coordinates of one party (mirror reflection).
+def partial_transpose(sigma: CovarianceMatrix) -> CovarianceMatrix:
+    """Flip the momentum coordinates of party B (mirror reflection).
 
-    Args:
-        sigma: covariance matrix; its ordering locates the momenta.
-        party: "A" (first half of the modes) or "B" (second half).
-        momenta: explicit momentum index positions, required for matrices in
-            a caller-managed basis (ordering None) and otherwise overriding.
-
-    The operation is an involution: applying it twice returns the input.
-    A raw array is validated once and a CovarianceMatrix not at all: the sign
-    flips are exact, so the output keeps the symmetry and spectrum that
-    passed and is not checked again.
+    ``sigma`` must be a CovarianceMatrix in a named ordering, which locates
+    the momenta; party B is the second half of its modes. The operation is
+    an involution: applying it twice returns the input. The sign flips are
+    exact, so the output keeps the symmetry and spectrum that passed when
+    ``sigma`` was built and is not checked again.
     """
-    if isinstance(sigma, CovarianceMatrix):
-        m, ordering = sigma.matrix, sigma.ordering
-    else:
-        m, ordering = _check_spd_matrix(sigma), None
-    n_modes = m.shape[0] // 2
-    if momenta is None:
-        if ordering is None:
-            raise ValueError("matrix has no named ordering; pass explicit momentum indices")
-        momenta = momentum_indices(ordering, n_modes, _party_modes(n_modes, party))
-    return _validated(m * _sign_pattern(2 * n_modes, tuple(momenta)), ordering)
+    if not isinstance(sigma, CovarianceMatrix) or sigma.ordering is None:
+        raise ValueError("partial_transpose needs a CovarianceMatrix in a named ordering")
+    m = sigma.matrix
+    return _validated(m * _sign_pattern(len(m), sigma.ordering), sigma.ordering)
 
 
 @dataclass(frozen=True)
@@ -208,20 +187,15 @@ class PptResult:
     margin: float   # min post-reflection invariant minus 1
 
 
-def ppt_separable(sigma, form=None, party: str = "B", momenta=None) -> PptResult:
+def ppt_separable(sigma: CovarianceMatrix, form) -> PptResult:
     """Positive-partial-transpose separability verdict for a bipartite state.
 
     A separable Gaussian state stays a valid state after the mirror
-    reflection of one party, so the verdict is the uncertainty check on the
-    reflected matrix. ``margin >= 0`` means separable.
+    reflection of party B (:func:`partial_transpose`), so the verdict is the
+    uncertainty check on the reflected matrix against ``form``.
+    ``margin >= 0`` means separable.
     """
-    if form is None:
-        ordering = sigma.ordering if isinstance(sigma, CovarianceMatrix) else None
-        if ordering is None:
-            raise ValueError("pass an explicit form for matrices without a named ordering")
-        form = build_symplectic_form(as_matrix(sigma).shape[0] // 2, ordering)
-    reflected = partial_transpose(sigma, party=party, momenta=momenta)
-    result = rsup_check(reflected, form)
+    result = rsup_check(partial_transpose(sigma), form)
     return PptResult(separable=result.valid, margin=result.min_invariant - 1.0)
 
 
@@ -240,11 +214,10 @@ class SimonInvariants:
     det_total: float
     quad_trace: float
     criterion: float
-    hbar: float
 
 
-def simon_invariants(sigma, hbar: float = 1.0) -> SimonInvariants:
-    """Invariant-based separability criterion for a 4x4 interleaved state."""
+def simon_invariants(sigma) -> SimonInvariants:
+    """Invariant-based separability criterion for a 4x4 interleaved state in units of hbar."""
     if isinstance(sigma, CovarianceMatrix) and sigma.ordering is not Ordering.MODE_INTERLEAVED:
         raise ValueError("simon_invariants expects the mode-interleaved ordering")
     m = _check_spd_matrix(sigma)
@@ -257,8 +230,8 @@ def simon_invariants(sigma, hbar: float = 1.0) -> SimonInvariants:
     det_b = float(np.linalg.det(v22))
     det_cross = float(np.linalg.det(v12))
     quad_trace = float(np.trace(v11 @ J2 @ v12 @ J2 @ v22 @ J2 @ v12.T @ J2))
-    criterion = det_a * det_b + (hbar ** 2 / 4.0 - abs(det_cross)) ** 2 \
-        - quad_trace - hbar ** 2 * (det_a + det_b) / 4.0
+    criterion = det_a * det_b + (0.25 - abs(det_cross)) ** 2 \
+        - quad_trace - (det_a + det_b) / 4.0
     return SimonInvariants(det_a=det_a, det_b=det_b, det_cross=det_cross,
                            det_total=float(np.linalg.det(m)),
-                           quad_trace=quad_trace, criterion=criterion, hbar=hbar)
+                           quad_trace=quad_trace, criterion=criterion)

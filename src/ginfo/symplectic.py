@@ -13,6 +13,7 @@ Planck constant inside the form matrix itself, never as a separate scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -48,6 +49,12 @@ def _ordering_of(obj):
     if isinstance(obj, (CovarianceMatrix, SymplecticForm)):
         return obj.ordering
     return None
+
+
+def _check_finite(names: str, *values) -> None:
+    """Raise ValueError unless every one of the named parameter values is finite."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{names} must be finite, got {values}")
 
 
 def _check_stack_square_even(matrix: np.ndarray) -> int:

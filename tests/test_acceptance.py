@@ -242,7 +242,7 @@ def test_ac13_mirror_reflection_invariants():
     for _ in range(200):
         cvm = CovarianceMatrix(random_spd(4, rng))
         inv = simon_invariants(cvm)
-        refl = simon_invariants(partial_transpose(cvm, party="B"))
+        refl = simon_invariants(partial_transpose(cvm))
         worst = max(worst,
                     abs(inv.det_a - refl.det_a),
                     abs(inv.det_b - refl.det_b),

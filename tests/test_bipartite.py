@@ -151,8 +151,9 @@ class TestDeformedSpectrum:
         assert out.min_invariant < 1.0
 
     def test_margin_examples(self):
-        assert separability_margin(PairConfig(0.125, 0.125)) == pytest.approx(
-            PairConfig(0.125, 0.125).radius, abs=1e-9)
+        for m, n in [(0.125, 0.125), (0.3, 0.1)]:
+            assert separability_margin(PairConfig(m, n)) == pytest.approx(
+                PairConfig(m, n).radius, abs=1e-9)
         assert separability_margin(PairConfig(0.125, 0.125, theta=0.95)) < 0
 
     def test_reflection_involution(self):
@@ -298,7 +299,7 @@ class TestThetaSweep:
         for name in ("separability_margin", "deformed_pt_spectrum"):
             count(name)
         grid = np.linspace(0.01, 0.99, 30)
-        sweep = theta_sweep(PairConfig(0.125, 0.125, eta=eta), grid, bisect_tol=1e-6)
+        sweep = theta_sweep(PairConfig(0.125, 0.125, eta=eta), grid)
         assert (sweep.crossing_theta is None) == (eta != 0.0)
         steps = 0
         if sweep.crossing_theta is not None:

@@ -18,7 +18,7 @@ from ginfo import (
     NumericDomainError,
     Ordering,
 )
-from ginfo import oscillator, selftest
+from ginfo import cli, oscillator, selftest
 from ginfo.cli import main
 from ginfo.matrixio import save_cvm
 from ginfo.policy import RSUP_SLACK
@@ -280,6 +280,39 @@ class TestInputBoundary:
         assert code == 1
         assert text == ""
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, unread", [
+        (("--command", "figure1", "--samples", "5", "--region", "entangled"),
+         "--region, --samples"),
+        (("--command", "metric", "--a", "1", "--b", "1", "--eta", "0.3"), "--eta"),
+        (("--command", "metric", "--a", "1", "--b", "1", "--eta", "0"), "--eta"),
+        (("--command", "distance", "--a", "1", "--b", "1", "--a0", "2", "--b0", "2",
+          "--format", "csv"), "--format"),
+        (("--command", "oscillator", "--box", "1,2"), "--box"),
+        (("--command", "selftest", "--m", "0.3"), "--m"),
+    ], ids=["figure1", "metric", "metric-default-value", "distance", "oscillator", "selftest"])
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv, unread):
+        code, text = run(tmp_path, *argv)
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == f"usage error: {argv[1]} does not read {unread}\n"
+
+    def test_flag_table_covers_every_flag(self):
+        defaults = vars(cli.build_parser().parse_args(["--command", "selftest"]))
+        assert frozenset().union(*cli.COMMAND_FLAGS.values()) == defaults.keys() - {"command"}
+
+    @pytest.mark.parametrize("argv", [
+        ("--command", "oscillator", "--w1", "1e200"),
+        ("--command", "oscillator", "--theta", "1e200"),
+        ("--command", "metric", "--a", "1e300", "--b", "1e300"),
+    ], ids=["oscillator-w1", "oscillator-theta", "metric"])
+    def test_overflow_or_non_finite_result_is_numeric_domain_error(self, tmp_path, capsys, argv):
+        with np.errstate(all="ignore"):
+            code, text = run(tmp_path, *argv)
+        assert code == 4
+        assert text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric domain error: ")
 
     def test_singular_form_is_numeric_domain_error(self, tmp_path, capsys):
         code, _ = run(tmp_path, "--command", "sweep", "--m", "0.2", "--n", "0.1",

@@ -50,10 +50,6 @@ class TestNumericMetric:
         metric = fisher_metric_numeric(canonical_family, (1.0, 1.0, 0.0, 0.0))
         np.testing.assert_allclose(metric.matrix, np.eye(4), atol=1e-9)
 
-    def test_step_domain(self):
-        with pytest.raises(ValueError):
-            fisher_metric_numeric(lambda t: t[0] * np.eye(2), [1.0], step=1e-2)
-
 
 class TestClosedFormMetric:
     def test_flat_metric(self):

@@ -270,7 +270,7 @@ class TestSeparability:
     def test_invariant_criterion_sign_matches(self):
         for p, expect in ((GENERIC, False), (ISOTROPIC, True), (RECIPROCAL, True)):
             cvm = ground_state_cvm(ground_state(p), p.hbar)
-            criterion = simon_invariants(cvm, hbar=p.hbar).criterion
+            criterion = simon_invariants(cvm).criterion
             if expect:
                 assert criterion >= -1e-10
             else:

@@ -11,10 +11,6 @@ from ginfo import policy
 
 SRC = Path(ginfo.__file__).parent
 
-# the crossing width of a sweep is a resolution the caller chooses, not a
-# validity threshold
-ALLOWED_TOLERANCE_PARAMETERS = {("ginfo.bipartite.theta_sweep", "bisect_tol")}
-
 
 def _public_callables():
     modules = [ginfo] + [importlib.import_module(f"ginfo.{info.name}")
@@ -41,14 +37,12 @@ def test_no_callable_takes_a_policy_or_a_tolerance():
         except (TypeError, ValueError):
             continue
         offenders += [(qualname, p) for p in parameters
-                      if (p == "policy" or p.endswith("_tol"))
-                      and (qualname, p) not in ALLOWED_TOLERANCE_PARAMETERS]
+                      if p == "policy" or p.endswith("_tol")]
     assert offenders == []
 
 
 def test_tolerance_literals_live_in_policy():
-    # the batteries of selftest print their own test bounds; the
-    # finite-difference step domain [1e-7, 1e-3] is above the cut
+    # the batteries of selftest print their own test bounds
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name in ("policy.py", "selftest.py"):

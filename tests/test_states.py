@@ -7,7 +7,6 @@ from ginfo import (
     BoundaryIndeterminateError,
     CanonicalTwoModeParams,
     CovarianceMatrix,
-    NumericDomainError,
     Ordering,
     bipartite,
     build_symplectic_form,
@@ -98,28 +97,24 @@ class TestSeparableRegion:
 class TestPartialTranspose:
     def test_diagonal_invariant(self):
         cvm = CovarianceMatrix(0.5 * np.eye(8), ordering=Ordering.MODE_INTERLEAVED)
-        out = partial_transpose(cvm, party="B")
+        out = partial_transpose(cvm)
         np.testing.assert_array_equal(out.matrix, 0.5 * np.eye(8))
 
     def test_involution(self):
         rng = np.random.default_rng(9)
         m = random_spd(8, rng)
         cvm = CovarianceMatrix(m, ordering=Ordering.MODE_INTERLEAVED)
-        twice = partial_transpose(partial_transpose(cvm, party="A"), party="A")
+        twice = partial_transpose(partial_transpose(cvm))
         np.testing.assert_array_equal(twice.matrix, m)
 
-    def test_pair_family_reflected_spectrum(self):
-        # reflection spectrum of the undeformed pair: b(1 -+ R), doubly each
-        cfg = bipartite.PairConfig(0.125, 0.125)
-        reflected = partial_transpose(bipartite.pair_cvm(cfg), momenta=(6, 7))
-        spec = symplectic_spectrum(reflected, bipartite.party_form())
-        np.testing.assert_allclose(
-            spec, [1.176776695296637, 1.176776695296637,
-                   1.6821722401217352, 1.6821722401217352], atol=1e-9)
-
-    def test_custom_basis_requires_momenta(self):
-        with pytest.raises(ValueError, match="momentum"):
-            partial_transpose(bipartite.pair_cvm(bipartite.PairConfig(0.1, 0.1)))
+    def test_unnamed_basis_rejected(self):
+        # a raw array and a matrix without a named ordering do not locate party B
+        pair = bipartite.pair_cvm(bipartite.PairConfig(0.1, 0.1))
+        for sigma in (pair, pair.matrix):
+            with pytest.raises(ValueError, match="named ordering"):
+                partial_transpose(sigma)
+            with pytest.raises(ValueError, match="named ordering"):
+                ppt_separable(sigma, bipartite.party_form())
 
 
 class TestPartialTransposeValidation:
@@ -144,7 +139,7 @@ class TestPartialTransposeValidation:
     def test_validated_input_is_not_rechecked(self, spd_calls, ordering, flipped):
         cvm = CovarianceMatrix(random_spd(8, np.random.default_rng(5)), ordering=ordering)
         spd_calls.clear()
-        out = partial_transpose(cvm, party="B")
+        out = partial_transpose(cvm)
         assert spd_calls == []
         signs = np.ones(8)
         signs[list(flipped)] = -1.0
@@ -154,55 +149,34 @@ class TestPartialTransposeValidation:
         with pytest.raises(ValueError):
             out.matrix[0, 0] = 1.0
 
-    def test_raw_input_is_checked_once(self, spd_calls):
-        m = random_spd(4, np.random.default_rng(6))
-        out = partial_transpose(m, momenta=(3,))
-        assert len(spd_calls) == 1
-        signs = np.array([1.0, 1.0, 1.0, -1.0])
-        np.testing.assert_array_equal(out.matrix, m * np.outer(signs, signs))
-        assert out.ordering is None and not out.matrix.flags.writeable
-        assert m.flags.writeable                    # the caller's array is not frozen
-
-    @pytest.mark.parametrize("entry, message", [(-0.5, "positive definite"),
-                                                (np.nan, "non-finite")])
-    def test_raw_input_is_checked(self, spd_calls, entry, message):
-        m = np.eye(4)
-        m[3, 3] = entry
-        with pytest.raises(NumericDomainError, match=message):
-            partial_transpose(m, momenta=(3,))
-        assert len(spd_calls) == 1
-
 
 class TestSignPattern:
     """The reflection multiplies by one cached, read-only sign pattern."""
 
-    @pytest.mark.parametrize("dim, ordering, party, momenta, flipped", [
-        (2, None, "B", (1,), (1,)),
-        (4, None, "B", (3,), (3,)),
-        (4, Ordering.MODE_INTERLEAVED, "A", None, (1,)),
-        (4, Ordering.MODE_INTERLEAVED, "B", None, (3,)),
-        (4, Ordering.BLOCK_XP, "A", None, (2,)),
-        (4, Ordering.BLOCK_XP, "B", None, (3,)),
-        (8, Ordering.MODE_INTERLEAVED, "A", None, (1, 3)),
-        (8, Ordering.MODE_INTERLEAVED, "B", None, (5, 7)),
-        (8, Ordering.BLOCK_XP, "A", None, (4, 5)),
-        (8, Ordering.BLOCK_XP, "B", None, (6, 7)),
-        (8, Ordering.MODE_INTERLEAVED, "B", [0, 6], (0, 6)),
-        (8, None, "B", (6, 7), (6, 7)),
+    @pytest.mark.parametrize("dim, ordering, flipped", [
+        (4, Ordering.MODE_INTERLEAVED, (3,)),
+        (4, Ordering.BLOCK_XP, (3,)),
+        (8, Ordering.MODE_INTERLEAVED, (5, 7)),
+        (8, Ordering.BLOCK_XP, (6, 7)),
     ])
-    def test_pattern_equals_outer_product(self, dim, ordering, party, momenta, flipped):
+    def test_pattern_equals_outer_product(self, dim, ordering, flipped):
         m = random_spd(dim, np.random.default_rng(dim))
-        sigma = m if ordering is None else CovarianceMatrix(m, ordering=ordering)
         signs = np.ones(dim)
         signs[list(flipped)] = -1.0
         outer = np.outer(signs, signs)
-        out = partial_transpose(sigma, party=party, momenta=momenta)
+        out = partial_transpose(CovarianceMatrix(m, ordering=ordering))
         np.testing.assert_array_equal(out.matrix, m * outer)
-        pattern = states._sign_pattern(dim, flipped)
+        pattern = states._sign_pattern(dim, ordering)
         np.testing.assert_array_equal(pattern, outer)
-        assert states._sign_pattern(dim, flipped) is pattern
+        assert states._sign_pattern(dim, ordering) is pattern
         assert not pattern.flags.writeable and not out.matrix.flags.writeable
         assert not np.shares_memory(out.matrix, pattern)
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_odd_mode_count_rejected(self, ordering):
+        cvm = CovarianceMatrix(np.eye(6), ordering=ordering)
+        with pytest.raises(ValueError, match="two equal parties"):
+            partial_transpose(cvm)
 
 
 class TestPptSeparable:
@@ -212,14 +186,6 @@ class TestPptSeparable:
         res = ppt_separable(cvm, form)
         assert res.separable
         np.testing.assert_allclose(res.margin, 0.0, atol=1e-12)
-
-    def test_undeformed_pair_margin_is_radius(self):
-        for m, n in [(0.125, 0.125), (0.3, 0.1)]:
-            cfg = bipartite.PairConfig(m, n)
-            res = ppt_separable(bipartite.pair_cvm(cfg), bipartite.party_form(),
-                                momenta=(6, 7))
-            assert res.separable
-            np.testing.assert_allclose(res.margin, cfg.radius, atol=1e-9)
 
 
 class TestPptEigensolverOnly:
@@ -256,7 +222,7 @@ class TestPptEigensolverOnly:
 
 class TestSimonInvariants:
     def test_product_vacuum_saturates(self):
-        inv = simon_invariants(0.5 * np.eye(4), hbar=1.0)
+        inv = simon_invariants(0.5 * np.eye(4))
         np.testing.assert_allclose(inv.criterion, 0.0, atol=1e-14)
 
     def test_uncorrelated_factorization(self):
@@ -264,7 +230,7 @@ class TestSimonInvariants:
         for _ in range(25):
             a, b = rng.uniform(0.5, 3.0, size=2)
             m = np.diag([a, a, b, b])
-            inv = simon_invariants(m, hbar=1.0)
+            inv = simon_invariants(m)
             np.testing.assert_allclose(inv.criterion, (a * a - 0.25) * (b * b - 0.25),
                                        rtol=1e-12)
 

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from ginfo import (
+    CanonicalTwoModeParams,
     CovarianceMatrix,
+    NormalFormPoint,
     NumericDomainError,
     Ordering,
+    RegularizerConfig,
+    Region,
     SingularMatrixError,
     SymplecticForm,
     build_symplectic_form,
@@ -18,6 +22,7 @@ from ginfo import (
     symplectic_spectrum,
 )
 from ginfo import bipartite, symplectic
+from ginfo.oscillator import OscillatorParams
 from ginfo.randmat import random_invertible, random_spd, random_symplectic
 from ginfo.symplectic import J2, _validated, check_spd
 
@@ -379,3 +384,21 @@ class TestGeneralizedEigenvalues:
         calls.clear()
         np.testing.assert_array_equal(generalized_eigenvalues(*wrapped), raw)
         assert calls == []
+
+
+class TestFiniteParameters:
+    """Every parameter class rejects nan and inf in its constructor."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("build", [
+        lambda x: CanonicalTwoModeParams(x, 1.0),
+        lambda x: OscillatorParams(1.0, 1.0, 1.0, 2.0, theta=x),
+        lambda x: RegularizerConfig(kappa=x),
+        lambda x: NormalFormPoint(x, 0.0),
+        lambda x: bipartite.PairConfig(0.1, 0.1, eta=x),
+        lambda x: Region(((0.5, 1.5), (0.5, x), (-0.5, 0.5), (-0.5, 0.5)), "quantum"),
+    ], ids=["CanonicalTwoModeParams", "OscillatorParams", "RegularizerConfig",
+            "NormalFormPoint", "PairConfig", "Region"])
+    def test_non_finite_parameter_rejected(self, build, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            build(value)
