@@ -1,10 +1,12 @@
 """Command-line surface.
 
-One process runs one command, echoes its fully resolved configuration into
-the output header, and writes the result once at the end, as CSV (sweeps) or
-JSON (reports). A flag the command does not read is a usage error. Exit
-codes: 0 success, 1 usage, 2 I/O, 3 validation, 4 numeric domain failure
-(an overflow or a non-finite result among them).
+One process runs one command, named by ``--command``; ``--command X --help``
+lists the flags X reads, and any other flag is a usage error. The command
+echoes its fully resolved configuration into the output header and writes the
+result once at the end, as CSV (sweeps) or JSON (reports). Exit codes: 0
+success, 1 usage, 2 I/O, 3 validation, 4 numeric domain failure (an overflow,
+an invalid operation or a non-finite result among them); each failure prints
+one line to stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,22 +34,6 @@ from .symplectic import (
     generalized_eigenvalues,
     rsup_check,
 )
-
-# the flags each command reads, and so accepts: the inputs its report echoes, and --out
-_SWEEP_FLAGS = frozenset({"eta", "grid", "format", "seed", "out"})
-COMMAND_FLAGS = {
-    **dict.fromkeys(("figure1", "figure2", "figure3"), _SWEEP_FLAGS),
-    "sweep": _SWEEP_FLAGS | {"m", "n"},
-    "distance": frozenset({"a", "b", "c", "d", "a0", "b0", "c0", "d0", "sigma1", "sigma2",
-                           "check_invariance", "seed", "out"}),
-    "metric": frozenset({"a", "b", "c", "d", "seed", "out"}),
-    "oscillator": frozenset({"m1", "m2", "w1", "w2", "theta", "eta", "hbar", "seed", "out"}),
-    "volume": frozenset({"region", "samples", "seed", "kappa", "power", "box", "out"}),
-    "selftest": frozenset({"seed", "out"}),
-}
-COMMANDS = tuple(COMMAND_FLAGS)
-_FLAGS = frozenset().union(*COMMAND_FLAGS.values())
-_UNSET = object()
 
 FIGURE_CORRELATIONS = {"figure1": 0.125, "figure2": 0.25, "figure3": 0.0625}
 
@@ -114,49 +101,38 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="ginfo", description=__doc__, add_help=True)
-    parser.add_argument("--command", required=True, choices=COMMANDS)
-    parser.add_argument("--m", type=_finite_float, help="first correlation amplitude (sweep)")
-    parser.add_argument("--n", type=_finite_float, help="second correlation amplitude (sweep)")
-    parser.add_argument("--theta", type=_finite_float, default=0.0, help="oscillator deformation")
-    parser.add_argument("--eta", type=_finite_float, default=0.0)
-    parser.add_argument("--grid", type=int, default=99, help="sweep grid size (>= 10)")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--seed", type=int, default=20240901)
-    parser.add_argument("--hbar", type=_finite_float, default=1.0)
-    # oscillator inputs
-    parser.add_argument("--m1", type=_finite_float, default=1.0)
-    parser.add_argument("--m2", type=_finite_float, default=1.0)
-    parser.add_argument("--w1", type=_finite_float, default=1.0)
-    parser.add_argument("--w2", type=_finite_float, default=2.0)
-    # canonical two-mode sources
-    parser.add_argument("--a", type=_finite_float)
-    parser.add_argument("--b", type=_finite_float)
-    parser.add_argument("--c", type=_finite_float, default=0.0)
-    parser.add_argument("--d", type=_finite_float, default=0.0)
-    parser.add_argument("--a0", type=_finite_float)
-    parser.add_argument("--b0", type=_finite_float)
-    parser.add_argument("--c0", type=_finite_float, default=0.0)
-    parser.add_argument("--d0", type=_finite_float, default=0.0)
-    parser.add_argument("--sigma1", default=None, help="covariance matrix file")
-    parser.add_argument("--sigma2", default=None, help="covariance matrix file")
-    parser.add_argument("--check-invariance", action="store_true",
-                        help="also report the congruence-invariance delta for a seeded random transform")
-    # volume inputs
-    parser.add_argument("--region", choices=("quantum", "separable", "entangled"),
-                        default="quantum")
-    parser.add_argument("--samples", type=int, default=20000)
-    parser.add_argument("--kappa", type=_finite_float, default=1.0)
-    parser.add_argument("--power", type=int, default=4)
-    parser.add_argument("--box", default="0.5,1.5,0.5,1.5,-0.5,0.5,-0.5,0.5",
-                        help="a_lo,a_hi,b_lo,b_hi,c_lo,c_hi,d_lo,d_hi")
-    return parser
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# the argparse settings of every flag, by destination; a command's parser takes
+# those its entry in COMMANDS names. The inline state parameters stay None
+# unless given, so that distance can tell a given one from a default.
+_FLAG_SETTINGS = {
+    "m": dict(type=_finite_float, help="first correlation amplitude"),
+    "n": dict(type=_finite_float, help="second correlation amplitude"),
+    "eta": dict(type=_finite_float, default=0.0, help="momentum deformation"),
+    "grid": dict(type=int, default=99, help="sweep grid size (>= 10)"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "seed": dict(type=int, default=20240901),
+    "out": dict(help="output path (default stdout)"),
+    "m1": dict(type=_finite_float, default=1.0),
+    "m2": dict(type=_finite_float, default=1.0),
+    "w1": dict(type=_finite_float, default=1.0),
+    "w2": dict(type=_finite_float, default=2.0),
+    "theta": dict(type=_finite_float, default=0.0, help="position deformation"),
+    "hbar": dict(type=_finite_float, default=1.0),
+    **{name: dict(type=_finite_float, help="canonical two-mode parameter (distance: state 1)")
+       for name in ("a", "b", "c", "d")},
+    **{name: dict(type=_finite_float, help="canonical two-mode parameter of state 2")
+       for name in ("a0", "b0", "c0", "d0")},
+    "sigma1": dict(help="covariance matrix file of state 1"),
+    "sigma2": dict(help="covariance matrix file of state 2"),
+    "check_invariance": dict(action="store_true", help="also report the congruence-"
+                             "invariance delta for a seeded random transform"),
+    "region": dict(choices=("quantum", "separable", "entangled"), default="quantum"),
+    "samples": dict(type=int, default=20000),
+    "kappa": dict(type=_finite_float, default=1.0),
+    "power": dict(type=int, default=4),
+    "box": dict(default="0.5,1.5,0.5,1.5,-0.5,0.5,-0.5,0.5",
+                help="a_lo,a_hi,b_lo,b_hi,c_lo,c_hi,d_lo,d_hi"),
+}
 
 
 def _emit(text: str, out_path):
@@ -167,11 +143,9 @@ def _emit(text: str, out_path):
             fh.write(text)
 
 
-def _csv(config: dict, header: list[str], rows: list[list[str]]) -> str:
-    lines = [f"# {key}={config[key]}" for key in sorted(config)]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _echo(args) -> dict:
+    """The configuration a report echoes: every parsed flag except ``--out``."""
+    return {key: value for key, value in vars(args).items() if key != "out"}
 
 
 def _json_default(obj):
@@ -182,73 +156,67 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _json_report(command: str, config: dict, results: dict) -> str:
+def _json_report(config: dict, results: dict) -> str:
     try:   # allow_nan=False stops a nan or inf among the results
-        return json.dumps({"command": command, "config": config, "results": results},
+        return json.dumps({"command": config["command"], "config": config, "results": results},
                           sort_keys=True, indent=2, allow_nan=False, default=_json_default) + "\n"
     except ValueError as exc:
         raise NumericDomainError(f"non-finite result: {exc}") from None
 
 
-def _sweep_output(command: str, config: dict, sweep, fmt: str, out_path):
-    crossing = "" if sweep.crossing_theta is None else _fmt(sweep.crossing_theta)
-    if fmt == "json":
+def _run_sweep(args) -> int:
+    from . import bipartite
+
+    if args.m is None or args.n is None:
+        raise UsageError("sweep requires --m and --n")
+    if args.grid < 10:
+        raise UsageError("--grid must be at least 10")
+    cfg = bipartite.PairConfig(m=args.m, n=args.n, eta=args.eta)
+    sweep = bipartite.theta_sweep(cfg, np.linspace(0.01, 0.99, args.grid))
+    config = _echo(args)
+    if args.format == "json":
         results = {"rows": [{"theta": r.theta, "min_invariant": r.min_invariant,
                              "margin": r.margin} for r in sweep.rows],
                    "crossing_theta": sweep.crossing_theta}
-        _emit(_json_report(command, config, results), out_path)
-    else:
-        rows = [[_fmt(r.theta), _fmt(r.min_invariant), _fmt(r.margin), crossing]
-                for r in sweep.rows]
-        _emit(_csv(config, ["theta", "min_invariant", "margin", "crossing_theta"], rows),
-              out_path)
-
-
-def _run_sweep(command: str, args) -> int:
-    from . import bipartite
-
-    if command in FIGURE_CORRELATIONS:
-        m = n = FIGURE_CORRELATIONS[command]
-    else:
-        if args.m is None or args.n is None:
-            raise UsageError("sweep requires --m and --n")
-        m, n = args.m, args.n
-    if args.grid < 10:
-        raise UsageError("--grid must be at least 10")
-    fmt = args.format or "csv"
-    config = {"command": command, "m": m, "n": n, "eta": args.eta,
-              "grid": args.grid, "format": fmt, "seed": args.seed}
-    cfg = bipartite.PairConfig(m=m, n=n, eta=args.eta)
-    grid = np.linspace(0.01, 0.99, args.grid)
-    sweep = bipartite.theta_sweep(cfg, grid)
-    _sweep_output(command, config, sweep, fmt, args.out)
+        _emit(_json_report(config, results), args.out)
+        return EXIT_OK
+    crossing = "" if sweep.crossing_theta is None else f"{sweep.crossing_theta:.17g}"
+    lines = [f"# {key}={config[key]}" for key in sorted(config)]
+    lines.append("theta,min_invariant,margin,crossing_theta")
+    lines.extend(f"{r.theta:.17g},{r.min_invariant:.17g},{r.margin:.17g},{crossing}"
+                 for r in sweep.rows)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def _load_state(args, which: str) -> tuple[CovarianceMatrix, dict]:
-    """Read state ``which`` ("1" or "2") and the config entries of its source.
+def _state_source(args, which: str) -> dict:
+    """The config entries of state ``which`` ("1" or "2"): its one source, the
+    matrix file path or the four inline canonical parameters as resolved."""
+    suffix = "" if which == "1" else "0"
+    inline = {name + suffix: getattr(args, name + suffix) for name in "abcd"}
+    path = getattr(args, f"sigma{which}")
+    if path is not None:
+        given = [f"--{name}" for name, value in inline.items() if value is not None]
+        if given:
+            raise UsageError(f"state {which} has two sources: --sigma{which} and "
+                             f"{', '.join(given)}")
+        return {f"sigma{which}": path}
+    if inline["a" + suffix] is None or inline["b" + suffix] is None:
+        raise UsageError(f"state {which}: pass --sigma{which} FILE or inline "
+                         f"--a{suffix}/--b{suffix}[/--c{suffix}/--d{suffix}]")
+    return {name: 0.0 if value is None else value for name, value in inline.items()}
 
-    The entries are the matrix file path, or the four inline canonical
-    parameters as resolved (defaults filled in).
-    """
+
+def _load_state(which: str, source: dict) -> CovarianceMatrix:
+    """Read state ``which`` from its source and check the uncertainty bound."""
     from . import matrixio, states
 
     try:
-        path = getattr(args, f"sigma{which}")
+        path = source.get(f"sigma{which}")
         if path is not None:
-            source = {f"sigma{which}": path}
             cvm = matrixio.load_cvm(path)
         else:
-            suffix = "" if which == "1" else "0"
-            a = getattr(args, "a" + suffix)
-            b = getattr(args, "b" + suffix)
-            if a is None or b is None:
-                raise UsageError(
-                    f"state {which}: pass --sigma{which} FILE or inline "
-                    f"--a{suffix}/--b{suffix}[/--c{suffix}/--d{suffix}]")
-            source = {name + suffix: getattr(args, name + suffix) for name in "abcd"}
-            cvm = states.canonical_two_mode_cvm(states.CanonicalTwoModeParams(
-                a, b, source["c" + suffix], source["d" + suffix]))
+            cvm = states.canonical_two_mode_cvm(states.CanonicalTwoModeParams(*source.values()))
         if cvm.ordering is not None:
             check = rsup_check(cvm, build_symplectic_form(cvm.n_modes, cvm.ordering))
             if not check.valid:
@@ -257,15 +225,15 @@ def _load_state(args, which: str) -> tuple[CovarianceMatrix, dict]:
                     f"min invariant {check.min_invariant:.12g} < 1")
     except ValueError as exc:
         raise InputValidationError(f"state {which} rejected: {exc}") from exc
-    return cvm, source
+    return cvm
 
 
 def _run_distance(args) -> int:
     from . import fisher
     from .randmat import random_invertible
 
-    s1, source1 = _load_state(args, "1")
-    s2, source2 = _load_state(args, "2")
+    source1, source2 = _state_source(args, "1"), _state_source(args, "2")
+    s1, s2 = _load_state("1", source1), _load_state("2", source2)
     lam = generalized_eigenvalues(s1, s2)
     results = {
         "distance_half": fisher.fr_distance(s1, s2),
@@ -278,9 +246,10 @@ def _run_distance(args) -> int:
         moved = abs(fisher.fr_distance(t @ s1.matrix @ t.T, t @ s2.matrix @ t.T)
                     - results["distance_half"])
         results["invariance_delta"] = moved
+    # each state echoes the one source it was read from
     config = {"command": "distance", "seed": args.seed,
               "check_invariance": args.check_invariance, **source1, **source2}
-    _emit(_json_report("distance", config, results), args.out)
+    _emit(_json_report(config, results), args.out)
     return EXIT_OK
 
 
@@ -302,9 +271,7 @@ def _run_metric(args) -> int:
         "numeric_route_max_deviation": float(np.abs(closed.matrix - numeric.matrix).max()),
         "pure_state_ratio": fisher.pure_state_det_ratio(p),
     }
-    config = {"command": "metric", "a": p.a, "b": p.b, "c": p.c, "d": p.d,
-              "seed": args.seed}
-    _emit(_json_report("metric", config, results), args.out)
+    _emit(_json_report(_echo(args), results), args.out)
     return EXIT_OK
 
 
@@ -342,10 +309,7 @@ def _run_oscillator(args) -> int:
         results["mode_freqs"] = [spec.freq1, spec.freq2]
     except DegenerateSpectrumError:
         results["mode_freqs"] = None   # degenerate isotropic undeformed case
-    config = {"command": "oscillator", "m1": args.m1, "m2": args.m2,
-              "w1": args.w1, "w2": args.w2, "theta": args.theta,
-              "eta": args.eta, "hbar": args.hbar, "seed": args.seed}
-    _emit(_json_report("oscillator", config, results), args.out)
+    _emit(_json_report(_echo(args), results), args.out)
     return EXIT_OK
 
 
@@ -365,10 +329,7 @@ def _run_volume(args) -> int:
     results = {"volume": est.volume, "std_error": est.std_error,
                "samples": est.samples, "accepted": est.accepted,
                "zero_measure": est.zero_measure}
-    config = {"command": "volume", "region": args.region, "samples": args.samples,
-              "seed": args.seed, "kappa": args.kappa, "power": args.power,
-              "box": args.box}
-    _emit(_json_report("volume", config, results), args.out)
+    _emit(_json_report(_echo(args), results), args.out)
     return EXIT_OK
 
 
@@ -389,32 +350,66 @@ def _run_selftest(args) -> int:
                             "cases": r.cases, "detail": r.detail}
                            for r in report.results],
         }
-        config = {"command": "selftest", "seed": args.seed}
-        _emit(_json_report("selftest", config, results), args.out)
+        _emit(_json_report(_echo(args), results), args.out)
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
-def _parse(parser: _Parser, argv) -> tuple[argparse.Namespace, set[str]]:
-    """Parse ``argv``; also return the flags given on the command line, whatever their values."""
-    args = parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(_FLAGS, _UNSET)))
-    given = {dest for dest in _FLAGS if getattr(args, dest) is not _UNSET}
-    for dest in _FLAGS - given:
-        setattr(args, dest, parser.get_default(dest))
-    return args, given
+class Command(NamedTuple):
+    """A command: its runner, the flags it reads, and the parser defaults it
+    sets on top of those flags' settings (``figure1`` fixes ``m`` and ``n``)."""
+
+    run: Callable[[argparse.Namespace], int]
+    flags: tuple[str, ...]
+    defaults: dict = {}
+
+
+_SWEEP_FLAGS = ("eta", "grid", "format", "seed", "out")
+COMMANDS = {
+    **{name: Command(_run_sweep, _SWEEP_FLAGS, {"m": mn, "n": mn})
+       for name, mn in FIGURE_CORRELATIONS.items()},
+    "sweep": Command(_run_sweep, ("m", "n", *_SWEEP_FLAGS)),
+    "distance": Command(_run_distance, ("a", "b", "c", "d", "a0", "b0", "c0", "d0",
+                                        "sigma1", "sigma2", "check_invariance", "seed", "out")),
+    "metric": Command(_run_metric, ("a", "b", "c", "d", "seed", "out"), {"c": 0.0, "d": 0.0}),
+    "oscillator": Command(_run_oscillator,
+                          ("m1", "m2", "w1", "w2", "theta", "eta", "hbar", "seed", "out")),
+    "volume": Command(_run_volume, ("region", "samples", "seed", "kappa", "power", "box", "out")),
+    "selftest": Command(_run_selftest, ("seed", "out")),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of ``command``: ``--command`` and the flags the command reads."""
+    parser = _Parser(prog="ginfo", description=__doc__, allow_abbrev=False)
+    parser.add_argument("--command", required=True, choices=COMMANDS,
+                        help="the command to run; --command X --help lists the flags X reads")
+    if command is not None:
+        for flag in COMMANDS[command].flags:
+            parser.add_argument("--" + flag.replace("_", "-"), **_FLAG_SETTINGS[flag])
+        parser.set_defaults(**COMMANDS[command].defaults)
+    return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse ``argv`` with the parser of the command it names."""
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--command", choices=COMMANDS)
+    command = pre.parse_known_args(argv)[0].command
+    parser = build_parser(command)
+    args, unread = parser.parse_known_args(argv)
+    flags = sorted({token.split("=", 1)[0] for token in unread if token.startswith("--")})
+    if flags:
+        raise UsageError(f"{command} does not read {', '.join(flags)}")
+    if unread:
+        parser.error(f"unrecognized arguments: {' '.join(unread)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args, given = _parse(parser, argv)
-        command = args.command
-        unread = sorted("--" + dest.replace("_", "-") for dest in given - COMMAND_FLAGS[command])
-        if unread:
-            raise UsageError(f"{command} does not read {', '.join(unread)}")
-        if command in ("figure1", "figure2", "figure3", "sweep"):
-            return _run_sweep(command, args)
-        return {"distance": _run_distance, "metric": _run_metric, "oscillator": _run_oscillator,
-                "volume": _run_volume, "selftest": _run_selftest}[command](args)
+        args = _parse(argv)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return COMMANDS[args.command].run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -425,8 +420,10 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericDomainError, SingularMatrixError, DegenerateSpectrumError,
-            NormalizationError, OverflowError) as exc:
-        print(f"numeric domain error: {exc}", file=sys.stderr)
+            NormalizationError, ArithmeticError) as exc:
+        # a float overflow carries (errno, text); print the text
+        message = exc.args[-1] if isinstance(exc, OverflowError) else exc
+        print(f"numeric domain error: {message}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -55,7 +55,8 @@ def battery_form_antisymmetry(rng) -> PropertyResult:
     return _result("form antisymmetry", dev, 0.0, cases)
 
 
-def battery_williamson_invariance(rng, cases=200) -> PropertyResult:
+def battery_williamson_invariance(rng) -> PropertyResult:
+    cases = 200
     form = build_symplectic_form(2)
     dev = 0.0
     for _ in range(cases):
@@ -67,7 +68,8 @@ def battery_williamson_invariance(rng, cases=200) -> PropertyResult:
     return _result("Williamson invariance under symplectic congruence", dev, 1e-8, cases)
 
 
-def battery_sqrt_round_trip(rng, cases=200) -> PropertyResult:
+def battery_sqrt_round_trip(rng) -> PropertyResult:
+    cases = 200
     dev = 0.0
     for _ in range(cases):
         dim = int(rng.choice([2, 4, 8]))
@@ -77,7 +79,8 @@ def battery_sqrt_round_trip(rng, cases=200) -> PropertyResult:
     return _result("SPD square-root round trip", dev, 1e-10, cases)
 
 
-def battery_geneig_congruence(rng, cases=200) -> PropertyResult:
+def battery_geneig_congruence(rng) -> PropertyResult:
+    cases = 200
     dev = 0.0
     for _ in range(cases):
         dim = int(rng.choice([4, 8]))
@@ -90,7 +93,8 @@ def battery_geneig_congruence(rng, cases=200) -> PropertyResult:
     return _result("generalized-eigenvalue congruence invariance", dev, 1e-10, cases)
 
 
-def battery_ordering_round_trip(rng, cases=100) -> PropertyResult:
+def battery_ordering_round_trip(rng) -> PropertyResult:
+    cases = 100
     dev = 0.0
     for _ in range(cases):
         n = int(rng.integers(1, 5))
@@ -117,7 +121,8 @@ def _random_valid_canonical(rng) -> states.CanonicalTwoModeParams:
         return p
 
 
-def battery_mirror_invariants(rng, cases=200) -> PropertyResult:
+def battery_mirror_invariants(rng) -> PropertyResult:
+    cases = 200
     dev = 0.0
     for _ in range(cases):
         sigma = CovarianceMatrix(random_spd(4, rng))
@@ -133,7 +138,8 @@ def battery_mirror_invariants(rng, cases=200) -> PropertyResult:
                    dev, 1e-10, cases)
 
 
-def battery_local_symplectic_invariance(rng, cases=200) -> PropertyResult:
+def battery_local_symplectic_invariance(rng) -> PropertyResult:
+    cases = 200
     dev = 0.0
     for _ in range(cases):
         sigma = CovarianceMatrix(random_spd(4, rng))
@@ -147,7 +153,8 @@ def battery_local_symplectic_invariance(rng, cases=200) -> PropertyResult:
     return _result("local symplectic invariance of the block invariants", dev, 1e-8, cases)
 
 
-def battery_ppt_simon_agreement(rng, cases=500) -> PropertyResult:
+def battery_ppt_simon_agreement(rng) -> PropertyResult:
+    cases = 500
     form = build_symplectic_form(2)
     bad = 0
     used = 0
@@ -165,7 +172,8 @@ def battery_ppt_simon_agreement(rng, cases=500) -> PropertyResult:
                           bad == 0, used, f"{bad} disagreements in {used} states")
 
 
-def battery_quantum_region_oracle(rng, cases=1500) -> PropertyResult:
+def battery_quantum_region_oracle(rng) -> PropertyResult:
+    cases = 1500
     form = build_symplectic_form(2)
     bad = 0
     used = 0
@@ -196,7 +204,8 @@ def battery_quantum_region_oracle(rng, cases=1500) -> PropertyResult:
 # ---------------------------------------------------------------------------
 # information geometry
 
-def battery_metric_closed_vs_numeric(rng, cases=100) -> PropertyResult:
+def battery_metric_closed_vs_numeric(rng) -> PropertyResult:
+    cases = 100
     dev = 0.0
     for _ in range(cases):
         a, b = rng.uniform(0.6, 2.5, size=2)
@@ -211,7 +220,8 @@ def battery_metric_closed_vs_numeric(rng, cases=100) -> PropertyResult:
     return _result("closed-form metric matches central differences", dev, 1e-6, cases)
 
 
-def battery_distance_axioms(rng, cases=60) -> PropertyResult:
+def battery_distance_axioms(rng) -> PropertyResult:
+    cases = 60
     worst = 0.0
     for _ in range(cases):
         s1 = random_spd(4, rng)
@@ -227,7 +237,8 @@ def battery_distance_axioms(rng, cases=60) -> PropertyResult:
     return _result("distance axioms (symmetry, identity, triangle)", worst, 1e-9, cases)
 
 
-def battery_distance_isometry(rng, cases=200) -> PropertyResult:
+def battery_distance_isometry(rng) -> PropertyResult:
+    cases = 200
     dev = 0.0
     for _ in range(cases):
         dim = int(rng.choice([4, 8]))
@@ -239,7 +250,8 @@ def battery_distance_isometry(rng, cases=200) -> PropertyResult:
     return _result("distance invariance under congruence", dev, 1e-10, cases)
 
 
-def battery_normal_form_eigen(rng, cases=200) -> PropertyResult:
+def battery_normal_form_eigen(rng) -> PropertyResult:
+    cases = 200
     dev = 0.0
     for _ in range(cases):
         a = rng.uniform(0.2, 3.0)
@@ -255,7 +267,8 @@ def battery_normal_form_eigen(rng, cases=200) -> PropertyResult:
     return _result("normal-form metric eigenstructure", dev, 1e-12, cases)
 
 
-def battery_sqrt_elements(rng, cases=200) -> PropertyResult:
+def battery_sqrt_elements(rng) -> PropertyResult:
+    cases = 200
     dev = 0.0
     used = 0
     while used < cases:
@@ -295,7 +308,8 @@ def battery_commutative_limit(rng) -> PropertyResult:
                    worst_tail, 1e-4, steps)
 
 
-def battery_spectrum_closed_vs_numeric(rng, cases=200) -> PropertyResult:
+def battery_spectrum_closed_vs_numeric(rng) -> PropertyResult:
+    cases = 200
     # mode_spectrum validates itself against eig(JH) at 1e-8 on every call
     dev = 0.0
     for _ in range(cases):
@@ -311,7 +325,8 @@ def battery_spectrum_closed_vs_numeric(rng, cases=200) -> PropertyResult:
     return _result("closed-form mode frequencies match eig(JH)", dev, 1e-8, cases)
 
 
-def battery_exponent_structure(rng, cases=150) -> PropertyResult:
+def battery_exponent_structure(rng) -> PropertyResult:
+    cases = 150
     # ground_state_exponent raises if the matrix route breaks the structure
     done = 0
     for _ in range(cases):
@@ -364,7 +379,8 @@ def battery_isotropy_separable(rng) -> PropertyResult:
 # ---------------------------------------------------------------------------
 # bipartite pair
 
-def battery_shift_preserves_validity(rng, cases=100) -> PropertyResult:
+def battery_shift_preserves_validity(rng) -> PropertyResult:
+    cases = 100
     dev = 0.0
     for _ in range(cases):
         m, n = rng.uniform(-0.6, 0.6, size=2)
@@ -390,7 +406,8 @@ def battery_margin_symmetry(rng) -> PropertyResult:
                    dev, 1e-9, grid.size)
 
 
-def battery_pair_distance_isometry(rng, cases=50) -> PropertyResult:
+def battery_pair_distance_isometry(rng) -> PropertyResult:
+    cases = 50
     dev = 0.0
     for _ in range(cases):
         cfgs = [bipartite.PairConfig(*rng.uniform(-0.6, 0.6, size=2)) for _ in range(2)]
@@ -405,7 +422,8 @@ def battery_pair_distance_isometry(rng, cases=50) -> PropertyResult:
     return _result("shift is an isometry of the pair family", dev, 1e-10, cases)
 
 
-def battery_reflection_structure(rng, cases=50) -> PropertyResult:
+def battery_reflection_structure(rng) -> PropertyResult:
+    cases = 50
     dev = 0.0
     refl = bipartite.reflection_matrix()
     swap = np.zeros((8, 8))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -30,6 +31,13 @@ def run(tmp_path, *argv):
     out = tmp_path / "out.txt"
     code = main([*argv, "--out", str(out)])
     return code, out.read_text() if out.exists() else ""
+
+
+def fresh_env():
+    """The environment of a fresh interpreter that imports this ginfo."""
+    src = str(Path(ginfo.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def validate_report(text):
@@ -168,6 +176,21 @@ class TestDistance:
                           "a": 1.2, "b": 0.9, "c": 0.2, "d": 0.0,
                           "a0": 1.3, "b0": 1.1, "c0": 0.0, "d0": -0.3}
 
+    @pytest.mark.parametrize("argv, err", [
+        (("--sigma1", "s1.cvm", "--a", "5", "--b", "5", "--a0", "1", "--b0", "1"),
+         "state 1 has two sources: --sigma1 and --a, --b"),
+        (("--sigma1", "s1.cvm", "--c", "0", "--a0", "1", "--b0", "1"),
+         "state 1 has two sources: --sigma1 and --c"),
+        (("--a", "1", "--b", "1", "--sigma2", "s2.cvm", "--d0", "0"),
+         "state 2 has two sources: --sigma2 and --d0"),
+    ], ids=["inline", "inline-default-value", "state2"])
+    def test_file_and_inline_source_exclude_each_other(self, tmp_path, capsys, argv, err):
+        # the files do not exist: the sources are checked before any is read
+        code, text = run(tmp_path, "--command", "distance",
+                         *(str(tmp_path / x) if x.endswith(".cvm") else x for x in argv))
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == f"usage error: {err}\n"
+
     def test_config_echoes_file_paths(self, tmp_path):
         path1, path2 = tmp_path / "s1.cvm", tmp_path / "s2.cvm"
         save_cvm(path1, CovarianceMatrix(np.eye(4), ordering=Ordering.MODE_INTERLEAVED))
@@ -258,10 +281,44 @@ class TestSelftest:
         doc = validate_report(out.read_text())
         assert doc["results"]["passed"] is True
         assert len(doc["results"]["properties"]) == len(selftest.BATTERIES)
+        assert doc["config"] == {"command": "selftest", "seed": 20240901}
         boundary = [p for p in doc["results"]["properties"]
                     if p["name"] == "exact boundary agrees with the reflection spectrum"]
         assert len(boundary) == 1
         assert boundary[0]["passed"] is True and boundary[0]["cases"] == 3 * 99
+
+
+class TestCommandTable:
+    def test_command_help_lists_exactly_its_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--command", "metric", "--help"])
+        assert exc.value.code == 0
+        options = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+        assert options == ["--command", "--a", "--b", "--c", "--d", "--seed", "--out"]
+
+    def test_bare_help_lists_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(cli.COMMANDS) + "}" in out
+        assert re.findall(r"^  (--[\w-]+)", out, re.M) == ["--command"]
+
+    @pytest.mark.parametrize("command, argv", [
+        ("figure1", ()), ("figure2", ()), ("figure3", ()),
+        ("sweep", ("--m", "0.2", "--n", "0.1")),
+        ("metric", ("--a", "1", "--b", "1")),
+        ("oscillator", ()),
+        ("volume", ("--samples", "1000")),
+    ])
+    def test_config_echoes_the_table_flags(self, tmp_path, command, argv):
+        table = cli.COMMANDS[command]
+        if "format" in table.flags:
+            argv = (*argv, "--grid", "10", "--format", "json")
+        code, text = run(tmp_path, "--command", command, *argv)
+        assert code == 0
+        config = validate_report(text)["config"]
+        assert config.keys() == {"command", *table.flags, *table.defaults} - {"out"}
 
 
 class TestInputBoundary:
@@ -298,21 +355,31 @@ class TestInputBoundary:
         assert capsys.readouterr().err == f"usage error: {argv[1]} does not read {unread}\n"
 
     def test_flag_table_covers_every_flag(self):
-        defaults = vars(cli.build_parser().parse_args(["--command", "selftest"]))
-        assert frozenset().union(*cli.COMMAND_FLAGS.values()) == defaults.keys() - {"command"}
+        # every flag a command names has settings, and every setting has a command
+        assert set(cli._FLAG_SETTINGS) == {flag for command in cli.COMMANDS.values()
+                                           for flag in command.flags}
 
     @pytest.mark.parametrize("argv", [
         ("--command", "oscillator", "--w1", "1e200"),
         ("--command", "oscillator", "--theta", "1e200"),
         ("--command", "metric", "--a", "1e300", "--b", "1e300"),
-    ], ids=["oscillator-w1", "oscillator-theta", "metric"])
-    def test_overflow_or_non_finite_result_is_numeric_domain_error(self, tmp_path, capsys, argv):
-        with np.errstate(all="ignore"):
-            code, text = run(tmp_path, *argv)
-        assert code == 4
-        assert text == ""
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("numeric domain error: ")
+        ("--command", "volume", "--samples", "1000",
+         "--box", "0.5,1e200,0.5,1.5,-0.5,0.5,-0.5,0.5"),
+    ], ids=["oscillator-w1", "oscillator-theta", "metric", "volume-huge-box"])
+    def test_overflow_or_non_finite_result_is_numeric_domain_error(self, argv):
+        # a fresh process, so that a numpy warning would reach stderr too
+        proc = subprocess.run([sys.executable, "-c", "import sys; from ginfo.cli import main; "
+                               "sys.exit(main())", *argv],
+                              env=fresh_env(), capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric domain error: "), proc.stderr
+
+    def test_float_overflow_prints_its_message(self, capsys):
+        # a Python float overflow raises OverflowError(34, 'Numerical result out of range')
+        assert main(["--command", "oscillator", "--w1", "1e200"]) == 4
+        assert capsys.readouterr().err == "numeric domain error: Numerical result out of range\n"
 
     def test_singular_form_is_numeric_domain_error(self, tmp_path, capsys):
         code, _ = run(tmp_path, "--command", "sweep", "--m", "0.2", "--n", "0.1",
@@ -361,9 +428,6 @@ class TestInputBoundary:
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in "
                  "('ginfo.selftest', 'ginfo.oscillator', 'ginfo.bipartite', 'ginfo.matrixio', "
                  "'ginfo.randmat')))")
-        src = str(Path(ginfo.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+        out = subprocess.run([sys.executable, "-c", probe], env=fresh_env(), check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
