@@ -17,7 +17,6 @@ from .errors import (
     SingularMatrixError,
 )
 from .fisher import (
-    ExplicitDistance,
     FisherMetric,
     NormalFormMetric,
     NormalFormPoint,
@@ -30,7 +29,6 @@ from .fisher import (
     fisher_metric_two_mode,
     fr_distance,
     fr_distance_explicit,
-    normal_form_cvm,
     normal_form_metric,
     pure_state_det_ratio,
     regularized_volume,
@@ -57,12 +55,10 @@ from .symplectic import (
     SymplecticForm,
     build_symplectic_form,
     congruence_apply,
-    congruence_form,
     generalized_eigenvalues,
     matrix_sqrt_spd,
     ordering_permutation,
     permute_ordering,
-    reorder,
     rsup_check,
     symplectic_spectrum,
 )

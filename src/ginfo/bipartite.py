@@ -8,8 +8,10 @@ congruence and separability is re-examined through the mirror-reflection
 spectrum.
 
 Basis: parties are stacked as (x1, x2, p1, p2) per party, party A first.
-The wrapper objects carry ``ordering=None`` for that reason; all kernels
-here build their companions (form, reflection, shift) in the same basis.
+This party basis is not a named :class:`~ginfo.symplectic.Ordering`, so the
+wrapper objects carry ``ordering=None`` and a pair state cannot be written to
+a matrix file; all kernels here build their companions (form, reflection,
+shift) in the same basis.
 The numeric spectrum is the authoritative verdict and drives the sweeps;
 :func:`pair_boundary` gives the same verdict in closed form, as an
 independent check.
@@ -27,11 +29,9 @@ from .policy import BISECT_TOL, VANISHING_TOL
 from .symplectic import (
     J2,
     CovarianceMatrix,
-    Ordering,
     SymplecticForm,
     _check_finite,
     _validated,
-    ordering_permutation,
     symplectic_spectrum,
 )
 
@@ -61,10 +61,6 @@ class PairConfig:
         """Overall variance scale b = (1 + R)/(1 - R) > 1."""
         return (1.0 + self.radius) / (1.0 - self.radius)
 
-    @property
-    def hbar_effective(self) -> float:
-        return 1.0 + self.theta * self.eta / 4.0
-
 
 def party_form() -> SymplecticForm:
     """Undeformed commutation form of the pair in the party basis."""
@@ -81,15 +77,6 @@ _PARTY_FORM = party_form()
 def reflection_matrix() -> np.ndarray:
     """Mirror reflection of party B: flips its two momentum coordinates."""
     return np.diag([1.0, 1, 1, 1, 1, 1, -1, -1])
-
-
-def party_to_interleaved() -> np.ndarray:
-    """Permutation taking the party basis to the global interleaved basis."""
-    block = ordering_permutation(2, Ordering.BLOCK_XP, Ordering.MODE_INTERLEAVED)
-    out = np.zeros((8, 8))
-    out[:4, :4] = block
-    out[4:, 4:] = block
-    return out
 
 
 def pair_cvm(cfg: PairConfig) -> CovarianceMatrix:
@@ -117,7 +104,7 @@ def bopp_shift(cfg: PairConfig) -> BoppShift:
 
     Per party the transform is ``[[I, -(theta/2) J2], [(eta/2) J2, I]]`` on
     (x1, x2, p1, p2); the induced form has ``theta J2`` and ``eta J2`` corner
-    blocks and ``hbar_effective I`` cross blocks.
+    blocks and ``(1 + theta eta / 4) I`` cross blocks.
     """
     if abs(1.0 - cfg.theta * cfg.eta / 4.0) < VANISHING_TOL:
         raise SingularMatrixError("shift is singular at theta*eta = 4")

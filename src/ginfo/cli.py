@@ -217,12 +217,11 @@ def _load_state(which: str, source: dict) -> CovarianceMatrix:
             cvm = matrixio.load_cvm(path)
         else:
             cvm = states.canonical_two_mode_cvm(states.CanonicalTwoModeParams(*source.values()))
-        if cvm.ordering is not None:
-            check = rsup_check(cvm, build_symplectic_form(cvm.n_modes, cvm.ordering))
-            if not check.valid:
-                raise InputValidationError(
-                    f"state {which} violates the uncertainty bound: "
-                    f"min invariant {check.min_invariant:.12g} < 1")
+        check = rsup_check(cvm, build_symplectic_form(cvm.n_modes, cvm.ordering))
+        if not check.valid:
+            raise InputValidationError(
+                f"state {which} violates the uncertainty bound: "
+                f"min invariant {check.min_invariant:.12g} < 1")
     except ValueError as exc:
         raise InputValidationError(f"state {which} rejected: {exc}") from exc
     return cvm
@@ -258,8 +257,11 @@ def _run_metric(args) -> int:
 
     if args.a is None or args.b is None:
         raise UsageError("metric requires --a and --b (and optional --c/--d)")
-    p = states.CanonicalTwoModeParams(args.a, args.b, args.c, args.d)
-    closed = fisher.fisher_metric_two_mode(p)
+    try:   # a positive-definite state; it need not be within the uncertainty bound
+        p = states.CanonicalTwoModeParams(args.a, args.b, args.c, args.d)
+        closed = fisher.fisher_metric_two_mode(p)
+    except ValueError as exc:
+        raise InputValidationError(f"state rejected: {exc}") from exc
     numeric = fisher.fisher_metric_numeric(
         lambda t: states.canonical_two_mode_matrix(states.CanonicalTwoModeParams(*t)),
         (p.a, p.b, p.c, p.d))

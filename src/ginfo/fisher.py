@@ -18,7 +18,6 @@ from .errors import DegenerateSpectrumError, NumericDomainError
 from .policy import FD_STEP, RSUP_SLACK, SECTOR_GAP_TOL, SPD_TOL, VANISHING_TOL
 from .states import CanonicalTwoModeParams, ppt_separable
 from .symplectic import (
-    CovarianceMatrix,
     Ordering,
     as_matrix,
     build_symplectic_form,
@@ -36,7 +35,6 @@ class FisherMetric:
 
     matrix: np.ndarray
     parameter_names: tuple[str, ...]
-    point: tuple[float, ...]
 
 
 def fisher_metric_numeric(sigma_fn, point) -> FisherMetric:
@@ -68,7 +66,7 @@ def fisher_metric_numeric(sigma_fn, point) -> FisherMetric:
             g[mu, nu] = 0.5 * np.trace(left @ partials[nu])
             g[nu, mu] = g[mu, nu]
     return FisherMetric(matrix=0.5 * (g + g.T),
-                        parameter_names=tuple(f"theta{i}" for i in range(m)), point=tuple(theta))
+                        parameter_names=tuple(f"theta{i}" for i in range(m)))
 
 
 def _deltas(p: CanonicalTwoModeParams) -> tuple[float, float, float]:
@@ -99,8 +97,7 @@ def fisher_metric_two_mode(p: CanonicalTwoModeParams) -> FisherMetric:
     g[2, 3] = 0.0
     g[3, 3] = (a * b + d * d) / dd ** 2
     g = g + np.triu(g, 1).T
-    return FisherMetric(matrix=g, parameter_names=("a", "b", "c", "d"),
-                        point=(a, b, c, d))
+    return FisherMetric(matrix=g, parameter_names=("a", "b", "c", "d"))
 
 
 def fisher_det_two_mode(p: CanonicalTwoModeParams) -> float:
@@ -182,26 +179,16 @@ def canonical_sqrt_closed(p: CanonicalTwoModeParams) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ExplicitDistance:
-    """Distance between two canonical states with all intermediates exposed."""
-
-    distance: float              # 1/2-prefactor convention
-    distance_dim_scaled: float   # (dim/2)-prefactor convention
-    lambda_m: np.ndarray         # generalized eigenvalues, ascending
-    sqrt_elements: dict
-    sqrt_inv_elements: dict
-    m_elements: dict
-
-
 def fr_distance_explicit(p: CanonicalTwoModeParams,
-                         p0: CanonicalTwoModeParams) -> ExplicitDistance:
+                         p0: CanonicalTwoModeParams) -> tuple[float, np.ndarray]:
     """Distance between canonical states via the elementwise closed forms.
 
     Builds the square root elementwise, inverts it blockwise, assembles the
     six nonzero elements of ``S^-1/2 S0 S^-1/2`` and its sector eigenvalues.
-    Requires a nondegenerate sector spectrum; both prefactor conventions are
-    returned.
+    Requires a nondegenerate sector spectrum. Returns the distance in the
+    1/2-prefactor convention and the generalized eigenvalues, ascending: an
+    independent route to :func:`fr_distance` on the canonical family, checked
+    against it by a ``selftest`` battery.
     """
     _deltas(p0)  # validate the target state as well
     root = canonical_sqrt_closed(p)
@@ -209,10 +196,6 @@ def fr_distance_explicit(p: CanonicalTwoModeParams,
     s13, s24 = root[0, 2], root[1, 3]
     det_x = s11 * s33 - s13 * s13
     det_p = s22 * s44 - s24 * s24
-    inv_elems = {
-        "i11": s33 / det_x, "i13": -s13 / det_x, "i33": s11 / det_x,
-        "i22": s44 / det_p, "i24": -s24 / det_p, "i44": s22 / det_p,
-    }
     a0, b0, c0, d0 = p0.a, p0.b, p0.c, p0.d
     m11 = (a0 * s33 ** 2 + b0 * s13 ** 2 - 2.0 * c0 * s13 * s33) / det_x ** 2
     m13 = (-a0 * s13 * s33 - b0 * s11 * s13 + c0 * (s13 ** 2 + s11 * s33)) / det_x ** 2
@@ -226,17 +209,7 @@ def fr_distance_explicit(p: CanonicalTwoModeParams,
     disc_p = math.sqrt(max(tr_p ** 2 - 4.0 * (m22 * m44 - m24 ** 2), 0.0))
     lam = np.sort([(tr_x - disc_x) / 2.0, (tr_x + disc_x) / 2.0,
                    (tr_p - disc_p) / 2.0, (tr_p + disc_p) / 2.0])
-    logs_sq = np.sum(np.log(lam) ** 2)
-    return ExplicitDistance(
-        distance=float(np.sqrt(0.5 * logs_sq)),
-        distance_dim_scaled=float(np.sqrt(2.0 * logs_sq)),
-        lambda_m=lam,
-        sqrt_elements={"s11": s11, "s13": s13, "s22": s22,
-                       "s24": s24, "s33": s33, "s44": s44},
-        sqrt_inv_elements=inv_elems,
-        m_elements={"m11": m11, "m13": m13, "m22": m22,
-                    "m24": m24, "m33": m33, "m44": m44},
-    )
+    return float(np.sqrt(0.5 * np.sum(np.log(lam) ** 2))), lam
 
 
 # ---------------------------------------------------------------------------
@@ -256,25 +229,13 @@ class NormalFormPoint:
     def __post_init__(self):
         _check_finite("a and c", self.a, self.c)
 
-    @classmethod
-    def from_exponent(cls, m11: float, m22: float, cross_imag: float,
-                      hbar: float = 1.0) -> "NormalFormPoint":
-        """Build the point from a Gaussian ground-state exponent matrix."""
-        prod = m11 * m22
-        if prod <= 0:
-            raise NumericDomainError("exponent diagonal must be positive")
-        a = hbar / 2.0 * math.sqrt(1.0 + cross_imag ** 2 / prod)
-        c = hbar * cross_imag / (2.0 * math.sqrt(prod))
-        return cls(a=a, c=c)
-
 
 @dataclass(frozen=True, eq=False)
 class NormalFormMetric:
-    matrix: np.ndarray          # 2x2, indefinite by construction
+    matrix: np.ndarray          # 2x2, indefinite by construction: not Riemannian
     eigenvalues: tuple[float, float]
     rotation: np.ndarray        # orthogonal Q with Q^T g Q diagonal
     transformed: tuple[float, float]
-    indefinite: bool = True     # one negative eigenvalue; not Riemannian
 
 
 def normal_form_metric(pt: NormalFormPoint) -> NormalFormMetric:
@@ -282,7 +243,7 @@ def normal_form_metric(pt: NormalFormPoint) -> NormalFormMetric:
 
     ``g00 = -g11 = 2(a^2 - c^2)/(a^2 + c^2)^2`` and
     ``g01 = 4ac/(a^2 + c^2)^2``; the eigenvalues are +-2/(a^2 + c^2). One of
-    them is always negative, hence the indefinite flag on the result.
+    them is always negative.
     """
     a, c = pt.a, pt.c
     r2 = a * a + c * c
@@ -297,18 +258,6 @@ def normal_form_metric(pt: NormalFormPoint) -> NormalFormMetric:
     transformed = ((a * a - c * c) / root, 2.0 * a * c / root)
     return NormalFormMetric(matrix=g, eigenvalues=(2.0 / r2, -2.0 / r2),
                             rotation=q, transformed=transformed)
-
-
-def normal_form_cvm(pt: NormalFormPoint) -> CovarianceMatrix:
-    """Covariance matrix of the normal-form point (positive-definite reading).
-
-    A sign-flipped lower-right block would not be a state, so the +a reading
-    is used; the matrix is SPD exactly when a > |c|.
-    """
-    a, c = pt.a, pt.c
-    sz = np.diag([1.0, -1.0])
-    m = np.block([[a * np.eye(2), c * sz], [c * sz, a * np.eye(2)]])
-    return CovarianceMatrix(m, ordering=Ordering.MODE_INTERLEAVED)
 
 
 # ---------------------------------------------------------------------------

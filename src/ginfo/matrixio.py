@@ -2,7 +2,9 @@
 
 Format: one comment header naming the ordering and mode count, then one row
 of 17-significant-digit decimals per matrix row. The decimal round trip is
-bit exact.
+bit exact. The ordering is one of :class:`~ginfo.symplectic.Ordering`, so
+every state read from a file has a form to check its uncertainty bound
+against.
 """
 
 from __future__ import annotations
@@ -14,29 +16,19 @@ from .symplectic import CovarianceMatrix, Ordering
 _HEADER_TAG = "# cvm"
 
 
-def _ordering_name(ordering: Ordering | None) -> str:
-    return "custom" if ordering is None else ordering.value
-
-
-def _ordering_from_name(name: str) -> Ordering | None:
-    if name == "custom":
-        return None
-    for member in Ordering:
-        if member.value == name:
-            return member
-    raise ValueError(f"unknown ordering {name!r} in matrix file")
-
-
 def dump_cvm(cvm: CovarianceMatrix) -> str:
-    lines = [f"{_HEADER_TAG} modes={cvm.n_modes} ordering={_ordering_name(cvm.ordering)}"]
+    if cvm.ordering is None:
+        raise ValueError("a matrix file names its ordering; this matrix has none")
+    lines = [f"{_HEADER_TAG} modes={cvm.n_modes} ordering={cvm.ordering.value}"]
     for row in cvm.matrix:
         lines.append(" ".join(f"{x:.17g}" for x in row))
     return "\n".join(lines) + "\n"
 
 
 def save_cvm(path, cvm: CovarianceMatrix) -> None:
+    text = dump_cvm(cvm)   # before the file is opened, so a rejected matrix leaves none
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dump_cvm(cvm))
+        fh.write(text)
 
 
 def parse_cvm(text: str) -> CovarianceMatrix:
@@ -46,7 +38,7 @@ def parse_cvm(text: str) -> CovarianceMatrix:
     fields = dict(tok.split("=", 1) for tok in lines[0][len(_HEADER_TAG):].split())
     try:
         modes = int(fields["modes"])
-        ordering = _ordering_from_name(fields["ordering"])
+        ordering = Ordering(fields["ordering"])
     except KeyError as exc:
         raise ValueError(f"matrix header is missing the {exc.args[0]!r} field") from exc
     rows = [np.array([float(x) for x in ln.split()]) for ln in lines[1:]]

@@ -5,9 +5,7 @@ equivalent standard-space Hamiltonian with effective masses, stiffnesses and
 a momentum-position cross coupling -> normal-mode frequencies -> Gaussian
 ground state -> covariance matrix and separability verdict.
 
-Basis throughout is mode-interleaved (x1, p1, x2, p2), except for the Wigner
-quadratic form which is naturally written in the (x1, x2, p1, p2) block
-basis.
+Basis throughout is mode-interleaved (x1, p1, x2, p2).
 """
 
 from __future__ import annotations
@@ -139,12 +137,7 @@ class ModeSpectrum:
 
     freq1: float          # lower mode
     freq2: float          # upper mode
-    invariant_sum: float  # sum of the block determinants of the Hamiltonian
     discriminant: float
-
-    @property
-    def product(self) -> float:
-        return self.freq1 * self.freq2
 
 
 def mode_spectrum(eq: EquivalentParams) -> ModeSpectrum:
@@ -169,7 +162,7 @@ def mode_spectrum(eq: EquivalentParams) -> ModeSpectrum:
     numeric = np.sort(np.abs(np.linalg.eigvals(_J4 @ equivalent_hamiltonian_matrix(eq)).imag))[::2]
     if np.abs(numeric - [low, high]).max() > NORMAL_MODE_CHECK_TOL * max(1.0, high):
         raise NumericDomainError("closed-form mode frequencies disagree with eig(JH)")
-    return ModeSpectrum(freq1=low, freq2=high, invariant_sum=inv_sum, discriminant=disc)
+    return ModeSpectrum(freq1=low, freq2=high, discriminant=disc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,22 +217,6 @@ def eigvec_coefficients(eq: EquivalentParams, spec: ModeSpectrum) -> ModeCoeffic
             raise NumericDomainError(
                 f"mode {j + 1} left-eigenvector residual {residual:.3e} exceeds tolerance")
     return ModeCoefficients(coeffs=rows, norms=(norms[0], norms[1]))
-
-
-def left_eigenvectors(coeffs: ModeCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized complex left eigenvectors of J H for the two modes."""
-    out = []
-    for j in range(2):
-        k0, k1, k2, k3 = coeffs.coeffs[j]
-        out.append(coeffs.norms[j] * np.array([1j * k0, k1, k2, 1j * k3]))
-    return out[0], out[1]
-
-
-def right_eigenvector(chi_left: np.ndarray) -> np.ndarray:
-    """Companion right eigenvector ``-Sigma_y chi^dagger`` of a left one."""
-    sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
-    big = np.block([[sigma_y, np.zeros((2, 2))], [np.zeros((2, 2)), sigma_y]])
-    return -big @ chi_left.conj()
 
 
 @dataclass(frozen=True)
@@ -331,21 +308,6 @@ def ground_state_cvm(exponent: GroundStateExponent, hbar: float = 1.0) -> Covari
         return CovarianceMatrix(m, ordering=Ordering.MODE_INTERLEAVED)
     except NumericDomainError as exc:
         raise NumericDomainError(f"inconsistent exponent produced a non-SPD state: {exc}") from exc
-
-
-def wigner_quadratic_form(exponent: GroundStateExponent, hbar: float = 1.0) -> np.ndarray:
-    """Quadratic form G of the phase-space density, (x1, x2, p1, p2) basis.
-
-    ``W proportional to exp(-xi^T G xi)``; the covariance matrix is
-    ``G^-1 / 2``, which reproduces :func:`ground_state_cvm` after reordering.
-    """
-    real = np.diag([exponent.m11, exponent.m22])
-    imag = np.array([[0.0, exponent.cross_imag], [exponent.cross_imag, 0.0]])
-    real_inv = np.diag([1.0 / exponent.m11, 1.0 / exponent.m22])
-    return np.block([
-        [real + imag @ real_inv @ imag.T, imag @ real_inv / hbar],
-        [real_inv @ imag.T / hbar, real_inv / hbar ** 2],
-    ])
 
 
 def separability_sides(p: OscillatorParams) -> tuple[float, float]:

@@ -2,8 +2,8 @@
 
 Each battery checks one documented invariant of a module and reports a name,
 a pass flag, the number of cases exercised and a short detail string. The
-catalogue runs behind the CLI selftest command and, at the same seed, as one
-pytest case per battery (``tests/test_selftest.py``). A property that a
+catalogue runs behind the CLI selftest command, and ``tests/test_selftest.py``
+reads each battery's verdict from one run of that command. A property that a
 battery checks is not re-checked by a unit test at the same or a looser bound.
 """
 
@@ -468,6 +468,44 @@ def battery_boundary_agreement(rng) -> PropertyResult:
                           f"{bad} disagreements; smallest |margin| {closest:.3e}")
 
 
+
+# ---------------------------------------------------------------------------
+# second routes to the paper's closed forms
+
+def battery_explicit_distance(rng) -> PropertyResult:
+    cases = 200
+    dev = 0.0
+    used = 0
+    while used < cases:
+        p, p0 = _random_valid_canonical(rng), _random_valid_canonical(rng)
+        if min(abs(p.c), abs(p.d)) < 0.05 * math.sqrt(p.a * p.b):
+            continue   # the elementwise square root needs both correlations
+        used += 1
+        explicit, _ = fisher.fr_distance_explicit(p, p0)
+        symmetric = fisher.fr_distance(states.canonical_two_mode_matrix(p),
+                                       states.canonical_two_mode_matrix(p0))
+        dev = max(dev, abs(explicit - symmetric))
+    return _result("explicit canonical distance matches the symmetric route", dev, 1e-9, used)
+
+
+def battery_separable_region_oracle(rng) -> PropertyResult:
+    cases = 500
+    form = build_symplectic_form(2)
+    bad = 0
+    used = 0
+    while used < cases:
+        p = _random_valid_canonical(rng)
+        if abs(p.c) < 1e-3:
+            continue   # the separable window excludes c = 0
+        verdict = states.ppt_separable(states.canonical_two_mode_cvm(p), form)
+        if abs(verdict.margin) < 1e-6:
+            continue
+        used += 1
+        bad += states.in_separable_region(p) != verdict.separable
+    return PropertyResult("closed-form separable region matches the reflection verdict",
+                          bad == 0, used, f"{bad} disagreements in {used} states")
+
+
 BATTERIES = [
     battery_form_antisymmetry,
     battery_williamson_invariance,
@@ -494,6 +532,8 @@ BATTERIES = [
     battery_reflection_structure,
     battery_margin_continuity,
     battery_boundary_agreement,
+    battery_explicit_distance,
+    battery_separable_region_oracle,
 ]
 
 

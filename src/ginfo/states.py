@@ -64,16 +64,14 @@ def canonical_two_mode_cvm(p: CanonicalTwoModeParams) -> CovarianceMatrix:
 class TwoModeBounds:
     """Derived window bounds for the canonical family at fixed (a, b, c).
 
-    ``c2_cap_wide`` bounds 4c^2 on the branch b < a and ``c2_cap_narrow`` on
-    the branch a < b; ``d_low`` and ``d_high`` delimit the admissible p-p
-    correlation. ``window_gap`` is the radicand building block shared with the
-    separable window.
+    With ``r = a/b``, ``c2_cap_wide`` bounds 4c^2 on the branch b < a and
+    ``c2_cap_narrow`` on the branch a < b; ``d_low`` and ``d_high`` delimit the
+    admissible p-p correlation. ``window_gap`` is the radicand building block
+    shared with the separable window.
     """
 
-    ratio: float        # a / b
-    scale: float        # 4ab
-    c2_cap_wide: float      # scale - ratio
-    c2_cap_narrow: float    # scale - 1/ratio
+    c2_cap_wide: float      # 4ab - r
+    c2_cap_narrow: float    # 4ab - 1/r
     window_gap: float
     d_radicand: float
     d_low: float
@@ -98,8 +96,7 @@ def two_mode_bounds(p: CanonicalTwoModeParams) -> TwoModeBounds:
     else:
         d_low = np.nan
         d_high = np.nan
-    return TwoModeBounds(ratio=ratio, scale=scale,
-                         c2_cap_wide=scale - ratio,
+    return TwoModeBounds(c2_cap_wide=scale - ratio,
                          c2_cap_narrow=scale - 1.0 / ratio,
                          window_gap=gap, d_radicand=radicand,
                          d_low=d_low, d_high=d_high)
@@ -129,7 +126,8 @@ def in_separable_region(p: CanonicalTwoModeParams) -> bool:
     """Closed-form membership test for the separable window.
 
     The two sign-of-c branches exclude c = 0 by construction;
-    :func:`ppt_separable` is authoritative on conflict.
+    :func:`ppt_separable` is authoritative on conflict. A ``selftest``
+    battery checks the two against each other away from the boundary.
     """
     a, b, c, d = p.a, p.b, p.c, p.d
     if a <= 0.5 or b <= 0.5:
@@ -211,7 +209,6 @@ class SimonInvariants:
     det_a: float
     det_b: float
     det_cross: float
-    det_total: float
     quad_trace: float
     criterion: float
 
@@ -233,5 +230,4 @@ def simon_invariants(sigma) -> SimonInvariants:
     criterion = det_a * det_b + (0.25 - abs(det_cross)) ** 2 \
         - quad_trace - (det_a + det_b) / 4.0
     return SimonInvariants(det_a=det_a, det_b=det_b, det_cross=det_cross,
-                           det_total=float(np.linalg.det(m)),
                            quad_trace=quad_trace, criterion=criterion)

@@ -107,8 +107,9 @@ class CovarianceMatrix:
     """Symmetric positive-definite matrix of symmetrized second moments.
 
     ``ordering`` may be None for caller-managed bases (e.g. a party-blocked
-    layout); such objects cannot be re-ordered but work with every spectral
-    kernel as long as the companion form uses the same basis.
+    layout); such a matrix works with every spectral kernel as long as the
+    companion form uses the same basis, but cannot be written to a matrix
+    file (:mod:`ginfo.matrixio`), whose header names the ordering.
     """
 
     matrix: np.ndarray
@@ -165,10 +166,6 @@ class SymplecticForm:
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "orthogonal", np.array_equal(m.T @ m, np.eye(len(m))))
 
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
 
 def build_symplectic_form(n_modes: int, ordering: Ordering = Ordering.MODE_INTERLEAVED) -> SymplecticForm:
     """Undeformed form for ``n_modes`` modes in the requested ordering.
@@ -211,18 +208,6 @@ def permute_ordering(matrix: np.ndarray, source: Ordering, target: Ordering) -> 
     n = _check_square_even(m)
     p = ordering_permutation(n, source, target)
     return p @ m @ p.T
-
-
-def reorder(obj, target: Ordering):
-    """Re-express a CovarianceMatrix or SymplecticForm in ``target`` ordering."""
-    ordering = _ordering_of(obj)
-    if ordering is None:
-        raise ValueError("object carries no named ordering; use permute_ordering with an explicit source")
-    if isinstance(obj, CovarianceMatrix):
-        return CovarianceMatrix(permute_ordering(obj.matrix, ordering, target), ordering=target)
-    if isinstance(obj, SymplecticForm):
-        return SymplecticForm(permute_ordering(obj.matrix, ordering, target), ordering=target)
-    raise TypeError(f"cannot reorder object of type {type(obj).__name__}")
 
 
 def _check_compatible(sigma, form) -> tuple[np.ndarray, np.ndarray]:
@@ -313,16 +298,6 @@ def congruence_apply(s, sigma) -> CovarianceMatrix:
     _check_invertible_transform(sm, m.shape[0])
     out = sm @ m @ sm.T
     return CovarianceMatrix(0.5 * (out + out.T), ordering=None)
-
-
-def congruence_form(s, form) -> SymplecticForm:
-    """Transform a form by ``Omega -> S Omega S^T`` (same basis caveat)."""
-    sm = np.asarray(s, dtype=float)
-    if not isinstance(form, SymplecticForm):
-        form = SymplecticForm(as_matrix(form), ordering=None)
-    _check_invertible_transform(sm, form.matrix.shape[0])
-    out = sm @ form.matrix @ sm.T
-    return SymplecticForm(0.5 * (out - out.T), ordering=None)
 
 
 def matrix_sqrt_spd(matrix) -> np.ndarray:

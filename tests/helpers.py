@@ -127,3 +127,37 @@ def canonical_hermitian_verdicts(draws, rsup_slack=1e-10):
         reflected = _FLIP_P2 @ sigma @ _FLIP_P2
         separable[i] = np.linalg.eigvalsh(reflected + 0.5j * t * _FORM2)[0] >= 0.0
     return physical, separable
+
+
+# ---------------------------------------------------------------------------
+# Deformed-oscillator oracles
+#
+# Second routes to the ground state of ``ginfo.oscillator``: the normalized
+# mode eigenvectors behind ``eigvec_coefficients`` and the phase-space
+# quadratic form behind ``ground_state_cvm``.
+
+def left_eigenvectors(coeffs):
+    """Normalized complex left eigenvectors of J H for the two modes."""
+    return tuple(norm * np.array([1j * k0, k1, k2, 1j * k3])
+                 for (k0, k1, k2, k3), norm in zip(coeffs.coeffs, coeffs.norms))
+
+
+def right_eigenvector(chi_left):
+    """Companion right eigenvector ``-Sigma_y chi^dagger`` of a left one."""
+    sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
+    return -np.kron(_I2, sigma_y) @ chi_left.conj()
+
+
+def wigner_quadratic_form(exponent, hbar=1.0):
+    """Quadratic form G of the phase-space density, (x1, x2, p1, p2) basis.
+
+    ``W proportional to exp(-xi^T G xi)``; the covariance matrix is
+    ``G^-1 / 2``, which reproduces ``ground_state_cvm`` after reordering.
+    """
+    real = np.diag([exponent.m11, exponent.m22])
+    imag = np.array([[0.0, exponent.cross_imag], [exponent.cross_imag, 0.0]])
+    real_inv = np.diag([1.0 / exponent.m11, 1.0 / exponent.m22])
+    return np.block([
+        [real + imag @ real_inv @ imag.T, imag @ real_inv / hbar],
+        [real_inv @ imag.T / hbar, real_inv / hbar ** 2],
+    ])

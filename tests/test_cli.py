@@ -19,7 +19,7 @@ from ginfo import (
     NumericDomainError,
     Ordering,
 )
-from ginfo import cli, oscillator, selftest
+from ginfo import cli, oscillator
 from ginfo.cli import main
 from ginfo.matrixio import save_cvm
 from ginfo.policy import RSUP_SLACK
@@ -263,29 +263,6 @@ class TestReports:
         assert doc["results"]["volume"] > 0
         code2, text2 = run(tmp_path, *args)
         assert text == text2   # seeded determinism
-
-
-class TestSelftest:
-    def test_full_battery_passes(self, tmp_path, capsys):
-        import time
-        out = tmp_path / "selftest.json"
-        start = time.monotonic()
-        code = main(["--command", "selftest", "--out", str(out)])
-        elapsed = time.monotonic() - start
-        captured = capsys.readouterr().out
-        assert "seed=20240901" in captured
-        assert "selftest PASSED" in captured
-        assert code == 0
-        assert captured.count("PASS") >= len(selftest.BATTERIES)
-        assert elapsed < 60.0
-        doc = validate_report(out.read_text())
-        assert doc["results"]["passed"] is True
-        assert len(doc["results"]["properties"]) == len(selftest.BATTERIES)
-        assert doc["config"] == {"command": "selftest", "seed": 20240901}
-        boundary = [p for p in doc["results"]["properties"]
-                    if p["name"] == "exact boundary agrees with the reflection spectrum"]
-        assert len(boundary) == 1
-        assert boundary[0]["passed"] is True and boundary[0]["cases"] == 3 * 99
 
 
 class TestCommandTable:

@@ -16,13 +16,18 @@ def test_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(loaded.matrix, cvm.matrix)
 
 
-def test_custom_ordering_round_trip(tmp_path):
-    cvm = bipartite.pair_cvm(bipartite.PairConfig(0.2, 0.1))
+@pytest.mark.parametrize("name", ["custom", "party", ""])
+def test_unnamed_ordering_rejected(name):
+    # only an Ordering has a form to check the uncertainty bound against
+    with pytest.raises(ValueError, match="Ordering"):
+        parse_cvm(f"# cvm modes=1 ordering={name}\n1 0\n0 1\n")
+
+
+def test_matrix_without_ordering_is_not_saved(tmp_path):
     path = tmp_path / "pair.cvm"
-    save_cvm(path, cvm)
-    loaded = load_cvm(path)
-    assert loaded.ordering is None
-    np.testing.assert_array_equal(loaded.matrix, cvm.matrix)
+    with pytest.raises(ValueError, match="ordering"):
+        save_cvm(path, bipartite.pair_cvm(bipartite.PairConfig(0.2, 0.1)))
+    assert not path.exists()
 
 
 def test_header_required():

@@ -15,15 +15,14 @@ from ginfo.oscillator import (
     ground_state,
     ground_state_cvm,
     ground_state_exponent,
-    left_eigenvectors,
     mode_spectrum,
     nc_hamiltonian_matrix,
-    right_eigenvector,
     separability_condition,
     separability_sides,
-    wigner_quadratic_form,
 )
 from ginfo.symplectic import J2, Ordering, permute_ordering, symplectic_spectrum
+
+from helpers import left_eigenvectors, right_eigenvector, wigner_quadratic_form
 
 FORM2 = build_symplectic_form(2)
 

@@ -13,7 +13,6 @@ from ginfo import (
     canonical_two_mode_cvm,
     canonical_two_mode_matrix,
     in_quantum_region,
-    in_separable_region,
     partial_transpose,
     ppt_separable,
     simon_invariants,
@@ -77,21 +76,6 @@ class TestQuantumRegion:
                 spd = np.linalg.eigvalsh(m).min() > 0
                 oracle = bool(spd and symplectic_spectrum(m, FORM2).min() >= 1 - 1e-10)
                 assert in_quantum_region(p) == oracle
-
-
-class TestSeparableRegion:
-    def test_matches_reflection_verdict(self):
-        rng = np.random.default_rng(8)
-        checked = 0
-        while checked < 300:
-            p = random_valid_canonical(rng)
-            if abs(p.c) < 1e-3:
-                continue  # the separable window excludes c = 0
-            verdict = ppt_separable(canonical_two_mode_cvm(p), FORM2)
-            if abs(verdict.margin) < 1e-6:
-                continue
-            checked += 1
-            assert in_separable_region(p) == verdict.separable, p
 
 
 class TestPartialTranspose:

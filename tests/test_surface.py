@@ -1,0 +1,77 @@
+"""The public surface of ``ginfo`` is what a command, a battery or the benchmark reaches.
+
+A name closure over the syntax trees. The roots are every name that the
+benchmark (``bench/*.py``) uses and every name used by the code that runs
+when a ``ginfo`` module is imported, which holds ``cli.COMMANDS`` (with the
+``main`` entry point) and ``selftest.BATTERIES``. A reached function or
+method adds the names its body uses; a reached class adds those of its
+class-level statements and its dunder methods. Imports are not uses, so a
+re-export in ``ginfo/__init__.py`` reaches nothing.
+
+Limitation: names are resolved by their bare spelling, without types or
+scopes, so two definitions that share a name are reached together. A
+property used on one class counts as used on every class that defines one of
+the same name. The check can therefore miss an unused definition, but never
+flags a used one.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _names(*nodes) -> set[str]:
+    """Every name and attribute spelled in ``nodes``."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for node in nodes for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def _is_def(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef))
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _uses(node) -> set[str]:
+    """The names a reached definition uses."""
+    if isinstance(node, ast.FunctionDef):
+        return _names(node)
+    body = [stmt for stmt in node.body if not _is_def(stmt) or _is_dunder(stmt.name)]
+    return _names(*node.decorator_list, *node.bases, *body)
+
+
+def unreached() -> list[str]:
+    """``module:line name`` of each public definition that no root reaches."""
+    definitions: dict[str, list] = {}
+    roots: set[str] = set()
+    for path in sorted((ROOT / "src" / "ginfo").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not _is_def(node):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    roots |= _names(node)
+                continue
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for member in [node, *filter(_is_def, methods)]:
+                where = f"{path.relative_to(ROOT)}:{member.lineno}"
+                definitions.setdefault(member.name, []).append((where, member))
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        roots |= _names(ast.parse(path.read_text()))
+    reached: set[str] = set()
+    queue = list(roots)
+    while queue:
+        name = queue.pop()
+        if name not in reached:
+            reached.add(name)
+            queue.extend(use for _, node in definitions.get(name, ()) for use in _uses(node))
+    return sorted(f"{where} {name}" for name, found in definitions.items()
+                  if not name.startswith("_") and name not in reached for where, _ in found)
+
+
+def test_every_public_definition_is_reached():
+    missing = unreached()
+    assert not missing, ("public, but no command, battery or benchmark reaches it:\n"
+                         + "\n".join(missing))
