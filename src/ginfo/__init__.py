@@ -57,7 +57,6 @@ from .symplectic import (
     congruence_apply,
     generalized_eigenvalues,
     matrix_sqrt_spd,
-    ordering_permutation,
     permute_ordering,
     rsup_check,
     symplectic_spectrum,

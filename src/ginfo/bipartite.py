@@ -7,11 +7,10 @@ momentum-momentum deformation of strengths (theta, eta) is applied as a
 congruence and separability is re-examined through the mirror-reflection
 spectrum.
 
-Basis: parties are stacked as (x1, x2, p1, p2) per party, party A first.
-This party basis is not a named :class:`~ginfo.symplectic.Ordering`, so the
-wrapper objects carry ``ordering=None`` and a pair state cannot be written to
-a matrix file; all kernels here build their companions (form, reflection,
-shift) in the same basis.
+Basis: ``Ordering.PARTY_BLOCK_XP``, i.e. (x1, x2, p1, p2) per party, party A
+first. The pair state, the shift and its deformed form are all in this basis,
+so a pair state can be written to a matrix file and its undeformed form and
+mirror reflection come from the ordering like those of every other state.
 The numeric spectrum is the authoritative verdict and drives the sweeps;
 :func:`pair_boundary` gives the same verdict in closed form, as an
 independent check.
@@ -26,12 +25,15 @@ import numpy as np
 
 from .errors import SingularMatrixError
 from .policy import BISECT_TOL, VANISHING_TOL
+from .states import partial_transpose
 from .symplectic import (
     J2,
     CovarianceMatrix,
+    Ordering,
     SymplecticForm,
     _check_finite,
     _validated,
+    build_symplectic_form,
     symplectic_spectrum,
 )
 
@@ -62,21 +64,7 @@ class PairConfig:
         return (1.0 + self.radius) / (1.0 - self.radius)
 
 
-def party_form() -> SymplecticForm:
-    """Undeformed commutation form of the pair in the party basis."""
-    block = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
-    m = np.zeros((8, 8))
-    m[:4, :4] = block
-    m[4:, 4:] = block
-    return SymplecticForm(m, ordering=None)
-
-
-_PARTY_FORM = party_form()
-
-
-def reflection_matrix() -> np.ndarray:
-    """Mirror reflection of party B: flips its two momentum coordinates."""
-    return np.diag([1.0, 1, 1, 1, 1, 1, -1, -1])
+_PARTY_FORM = build_symplectic_form(4, Ordering.PARTY_BLOCK_XP)
 
 
 def pair_cvm(cfg: PairConfig) -> CovarianceMatrix:
@@ -90,7 +78,7 @@ def pair_cvm(cfg: PairConfig) -> CovarianceMatrix:
     gamma = np.block([[cfg.n * np.eye(2), cfg.m * _SZ],
                       [cfg.m * _SZ, -cfg.n * np.eye(2)]])
     m = cfg.scale / 2.0 * np.block([[np.eye(4), gamma.T], [gamma, np.eye(4)]])
-    return _validated(m, None)
+    return _validated(m, Ordering.PARTY_BLOCK_XP)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,8 +102,8 @@ def bopp_shift(cfg: PairConfig) -> BoppShift:
     s[:4, :4] = party
     s[4:, 4:] = party
     deformed = s @ _PARTY_FORM.matrix @ s.T
-    return BoppShift(matrix=s,
-                     form=SymplecticForm(0.5 * (deformed - deformed.T), ordering=None))
+    return BoppShift(matrix=s, form=SymplecticForm(0.5 * (deformed - deformed.T),
+                                                   Ordering.PARTY_BLOCK_XP))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,16 +115,16 @@ class PtSpectrum:
 def deformed_pt_spectrum(cfg: PairConfig) -> PtSpectrum:
     """Mirror-reflection spectrum of the deformed pair (authoritative path).
 
-    Applies the shift to the state, reflects party B, and returns the
-    symplectic invariants with respect to the deformed form. A minimum below
-    1 certifies entanglement.
+    Applies the shift to the state, reflects party B (``partial_transpose``)
+    and returns the symplectic invariants with respect to the deformed form.
+    A minimum below 1 certifies entanglement.
     """
     shift = bopp_shift(cfg)
     state = pair_cvm(cfg).matrix
     deformed = shift.matrix @ state @ shift.matrix.T
-    refl = reflection_matrix()
-    reflected = refl @ deformed @ refl.T
-    invariants = symplectic_spectrum(0.5 * (reflected + reflected.T), shift.form)
+    reflected = partial_transpose(CovarianceMatrix(0.5 * (deformed + deformed.T),
+                                                   Ordering.PARTY_BLOCK_XP))
+    invariants = symplectic_spectrum(reflected, shift.form)
     return PtSpectrum(invariants=invariants, min_invariant=float(invariants[0]))
 
 
@@ -157,7 +145,7 @@ def pair_boundary(cfg: PairConfig) -> tuple[float, float]:
 
     Derivation, following the partial-transpose step of Simon, PRL 84, 2726
     (2000): with ``Sigma' = S Sigma S^T``, ``Omega' = S Omega S^T`` and the
-    reflection ``M`` of :func:`reflection_matrix`, the characteristic
+    reflection ``M`` that flips party B's momenta, the characteristic
     polynomial of ``(Omega'^-1 M Sigma' M)^2`` is the square of a quartic
     ``q(lambda)`` whose roots are ``-nu_k^2 / 4`` for the four reflected
     invariants nu_k, and whose coefficients depend on (m, n) only through R.

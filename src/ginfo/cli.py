@@ -32,6 +32,7 @@ from .symplectic import (
     _validated,
     build_symplectic_form,
     generalized_eigenvalues,
+    permute_ordering,
     rsup_check,
 )
 
@@ -233,6 +234,8 @@ def _run_distance(args) -> int:
 
     source1, source2 = _state_source(args, "1"), _state_source(args, "2")
     s1, s2 = _load_state("1", source1), _load_state("2", source2)
+    if s2.n_modes == s1.n_modes:   # two sizes go on to the size check
+        s2 = _validated(permute_ordering(s2.matrix, s2.ordering, s1.ordering), s1.ordering)
     lam = generalized_eigenvalues(s1, s2)
     results = {
         "distance_half": fisher.fr_distance(s1, s2),

@@ -17,8 +17,6 @@ _HEADER_TAG = "# cvm"
 
 
 def dump_cvm(cvm: CovarianceMatrix) -> str:
-    if cvm.ordering is None:
-        raise ValueError("a matrix file names its ordering; this matrix has none")
     lines = [f"{_HEADER_TAG} modes={cvm.n_modes} ordering={cvm.ordering.value}"]
     for row in cvm.matrix:
         lines.append(" ".join(f"{x:.17g}" for x in row))
@@ -26,16 +24,19 @@ def dump_cvm(cvm: CovarianceMatrix) -> str:
 
 
 def save_cvm(path, cvm: CovarianceMatrix) -> None:
-    text = dump_cvm(cvm)   # before the file is opened, so a rejected matrix leaves none
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+        fh.write(dump_cvm(cvm))
 
 
 def parse_cvm(text: str) -> CovarianceMatrix:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(_HEADER_TAG):
         raise ValueError("matrix file must start with a '# cvm' header line")
-    fields = dict(tok.split("=", 1) for tok in lines[0][len(_HEADER_TAG):].split())
+    tokens = lines[0][len(_HEADER_TAG):].split()
+    for tok in tokens:
+        if "=" not in tok:
+            raise ValueError(f"matrix header token {tok!r} is not a key=value field")
+    fields = dict(tok.split("=", 1) for tok in tokens)
     try:
         modes = int(fields["modes"])
         ordering = Ordering(fields["ordering"])

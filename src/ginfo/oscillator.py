@@ -133,11 +133,10 @@ def equivalent_hamiltonian(p: OscillatorParams) -> tuple[np.ndarray, EquivalentP
 
 @dataclass(frozen=True)
 class ModeSpectrum:
-    """Normal-mode frequencies with their characteristic-polynomial data."""
+    """Normal-mode frequencies, ascending."""
 
     freq1: float          # lower mode
     freq2: float          # upper mode
-    discriminant: float
 
 
 def mode_spectrum(eq: EquivalentParams) -> ModeSpectrum:
@@ -162,7 +161,7 @@ def mode_spectrum(eq: EquivalentParams) -> ModeSpectrum:
     numeric = np.sort(np.abs(np.linalg.eigvals(_J4 @ equivalent_hamiltonian_matrix(eq)).imag))[::2]
     if np.abs(numeric - [low, high]).max() > NORMAL_MODE_CHECK_TOL * max(1.0, high):
         raise NumericDomainError("closed-form mode frequencies disagree with eig(JH)")
-    return ModeSpectrum(freq1=low, freq2=high, discriminant=disc)
+    return ModeSpectrum(freq1=low, freq2=high)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,9 @@ from .symplectic import (
     Ordering,
     _check_finite,
     _check_spd_matrix,
+    _party_size,
     _validated,
+    _xp_positions,
     rsup_check,
 )
 
@@ -151,14 +153,9 @@ def _sign_pattern(dim: int, ordering: Ordering) -> np.ndarray:
     momentum coordinates.
     """
     n_modes = dim // 2
-    if n_modes % 2:
-        raise ValueError(f"cannot split {n_modes} modes into two equal parties")
-    if ordering is Ordering.MODE_INTERLEAVED:
-        momenta = slice(n_modes + 1, dim, 2)
-    else:
-        momenta = slice(n_modes + n_modes // 2, dim)
+    _, p = _xp_positions(n_modes, ordering)
     signs = np.ones(dim)
-    signs[momenta] = -1.0
+    signs[p[_party_size(n_modes):]] = -1.0
     pattern = np.outer(signs, signs)
     pattern.setflags(write=False)
     return pattern
@@ -167,14 +164,14 @@ def _sign_pattern(dim: int, ordering: Ordering) -> np.ndarray:
 def partial_transpose(sigma: CovarianceMatrix) -> CovarianceMatrix:
     """Flip the momentum coordinates of party B (mirror reflection).
 
-    ``sigma`` must be a CovarianceMatrix in a named ordering, which locates
-    the momenta; party B is the second half of its modes. The operation is
+    ``sigma`` must be a CovarianceMatrix, whose ordering locates the
+    momenta; party B is the second half of its modes. The operation is
     an involution: applying it twice returns the input. The sign flips are
     exact, so the output keeps the symmetry and spectrum that passed when
     ``sigma`` was built and is not checked again.
     """
-    if not isinstance(sigma, CovarianceMatrix) or sigma.ordering is None:
-        raise ValueError("partial_transpose needs a CovarianceMatrix in a named ordering")
+    if not isinstance(sigma, CovarianceMatrix):
+        raise ValueError("partial_transpose needs a CovarianceMatrix, which names its ordering")
     m = sigma.matrix
     return _validated(m * _sign_pattern(len(m), sigma.ordering), sigma.ordering)
 

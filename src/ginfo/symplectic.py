@@ -1,6 +1,6 @@
 """Dense small-matrix kernels for Gaussian phase-space states.
 
-Symplectic forms in the two common coordinate orderings, symplectic spectra,
+Symplectic forms in three named coordinate orderings, symplectic spectra,
 uncertainty checks, congruence transforms, SPD square roots and generalized
 eigenvalues. Everything operates on plain ``numpy`` arrays; the light wrapper
 types carry the phase-space ordering so callers cannot silently mix bases.
@@ -30,6 +30,30 @@ class Ordering(Enum):
 
     MODE_INTERLEAVED = "mode_interleaved"   # (x1, p1, x2, p2, ...)
     BLOCK_XP = "block_xp"                   # (x1, ..., xn, p1, ..., pn)
+    PARTY_BLOCK_XP = "party_block_xp"       # two equal parties in BLOCK_XP, party A first
+
+
+def _party_size(n_modes: int) -> int:
+    if n_modes % 2:
+        raise ValueError(f"cannot split {n_modes} modes into two equal parties")
+    return n_modes // 2
+
+
+def _xp_positions(n_modes: int, ordering: Ordering) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``(x1, ..., xn)`` and of ``(p1, ..., pn)`` in a vector of ``ordering``.
+
+    The one coordinate map: forms, permutations and reflections read it.
+    """
+    k = np.arange(n_modes)
+    if ordering is Ordering.MODE_INTERLEAVED:
+        return 2 * k, 2 * k + 1
+    if ordering is Ordering.BLOCK_XP:
+        return k, n_modes + k
+    if ordering is Ordering.PARTY_BLOCK_XP:
+        half = _party_size(n_modes)
+        x = k + (k // half) * half   # party B starts after party A's 2 * half coordinates
+        return x, x + half
+    raise ValueError(f"unknown ordering {ordering!r}")
 
 
 def _freeze(matrix) -> np.ndarray:
@@ -43,12 +67,6 @@ def as_matrix(obj) -> np.ndarray:
     if isinstance(obj, (CovarianceMatrix, SymplecticForm)):
         return obj.matrix
     return np.asarray(obj, dtype=float)
-
-
-def _ordering_of(obj):
-    if isinstance(obj, (CovarianceMatrix, SymplecticForm)):
-        return obj.ordering
-    return None
 
 
 def _check_finite(names: str, *values) -> None:
@@ -106,14 +124,13 @@ def _check_spd_matrix(matrix) -> np.ndarray:
 class CovarianceMatrix:
     """Symmetric positive-definite matrix of symmetrized second moments.
 
-    ``ordering`` may be None for caller-managed bases (e.g. a party-blocked
-    layout); such a matrix works with every spectral kernel as long as the
-    companion form uses the same basis, but cannot be written to a matrix
-    file (:mod:`ginfo.matrixio`), whose header names the ordering.
+    ``ordering`` names the basis, which gives the matrix its standard form
+    and its matrix-file header (:mod:`ginfo.matrixio`); a bipartite pair
+    state is in ``Ordering.PARTY_BLOCK_XP``.
     """
 
     matrix: np.ndarray
-    ordering: Ordering | None = Ordering.MODE_INTERLEAVED
+    ordering: Ordering = Ordering.MODE_INTERLEAVED
 
     def __post_init__(self):
         m = _check_spd_matrix(np.asarray(self.matrix, dtype=float))
@@ -124,7 +141,7 @@ class CovarianceMatrix:
         return self.matrix.shape[0] // 2
 
 
-def _validated(matrix: np.ndarray, ordering: Ordering | None) -> CovarianceMatrix:
+def _validated(matrix: np.ndarray, ordering: Ordering) -> CovarianceMatrix:
     """Wrap a matrix known to be symmetric positive definite, unchecked.
 
     Takes ownership: a float array is not copied but made read-only in place,
@@ -149,7 +166,7 @@ class SymplecticForm:
     """
 
     matrix: np.ndarray
-    ordering: Ordering | None = Ordering.MODE_INTERLEAVED
+    ordering: Ordering = Ordering.MODE_INTERLEAVED
     orthogonal: bool = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -170,54 +187,40 @@ class SymplecticForm:
 def build_symplectic_form(n_modes: int, ordering: Ordering = Ordering.MODE_INTERLEAVED) -> SymplecticForm:
     """Undeformed form for ``n_modes`` modes in the requested ordering.
 
-    MODE_INTERLEAVED gives ``diag(J2, ..., J2)``; BLOCK_XP gives
-    ``[[0, I], [-I, 0]]``.
+    ``[x_k, p_k] = 1`` wherever ``ordering`` puts x_k and p_k: ``diag(J2, ...)``
+    in MODE_INTERLEAVED, ``[[0, I], [-I, 0]]`` in BLOCK_XP, one per party.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    if ordering is Ordering.MODE_INTERLEAVED:
-        m = np.kron(np.eye(n_modes), J2)
-    elif ordering is Ordering.BLOCK_XP:
-        eye = np.eye(n_modes)
-        zero = np.zeros((n_modes, n_modes))
-        m = np.block([[zero, eye], [-eye, zero]])
-    else:
-        raise ValueError(f"unknown ordering {ordering!r}")
+    x, p = _xp_positions(n_modes, ordering)
+    m = np.zeros((2 * n_modes, 2 * n_modes))
+    m[x, p] = 1.0
+    m[p, x] = -1.0
     return SymplecticForm(m, ordering=ordering)
 
 
-def ordering_permutation(n_modes: int, source: Ordering, target: Ordering) -> np.ndarray:
-    """Permutation P with ``v_target = P v_source`` (and P^-1 = P^T)."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    if source is target:
-        return np.eye(2 * n_modes)
-    p = np.zeros((2 * n_modes, 2 * n_modes))
-    # rows index BLOCK_XP, columns MODE_INTERLEAVED
-    for k in range(n_modes):
-        p[k, 2 * k] = 1.0
-        p[n_modes + k, 2 * k + 1] = 1.0
-    if source is Ordering.MODE_INTERLEAVED and target is Ordering.BLOCK_XP:
-        return p
-    return p.T
-
-
 def permute_ordering(matrix: np.ndarray, source: Ordering, target: Ordering) -> np.ndarray:
-    """Conjugate a raw matrix from ``source`` to ``target`` ordering."""
+    """Move a raw matrix from ``source`` to ``target`` ordering, entries unchanged."""
     m = np.asarray(matrix, dtype=float)
     n = _check_square_even(m)
-    p = ordering_permutation(n, source, target)
-    return p @ m @ p.T
+    source_at, target_at = (np.concatenate(_xp_positions(n, o)) for o in (source, target))
+    # entry i of a target vector is entry take[i] of the source vector
+    take = source_at[np.argsort(target_at)]
+    return m[np.ix_(take, take)]
+
+
+def _check_same_ordering(first, second, names: tuple[str, str]) -> None:
+    """Raise ValueError if two wrappers name different orderings; a raw array names none."""
+    a, b = getattr(first, "ordering", None), getattr(second, "ordering", None)
+    if a is not None and b is not None and a is not b:
+        raise ValueError(f"ordering mismatch: {names[0]} {a} vs {names[1]} {b}")
 
 
 def _check_compatible(sigma, form) -> tuple[np.ndarray, np.ndarray]:
-    s = as_matrix(sigma)
-    w = as_matrix(form)
+    s, w = as_matrix(sigma), as_matrix(form)
     if s.shape[-2:] != w.shape:
         raise ValueError(f"size mismatch: state {s.shape} vs form {w.shape}")
-    so, wo = _ordering_of(sigma), _ordering_of(form)
-    if so is not None and wo is not None and so is not wo:
-        raise ValueError(f"ordering mismatch: state {so} vs form {wo}")
+    _check_same_ordering(sigma, form, ("state", "form"))
     return s, w
 
 
@@ -228,7 +231,8 @@ def symplectic_spectrum(sigma, form) -> np.ndarray:
         sigma: SPD state matrix (CovarianceMatrix or ndarray), or a
             ``(..., 2n, 2n)`` ndarray stack of them.
         form: one invertible antisymmetric form in the same basis, shared by
-            every member of a stack.
+            every member of a stack. A CovarianceMatrix and a SymplecticForm
+            must name the same ordering; a raw array names none.
 
     Returns:
         The n moduli of the conjugate eigenvalue pairs of ``Omega^-1 Sigma``
@@ -239,14 +243,13 @@ def symplectic_spectrum(sigma, form) -> np.ndarray:
 
     ``Omega^-1 Sigma`` is taken as ``Omega^T Sigma`` for an orthogonal
     SymplecticForm (``SymplecticForm.orthogonal``; every signed-permutation
-    form, such as :func:`build_symplectic_form` and the party form of
-    :mod:`ginfo.bipartite` give), and through ``solve`` for every other form
-    and for a raw array. For a signed permutation both products are exact
-    and equal in value. They can differ only in the sign of a zero entry,
-    which the eigensolver's Householder steps read: on matrices with such
-    zeros the spectra may then differ in the last bits (measured: none on
-    mode-interleaved two-mode states, up to 29 ulp on party-basis pair
-    states).
+    form, such as :func:`build_symplectic_form` gives in every ordering),
+    and through ``solve`` for every other form and for a raw array. For a
+    signed permutation both products are exact and equal in value. They can
+    differ only in the sign of a zero entry, which the eigensolver's
+    Householder steps read: on matrices with such zeros the spectra may then
+    differ in the last bits (measured: none on mode-interleaved two-mode
+    states, up to 29 ulp on ``PARTY_BLOCK_XP`` pair states).
     """
     s, w = _check_compatible(sigma, form)
     if not isinstance(sigma, CovarianceMatrix):
@@ -290,14 +293,15 @@ def _check_invertible_transform(s: np.ndarray, dim: int):
 def congruence_apply(s, sigma) -> CovarianceMatrix:
     """Transform a state by ``Sigma -> S Sigma S^T``.
 
-    The result carries no named ordering: a general invertible S mixes the
-    coordinate roles, so the caller owns the basis bookkeeping.
+    ``S`` acts on the coordinates of ``sigma``, so the result keeps the
+    ordering of ``sigma`` (the default ordering for a raw array).
     """
     sm = np.asarray(s, dtype=float)
     m = _check_spd_matrix(sigma)
     _check_invertible_transform(sm, m.shape[0])
     out = sm @ m @ sm.T
-    return CovarianceMatrix(0.5 * (out + out.T), ordering=None)
+    return CovarianceMatrix(0.5 * (out + out.T),
+                            getattr(sigma, "ordering", Ordering.MODE_INTERLEAVED))
 
 
 def matrix_sqrt_spd(matrix) -> np.ndarray:
@@ -324,12 +328,14 @@ def generalized_eigenvalues(sigma1, sigma2) -> np.ndarray:
     """Eigenvalues of ``Sigma1^-1/2 Sigma2 Sigma1^-1/2``, sorted ascending.
 
     These solve ``det(Sigma2 - lam Sigma1) = 0``; the symmetric route keeps
-    them real and positive for SPD inputs.
+    them real and positive for SPD inputs. Two CovarianceMatrix inputs must
+    name the same ordering.
     """
     inv_root = matrix_inv_sqrt_spd(sigma1)
     m2 = _check_spd_matrix(sigma2)
     if inv_root.shape != m2.shape:
         raise ValueError(f"size mismatch: {inv_root.shape} vs {m2.shape}")
+    _check_same_ordering(sigma1, sigma2, ("state 1", "state 2"))
     vals = np.linalg.eigvalsh(inv_root @ m2 @ inv_root)
     if vals.min() <= 0:
         raise NumericDomainError("generalized eigenvalues came out nonpositive")

@@ -35,11 +35,12 @@ def random_nondegenerate_canonical(rng, floor=0.05, margin=1e-6):
 # Hermitian route for the Bopp-shifted pair of the figure sweeps (eta = 0)
 #
 # Built with numpy alone from the formulas in the docstrings of
-# ``ginfo.bipartite`` (``pair_cvm``, ``party_form``, ``bopp_shift``,
-# ``reflection_matrix``), so it shares no code with ``symplectic_spectrum`` or
-# with the bipartite builders it checks. The reflected deformed state
-# ``R S Sigma S^T R`` satisfies the uncertainty relation with respect to the
-# deformed form ``S Omega S^T`` exactly when
+# ``ginfo.bipartite`` (``pair_cvm``, ``bopp_shift``) and of its party basis
+# ``Ordering.PARTY_BLOCK_XP``, whose form and reflection of party B's momenta
+# are written out below. It shares no code with ``symplectic_spectrum``, with
+# ``build_symplectic_form`` or with the bipartite builders it checks. The
+# reflected deformed state ``R S Sigma S^T R`` satisfies the uncertainty
+# relation with respect to the deformed form ``S Omega S^T`` exactly when
 # ``R S Sigma S^T R + (i/2) S Omega S^T`` is positive semidefinite, which is
 # the same condition as a nonnegative separability margin.
 

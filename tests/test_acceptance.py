@@ -24,6 +24,7 @@ from ginfo import (
     CanonicalTwoModeParams,
     CovarianceMatrix,
     NormalFormPoint,
+    Ordering,
     bipartite,
     build_symplectic_form,
     canonical_sqrt_closed,
@@ -68,7 +69,8 @@ def test_ac01_pair_uncertainty_spectrum():
     for mn in PAIR_CASES:
         cfg = bipartite.PairConfig(mn, mn)
         expected = (1 + cfg.radius) * math.sqrt(cfg.scale)
-        spec = symplectic_spectrum(bipartite.pair_cvm(cfg), bipartite.party_form())
+        spec = symplectic_spectrum(bipartite.pair_cvm(cfg),
+                                   build_symplectic_form(4, Ordering.PARTY_BLOCK_XP))
         assert np.abs(spec - expected).max() < 1e-9, (mn, spec, expected)
 
 

@@ -11,19 +11,19 @@ from ginfo.bipartite import (
     deformed_pt_spectrum,
     pair_boundary,
     pair_cvm,
-    party_form,
-    reflection_matrix,
     separability_margin,
     theta_sweep,
 )
 from ginfo.errors import SingularMatrixError
-from ginfo.symplectic import (J2, Ordering, build_symplectic_form, ordering_permutation,
+from ginfo.states import partial_transpose
+from ginfo.symplectic import (J2, Ordering, build_symplectic_form, permute_ordering,
                               symplectic_spectrum)
 
 from helpers import QUARTER_CROSSING
 
 RSUP_18 = 1.4069616518051216   # (1 + R) sqrt(b) at m = n = 1/8
 GRID = np.linspace(0.01, 0.99, 99)
+PARTY_FORM = build_symplectic_form(4, Ordering.PARTY_BLOCK_XP)
 
 
 class TestPairCvm:
@@ -38,7 +38,7 @@ class TestPairCvm:
     def test_invariants_all_equal(self):
         for mn, expected in ((0.125, RSUP_18), (0.25, 1.9586045346243641),
                              (0.0625, 1.1892437876685034)):
-            spec = symplectic_spectrum(pair_cvm(PairConfig(mn, mn)), party_form())
+            spec = symplectic_spectrum(pair_cvm(PairConfig(mn, mn)), PARTY_FORM)
             np.testing.assert_allclose(spec, expected, atol=1e-9)
 
     def test_party_swap_symmetry(self):
@@ -49,19 +49,18 @@ class TestPairCvm:
         swap[4:, :4] = np.eye(4)
         swapped = swap @ state @ swap.T
         np.testing.assert_allclose(
-            symplectic_spectrum(swapped, party_form()),
-            symplectic_spectrum(state, party_form()), atol=1e-10)
+            symplectic_spectrum(swapped, PARTY_FORM),
+            symplectic_spectrum(state, PARTY_FORM), atol=1e-10)
 
     def test_interleaved_conversion_is_consistent(self):
         cfg = PairConfig(0.2, 0.15)
         # per party, (x1, x2, p1, p2) -> (x1, p1, x2, p2)
-        perm = np.kron(np.eye(2), ordering_permutation(2, Ordering.BLOCK_XP,
-                                                       Ordering.MODE_INTERLEAVED))
-        state = perm @ pair_cvm(cfg).matrix @ perm.T
+        state = permute_ordering(pair_cvm(cfg).matrix, Ordering.PARTY_BLOCK_XP,
+                                 Ordering.MODE_INTERLEAVED)
         form = build_symplectic_form(4, Ordering.MODE_INTERLEAVED)
         np.testing.assert_allclose(
             np.sort(symplectic_spectrum(state, form)),
-            np.sort(symplectic_spectrum(pair_cvm(cfg), party_form())), atol=1e-10)
+            np.sort(symplectic_spectrum(pair_cvm(cfg), PARTY_FORM)), atol=1e-10)
 
 
     @pytest.mark.parametrize("field", ["m", "n", "theta", "eta"])
@@ -89,12 +88,12 @@ class TestPairCvm:
             cfg = PairConfig(*rng.uniform(-0.7, 0.7, 2))
             cvm = pair_cvm(cfg)
             assert spd_calls == []
-            checked = CovarianceMatrix(cvm.matrix, ordering=None)
+            checked = CovarianceMatrix(cvm.matrix, ordering=Ordering.PARTY_BLOCK_XP)
             assert spd_calls == [(8, 8)]
             spd_calls.clear()
             np.testing.assert_array_equal(cvm.matrix, checked.matrix)
             assert not cvm.matrix.flags.writeable
-            assert cvm.ordering is None
+            assert cvm.ordering is Ordering.PARTY_BLOCK_XP
 
     def test_one_spd_check_per_margin(self, spd_calls):
         separability_margin(PairConfig(0.125, 0.125, theta=0.4, eta=0.1))
@@ -105,7 +104,7 @@ class TestBoppShift:
     def test_undeformed_identity(self):
         shift = bopp_shift(PairConfig(0.1, 0.1))
         np.testing.assert_array_equal(shift.matrix, np.eye(8))
-        np.testing.assert_array_equal(shift.form.matrix, party_form().matrix)
+        np.testing.assert_array_equal(shift.form.matrix, PARTY_FORM.matrix)
 
     def test_deformed_form_blocks(self):
         cfg = PairConfig(0.1, 0.1, theta=0.5, eta=0.3)
@@ -158,8 +157,11 @@ class TestDeformedSpectrum:
         assert separability_margin(PairConfig(0.125, 0.125, theta=0.95)) < 0
 
     def test_reflection_involution(self):
-        refl = reflection_matrix()
-        np.testing.assert_array_equal(refl @ refl, np.eye(8))
+        pair = pair_cvm(PairConfig(0.3, 0.1))
+        once = partial_transpose(pair)
+        signs = np.array([1.0, 1, 1, 1, 1, 1, -1, -1])   # party B's momenta p3, p4
+        np.testing.assert_array_equal(once.matrix, pair.matrix * np.outer(signs, signs))
+        np.testing.assert_array_equal(partial_transpose(once).matrix, pair.matrix)
 
 
 def _boundary_roots(m, n, eta):

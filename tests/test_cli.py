@@ -18,6 +18,7 @@ from ginfo import (
     NormalizationError,
     NumericDomainError,
     Ordering,
+    permute_ordering,
 )
 from ginfo import cli, oscillator
 from ginfo.cli import main
@@ -160,6 +161,48 @@ class TestDistance:
         code = main(["--command", "distance", "--sigma1", str(bad),
                      "--sigma2", str(bad), "--out", str(tmp_path / "o")])
         assert code == 3
+
+    def test_header_token_without_a_value_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cvm"
+        bad.write_text("# cvm modes=1 ordering=mode_interleaved v2\n1 0\n0 1\n")
+        code, text = run(tmp_path, "--command", "distance",
+                         "--sigma1", str(bad), "--a0", "1", "--b0", "1")
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err == ("validation error: state 1 rejected: matrix header "
+                                           "token 'v2' is not a key=value field\n")
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_state_2_compared_in_the_ordering_of_state_1(self, tmp_path, ordering):
+        # one state, saved in two orderings, is at distance 0 from itself
+        m = np.diag([1.0, 2, 3, 4])
+        path1, path2 = tmp_path / "s1.cvm", tmp_path / "s2.cvm"
+        save_cvm(path1, CovarianceMatrix(m, ordering=Ordering.MODE_INTERLEAVED))
+        save_cvm(path2, CovarianceMatrix(permute_ordering(m, Ordering.MODE_INTERLEAVED, ordering),
+                                         ordering=ordering))
+        code, text = run(tmp_path, "--command", "distance",
+                         "--sigma1", str(path1), "--sigma2", str(path2))
+        assert code == 0
+        assert validate_report(text)["results"]["distance_half"] < 1e-12
+
+    def test_states_of_two_sizes_rejected_by_size(self, tmp_path, capsys):
+        path1, path2 = tmp_path / "s1.cvm", tmp_path / "s2.cvm"
+        save_cvm(path1, CovarianceMatrix(np.eye(8), ordering=Ordering.PARTY_BLOCK_XP))
+        save_cvm(path2, CovarianceMatrix(np.eye(2), ordering=Ordering.BLOCK_XP))
+        code, _ = run(tmp_path, "--command", "distance",
+                      "--sigma1", str(path1), "--sigma2", str(path2))
+        assert code == 3
+        assert capsys.readouterr().err == "validation error: size mismatch: (8, 8) vs (2, 2)\n"
+
+    @pytest.mark.parametrize("ordering, code", [(Ordering.PARTY_BLOCK_XP, 0),
+                                                (Ordering.MODE_INTERLEAVED, 3)])
+    def test_uncertainty_bound_read_in_the_file_ordering(self, tmp_path, ordering, code):
+        # variances (1, 1, 0.3, 0.3) per party: as (x1, x2, p1, p2) the
+        # invariants are 2 sqrt(0.3) > 1, as (x1, p1, x2, p2) one is 0.6 < 1
+        path = tmp_path / "s.cvm"
+        save_cvm(path, CovarianceMatrix(np.diag([1.0, 1, 0.3, 0.3] * 2), ordering=ordering))
+        got, _ = run(tmp_path, "--command", "distance",
+                     "--sigma1", str(path), "--sigma2", str(path))
+        assert got == code
 
     def test_missing_source_is_usage_error(self, tmp_path):
         code, _ = run(tmp_path, "--command", "distance", "--a", "1", "--b", "1")

@@ -6,13 +6,14 @@ from ginfo.matrixio import load_cvm, parse_cvm, save_cvm
 from ginfo.randmat import random_spd
 
 
-def test_round_trip_bit_exact(tmp_path):
+@pytest.mark.parametrize("ordering", list(Ordering))
+def test_round_trip_bit_exact(tmp_path, ordering):
     rng = np.random.default_rng(60)
-    cvm = CovarianceMatrix(random_spd(4, rng), ordering=Ordering.BLOCK_XP)
+    cvm = CovarianceMatrix(random_spd(4, rng), ordering=ordering)
     path = tmp_path / "state.cvm"
     save_cvm(path, cvm)
     loaded = load_cvm(path)
-    assert loaded.ordering is Ordering.BLOCK_XP
+    assert loaded.ordering is ordering
     np.testing.assert_array_equal(loaded.matrix, cvm.matrix)
 
 
@@ -23,11 +24,21 @@ def test_unnamed_ordering_rejected(name):
         parse_cvm(f"# cvm modes=1 ordering={name}\n1 0\n0 1\n")
 
 
-def test_matrix_without_ordering_is_not_saved(tmp_path):
+def test_pair_state_saved_in_its_party_basis(tmp_path):
+    pair = bipartite.pair_cvm(bipartite.PairConfig(0.2, 0.1))
     path = tmp_path / "pair.cvm"
-    with pytest.raises(ValueError, match="ordering"):
-        save_cvm(path, bipartite.pair_cvm(bipartite.PairConfig(0.2, 0.1)))
-    assert not path.exists()
+    save_cvm(path, pair)
+    assert path.read_text().startswith("# cvm modes=4 ordering=party_block_xp\n")
+    loaded = load_cvm(path)
+    assert loaded.ordering is Ordering.PARTY_BLOCK_XP
+    np.testing.assert_array_equal(loaded.matrix, pair.matrix)
+
+
+@pytest.mark.parametrize("token", ["v2", "modes", "ordering:block_xp"])
+def test_header_token_without_a_value_named(token):
+    text = f"# cvm modes=1 ordering=mode_interleaved {token}\n1 0\n0 1\n"
+    with pytest.raises(ValueError, match=f"header token '{token}' is not a key=value field"):
+        parse_cvm(text)
 
 
 def test_header_required():

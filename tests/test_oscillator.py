@@ -91,12 +91,6 @@ class TestModeSpectrum:
         assert spec.freq1 == pytest.approx(1.0, abs=1e-12)
         assert spec.freq2 == pytest.approx(2.0, abs=1e-12)
 
-    def test_discriminant_nonnegative(self):
-        rng = np.random.default_rng(40)
-        for _ in range(100):
-            eq = equivalent_params(random_params(rng))
-            assert mode_spectrum(eq).discriminant >= 0
-
     def test_degenerate_case_rejected(self):
         eq = equivalent_params(OscillatorParams(1.0, 1.0, 1.5, 1.5))
         with pytest.raises(DegenerateSpectrumError):

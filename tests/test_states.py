@@ -92,13 +92,14 @@ class TestPartialTranspose:
         np.testing.assert_array_equal(twice.matrix, m)
 
     def test_unnamed_basis_rejected(self):
-        # a raw array and a matrix without a named ordering do not locate party B
+        # a raw array names no ordering, so it does not locate party B
         pair = bipartite.pair_cvm(bipartite.PairConfig(0.1, 0.1))
-        for sigma in (pair, pair.matrix):
-            with pytest.raises(ValueError, match="named ordering"):
-                partial_transpose(sigma)
-            with pytest.raises(ValueError, match="named ordering"):
-                ppt_separable(sigma, bipartite.party_form())
+        form = build_symplectic_form(4, Ordering.PARTY_BLOCK_XP)
+        with pytest.raises(ValueError, match="needs a CovarianceMatrix"):
+            partial_transpose(pair.matrix)
+        with pytest.raises(ValueError, match="needs a CovarianceMatrix"):
+            ppt_separable(pair.matrix, form)
+        assert ppt_separable(pair, form).separable
 
 
 class TestPartialTransposeValidation:
@@ -142,6 +143,8 @@ class TestSignPattern:
         (4, Ordering.BLOCK_XP, (3,)),
         (8, Ordering.MODE_INTERLEAVED, (5, 7)),
         (8, Ordering.BLOCK_XP, (6, 7)),
+        (4, Ordering.PARTY_BLOCK_XP, (3,)),
+        (8, Ordering.PARTY_BLOCK_XP, (6, 7)),
     ])
     def test_pattern_equals_outer_product(self, dim, ordering, flipped):
         m = random_spd(dim, np.random.default_rng(dim))
@@ -192,10 +195,10 @@ class TestPptEigensolverOnly:
     def test_one_eigvals_call(self, linalg_calls, ordering):
         rng = np.random.default_rng(13)
         form = build_symplectic_form(2, ordering)
-        perm = symplectic.ordering_permutation(2, Ordering.MODE_INTERLEAVED, ordering)
         for _ in range(50):
             m = canonical_two_mode_matrix(random_valid_canonical(rng))
-            cvm = CovarianceMatrix(perm @ m @ perm.T, ordering=ordering)
+            cvm = CovarianceMatrix(symplectic.permute_ordering(m, Ordering.MODE_INTERLEAVED,
+                                                               ordering), ordering=ordering)
             linalg_calls.clear()
             res = ppt_separable(cvm, form)
             assert linalg_calls == {"eigvals": 1}

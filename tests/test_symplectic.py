@@ -15,7 +15,6 @@ from ginfo import (
     congruence_apply,
     generalized_eigenvalues,
     matrix_sqrt_spd,
-    ordering_permutation,
     permute_ordering,
     rsup_check,
     symplectic_spectrum,
@@ -23,7 +22,10 @@ from ginfo import (
 from ginfo import bipartite, symplectic
 from ginfo.oscillator import OscillatorParams
 from ginfo.randmat import random_invertible, random_spd, random_symplectic
+from ginfo.selftest import _orderings
 from ginfo.symplectic import J2, _validated, check_spd
+
+PARTY_FORM = build_symplectic_form(4, Ordering.PARTY_BLOCK_XP)
 
 
 class TestBuildForm:
@@ -43,9 +45,20 @@ class TestBuildForm:
         expected[2:, 2:] = J2
         np.testing.assert_array_equal(form.matrix, expected)
 
+    def test_party_block_xp_is_one_block_xp_form_per_party(self):
+        form = build_symplectic_form(4, Ordering.PARTY_BLOCK_XP)
+        block = build_symplectic_form(2, Ordering.BLOCK_XP).matrix
+        np.testing.assert_array_equal(form.matrix, np.kron(np.eye(2), block))
+        assert form.ordering is Ordering.PARTY_BLOCK_XP
+
     def test_zero_modes_rejected(self):
         with pytest.raises(ValueError):
             build_symplectic_form(0)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_odd_mode_count_has_no_party_basis(self, n):
+        with pytest.raises(ValueError, match=f"cannot split {n} modes into two equal parties"):
+            build_symplectic_form(n, Ordering.PARTY_BLOCK_XP)
 
 
 class TestReorder:
@@ -58,9 +71,26 @@ class TestReorder:
                                Ordering.BLOCK_XP)
         np.testing.assert_array_equal(np.diag(out), [1, 3, 2, 4])
 
+    def test_party_diagonal_permutation(self):
+        # (x1, p1, ..., x4, p4) -> (x1, x2, p1, p2, x3, x4, p3, p4)
+        out = permute_ordering(np.diag(np.arange(1.0, 9.0)), Ordering.MODE_INTERLEAVED,
+                               Ordering.PARTY_BLOCK_XP)
+        np.testing.assert_array_equal(np.diag(out), [1, 3, 2, 4, 5, 7, 6, 8])
+
     def test_permutation_inverse_is_transpose(self):
-        p = ordering_permutation(3, Ordering.MODE_INTERLEAVED, Ordering.BLOCK_XP)
-        np.testing.assert_allclose(p @ p.T, np.eye(6), atol=0)
+        # moving back undoes the move exactly, for every pair of orderings
+        for n in (1, 2, 3, 4):
+            m = np.random.default_rng(n).normal(size=(2 * n, 2 * n))
+            for source in _orderings(n):
+                for target in _orderings(n):
+                    there = permute_ordering(m, source, target)
+                    np.testing.assert_array_equal(permute_ordering(there, target, source), m)
+
+    def test_forms_map_onto_each_other(self):
+        for source in Ordering:
+            for target in Ordering:
+                moved = permute_ordering(build_symplectic_form(4, source).matrix, source, target)
+                np.testing.assert_array_equal(moved, build_symplectic_form(4, target).matrix)
 
 
 class TestSpectrum:
@@ -78,7 +108,7 @@ class TestSpectrum:
 
     def test_pair_family_all_equal(self):
         cfg = bipartite.PairConfig(0.125, 0.125)
-        spec = symplectic_spectrum(bipartite.pair_cvm(cfg), bipartite.party_form())
+        spec = symplectic_spectrum(bipartite.pair_cvm(cfg), PARTY_FORM)
         np.testing.assert_allclose(spec, 1.4069616518051216, atol=1e-9)
 
     def test_rejects_indefinite(self):
@@ -125,7 +155,7 @@ class TestSpectrumFormCheck:
         standard = build_symplectic_form(2)
         t = random_invertible(4, np.random.default_rng(2))
         moved = t @ standard.matrix @ t.T
-        skewed = SymplecticForm(0.5 * (moved - moved.T), ordering=None)
+        skewed = SymplecticForm(0.5 * (moved - moved.T))
         assert standard.orthogonal and not skewed.orthogonal
         for form in (standard, skewed):
             det_calls.clear()
@@ -215,8 +245,8 @@ class TestOrthogonalForms:
         monkeypatch.setattr(np.linalg, "solve", counted)
         return calls
 
-    @pytest.mark.parametrize("n", [1, 2, 4])
-    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("ordering, n", [(o, n) for o in Ordering for n in (1, 2, 4)
+                                             if o in _orderings(n)])
     def test_spectrum_equals_the_solve_route(self, solve_calls, n, ordering):
         form = build_symplectic_form(n, ordering)
         assert form.orthogonal
@@ -247,7 +277,7 @@ class TestOrthogonalForms:
                                    symplectic_spectrum(stack, form.matrix), rtol=1e-13, atol=0)
 
     def test_party_forms_are_orthogonal(self):
-        assert bipartite.party_form().orthogonal
+        assert PARTY_FORM.orthogonal
         assert bipartite.bopp_shift(bipartite.PairConfig(0.1, 0.2)).form.orthogonal
 
     @pytest.mark.parametrize("theta, eta", [(0.3, 0.0), (0.0, 0.7), (0.4, -0.9)])
@@ -281,8 +311,7 @@ class TestValidatedWrapper:
 
 
 class TestRandomSymplectic:
-    @pytest.mark.parametrize("ordering", list(Ordering))
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n, ordering", [(n, o) for n in (1, 2) for o in _orderings(n)])
     def test_preserves_form_and_stays_conditioned(self, n, ordering):
         form = build_symplectic_form(n, ordering).matrix
         for seed in range(500):
@@ -304,7 +333,7 @@ class TestRsup:
 
     def test_pair_family(self):
         cfg = bipartite.PairConfig(0.125, 0.125)
-        res = rsup_check(bipartite.pair_cvm(cfg), bipartite.party_form())
+        res = rsup_check(bipartite.pair_cvm(cfg), PARTY_FORM)
         assert res.valid
         np.testing.assert_allclose(res.min_invariant, 1.4069616518051216, atol=1e-9)
 
@@ -325,6 +354,11 @@ class TestCongruence:
         sigma = bipartite.pair_cvm(cfg)
         out = congruence_apply(s, sigma)
         np.testing.assert_allclose(out.matrix, s @ sigma.matrix @ s.T, atol=1e-14)
+        assert out.ordering is Ordering.PARTY_BLOCK_XP
+
+    def test_raw_state_takes_the_default_ordering(self):
+        out = congruence_apply(np.eye(4), random_spd(4, np.random.default_rng(1)))
+        assert out.ordering is Ordering.MODE_INTERLEAVED
 
 
 class TestSqrt:
@@ -355,6 +389,15 @@ class TestGeneralizedEigenvalues:
         m = random_spd(4, np.random.default_rng(3))
         np.testing.assert_allclose(generalized_eigenvalues(m, 2 * m), 2 * np.ones(4),
                                    atol=1e-12)
+
+    def test_rejects_mixed_orderings(self):
+        # one matrix labelled with two orderings; a raw array names none
+        m = np.diag([1.0, 2, 3, 4])
+        interleaved = CovarianceMatrix(m, ordering=Ordering.MODE_INTERLEAVED)
+        block = CovarianceMatrix(m, ordering=Ordering.BLOCK_XP)
+        with pytest.raises(ValueError, match="ordering mismatch: state 1 .* vs state 2"):
+            generalized_eigenvalues(interleaved, block)
+        np.testing.assert_allclose(generalized_eigenvalues(interleaved, m), 1.0, atol=1e-15)
 
     def test_each_raw_input_checked_once(self, monkeypatch):
         rng = np.random.default_rng(6)
