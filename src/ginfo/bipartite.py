@@ -64,9 +64,6 @@ class PairConfig:
         return (1.0 + self.radius) / (1.0 - self.radius)
 
 
-_PARTY_FORM = build_symplectic_form(4, Ordering.PARTY_BLOCK_XP)
-
-
 def pair_cvm(cfg: PairConfig) -> CovarianceMatrix:
     """Covariance matrix ``(b/2) [[I, gamma], [gamma, I]]`` of the pair.
 
@@ -101,7 +98,7 @@ def bopp_shift(cfg: PairConfig) -> BoppShift:
     s = np.zeros((8, 8))
     s[:4, :4] = party
     s[4:, 4:] = party
-    deformed = s @ _PARTY_FORM.matrix @ s.T
+    deformed = s @ build_symplectic_form(4, Ordering.PARTY_BLOCK_XP).matrix @ s.T
     return BoppShift(matrix=s, form=SymplecticForm(0.5 * (deformed - deformed.T),
                                                    Ordering.PARTY_BLOCK_XP))
 

@@ -30,7 +30,6 @@ from .errors import (
 from .symplectic import (
     CovarianceMatrix,
     _validated,
-    build_symplectic_form,
     generalized_eigenvalues,
     permute_ordering,
     rsup_check,
@@ -218,7 +217,7 @@ def _load_state(which: str, source: dict) -> CovarianceMatrix:
             cvm = matrixio.load_cvm(path)
         else:
             cvm = states.canonical_two_mode_cvm(states.CanonicalTwoModeParams(*source.values()))
-        check = rsup_check(cvm, build_symplectic_form(cvm.n_modes, cvm.ordering))
+        check = rsup_check(cvm)
         if not check.valid:
             raise InputValidationError(
                 f"state {which} violates the uncertainty bound: "
@@ -292,9 +291,7 @@ def _run_oscillator(args) -> int:
     # the thresholds hold for the state in units of hbar, a positive multiple
     # of the validated state
     units = _validated(cvm.matrix / p.hbar, cvm.ordering)
-    form = build_symplectic_form(2)
     report = oscillator.separability_condition(p)
-    ppt = states.ppt_separable(units, form)
     results = {
         "equivalent": {"mass1": eq.mass1, "mass2": eq.mass2,
                        "stiffness1": eq.stiffness1, "stiffness2": eq.stiffness2,
@@ -303,10 +300,10 @@ def _run_oscillator(args) -> int:
         "exponent": {"m11": exponent.m11, "m22": exponent.m22,
                      "cross_imag": exponent.cross_imag},
         "covariance": [list(row) for row in cvm.matrix],
-        "min_invariant": rsup_check(units, form).min_invariant,
+        "min_invariant": rsup_check(units).min_invariant,
         "separable": report.separable,
         "constraint_gap": report.lhs_rhs_gap,
-        "ppt_margin": ppt.margin,
+        "ppt_margin": states.ppt_separable(units).margin,
         "hbar_effective": p.hbar_effective,
     }
     try:
@@ -368,16 +365,15 @@ class Command(NamedTuple):
     defaults: dict = {}
 
 
-_SWEEP_FLAGS = ("eta", "grid", "format", "seed", "out")
+_SWEEP_FLAGS = ("eta", "grid", "format", "out")
 COMMANDS = {
     **{name: Command(_run_sweep, _SWEEP_FLAGS, {"m": mn, "n": mn})
        for name, mn in FIGURE_CORRELATIONS.items()},
     "sweep": Command(_run_sweep, ("m", "n", *_SWEEP_FLAGS)),
     "distance": Command(_run_distance, ("a", "b", "c", "d", "a0", "b0", "c0", "d0",
                                         "sigma1", "sigma2", "check_invariance", "seed", "out")),
-    "metric": Command(_run_metric, ("a", "b", "c", "d", "seed", "out"), {"c": 0.0, "d": 0.0}),
-    "oscillator": Command(_run_oscillator,
-                          ("m1", "m2", "w1", "w2", "theta", "eta", "hbar", "seed", "out")),
+    "metric": Command(_run_metric, ("a", "b", "c", "d", "out"), {"c": 0.0, "d": 0.0}),
+    "oscillator": Command(_run_oscillator, ("m1", "m2", "w1", "w2", "theta", "eta", "hbar", "out")),
     "volume": Command(_run_volume, ("region", "samples", "seed", "kappa", "power", "box", "out")),
     "selftest": Command(_run_selftest, ("seed", "out")),
 }

@@ -20,7 +20,6 @@ from .states import CanonicalTwoModeParams, ppt_separable
 from .symplectic import (
     Ordering,
     as_matrix,
-    build_symplectic_form,
     _check_finite,
     _check_spd_matrix,
     _validated,
@@ -393,7 +392,6 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
     box_volume = float(np.prod(highs - lows))
     draws = rng.uniform(lows, highs, size=(samples, 4))
     stack = _canonical_stack(draws)
-    form = build_symplectic_form(2, Ordering.MODE_INTERLEAVED)
     physical = _physical(draws)
     values = np.zeros(samples)
     accepted = 0
@@ -401,7 +399,7 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
     for i in np.flatnonzero(physical).tolist():
         if region.predicate != "quantum":
             sigma = _validated(stack[i], Ordering.MODE_INTERLEAVED)
-            separable = ppt_separable(sigma, form).separable
+            separable = ppt_separable(sigma).separable
             if separable != (region.predicate == "separable"):
                 continue
         accepted += 1

@@ -25,8 +25,6 @@ from .policy import (DECOUPLED_TOL, DEGENERATE_MODES_TOL, EXPONENT_CHECK_TOL, HA
                      NORMAL_MODE_CHECK_TOL, SINGULAR_MOMENTUM_TOL, ZERO_COUPLING_TOL)
 from .symplectic import J2, CovarianceMatrix, Ordering, _check_finite, build_symplectic_form
 
-_J4 = build_symplectic_form(2, Ordering.MODE_INTERLEAVED).matrix
-
 
 @dataclass(frozen=True)
 class OscillatorParams:
@@ -158,7 +156,8 @@ def mode_spectrum(eq: EquivalentParams) -> ModeSpectrum:
         raise DegenerateSpectrumError("degenerate normal modes (isotropic undeformed case)")
     low = math.sqrt((inv_sum - disc) / 2.0)
     high = math.sqrt((inv_sum + disc) / 2.0)
-    numeric = np.sort(np.abs(np.linalg.eigvals(_J4 @ equivalent_hamiltonian_matrix(eq)).imag))[::2]
+    j = build_symplectic_form(2, Ordering.MODE_INTERLEAVED).matrix
+    numeric = np.sort(np.abs(np.linalg.eigvals(j @ equivalent_hamiltonian_matrix(eq)).imag))[::2]
     if np.abs(numeric - [low, high]).max() > NORMAL_MODE_CHECK_TOL * max(1.0, high):
         raise NumericDomainError("closed-form mode frequencies disagree with eig(JH)")
     return ModeSpectrum(freq1=low, freq2=high)
@@ -200,7 +199,8 @@ def eigvec_coefficients(eq: EquivalentParams, spec: ModeSpectrum) -> ModeCoeffic
     """
     rows = np.array([_mode_coeff_row(spec.freq1, eq), _mode_coeff_row(spec.freq2, eq)])
     norms = []
-    hj = _J4 @ equivalent_hamiltonian_matrix(eq)
+    hj = (build_symplectic_form(2, Ordering.MODE_INTERLEAVED).matrix
+          @ equivalent_hamiltonian_matrix(eq))
     for j, lam in enumerate((spec.freq1, spec.freq2)):
         k0, k1, k2, k3 = rows[j]
         norm_sq = 2.0 * (k2 * k3 - k0 * k1)

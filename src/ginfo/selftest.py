@@ -63,7 +63,7 @@ def battery_form_antisymmetry(rng) -> PropertyResult:
 
 def battery_williamson_invariance(rng) -> PropertyResult:
     cases = 200
-    form = build_symplectic_form(2)
+    form = build_symplectic_form(2, Ordering.MODE_INTERLEAVED)
     dev = 0.0
     for _ in range(cases):
         sigma = random_spd(4, rng)
@@ -123,7 +123,7 @@ def _random_valid_canonical(rng) -> states.CanonicalTwoModeParams:
         m = states.canonical_two_mode_matrix(p)
         if np.linalg.eigvalsh(m).min() < 1e-6:
             continue
-        if symplectic_spectrum(m, build_symplectic_form(2)).min() < 1.0:
+        if symplectic_spectrum(m, build_symplectic_form(2, Ordering.MODE_INTERLEAVED)).min() < 1.0:
             continue
         return p
 
@@ -162,13 +162,12 @@ def battery_local_symplectic_invariance(rng) -> PropertyResult:
 
 def battery_ppt_simon_agreement(rng) -> PropertyResult:
     cases = 500
-    form = build_symplectic_form(2)
     bad = 0
     used = 0
     while used < cases:
         p = _random_valid_canonical(rng)
         cvm = states.canonical_two_mode_cvm(p)
-        verdict = states.ppt_separable(cvm, form)
+        verdict = states.ppt_separable(cvm)
         criterion = states.simon_invariants(cvm).criterion
         if abs(verdict.margin) < 1e-8 or abs(criterion) < 1e-10:
             continue
@@ -181,7 +180,7 @@ def battery_ppt_simon_agreement(rng) -> PropertyResult:
 
 def battery_quantum_region_oracle(rng) -> PropertyResult:
     cases = 1500
-    form = build_symplectic_form(2)
+    form = build_symplectic_form(2, Ordering.MODE_INTERLEAVED)
     bad = 0
     used = 0
     for _ in range(cases):
@@ -326,7 +325,7 @@ def battery_spectrum_closed_vs_numeric(rng) -> PropertyResult:
         eq = oscillator.equivalent_params(p)
         spec = oscillator.mode_spectrum(eq)
         numeric = np.sort(np.abs(np.linalg.eigvals(
-            build_symplectic_form(2).matrix
+            build_symplectic_form(2, Ordering.MODE_INTERLEAVED).matrix
             @ oscillator.equivalent_hamiltonian_matrix(eq)).imag))[::2]
         dev = max(dev, np.abs(numeric - [spec.freq1, spec.freq2]).max())
     return _result("closed-form mode frequencies match eig(JH)", dev, 1e-8, cases)
@@ -347,7 +346,6 @@ def battery_exponent_structure(rng) -> PropertyResult:
 
 
 def battery_separability_triangle(rng) -> PropertyResult:
-    form = build_symplectic_form(2)
     checks = []
     points = [
         oscillator.OscillatorParams(1.0, 1.0, 1.0, 2.0),                      # undeformed
@@ -360,7 +358,7 @@ def battery_separability_triangle(rng) -> PropertyResult:
         lhs, rhs = oscillator.separability_sides(p)
         rel_gap = abs(report.lhs_rhs_gap) / max(abs(lhs), abs(rhs), 1e-300)
         cvm = oscillator.ground_state_cvm(oscillator.ground_state(p), p.hbar)
-        ppt = states.ppt_separable(cvm, form)
+        ppt = states.ppt_separable(cvm)
         gap_zero = rel_gap < 1e-9
         checks.append(report.separable == gap_zero == ppt.separable)
     return PropertyResult("cross coupling, closed-form gap and reflection verdict agree",
@@ -368,7 +366,6 @@ def battery_separability_triangle(rng) -> PropertyResult:
 
 
 def battery_isotropy_separable(rng) -> PropertyResult:
-    form = build_symplectic_form(2)
     worst = 0.0
     cases = 0
     for theta in np.linspace(0.0, 0.9, 6):
@@ -377,7 +374,7 @@ def battery_isotropy_separable(rng) -> PropertyResult:
                                             theta=float(theta), eta=float(eta))
             cross = abs(oscillator.ground_state(p).cross_imag)
             cvm = oscillator.ground_state_cvm(oscillator.ground_state(p), p.hbar)
-            margin = states.ppt_separable(cvm, form).margin
+            margin = states.ppt_separable(cvm).margin
             worst = max(worst, cross, max(0.0, -margin))
             cases += 1
     return _result("isotropic oscillator stays separable over the grid", worst, 1e-9, cases)
@@ -496,14 +493,13 @@ def battery_explicit_distance(rng) -> PropertyResult:
 
 def battery_separable_region_oracle(rng) -> PropertyResult:
     cases = 500
-    form = build_symplectic_form(2)
     bad = 0
     used = 0
     while used < cases:
         p = _random_valid_canonical(rng)
         if abs(p.c) < 1e-3:
             continue   # the separable window excludes c = 0
-        verdict = states.ppt_separable(states.canonical_two_mode_cvm(p), form)
+        verdict = states.ppt_separable(states.canonical_two_mode_cvm(p))
         if abs(verdict.margin) < 1e-6:
             continue
         used += 1

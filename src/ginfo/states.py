@@ -4,9 +4,9 @@ The canonical family is the standard block form ``[[a I, C], [C, b I]]`` with
 ``C = diag(c, d)`` in the mode-interleaved basis (x1, p1, x2, p2): mode 1 has
 variances (a, a), mode 2 has (b, b), and c, d are the x-x and p-p cross
 correlations. Membership tests for the physical and separable parameter
-regions are implemented from their closed-form windows, with the spectral
-checks (:func:`ginfo.symplectic.rsup_check`, :func:`ppt_separable`) as the
-authoritative verdicts whenever the two disagree on a boundary.
+regions follow their closed-form windows; the spectral checks against a
+state's own form (:func:`ginfo.symplectic.rsup_check`, :func:`ppt_separable`)
+are authoritative whenever the two disagree on a boundary.
 """
 
 from __future__ import annotations
@@ -182,15 +182,15 @@ class PptResult:
     margin: float   # min post-reflection invariant minus 1
 
 
-def ppt_separable(sigma: CovarianceMatrix, form) -> PptResult:
+def ppt_separable(sigma: CovarianceMatrix) -> PptResult:
     """Positive-partial-transpose separability verdict for a bipartite state.
 
     A separable Gaussian state stays a valid state after the mirror
-    reflection of party B (:func:`partial_transpose`), so the verdict is the
-    uncertainty check on the reflected matrix against ``form``.
+    reflection of party B (:func:`partial_transpose`), so the verdict is
+    :func:`~ginfo.symplectic.rsup_check` on the reflected CovarianceMatrix.
     ``margin >= 0`` means separable.
     """
-    result = rsup_check(partial_transpose(sigma), form)
+    result = rsup_check(partial_transpose(sigma))
     return PptResult(separable=result.valid, margin=result.min_invariant - 1.0)
 
 

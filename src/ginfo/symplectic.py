@@ -2,8 +2,8 @@
 
 Symplectic forms in three named coordinate orderings, symplectic spectra,
 uncertainty checks, congruence transforms, SPD square roots and generalized
-eigenvalues. Everything operates on plain ``numpy`` arrays; the light wrapper
-types carry the phase-space ordering so callers cannot silently mix bases.
+eigenvalues, on plain ``numpy`` arrays. A wrapper names its ordering, and the
+verdicts read a state's form from it; a raw array trusts its caller's basis.
 
 Conventions: the uncertainty threshold is 1, i.e. the spectrum returned by
 :func:`symplectic_spectrum` is ``2 |Im eig(Omega^-1 Sigma)|`` and the vacuum
@@ -13,6 +13,7 @@ Planck constant inside the form matrix itself, never as a separate scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -126,7 +127,7 @@ class CovarianceMatrix:
 
     ``ordering`` names the basis, which gives the matrix its standard form
     and its matrix-file header (:mod:`ginfo.matrixio`); a bipartite pair
-    state is in ``Ordering.PARTY_BLOCK_XP``.
+    state is in ``Ordering.PARTY_BLOCK_XP``, which needs an even mode count.
     """
 
     matrix: np.ndarray
@@ -134,6 +135,8 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         m = _check_spd_matrix(np.asarray(self.matrix, dtype=float))
+        if self.ordering is Ordering.PARTY_BLOCK_XP:
+            _party_size(len(m) // 2)
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property
@@ -184,11 +187,14 @@ class SymplecticForm:
         object.__setattr__(self, "orthogonal", np.array_equal(m.T @ m, np.eye(len(m))))
 
 
+@functools.cache
 def build_symplectic_form(n_modes: int, ordering: Ordering = Ordering.MODE_INTERLEAVED) -> SymplecticForm:
     """Undeformed form for ``n_modes`` modes in the requested ordering.
 
     ``[x_k, p_k] = 1`` wherever ``ordering`` puts x_k and p_k: ``diag(J2, ...)``
-    in MODE_INTERLEAVED, ``[[0, I], [-I, 0]]`` in BLOCK_XP, one per party.
+    in MODE_INTERLEAVED, ``[[0, I], [-I, 0]]`` in BLOCK_XP, one per party. A
+    signed permutation is a valid orthogonal form, so it is wrapped unchecked,
+    once per ``(n_modes, ordering)`` given positionally, and shared read-only.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
@@ -196,7 +202,11 @@ def build_symplectic_form(n_modes: int, ordering: Ordering = Ordering.MODE_INTER
     m = np.zeros((2 * n_modes, 2 * n_modes))
     m[x, p] = 1.0
     m[p, x] = -1.0
-    return SymplecticForm(m, ordering=ordering)
+    m.setflags(write=False)
+    form = object.__new__(SymplecticForm)
+    for name, value in (("matrix", m), ("ordering", ordering), ("orthogonal", True)):
+        object.__setattr__(form, name, value)
+    return form
 
 
 def permute_ordering(matrix: np.ndarray, source: Ordering, target: Ordering) -> np.ndarray:
@@ -275,10 +285,12 @@ class RsupResult:
     min_invariant: float
 
 
-def rsup_check(sigma, form) -> RsupResult:
-    """Robertson-Schrodinger uncertainty check: all invariants >= 1."""
-    _check_square_even(as_matrix(sigma))
-    spectrum = symplectic_spectrum(sigma, form)
+def rsup_check(sigma: CovarianceMatrix) -> RsupResult:
+    """Robertson-Schrodinger uncertainty check against the undeformed form of the
+    state's ordering: all invariants >= 1 (a deformed form takes :func:`symplectic_spectrum`)."""
+    if not isinstance(sigma, CovarianceMatrix):
+        raise ValueError("rsup_check needs a CovarianceMatrix, which names its ordering")
+    spectrum = symplectic_spectrum(sigma, build_symplectic_form(sigma.n_modes, sigma.ordering))
     lo = float(spectrum[0])
     return RsupResult(valid=lo >= 1.0 - RSUP_SLACK, min_invariant=lo)
 

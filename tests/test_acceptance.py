@@ -223,7 +223,7 @@ def test_ac12_oscillator_pipeline():
     report = separability_condition(generic)
     assert not report.separable and abs(report.cross_imag) > 1e-10
     cvm = ground_state_cvm(ground_state(generic), generic.hbar)
-    assert not ppt_separable(cvm, FORM2).separable
+    assert not ppt_separable(cvm).separable
     # (v) closed-form mode frequencies against eig(JH)
     rng = np.random.default_rng(112)
     worst = 0.0

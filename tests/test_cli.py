@@ -171,6 +171,16 @@ class TestDistance:
         assert capsys.readouterr().err == ("validation error: state 1 rejected: matrix header "
                                            "token 'v2' is not a key=value field\n")
 
+    def test_party_file_with_an_odd_mode_count_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cvm"
+        rows = "\n".join(" ".join(f"{x:g}" for x in row) for row in np.eye(6))
+        bad.write_text(f"# cvm modes=3 ordering=party_block_xp\n{rows}\n")
+        code, text = run(tmp_path, "--command", "distance",
+                         "--sigma1", str(bad), "--a0", "1", "--b0", "1")
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err == ("validation error: state 1 rejected: cannot split "
+                                           "3 modes into two equal parties\n")
+
     @pytest.mark.parametrize("ordering", list(Ordering))
     def test_state_2_compared_in_the_ordering_of_state_1(self, tmp_path, ordering):
         # one state, saved in two orderings, is at distance 0 from itself
@@ -314,7 +324,7 @@ class TestCommandTable:
             main(["--command", "metric", "--help"])
         assert exc.value.code == 0
         options = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
-        assert options == ["--command", "--a", "--b", "--c", "--d", "--seed", "--out"]
+        assert options == ["--command", "--a", "--b", "--c", "--d", "--out"]
 
     def test_bare_help_lists_the_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -367,7 +377,13 @@ class TestInputBoundary:
           "--format", "csv"), "--format"),
         (("--command", "oscillator", "--box", "1,2"), "--box"),
         (("--command", "selftest", "--m", "0.3"), "--m"),
-    ], ids=["figure1", "metric", "metric-default-value", "distance", "oscillator", "selftest"])
+        *((("--command", name, "--seed", "5"), "--seed")
+          for name in ("figure1", "figure2", "figure3", "oscillator")),
+        (("--command", "sweep", "--m", "0.1", "--n", "0.1", "--seed", "5"), "--seed"),
+        (("--command", "metric", "--a", "1", "--b", "1", "--seed", "5"), "--seed"),
+    ], ids=["figure1", "metric", "metric-default-value", "distance", "oscillator", "selftest",
+            "figure1-seed", "figure2-seed", "figure3-seed", "oscillator-seed", "sweep-seed",
+            "metric-seed"])
     def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv, unread):
         code, text = run(tmp_path, *argv)
         assert code == 1

@@ -34,6 +34,17 @@ def test_pair_state_saved_in_its_party_basis(tmp_path):
     np.testing.assert_array_equal(loaded.matrix, pair.matrix)
 
 
+def test_party_basis_with_an_odd_mode_count_rejected():
+    # the wrapper rejects an ordering that cannot hold the mode count, so such
+    # a file neither loads nor can be written
+    rows = "\n".join(" ".join(f"{x:g}" for x in row) for row in np.eye(6))
+    text = f"# cvm modes=3 ordering=party_block_xp\n{rows}\n"
+    for build in (lambda: parse_cvm(text),
+                  lambda: CovarianceMatrix(np.eye(6), Ordering.PARTY_BLOCK_XP)):
+        with pytest.raises(ValueError, match="cannot split 3 modes into two equal parties"):
+            build()
+
+
 @pytest.mark.parametrize("token", ["v2", "modes", "ordering:block_xp"])
 def test_header_token_without_a_value_named(token):
     text = f"# cvm modes=1 ordering=mode_interleaved {token}\n1 0\n0 1\n"

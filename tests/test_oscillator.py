@@ -257,7 +257,7 @@ class TestSeparability:
         assert not report.separable
         assert abs(report.lhs_rhs_gap) > 1.0
         cvm = ground_state_cvm(ground_state(GENERIC), GENERIC.hbar)
-        ppt = ppt_separable(cvm, FORM2)
+        ppt = ppt_separable(cvm)
         assert not ppt.separable
 
     def test_invariant_criterion_sign_matches(self):

@@ -1,8 +1,7 @@
 """Every ``ginfo.selftest`` battery as one pytest case, read from one run of
-``ginfo --command selftest`` at its default seed."""
+``ginfo --command selftest`` at its default seed. That run is also the golden
+``selftest`` case: ``--out`` adds the JSON report and leaves stdout as it is."""
 
-import contextlib
-import io
 import json
 import time
 from importlib import resources
@@ -10,25 +9,33 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from ginfo import cli, selftest
+from ginfo import selftest
+
+from test_golden import recorded, run_case
 
 SCHEMA = json.loads(resources.files("ginfo").joinpath("schemas/report.schema.json").read_text())
 
 
 @pytest.fixture(scope="module")
 def command(tmp_path_factory):
-    """Exit code, stdout, wall time and JSON report of one selftest command."""
+    """Exit code, stdout and stderr, wall time and JSON report of one selftest command."""
     report = tmp_path_factory.mktemp("selftest") / "selftest.json"
-    stdout = io.StringIO()
     start = time.monotonic()
-    with contextlib.redirect_stdout(stdout):
-        code = cli.main(["--command", "selftest", "--out", str(report)])
+    streams = run_case(["--command", "selftest", "--out", str(report)])
     elapsed = time.monotonic() - start
-    return code, stdout.getvalue(), elapsed, json.loads(report.read_text())
+    return streams, elapsed, json.loads(report.read_text())
+
+
+def test_output_matches_the_golden_files(command):
+    streams, _, _ = command
+    want = recorded("selftest")
+    for stream in ("exit", "stderr", "stdout"):
+        assert streams[stream] == want[stream], f"selftest: {stream} differs"
 
 
 def test_command_report(command):
-    code, stdout, elapsed, doc = command
+    streams, elapsed, doc = command
+    code, stdout = streams["exit"], streams["stdout"]
     jsonschema.validate(doc, SCHEMA)
     assert code == 0 and doc["results"]["passed"] is True
     assert "seed=20240901" in stdout and "selftest PASSED" in stdout
@@ -45,5 +52,5 @@ def test_command_report(command):
 @pytest.mark.parametrize("battery", selftest.BATTERIES,
                          ids=lambda battery: battery.__name__.removeprefix("battery_"))
 def test_battery_passes(command, battery):
-    result = command[3]["results"]["properties"][selftest.BATTERIES.index(battery)]
+    result = command[2]["results"]["properties"][selftest.BATTERIES.index(battery)]
     assert result["passed"], f"{result['name']}: {result['detail']}"

@@ -20,6 +20,7 @@ from ginfo import (
     symplectic,
     two_mode_bounds,
 )
+from ginfo.policy import RSUP_SLACK
 from ginfo.randmat import random_spd
 from ginfo.symplectic import symplectic_spectrum
 
@@ -94,12 +95,11 @@ class TestPartialTranspose:
     def test_unnamed_basis_rejected(self):
         # a raw array names no ordering, so it does not locate party B
         pair = bipartite.pair_cvm(bipartite.PairConfig(0.1, 0.1))
-        form = build_symplectic_form(4, Ordering.PARTY_BLOCK_XP)
         with pytest.raises(ValueError, match="needs a CovarianceMatrix"):
             partial_transpose(pair.matrix)
         with pytest.raises(ValueError, match="needs a CovarianceMatrix"):
-            ppt_separable(pair.matrix, form)
-        assert ppt_separable(pair, form).separable
+            ppt_separable(pair.matrix)
+        assert ppt_separable(pair).separable
 
 
 class TestPartialTransposeValidation:
@@ -161,6 +161,10 @@ class TestSignPattern:
 
     @pytest.mark.parametrize("ordering", list(Ordering))
     def test_odd_mode_count_rejected(self, ordering):
+        if ordering is Ordering.PARTY_BLOCK_XP:   # the party basis cannot hold the state
+            with pytest.raises(ValueError, match="two equal parties"):
+                CovarianceMatrix(np.eye(6), ordering=ordering)
+            return
         cvm = CovarianceMatrix(np.eye(6), ordering=ordering)
         with pytest.raises(ValueError, match="two equal parties"):
             partial_transpose(cvm)
@@ -169,8 +173,7 @@ class TestSignPattern:
 class TestPptSeparable:
     def test_product_vacuum_on_boundary(self):
         cvm = CovarianceMatrix(0.5 * np.eye(8), ordering=Ordering.MODE_INTERLEAVED)
-        form = build_symplectic_form(4)
-        res = ppt_separable(cvm, form)
+        res = ppt_separable(cvm)
         assert res.separable
         np.testing.assert_allclose(res.margin, 0.0, atol=1e-12)
 
@@ -200,11 +203,11 @@ class TestPptEigensolverOnly:
             cvm = CovarianceMatrix(symplectic.permute_ordering(m, Ordering.MODE_INTERLEAVED,
                                                                ordering), ordering=ordering)
             linalg_calls.clear()
-            res = ppt_separable(cvm, form)
+            res = ppt_separable(cvm)
             assert linalg_calls == {"eigvals": 1}
-            raw = ppt_separable(cvm, form.matrix)    # the solve route
-            assert raw.separable == res.separable
-            np.testing.assert_allclose(res.margin, raw.margin, rtol=0, atol=1e-13)
+            raw = symplectic_spectrum(partial_transpose(cvm), form.matrix)[0]   # the solve route
+            assert (raw >= 1.0 - RSUP_SLACK) == res.separable
+            np.testing.assert_allclose(res.margin, raw - 1.0, rtol=0, atol=1e-13)
 
 
 class TestSimonInvariants:

@@ -55,6 +55,18 @@ class TestBuildForm:
         with pytest.raises(ValueError):
             build_symplectic_form(0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_shared_read_only_form(self, n):
+        for ordering in _orderings(n):
+            form = build_symplectic_form(n, ordering)
+            assert build_symplectic_form(n, ordering) is form
+            assert not form.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                form.matrix[0, 1] = 2.0
+            # wrapped unchecked: the constructor's checks pass and agree
+            checked = SymplecticForm(form.matrix, ordering)
+            assert checked.orthogonal and form.orthogonal and form.ordering is ordering
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_odd_mode_count_has_no_party_basis(self, n):
         with pytest.raises(ValueError, match=f"cannot split {n} modes into two equal parties"):
@@ -209,7 +221,9 @@ class TestSpectrumStack:
             CovarianceMatrix(stack)
         with pytest.raises(ValueError, match="square matrix"):
             SymplecticForm(np.array([form.matrix, form.matrix]))
-        for kernel in (lambda: rsup_check(stack, form), lambda: matrix_sqrt_spd(stack),
+        with pytest.raises(ValueError, match="needs a CovarianceMatrix"):
+            rsup_check(stack)
+        for kernel in (lambda: matrix_sqrt_spd(stack),
                        lambda: generalized_eigenvalues(stack, stack),
                        lambda: congruence_apply(np.eye(4), stack)):
             with pytest.raises(ValueError, match="square matrix"):
@@ -323,19 +337,33 @@ class TestRandomSymplectic:
 
 class TestRsup:
     def test_vacuum(self):
-        res = rsup_check(0.5 * np.eye(4), build_symplectic_form(2))
+        res = rsup_check(CovarianceMatrix(0.5 * np.eye(4)))
         assert res.valid and abs(res.min_invariant - 1.0) < 1e-12
 
     def test_squeezed_below_threshold(self):
-        res = rsup_check(0.4 * np.eye(4), build_symplectic_form(2))
+        res = rsup_check(CovarianceMatrix(0.4 * np.eye(4)))
         assert not res.valid
         np.testing.assert_allclose(res.min_invariant, 0.8, atol=1e-12)
 
     def test_pair_family(self):
         cfg = bipartite.PairConfig(0.125, 0.125)
-        res = rsup_check(bipartite.pair_cvm(cfg), PARTY_FORM)
+        res = rsup_check(bipartite.pair_cvm(cfg))
         assert res.valid
         np.testing.assert_allclose(res.min_invariant, 1.4069616518051216, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reads_the_form_of_its_ordering(self, n):
+        rng = np.random.default_rng(40 + n)
+        for ordering in _orderings(n):
+            cvm = CovarianceMatrix(random_spd(2 * n, rng), ordering=ordering)
+            expected = symplectic_spectrum(cvm, build_symplectic_form(n, ordering))[0]
+            assert rsup_check(cvm).min_invariant == expected, ordering
+
+    def test_raw_array_rejected(self):
+        # a raw array names no ordering, so it has no form to be checked against
+        with pytest.raises(ValueError, match="rsup_check needs a CovarianceMatrix, which "
+                                             "names its ordering"):
+            rsup_check(0.5 * np.eye(4))
 
 
 class TestCongruence:
