@@ -231,6 +231,8 @@ def _run_distance(args) -> int:
     from . import fisher
     from .randmat import random_invertible
 
+    if args.seed is not None and not args.check_invariance:
+        raise UsageError("distance does not read --seed without --check-invariance")
     source1, source2 = _state_source(args, "1"), _state_source(args, "2")
     s1, s2 = _load_state("1", source1), _load_state("2", source2)
     if s2.n_modes == s1.n_modes:   # two sizes go on to the size check
@@ -241,15 +243,16 @@ def _run_distance(args) -> int:
         "distance_dim_scaled": fisher.fr_distance(s1, s2, dim_scaled=True),
         "generalized_eigenvalues": list(lam),
     }
+    # each state echoes the one source it was read from
+    config = {"command": "distance", "check_invariance": args.check_invariance,
+              **source1, **source2}
     if args.check_invariance:
-        rng = np.random.default_rng(args.seed)
+        config["seed"] = _FLAG_SETTINGS["seed"]["default"] if args.seed is None else args.seed
+        rng = np.random.default_rng(config["seed"])
         t = random_invertible(s1.matrix.shape[0], rng)
         moved = abs(fisher.fr_distance(t @ s1.matrix @ t.T, t @ s2.matrix @ t.T)
                     - results["distance_half"])
         results["invariance_delta"] = moved
-    # each state echoes the one source it was read from
-    config = {"command": "distance", "seed": args.seed,
-              "check_invariance": args.check_invariance, **source1, **source2}
     _emit(_json_report(config, results), args.out)
     return EXIT_OK
 
@@ -371,7 +374,8 @@ COMMANDS = {
        for name, mn in FIGURE_CORRELATIONS.items()},
     "sweep": Command(_run_sweep, ("m", "n", *_SWEEP_FLAGS)),
     "distance": Command(_run_distance, ("a", "b", "c", "d", "a0", "b0", "c0", "d0",
-                                        "sigma1", "sigma2", "check_invariance", "seed", "out")),
+                                        "sigma1", "sigma2", "check_invariance", "seed", "out"),
+                        {"seed": None}),   # read only with --check-invariance
     "metric": Command(_run_metric, ("a", "b", "c", "d", "out"), {"c": 0.0, "d": 0.0}),
     "oscillator": Command(_run_oscillator, ("m1", "m2", "w1", "w2", "theta", "eta", "hbar", "out")),
     "volume": Command(_run_volume, ("region", "samples", "seed", "kappa", "power", "box", "out")),

@@ -38,14 +38,20 @@ def parse_cvm(text: str) -> CovarianceMatrix:
             raise ValueError(f"matrix header token {tok!r} is not a key=value field")
     fields = dict(tok.split("=", 1) for tok in tokens)
     try:
-        modes = int(fields["modes"])
+        modes = fields["modes"]
         ordering = Ordering(fields["ordering"])
     except KeyError as exc:
         raise ValueError(f"matrix header is missing the {exc.args[0]!r} field") from exc
-    rows = [np.array([float(x) for x in ln.split()]) for ln in lines[1:]]
-    matrix = np.vstack(rows)
-    if matrix.shape != (2 * modes, 2 * modes):
-        raise ValueError(f"matrix body {matrix.shape} does not match modes={modes}")
+    if not (modes.isdecimal() and int(modes) > 0):
+        raise ValueError(f"matrix header field modes={modes!r} is not a positive integer")
+    dim = 2 * int(modes)
+    rows = [ln.split() for ln in lines[1:]]
+    if len(rows) != dim:
+        raise ValueError(f"matrix body does not match modes={modes}: {len(rows)} rows, not {dim}")
+    for i, row in enumerate(rows, 1):
+        if len(row) != dim:
+            raise ValueError(f"matrix row {i} does not match modes={modes}: {len(row)} entries")
+    matrix = np.array([[float(x) for x in row] for row in rows])
     return CovarianceMatrix(matrix, ordering=ordering)
 
 

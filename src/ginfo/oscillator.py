@@ -241,7 +241,7 @@ class GroundStateExponent:
         return self.m11 * self.m22 + self.cross_imag ** 2
 
 
-def ground_state_exponent(coeffs: ModeCoefficients, hbar: float = 1.0) -> GroundStateExponent:
+def ground_state_exponent(coeffs: ModeCoefficients, hbar: float) -> GroundStateExponent:
     """Exponent matrix from the eigenvector components, two routes checked.
 
     The display ratios and the matrix route ``(i/hbar) Up^-1 Ux`` must agree
@@ -294,7 +294,7 @@ def ground_state(p: OscillatorParams) -> GroundStateExponent:
     return ground_state_exponent(coeffs, p.hbar)
 
 
-def ground_state_cvm(exponent: GroundStateExponent, hbar: float = 1.0) -> CovarianceMatrix:
+def ground_state_cvm(exponent: GroundStateExponent, hbar: float) -> CovarianceMatrix:
     """Covariance matrix of the Gaussian ground state (interleaved basis)."""
     m11, m22 = exponent.m11, exponent.m22
     cross = exponent.cross_imag

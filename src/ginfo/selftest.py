@@ -549,7 +549,7 @@ class SelftestReport:
         return all(r.passed for r in self.results)
 
 
-def run_all(seed: int = 20240901) -> SelftestReport:
+def run_all(seed: int) -> SelftestReport:
     """Run every battery with a fresh seeded generator per battery."""
     results = []
     for index, battery in enumerate(BATTERIES):

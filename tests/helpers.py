@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from ginfo import CanonicalTwoModeParams, build_symplectic_form, canonical_two_mode_matrix
-from ginfo.symplectic import symplectic_spectrum
+from ginfo.states import CanonicalTwoModeParams, canonical_two_mode_matrix
+from ginfo.symplectic import build_symplectic_form, symplectic_spectrum
 
 FORM2 = build_symplectic_form(2)
 

@@ -20,25 +20,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from ginfo import (
-    CanonicalTwoModeParams,
-    CovarianceMatrix,
+from ginfo import bipartite
+from ginfo.fisher import (
     NormalFormPoint,
-    Ordering,
-    bipartite,
-    build_symplectic_form,
     canonical_sqrt_closed,
-    canonical_two_mode_matrix,
     fisher_det_two_mode,
     fisher_metric_numeric,
     fisher_metric_two_mode,
     fr_distance,
-    matrix_sqrt_spd,
     normal_form_metric,
-    partial_transpose,
-    ppt_separable,
-    simon_invariants,
-    symplectic_spectrum,
 )
 from ginfo.oscillator import (
     OscillatorParams,
@@ -50,6 +40,20 @@ from ginfo.oscillator import (
     separability_condition,
 )
 from ginfo.randmat import random_invertible, random_spd, random_symplectic
+from ginfo.states import (
+    CanonicalTwoModeParams,
+    canonical_two_mode_matrix,
+    partial_transpose,
+    ppt_separable,
+    simon_invariants,
+)
+from ginfo.symplectic import (
+    CovarianceMatrix,
+    Ordering,
+    build_symplectic_form,
+    matrix_sqrt_spd,
+    symplectic_spectrum,
+)
 
 from helpers import (
     QUARTER_CROSSING,

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ginfo import CovarianceMatrix, bipartite, symplectic
+from ginfo import bipartite, symplectic
 from ginfo.bipartite import (
     PairConfig,
     bopp_shift,
@@ -16,8 +16,14 @@ from ginfo.bipartite import (
 )
 from ginfo.errors import SingularMatrixError
 from ginfo.states import partial_transpose
-from ginfo.symplectic import (J2, Ordering, build_symplectic_form, permute_ordering,
-                              symplectic_spectrum)
+from ginfo.symplectic import (
+    CovarianceMatrix,
+    J2,
+    Ordering,
+    build_symplectic_form,
+    permute_ordering,
+    symplectic_spectrum,
+)
 
 from helpers import QUARTER_CROSSING
 

@@ -12,18 +12,12 @@ import numpy as np
 import pytest
 
 import ginfo
-from ginfo import (
-    CovarianceMatrix,
-    DegenerateSpectrumError,
-    NormalizationError,
-    NumericDomainError,
-    Ordering,
-    permute_ordering,
-)
 from ginfo import cli, oscillator
 from ginfo.cli import main
+from ginfo.errors import DegenerateSpectrumError, NormalizationError, NumericDomainError
 from ginfo.matrixio import save_cvm
 from ginfo.policy import RSUP_SLACK
+from ginfo.symplectic import CovarianceMatrix, Ordering, permute_ordering
 
 SCHEMA = json.loads(resources.files("ginfo").joinpath("schemas/report.schema.json").read_text())
 
@@ -32,6 +26,10 @@ def run(tmp_path, *argv):
     out = tmp_path / "out.txt"
     code = main([*argv, "--out", str(out)])
     return code, out.read_text() if out.exists() else ""
+
+
+# the modules a fresh ``import ginfo.cli`` loads, sorted
+CLI_MODULES = ("ginfo", "ginfo.cli", "ginfo.errors", "ginfo.policy", "ginfo.symplectic")
 
 
 def fresh_env():
@@ -128,6 +126,18 @@ class TestDistance:
         doc = validate_report(text)
         assert doc["results"]["invariance_delta"] < 1e-10
 
+    def test_invariance_check_echoes_its_seed(self, tmp_path):
+        # without --seed the transform draws from the flag's default, which the config names
+        argv = ("--command", "distance", "--a", "1", "--b", "1", "--a0", "2", "--b0", "2",
+                "--check-invariance")
+        default = cli._FLAG_SETTINGS["seed"]["default"]
+        code, text = run(tmp_path, *argv)
+        assert code == 0
+        assert validate_report(text)["config"]["seed"] == default
+        assert run(tmp_path, *argv, "--seed", str(default)) == (0, text)
+        code, text = run(tmp_path, *argv, "--seed", "7")
+        assert validate_report(text)["config"]["seed"] == 7
+
     def test_file_source(self, tmp_path):
         rng = np.random.default_rng(61)
         a = rng.normal(size=(4, 4))
@@ -170,6 +180,16 @@ class TestDistance:
         assert (code, text) == (3, "")
         assert capsys.readouterr().err == ("validation error: state 1 rejected: matrix header "
                                            "token 'v2' is not a key=value field\n")
+
+    def test_ragged_file_body_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cvm"
+        bad.write_text("# cvm modes=2 ordering=mode_interleaved\n1 0 0 0\n0 1 0\n"
+                       "0 0 1 0\n0 0 0 1\n")
+        code, text = run(tmp_path, "--command", "distance",
+                         "--sigma1", str(bad), "--a0", "1", "--b0", "1")
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err == ("validation error: state 1 rejected: matrix row 2 "
+                                           "does not match modes=2: 3 entries\n")
 
     def test_party_file_with_an_odd_mode_count_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.cvm"
@@ -224,8 +244,7 @@ class TestDistance:
                          "--a0", "1.3", "--b0", "1.1", "--d0", "-0.3")
         assert code == 0
         config = validate_report(text)["config"]
-        assert config == {"command": "distance", "seed": 20240901,
-                          "check_invariance": False,
+        assert config == {"command": "distance", "check_invariance": False,
                           "a": 1.2, "b": 0.9, "c": 0.2, "d": 0.0,
                           "a0": 1.3, "b0": 1.1, "c0": 0.0, "d0": -0.3}
 
@@ -252,8 +271,7 @@ class TestDistance:
                          "--sigma1", str(path1), "--sigma2", str(path2))
         assert code == 0
         config = validate_report(text)["config"]
-        assert config == {"command": "distance", "seed": 20240901,
-                          "check_invariance": False,
+        assert config == {"command": "distance", "check_invariance": False,
                           "sigma1": str(path1), "sigma2": str(path2)}
 
 
@@ -381,9 +399,11 @@ class TestInputBoundary:
           for name in ("figure1", "figure2", "figure3", "oscillator")),
         (("--command", "sweep", "--m", "0.1", "--n", "0.1", "--seed", "5"), "--seed"),
         (("--command", "metric", "--a", "1", "--b", "1", "--seed", "5"), "--seed"),
+        (("--command", "distance", "--a", "1", "--b", "1", "--a0", "2", "--b0", "2",
+          "--seed", "5"), "--seed without --check-invariance"),
     ], ids=["figure1", "metric", "metric-default-value", "distance", "oscillator", "selftest",
             "figure1-seed", "figure2-seed", "figure3-seed", "oscillator-seed", "sweep-seed",
-            "metric-seed"])
+            "metric-seed", "distance-seed"])
     def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv, unread):
         code, text = run(tmp_path, *argv)
         assert code == 1
@@ -461,9 +481,25 @@ class TestInputBoundary:
     def test_cli_import_needs_numpy_only(self):
         # each command imports its own modules; importing the CLI loads none of them
         probe = ("import sys, ginfo.cli; "
-                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in "
-                 "('ginfo.selftest', 'ginfo.oscillator', 'ginfo.bipartite', 'ginfo.matrixio', "
-                 "'ginfo.randmat')))")
+                 "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'ginfo')))")
         out = subprocess.run([sys.executable, "-c", probe], env=fresh_env(), check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        assert out.split() == list(CLI_MODULES)
+
+    @pytest.mark.parametrize("argv, modules", [
+        (("figure1", "--grid", "10"), ("bipartite", "states")),
+        (("sweep", "--m", "0.1", "--n", "0.1", "--grid", "10"), ("bipartite", "states")),
+        (("oscillator",), ("oscillator", "states")),
+        (("metric", "--a", "1", "--b", "1"), ("fisher", "states")),
+        (("volume", "--samples", "1000"), ("fisher", "states")),
+        (("distance", "--a", "1", "--b", "1", "--a0", "2", "--b0", "2", "--check-invariance"),
+         ("fisher", "matrixio", "randmat", "states")),
+    ], ids=["figure1", "sweep", "oscillator", "metric", "volume", "distance"])
+    def test_command_loads_only_its_modules(self, tmp_path, argv, modules):
+        # a fresh process: its modules beyond those of the CLI are the command's own
+        probe = ("import sys; from ginfo.cli import main; "
+                 f"code = main(['--command', *{list(argv)!r}, '--out', {str(tmp_path / 'o')!r}]); "
+                 "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'ginfo'))")
+        out = subprocess.run([sys.executable, "-c", probe], env=fresh_env(), check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["0", *sorted(CLI_MODULES + tuple(f"ginfo.{m}" for m in modules))]

@@ -5,21 +5,17 @@ import numpy as np
 import pytest
 
 from ginfo import fisher, symplectic
-from ginfo import (
-    CanonicalTwoModeParams,
-    DegenerateSpectrumError,
+from ginfo.errors import DegenerateSpectrumError
+from ginfo.fisher import (
     NormalFormPoint,
     Region,
     RegularizerConfig,
     canonical_sqrt_closed,
-    canonical_two_mode_matrix,
     fisher_det_two_mode,
     fisher_metric_numeric,
     fisher_metric_two_mode,
     fr_distance,
     fr_distance_explicit,
-    generalized_eigenvalues,
-    matrix_sqrt_spd,
     normal_form_metric,
     pure_state_det_ratio,
     regularized_volume,
@@ -27,6 +23,8 @@ from ginfo import (
 )
 from ginfo.policy import RSUP_SLACK, SPD_TOL
 from ginfo.randmat import random_spd
+from ginfo.states import CanonicalTwoModeParams, canonical_two_mode_matrix
+from ginfo.symplectic import generalized_eigenvalues, matrix_sqrt_spd
 
 from helpers import (
     canonical_hermitian_verdicts,

@@ -55,3 +55,12 @@ def test_output_matches_the_golden_files(name):
     got, want = run_case(CASES[name]), recorded(name)
     for stream in ("exit", "stderr", "stdout"):
         assert got[stream] == want[stream], f"{name}: {stream} differs"
+
+
+def test_corpus_holds_only_what_the_cases_name():
+    # an output left behind by a renamed or removed case shows up here
+    inputs = {arg for argv in CASES.values() for arg in argv if (GOLDEN / arg).is_file()}
+    outputs = {f"{name}.{stream}" for name in CASES for stream in ("out", "err")}
+    tools = {"cases.json", "exit_codes.json", "regenerate.py"}
+    assert {path.name for path in GOLDEN.iterdir()} == inputs | outputs | tools
+    assert set(json.loads((GOLDEN / "exit_codes.json").read_text())) == set(CASES)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ginfo import CovarianceMatrix, Ordering, bipartite
+from ginfo import bipartite
 from ginfo.matrixio import load_cvm, parse_cvm, save_cvm
 from ginfo.randmat import random_spd
+from ginfo.symplectic import CovarianceMatrix, Ordering
 
 
 @pytest.mark.parametrize("ordering", list(Ordering))
@@ -61,6 +62,29 @@ def test_mode_count_checked():
     text = "# cvm modes=2 ordering=mode_interleaved\n1 0\n0 1\n"
     with pytest.raises(ValueError, match="does not match"):
         parse_cvm(text)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("# cvm modes=0 ordering=mode_interleaved\n",
+     "matrix header field modes='0' is not a positive integer"),
+    ("# cvm modes=x ordering=mode_interleaved\n1 0\n0 1\n",
+     "matrix header field modes='x' is not a positive integer"),
+    ("# cvm modes=-1 ordering=mode_interleaved\n1 0\n0 1\n",
+     "matrix header field modes='-1' is not a positive integer"),
+    ("# cvm modes=1 ordering=mode_interleaved\n",
+     "matrix body does not match modes=1: 0 rows, not 2"),
+    ("# cvm modes=1 ordering=mode_interleaved\n1 0\n0\n",
+     "matrix row 2 does not match modes=1: 1 entries"),
+    ("# cvm modes=1 ordering=mode_interleaved\n1 0 0\n0 1\n",
+     "matrix row 1 does not match modes=1: 3 entries"),
+    ("# cvm modes=1 ordering=mode_interleaved\n1 0\n0 1\n0 0\n",
+     "matrix body does not match modes=1: 3 rows, not 2"),
+], ids=["modes-zero", "modes-not-a-number", "modes-negative", "no-rows", "short-row",
+        "long-row", "extra-row"])
+def test_malformed_body_named(body, message):
+    with pytest.raises(ValueError) as info:
+        parse_cvm(body)
+    assert str(info.value) == message
 
 
 def test_non_spd_rejected():

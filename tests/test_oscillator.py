@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ginfo import build_symplectic_form, ppt_separable, simon_invariants
 from ginfo.errors import DegenerateSpectrumError, SingularMatrixError
 from ginfo.oscillator import (
     EquivalentParams,
@@ -20,7 +19,14 @@ from ginfo.oscillator import (
     separability_condition,
     separability_sides,
 )
-from ginfo.symplectic import J2, Ordering, permute_ordering, symplectic_spectrum
+from ginfo.states import ppt_separable, simon_invariants
+from ginfo.symplectic import (
+    J2,
+    Ordering,
+    build_symplectic_form,
+    permute_ordering,
+    symplectic_spectrum,
+)
 
 from helpers import left_eigenvectors, right_eigenvector, wigner_quadratic_form
 

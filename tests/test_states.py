@@ -3,26 +3,21 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ginfo import (
-    BoundaryIndeterminateError,
+from ginfo import bipartite, states, symplectic
+from ginfo.errors import BoundaryIndeterminateError
+from ginfo.policy import RSUP_SLACK
+from ginfo.randmat import random_spd
+from ginfo.states import (
     CanonicalTwoModeParams,
-    CovarianceMatrix,
-    Ordering,
-    bipartite,
-    build_symplectic_form,
     canonical_two_mode_cvm,
     canonical_two_mode_matrix,
     in_quantum_region,
     partial_transpose,
     ppt_separable,
     simon_invariants,
-    states,
-    symplectic,
     two_mode_bounds,
 )
-from ginfo.policy import RSUP_SLACK
-from ginfo.randmat import random_spd
-from ginfo.symplectic import symplectic_spectrum
+from ginfo.symplectic import CovarianceMatrix, Ordering, build_symplectic_form, symplectic_spectrum
 
 from helpers import FORM2, random_valid_canonical
 

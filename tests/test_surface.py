@@ -5,8 +5,9 @@ benchmark (``bench/*.py``) uses and every name used by the code that runs
 when a ``ginfo`` module is imported, which holds ``cli.COMMANDS`` (with the
 ``main`` entry point) and ``selftest.BATTERIES``. A reached function or
 method adds the names its body uses; a reached class adds those of its
-class-level statements and its dunder methods. Imports are not uses, so a
-re-export in ``ginfo/__init__.py`` reaches nothing.
+class-level statements and its dunder methods. Imports are not uses. The
+package ``ginfo`` itself defines only ``__version__``; every name is imported
+from its module.
 
 Limitation: names are resolved by their bare spelling, without types or
 scopes, so two definitions that share a name are reached together. A
@@ -16,7 +17,10 @@ flags a used one.
 """
 
 import ast
+import re
 from pathlib import Path
+
+import ginfo
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,3 +79,14 @@ def test_every_public_definition_is_reached():
     missing = unreached()
     assert not missing, ("public, but no command, battery or benchmark reaches it:\n"
                          + "\n".join(missing))
+
+
+def test_package_defines_only_its_version():
+    # ``ginfo`` is a namespace of its modules: a docstring and ``__version__``, nothing more
+    body = ast.parse((ROOT / "src" / "ginfo" / "__init__.py").read_text()).body
+    assert [type(node) for node in body] == [ast.Expr, ast.Assign]
+    assert [target.id for target in body[1].targets] == ["__version__"]
+    # read without tomllib, which Python 3.10 lacks
+    toml = (ROOT / "pyproject.toml").read_text()
+    project = toml.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert ginfo.__version__ == re.search(r'^version = "(.+)"$', project, re.M).group(1)

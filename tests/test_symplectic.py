@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
-from ginfo import (
-    CanonicalTwoModeParams,
+from ginfo import bipartite, symplectic
+from ginfo.errors import NumericDomainError, SingularMatrixError
+from ginfo.fisher import NormalFormPoint, Region, RegularizerConfig
+from ginfo.oscillator import OscillatorParams
+from ginfo.randmat import random_invertible, random_spd, random_symplectic
+from ginfo.selftest import _orderings
+from ginfo.states import CanonicalTwoModeParams
+from ginfo.symplectic import (
     CovarianceMatrix,
-    NormalFormPoint,
-    NumericDomainError,
+    J2,
     Ordering,
-    RegularizerConfig,
-    Region,
-    SingularMatrixError,
     SymplecticForm,
+    _validated,
     build_symplectic_form,
+    check_spd,
     congruence_apply,
     generalized_eigenvalues,
     matrix_sqrt_spd,
@@ -19,11 +23,6 @@ from ginfo import (
     rsup_check,
     symplectic_spectrum,
 )
-from ginfo import bipartite, symplectic
-from ginfo.oscillator import OscillatorParams
-from ginfo.randmat import random_invertible, random_spd, random_symplectic
-from ginfo.selftest import _orderings
-from ginfo.symplectic import J2, _validated, check_spd
 
 PARTY_FORM = build_symplectic_form(4, Ordering.PARTY_BLOCK_XP)
 
