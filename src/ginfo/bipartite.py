@@ -18,13 +18,14 @@ independent check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import SingularMatrixError
-from .policy import BISECT_TOL, VANISHING_TOL
+from .policy import BISECT_TOL
 from .states import partial_transpose
 from .symplectic import (
     J2,
@@ -37,12 +38,13 @@ from .symplectic import (
     symplectic_spectrum,
 )
 
-_SZ = np.diag([1.0, -1.0])
-
 
 @dataclass(frozen=True)
 class PairConfig:
-    """Correlation amplitudes and deformation strengths of the pair."""
+    """Correlation amplitudes and deformation strengths of the pair.
+
+    The Bopp shift is singular at ``theta * eta = 4``; the pair needs ``theta * eta < 4``.
+    """
 
     m: float
     n: float
@@ -53,6 +55,10 @@ class PairConfig:
         _check_finite("m, n, theta and eta", self.m, self.n, self.theta, self.eta)
         if self.radius >= 1.0:
             raise ValueError(f"correlation radius must stay below 1, got {self.radius}")
+        if self.theta * self.eta >= 4.0:
+            raise SingularMatrixError(
+                "deformation too strong: the Bopp shift is singular at theta*eta = 4, "
+                f"got theta*eta = {self.theta * self.eta:g}")
 
     @property
     def radius(self) -> float:
@@ -70,12 +76,21 @@ def pair_cvm(cfg: PairConfig) -> CovarianceMatrix:
     ``gamma = [[n I, m sz], [m sz, -n I]]`` couples the parties; it is
     symmetric with eigenvalues +-R, so the matrix is symmetric by construction
     and its eigenvalues ``(b/2)(1 +- R)`` are at least ``(1 + R)/2 >= 1/2``
-    for every R < 1. It is wrapped without a numeric SPD check.
+    for every R < 1. It is wrapped without a numeric SPD check. The state does
+    not depend on theta or eta, so it is built once per ``(m, n)`` and shared
+    read-only.
     """
-    gamma = np.block([[cfg.n * np.eye(2), cfg.m * _SZ],
-                      [cfg.m * _SZ, -cfg.n * np.eye(2)]])
-    m = cfg.scale / 2.0 * np.block([[np.eye(4), gamma.T], [gamma, np.eye(4)]])
-    return _validated(m, Ordering.PARTY_BLOCK_XP)
+    return _pair_state(cfg.m, cfg.n)
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_state(m: float, n: float) -> CovarianceMatrix:
+    half_b = PairConfig(m, n).scale / 2.0
+    # where gamma's entries n, n, -n, -n, m, -m, m, -m sit in the lower-left block
+    rows, cols = [4, 5, 6, 7, 4, 5, 6, 7], [0, 1, 2, 3, 2, 3, 0, 1]
+    state = half_b * np.eye(8)
+    state[rows, cols] = state[cols, rows] = half_b * np.array([n, n, -n, -n, m, -m, m, -m])
+    return _validated(state, Ordering.PARTY_BLOCK_XP)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,15 +104,13 @@ def bopp_shift(cfg: PairConfig) -> BoppShift:
 
     Per party the transform is ``[[I, -(theta/2) J2], [(eta/2) J2, I]]`` on
     (x1, x2, p1, p2); the induced form has ``theta J2`` and ``eta J2`` corner
-    blocks and ``(1 + theta eta / 4) I`` cross blocks.
+    blocks and ``(1 + theta eta / 4) I`` cross blocks. ``PairConfig`` keeps
+    ``theta eta < 4``, where the shift is invertible; the induced form is
+    checked like every other, by the ``SymplecticForm`` constructor.
     """
-    if abs(1.0 - cfg.theta * cfg.eta / 4.0) < VANISHING_TOL:
-        raise SingularMatrixError("shift is singular at theta*eta = 4")
-    party = np.block([[np.eye(2), -cfg.theta / 2.0 * J2],
-                      [cfg.eta / 2.0 * J2, np.eye(2)]])
-    s = np.zeros((8, 8))
-    s[:4, :4] = party
-    s[4:, 4:] = party
+    s = np.eye(8)
+    s[0:2, 2:4] = s[4:6, 6:8] = -cfg.theta / 2.0 * J2
+    s[2:4, 0:2] = s[6:8, 4:6] = cfg.eta / 2.0 * J2
     deformed = s @ build_symplectic_form(4, Ordering.PARTY_BLOCK_XP).matrix @ s.T
     return BoppShift(matrix=s, form=SymplecticForm(0.5 * (deformed - deformed.T),
                                                    Ordering.PARTY_BLOCK_XP))

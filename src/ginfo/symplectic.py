@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericDomainError, SingularMatrixError
-from .policy import RSUP_SLACK, SINGULAR_FORM_TOL, SINGULAR_TRANSFORM_TOL, SPD_TOL, SYMMETRY_TOL
+from .policy import RSUP_SLACK, SINGULAR_RCOND, SPD_TOL, SYMMETRY_TOL
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -89,6 +89,20 @@ def _check_square_even(matrix: np.ndarray) -> int:
     if matrix.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     return _check_stack_square_even(matrix)
+
+
+def _check_invertible(matrix: np.ndarray, what: str) -> None:
+    """Raise SingularMatrixError unless ``matrix`` is invertible to working precision.
+
+    The test is scale-free: the smallest singular value must exceed
+    ``SINGULAR_RCOND`` times the largest, so ``c M`` passes exactly when ``M``
+    does. It multiplies and never divides, so a zero matrix fails it cleanly,
+    also under ``np.errstate(divide="raise")``.
+    """
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    if not sv[-1] > SINGULAR_RCOND * sv[0]:
+        raise SingularMatrixError(f"{what} is singular: singular values "
+                                  f"{sv[-1]:.3e} to {sv[0]:.3e}")
 
 
 def check_spd(matrix) -> np.ndarray:
@@ -177,12 +191,11 @@ class SymplecticForm:
         _check_square_even(m)
         with np.errstate(invalid="ignore"):
             asym = np.abs(m + m.T).max()
-        # a nan or inf entry makes asym nan or inf; it must not reach det
+        # a nan or inf entry makes asym nan or inf; it must not reach the SVD
         if not asym <= SYMMETRY_TOL:
             fault = "is not antisymmetric" if np.isfinite(asym) else "has non-finite entries"
             raise NumericDomainError(f"form {fault}: max |M + M^T| = {asym:.3e}")
-        if abs(np.linalg.det(m)) < SINGULAR_FORM_TOL:
-            raise SingularMatrixError("symplectic form is singular")
+        _check_invertible(m, "symplectic form")
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "orthogonal", np.array_equal(m.T @ m, np.eye(len(m))))
 
@@ -265,11 +278,10 @@ def symplectic_spectrum(sigma, form) -> np.ndarray:
     if not isinstance(sigma, CovarianceMatrix):
         s = check_spd(s)
     if isinstance(form, SymplecticForm):
-        orthogonal = form.orthogonal   # the constructor made the |det| check
+        orthogonal = form.orthogonal   # the constructor checked invertibility
     else:
         orthogonal = False
-        if abs(np.linalg.det(w)) < SINGULAR_FORM_TOL:
-            raise SingularMatrixError("symplectic form is singular")
+        _check_invertible(w, "symplectic form")
     eigvals = np.linalg.eigvals(w.T @ s if orthogonal else np.linalg.solve(w, s))
     # LAPACK returns the complex eigenvalues of a real matrix in exact
     # conjugate pairs, and an even dimension leaves an even number of real
@@ -295,13 +307,6 @@ def rsup_check(sigma: CovarianceMatrix) -> RsupResult:
     return RsupResult(valid=lo >= 1.0 - RSUP_SLACK, min_invariant=lo)
 
 
-def _check_invertible_transform(s: np.ndarray, dim: int):
-    if s.shape != (dim, dim):
-        raise ValueError(f"transform shape {s.shape} does not match dimension {dim}")
-    if abs(np.linalg.det(s)) <= SINGULAR_TRANSFORM_TOL:
-        raise SingularMatrixError("congruence transform is singular")
-
-
 def congruence_apply(s, sigma) -> CovarianceMatrix:
     """Transform a state by ``Sigma -> S Sigma S^T``.
 
@@ -310,7 +315,9 @@ def congruence_apply(s, sigma) -> CovarianceMatrix:
     """
     sm = np.asarray(s, dtype=float)
     m = _check_spd_matrix(sigma)
-    _check_invertible_transform(sm, m.shape[0])
+    if sm.shape != m.shape:
+        raise ValueError(f"transform shape {sm.shape} does not match dimension {m.shape[0]}")
+    _check_invertible(sm, "congruence transform")
     out = sm @ m @ sm.T
     return CovarianceMatrix(0.5 * (out + out.T),
                             getattr(sigma, "ordering", Ordering.MODE_INTERLEAVED))

@@ -32,7 +32,7 @@ def random_nondegenerate_canonical(rng, floor=0.05, margin=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# Hermitian route for the Bopp-shifted pair of the figure sweeps (eta = 0)
+# Hermitian route for the Bopp-shifted pair of the sweeps
 #
 # Built with numpy alone from the formulas in the docstrings of
 # ``ginfo.bipartite`` (``pair_cvm``, ``bopp_shift``) and of its party basis
@@ -57,17 +57,35 @@ _I2 = np.eye(2)
 _Z2 = np.zeros((2, 2))
 
 
-def hermitian_pair_matrix(m, n, theta):
-    """``R S Sigma S^T R + (i/2) S Omega S^T`` for the pair in the party basis."""
+def _deformed_pair(m, n, theta, eta):
+    """``R S Sigma S^T R`` and ``S Omega S^T`` for the pair in the party basis."""
     radius = np.hypot(m, n)
     scale = (1.0 + radius) / (1.0 - radius)
     gamma = np.block([[n * _I2, m * _SZ], [m * _SZ, -n * _I2]])
     sigma = scale / 2.0 * np.block([[np.eye(4), gamma.T], [gamma, np.eye(4)]])
     omega = np.kron(_I2, np.block([[_Z2, _I2], [-_I2, _Z2]]))
-    shift = np.kron(_I2, np.block([[_I2, -theta / 2.0 * _J2], [_Z2, _I2]]))
+    shift = np.kron(_I2, np.block([[_I2, -theta / 2.0 * _J2], [eta / 2.0 * _J2, _I2]]))
     reflect = np.diag([1.0, 1, 1, 1, 1, 1, -1, -1])
-    return (reflect @ shift @ sigma @ shift.T @ reflect
-            + 0.5j * (shift @ omega @ shift.T))
+    return reflect @ shift @ sigma @ shift.T @ reflect, shift @ omega @ shift.T
+
+
+def hermitian_pair_matrix(m, n, theta):
+    """``R S Sigma S^T R + (i/2) S Omega S^T`` for the pair at eta = 0."""
+    state, form = _deformed_pair(m, n, theta, 0.0)
+    return state + 0.5j * form
+
+
+def hermitian_margin(m, n, theta, eta):
+    """Separability margin ``nu_min - 1`` of the pair by the Hermitian route.
+
+    ``state + (i t / 2) form`` is positive semidefinite exactly for
+    ``t <= nu_min``. With ``state = L L^T``, that is ``I + t H >= 0`` for the
+    Hermitian ``H = L^-1 (i/2) form L^-T``, whose eigenvalues are
+    ``+-1/nu_k``; so ``nu_min`` is one over the largest of them.
+    """
+    state, form = _deformed_pair(m, n, theta, eta)
+    inv_low = np.linalg.inv(np.linalg.cholesky(state))
+    return 1.0 / np.linalg.eigvalsh(inv_low @ (0.5j * form) @ inv_low.T)[-1] - 1.0
 
 
 def hermitian_min_eigenvalue(m, n, theta):

@@ -25,7 +25,7 @@ from ginfo.symplectic import (
     symplectic_spectrum,
 )
 
-from helpers import QUARTER_CROSSING
+from helpers import QUARTER_CROSSING, hermitian_margin
 
 RSUP_18 = 1.4069616518051216   # (1 + R) sqrt(b) at m = n = 1/8
 GRID = np.linspace(0.01, 0.99, 99)
@@ -75,6 +75,23 @@ class TestPairCvm:
         values = {"m": 0.1, "n": 0.1, "theta": 0.2, "eta": 0.0, field: value}
         with pytest.raises(ValueError, match="finite"):
             PairConfig(**values)
+
+    @pytest.mark.parametrize("theta, eta", [(2.0, 2.0), (0.89, 4.5), (-2.1, -2.1), (4.0, 1.0)])
+    def test_singular_shift_domain_rejected(self, theta, eta):
+        with pytest.raises(SingularMatrixError, match="Bopp shift is singular at theta[*]eta = 4"):
+            PairConfig(0.1, 0.1, theta=theta, eta=eta)
+
+    def test_matches_the_block_formula(self):
+        cfg = PairConfig(-0.3, 0.2, theta=0.4, eta=-0.6)
+        gamma = np.block([[cfg.n * np.eye(2), cfg.m * np.diag([1.0, -1.0])],
+                          [cfg.m * np.diag([1.0, -1.0]), -cfg.n * np.eye(2)]])
+        expected = cfg.scale / 2.0 * np.block([[np.eye(4), gamma], [gamma, np.eye(4)]])
+        np.testing.assert_array_equal(pair_cvm(cfg).matrix, expected)
+
+    def test_built_once_per_correlation(self):
+        state = pair_cvm(PairConfig(0.3, 0.1, theta=0.2, eta=0.7)).matrix
+        assert pair_cvm(PairConfig(0.3, 0.1, theta=0.9, eta=-1.0)).matrix is state
+        assert pair_cvm(PairConfig(0.1, 0.3)).matrix is not state
 
     @pytest.fixture
     def spd_calls(self, monkeypatch):
@@ -141,6 +158,11 @@ class TestBoppShift:
         with pytest.raises(SingularMatrixError):
             bopp_shift(PairConfig(0.1, 0.1, theta=2.0, eta=2.0))
 
+    def test_shift_next_to_its_singular_point_accepted(self):
+        # theta*eta = 3.96: |det S| = 1e-8 and |det S Omega S^T| = 1e-16, but cond(S) is 726
+        shift = bopp_shift(PairConfig(0.2, 0.1, theta=0.88, eta=4.5))
+        assert np.linalg.cond(shift.matrix) < 1e3
+
 
 class TestDeformedSpectrum:
     def test_undeformed_reflection_spectrum(self):
@@ -161,6 +183,11 @@ class TestDeformedSpectrum:
             assert separability_margin(PairConfig(m, n)) == pytest.approx(
                 PairConfig(m, n).radius, abs=1e-9)
         assert separability_margin(PairConfig(0.125, 0.125, theta=0.95)) < 0
+
+    @pytest.mark.parametrize("theta, eta", [(0.5, 0.5), (0.88, 4.5)])   # theta*eta 0.25, 3.96
+    def test_margin_matches_hermitian_route(self, theta, eta):
+        margin = separability_margin(PairConfig(0.2, 0.1, theta=theta, eta=eta))
+        assert margin == pytest.approx(hermitian_margin(0.2, 0.1, theta, eta), abs=1e-9)
 
     def test_reflection_involution(self):
         pair = pair_cvm(PairConfig(0.3, 0.1))

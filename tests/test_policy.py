@@ -4,12 +4,14 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import ginfo
 from ginfo import policy
 
 SRC = Path(ginfo.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _public_callables():
@@ -58,3 +60,12 @@ def test_policy_holds_only_float_constants():
     public = {name: value for name, value in vars(policy).items() if not name.startswith("_")}
     assert public
     assert all(name.isupper() and type(value) is float for name, value in public.items())
+
+
+def test_readme_tolerance_table_lists_every_constant():
+    section = README.read_text().split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", section, flags=re.M)
+    table = {name: float(value) for name, value in rows}
+    assert len(table) == len(rows)
+    assert table == {name: value for name, value in vars(policy).items()
+                     if not name.startswith("_")}

@@ -128,10 +128,13 @@ class TestSpectrum:
             symplectic_spectrum(np.diag([1.0, -1.0]), form)
 
     def test_rejects_singular_form(self):
-        bad = np.zeros((2, 2))
-        bad[0, 1], bad[1, 0] = 1e-20, -1e-20
-        with pytest.raises(SingularMatrixError):
-            SymplecticForm(bad)
+        for second_mode in (0.0, 1e-13):   # rank-deficient, and near it at any scale
+            bad = np.zeros((4, 4))
+            bad[:2, :2] = J2
+            bad[2:, 2:] = second_mode * J2
+            for scale in (1.0, 1e6):
+                with pytest.raises(SingularMatrixError, match="symplectic form is singular"):
+                    SymplecticForm(scale * bad)
 
     def test_rejects_mixed_orderings(self):
         sigma = CovarianceMatrix(np.eye(4), ordering=Ordering.BLOCK_XP)
@@ -141,18 +144,18 @@ class TestSpectrum:
 
 
 class TestSpectrumFormCheck:
-    """The form's |det| check is skipped only where its constructor already made it."""
+    """The form's invertibility check is skipped only where its constructor already made it."""
 
     @pytest.fixture
-    def det_calls(self, monkeypatch):
+    def invertibility_checks(self, monkeypatch):
         calls = []
-        real = np.linalg.det
+        real = symplectic._check_invertible
 
-        def counted(matrix):
+        def counted(matrix, what):
             calls.append(np.shape(matrix))
-            return real(matrix)
+            return real(matrix, what)
 
-        monkeypatch.setattr(np.linalg, "det", counted)
+        monkeypatch.setattr(symplectic, "_check_invertible", counted)
         return calls
 
     def test_raw_singular_array_raises(self):
@@ -161,7 +164,7 @@ class TestSpectrumFormCheck:
         with pytest.raises(SingularMatrixError):
             symplectic_spectrum(np.eye(4), bad)
 
-    def test_form_of_an_equal_policy_is_not_rechecked(self, det_calls):
+    def test_form_of_an_equal_policy_is_not_rechecked(self, invertibility_checks):
         sigma = CovarianceMatrix(np.diag([1.0, 1.0, 2.0, 2.0]))
         standard = build_symplectic_form(2)
         t = random_invertible(4, np.random.default_rng(2))
@@ -169,12 +172,12 @@ class TestSpectrumFormCheck:
         skewed = SymplecticForm(0.5 * (moved - moved.T))
         assert standard.orthogonal and not skewed.orthogonal
         for form in (standard, skewed):
-            det_calls.clear()
+            invertibility_checks.clear()
             expected = symplectic_spectrum(sigma, form.matrix)
-            assert det_calls == [(4, 4)]             # a raw array is checked
-            det_calls.clear()
+            assert invertibility_checks == [(4, 4)]   # a raw array is checked
+            invertibility_checks.clear()
             np.testing.assert_array_equal(symplectic_spectrum(sigma, form), expected)
-            assert det_calls == []
+            assert invertibility_checks == []
 
 
 class TestSpectrumStack:
@@ -241,6 +244,14 @@ class TestFormValidation:
     def test_non_antisymmetric_rejected(self):
         with pytest.raises(NumericDomainError, match="not antisymmetric"):
             SymplecticForm([[0.0, 1.0], [-0.5, 0.0]])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_scaled_form_accepted(self, scale):
+        # the invertibility test is scale-free: |det| of 1e-3 Omega is 1e-24 in 8x8
+        form = SymplecticForm(scale * PARTY_FORM.matrix, Ordering.PARTY_BLOCK_XP)
+        sigma = bipartite.pair_cvm(bipartite.PairConfig(0.2, 0.1))
+        np.testing.assert_allclose(symplectic_spectrum(sigma, form),
+                                   symplectic_spectrum(sigma, PARTY_FORM) / scale, rtol=1e-13)
 
 
 class TestOrthogonalForms:
@@ -374,6 +385,12 @@ class TestCongruence:
     def test_singular_transform_rejected(self):
         with pytest.raises(SingularMatrixError):
             congruence_apply(np.zeros((4, 4)), CovarianceMatrix(np.eye(4)))
+
+    def test_small_scaled_transform_accepted(self):
+        # |det| = 1e-16, yet 1e-4 I is perfectly conditioned
+        sigma = CovarianceMatrix(random_spd(4, np.random.default_rng(3)))
+        out = congruence_apply(1e-4 * np.eye(4), sigma)
+        np.testing.assert_allclose(out.matrix, 1e-8 * sigma.matrix, rtol=1e-15, atol=0)
 
     def test_shift_matches_direct_product(self):
         cfg = bipartite.PairConfig(0.2, 0.1, theta=0.5, eta=0.5)
