@@ -274,7 +274,7 @@ def _run_metric(args) -> int:
         "metric": [list(row) for row in closed.matrix],
         "parameter_names": list(closed.parameter_names),
         "det_closed_form": fisher.fisher_det_two_mode(p),
-        "det_numeric": float(np.linalg.det(closed.matrix)),
+        "det_numeric": float(np.linalg.det(numeric.matrix)),
         "numeric_route_max_deviation": float(np.abs(closed.matrix - numeric.matrix).max()),
         "pure_state_ratio": fisher.pure_state_det_ratio(p),
     }
@@ -288,13 +288,12 @@ def _run_oscillator(args) -> int:
     p = oscillator.OscillatorParams(mass1=args.m1, mass2=args.m2,
                                     freq1=args.w1, freq2=args.w2,
                                     theta=args.theta, eta=args.eta, hbar=args.hbar)
-    _, eq = oscillator.equivalent_hamiltonian(p)
-    exponent = oscillator.ground_state(p)
-    cvm = oscillator.ground_state_cvm(exponent, p.hbar)
+    state = oscillator.ground_state(p)
+    eq, exponent, cvm, modes = state.equivalent, state.exponent, state.covariance, state.modes
     # the thresholds hold for the state in units of hbar, a positive multiple
     # of the validated state
     units = _validated(cvm.matrix / p.hbar, cvm.ordering)
-    report = oscillator.separability_condition(p)
+    report = oscillator.separability_condition(p, exponent)
     results = {
         "equivalent": {"mass1": eq.mass1, "mass2": eq.mass2,
                        "stiffness1": eq.stiffness1, "stiffness2": eq.stiffness2,
@@ -308,12 +307,8 @@ def _run_oscillator(args) -> int:
         "constraint_gap": report.lhs_rhs_gap,
         "ppt_margin": states.ppt_separable(units).margin,
         "hbar_effective": p.hbar_effective,
+        "mode_freqs": None if modes is None else [modes.freq1, modes.freq2],
     }
-    try:
-        spec = oscillator.mode_spectrum(eq)
-        results["mode_freqs"] = [spec.freq1, spec.freq2]
-    except DegenerateSpectrumError:
-        results["mode_freqs"] = None   # degenerate isotropic undeformed case
     _emit(_json_report(_echo(args), results), args.out)
     return EXIT_OK
 

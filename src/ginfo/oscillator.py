@@ -3,7 +3,9 @@
 Pipeline: deformation parameters -> Darboux (Bopp-shift) transform -> an
 equivalent standard-space Hamiltonian with effective masses, stiffnesses and
 a momentum-position cross coupling -> normal-mode frequencies -> Gaussian
-ground state -> covariance matrix and separability verdict.
+ground state -> covariance matrix and separability verdict. The covariance
+is checked once, end to end, against the Williamson polar form of the
+transformed Hamiltonian.
 
 Basis throughout is mode-interleaved (x1, p1, x2, p2).
 """
@@ -21,8 +23,8 @@ from .errors import (
     NumericDomainError,
     SingularMatrixError,
 )
-from .policy import (DECOUPLED_TOL, DEGENERATE_MODES_TOL, EXPONENT_CHECK_TOL, HAMILTONIAN_CHECK_TOL,
-                     NORMAL_MODE_CHECK_TOL, SINGULAR_MOMENTUM_TOL, ZERO_COUPLING_TOL)
+from .policy import (DECOUPLED_TOL, DEGENERATE_MODES_TOL, GROUND_STATE_CHECK_TOL,
+                     SINGULAR_MOMENTUM_TOL, ZERO_COUPLING_TOL)
 from .symplectic import J2, CovarianceMatrix, Ordering, _check_finite, build_symplectic_form
 
 
@@ -104,29 +106,14 @@ def equivalent_params(p: OscillatorParams) -> EquivalentParams:
                             freq2=math.sqrt(stiff2 / mass2))
 
 
-def equivalent_hamiltonian_matrix(eq: EquivalentParams) -> np.ndarray:
-    """Standard-frame Hamiltonian assembled from the closed-form blocks."""
-    h1 = np.diag([eq.stiffness1, 1.0 / eq.mass1])
-    h2 = np.diag([eq.stiffness2, 1.0 / eq.mass2])
-    cross = np.array([[0.0, -2.0 * eq.coupling2], [2.0 * eq.coupling1, 0.0]])
-    return np.block([[h1, cross], [cross.T, h2]])
+def equivalent_hamiltonian(p: OscillatorParams) -> np.ndarray:
+    """Standard-frame Hamiltonian matrix by the product route ``Ups^T H_nc Ups``.
 
-
-def equivalent_hamiltonian(p: OscillatorParams) -> tuple[np.ndarray, EquivalentParams]:
-    """Transform the Hamiltonian to the standard frame, both routes checked.
-
-    The matrix product route and the closed-form block assembly must agree
-    elementwise to ``HAMILTONIAN_CHECK_TOL``; a mismatch indicates corrupted
-    inputs.
+    It shares no arithmetic with :func:`equivalent_params`, whose closed-form
+    blocks assemble the same matrix.
     """
     ups = darboux_matrix(p)
-    transformed = ups.T @ nc_hamiltonian_matrix(p) @ ups
-    eq = equivalent_params(p)
-    assembled = equivalent_hamiltonian_matrix(eq)
-    dev = np.abs(transformed - assembled).max()
-    if dev > HAMILTONIAN_CHECK_TOL * max(1.0, np.abs(transformed).max()):
-        raise NumericDomainError(f"closed-form Hamiltonian deviates from transform route by {dev:.3e}")
-    return 0.5 * (transformed + transformed.T), eq
+    return ups.T @ nc_hamiltonian_matrix(p) @ ups
 
 
 @dataclass(frozen=True)
@@ -137,46 +124,38 @@ class ModeSpectrum:
     freq2: float          # upper mode
 
 
-def mode_spectrum(eq: EquivalentParams) -> ModeSpectrum:
-    """Normal-mode frequencies of the equivalent Hamiltonian.
-
-    Closed form via the block-determinant sum and the discriminant, verified
-    against the numeric eigenvalues of J H. Degenerate spectra (possible only
-    for the isotropic undeformed oscillator) are rejected.
-    """
-    w1sq = eq.freq1 ** 2
-    w2sq = eq.freq2 ** 2
-    inv_sum = w1sq + w2sq + 8.0 * eq.coupling1 * eq.coupling2
-    disc_sq = (w1sq - w2sq) ** 2 \
+def _discriminant(eq: EquivalentParams) -> float:
+    """``high^2 - low^2`` of the modes of ``eq``, from a sum of squares."""
+    disc_sq = (eq.freq1 ** 2 - eq.freq2 ** 2) ** 2 \
         + 16.0 * eq.coupling1 * eq.coupling2 * (eq.freq1 - eq.freq2) ** 2 \
         + 16.0 * (math.sqrt(eq.mass1 / eq.mass2) * eq.freq1 * eq.coupling1
                   + math.sqrt(eq.mass2 / eq.mass1) * eq.freq2 * eq.coupling2) ** 2
-    disc = math.sqrt(max(disc_sq, 0.0))
+    return math.sqrt(max(disc_sq, 0.0))
+
+
+def mode_spectrum(p: OscillatorParams, eq: EquivalentParams) -> ModeSpectrum:
+    """Normal-mode frequencies of ``eq``, the equivalent parameters of ``p``.
+
+    The high mode is the closed form of the block-determinant sum and the
+    discriminant. The low mode comes from the product of the two,
+    ``low * high = (1 - theta eta / 4 hbar^2)^2 freq1 freq2`` in the
+    deformed-frame frequencies of ``p``, since ``det H = det(Ups)^2 det H_nc``;
+    so it keeps its relative accuracy as it softens toward the singular edge,
+    where the difference of the sum and the discriminant cancels. Degenerate
+    spectra (possible only for the isotropic undeformed oscillator) are
+    rejected.
+    """
+    inv_sum = eq.freq1 ** 2 + eq.freq2 ** 2 + 8.0 * eq.coupling1 * eq.coupling2
+    disc = _discriminant(eq)
     if disc <= DEGENERATE_MODES_TOL:
         raise DegenerateSpectrumError("degenerate normal modes (isotropic undeformed case)")
-    low = math.sqrt((inv_sum - disc) / 2.0)
     high = math.sqrt((inv_sum + disc) / 2.0)
-    j = build_symplectic_form(2, Ordering.MODE_INTERLEAVED).matrix
-    numeric = np.sort(np.abs(np.linalg.eigvals(j @ equivalent_hamiltonian_matrix(eq)).imag))[::2]
-    if np.abs(numeric - [low, high]).max() > NORMAL_MODE_CHECK_TOL * max(1.0, high):
-        raise NumericDomainError("closed-form mode frequencies disagree with eig(JH)")
-    return ModeSpectrum(freq1=low, freq2=high)
+    det_ups = (1.0 - p.theta * p.eta / (4.0 * p.hbar ** 2)) ** 2
+    return ModeSpectrum(freq1=det_ups * p.freq1 * p.freq2 / high, freq2=high)
 
 
-@dataclass(frozen=True, eq=False)
-class ModeCoefficients:
-    """Left-eigenvector components (kappa) and normalizations per mode.
-
-    ``coeffs[j]`` holds the four real components of mode j's left eigenvector
-    ``k_j (i k0, k1, k2, i k3)``; the eigenvector phase is fixed by taking the
-    normalization constants real positive, which the ground state cannot see.
-    """
-
-    coeffs: np.ndarray   # shape (2, 4)
-    norms: tuple[float, float]
-
-
-def _mode_coeff_row(lam: float, eq: EquivalentParams) -> np.ndarray:
+def _mode_coeff_row(lam: float, shift: float, eq: EquivalentParams) -> np.ndarray:
+    """Components of the mode of frequency ``lam``, with ``shift = lam^2 - freq1^2``."""
     m1, m2 = eq.mass1, eq.mass2
     n1, n2 = eq.coupling1, eq.coupling2
     w1sq = eq.freq1 ** 2
@@ -184,38 +163,43 @@ def _mode_coeff_row(lam: float, eq: EquivalentParams) -> np.ndarray:
     return np.array([
         -2.0 * m1 * lam * (m1 * n1 * w1sq + m2 * n2 * w2sq),
         2.0 * (m2 * n2 * w2sq - 4.0 * m1 * n1 ** 2 * n2 + m1 * n1 * lam ** 2),
-        m1 * (4.0 * m1 * n1 ** 2 * w1sq - m2 * w1sq * w2sq + m2 * w2sq * lam ** 2),
-        -m1 * lam * (w1sq + 4.0 * n1 * n2 - lam ** 2),
+        m1 * (4.0 * m1 * n1 ** 2 * w1sq + m2 * w2sq * shift),
+        -m1 * lam * (4.0 * n1 * n2 - shift),
     ])
 
 
-def eigvec_coefficients(eq: EquivalentParams, spec: ModeSpectrum) -> ModeCoefficients:
-    """Polynomial left-eigenvector components for both modes.
+def eigvec_coefficients(eq: EquivalentParams, spec: ModeSpectrum) -> np.ndarray:
+    """Polynomial left-eigenvector components for both modes, shape (2, 4).
 
-    Raises NormalizationError when the norm-square ``2(k2 k3 - k0 k1)`` is
-    not positive, which happens exactly when the coefficient polynomials
-    degenerate (the undeformed limit); the decoupled branch of
-    :func:`ground_state` covers that case.
+    Row j holds the four real components of mode j's left eigenvector, which
+    is ``(i k0, k1, k2, i k3)`` up to a positive normalization
+    ``1 / sqrt(2(k2 k3 - k0 k1))`` that the ground state cannot see.
+    Raises NormalizationError when that norm-square is not positive, which
+    happens exactly when the coefficient polynomials degenerate (the
+    undeformed limit); the decoupled branch of :func:`ground_state` covers
+    that case.
+
+    The shifts ``lam^2 - freq1^2`` of the two modes are the roots
+    ``(b -+ disc) / 2`` of a quadratic whose product ``(b^2 - disc^2) / 4``
+    has a closed form. The root of the larger magnitude is taken directly
+    and the other from the product, so neither cancels as the couplings
+    vanish.
     """
-    rows = np.array([_mode_coeff_row(spec.freq1, eq), _mode_coeff_row(spec.freq2, eq)])
-    norms = []
-    hj = (build_symplectic_form(2, Ordering.MODE_INTERLEAVED).matrix
-          @ equivalent_hamiltonian_matrix(eq))
-    for j, lam in enumerate((spec.freq1, spec.freq2)):
-        k0, k1, k2, k3 = rows[j]
+    n1, n2 = eq.coupling1, eq.coupling2
+    b = eq.freq2 ** 2 - eq.freq1 ** 2 + 8.0 * n1 * n2
+    big = (b + math.copysign(_discriminant(eq), b)) / 2.0
+    small = -4.0 * (eq.mass1 / eq.mass2 * (eq.freq1 * n1) ** 2 + 2.0 * n1 * n2 * eq.freq1 ** 2
+                    + eq.mass2 / eq.mass1 * (eq.freq2 * n2) ** 2 - 4.0 * (n1 * n2) ** 2) / big
+    shifts = (small, big) if b >= 0 else (big, small)
+    rows = np.array([_mode_coeff_row(spec.freq1, shifts[0], eq),
+                     _mode_coeff_row(spec.freq2, shifts[1], eq)])
+    for j, (k0, k1, k2, k3) in enumerate(rows):
         norm_sq = 2.0 * (k2 * k3 - k0 * k1)
         if norm_sq <= 0:
             raise NormalizationError(
                 f"mode {j + 1} eigenvector norm-square is {norm_sq:.3e}; "
                 "coefficients degenerate at this parameter point")
-        norms.append(1.0 / math.sqrt(norm_sq))
-        chi = np.array([1j * k0, k1, k2, 1j * k3])
-        scale = np.abs(chi).max()
-        residual = np.abs(chi @ hj + 1j * lam * chi).max()
-        if residual > NORMAL_MODE_CHECK_TOL * max(scale, 1.0):
-            raise NumericDomainError(
-                f"mode {j + 1} left-eigenvector residual {residual:.3e} exceeds tolerance")
-    return ModeCoefficients(coeffs=rows, norms=(norms[0], norms[1]))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -236,69 +220,28 @@ class GroundStateExponent:
         if self.m11 <= 0 or self.m22 <= 0:
             raise NumericDomainError("ground state is not normalizable: diagonal must be positive")
 
-    @property
-    def weighted_det(self) -> float:
-        return self.m11 * self.m22 + self.cross_imag ** 2
 
+def ground_state_exponent(coeffs: np.ndarray, hbar: float) -> GroundStateExponent:
+    """Exponent matrix ``(i/hbar) Up^-1 Ux`` from the eigenvector components.
 
-def ground_state_exponent(coeffs: ModeCoefficients, hbar: float) -> GroundStateExponent:
-    """Exponent matrix from the eigenvector components, two routes checked.
-
-    The display ratios and the matrix route ``(i/hbar) Up^-1 Ux`` must agree
-    to ``EXPONENT_CHECK_TOL``, and the matrix route must show the real/imaginary
-    structure to the same tolerance.
+    ``Up`` has rows ``(k1, i k3)`` and ``Ux`` rows ``(i k0, k2)``, one per
+    mode; the entries are written as ratios of their 2x2 minors.
     """
-    (k10, k11, k12, k13), (k20, k21, k22, k23) = coeffs.coeffs
+    (k10, k11, k12, k13), (k20, k21, k22, k23) = coeffs
     den = hbar * (k11 * k23 - k21 * k13)
-    if abs(den) < SINGULAR_MOMENTUM_TOL * max(1.0, np.abs(coeffs.coeffs).max() ** 2):
+    if abs(den) < SINGULAR_MOMENTUM_TOL * max(1.0, np.abs(coeffs).max() ** 2):
         raise NormalizationError("momentum coefficient matrix is singular; ansatz not normalizable")
     m11 = (k13 * k20 - k23 * k10) / den
     m22 = (k11 * k22 - k21 * k12) / den
     cross = (k23 * k12 - k13 * k22) / den
-    cross_alt = (k20 * k11 - k21 * k10) / den
-    # matrix route: Up rows (k1, i k3), Ux rows (i k0, k2)
-    ux = np.array([[1j * k10, k12], [1j * k20, k22]])
-    up = np.array([[k11, 1j * k13], [k21, 1j * k23]])
-    mat = 1j / hbar * np.linalg.solve(up, ux)
-    scale = max(1.0, np.abs(mat).max())
-    structure = max(abs(mat[0, 0].imag), abs(mat[1, 1].imag),
-                    abs(mat[0, 1].real), abs(mat[1, 0].real),
-                    np.abs(mat[0, 1] - mat[1, 0]).max())
-    if structure > EXPONENT_CHECK_TOL * scale:
-        raise NumericDomainError(f"exponent matrix structure violation: {structure:.3e}")
-    dev = max(abs(mat[0, 0].real - m11), abs(mat[1, 1].real - m22),
-              abs(mat[0, 1].imag - cross), abs(cross_alt - cross))
-    if dev > EXPONENT_CHECK_TOL * scale:
-        raise NumericDomainError(f"exponent ratios deviate from matrix route by {dev:.3e}")
     return GroundStateExponent(m11=float(m11), m22=float(m22), cross_imag=float(cross))
-
-
-def _decoupled(eq: EquivalentParams, scale: float) -> bool:
-    return max(abs(eq.coupling1), abs(eq.coupling2)) < DECOUPLED_TOL * scale
-
-
-def ground_state(p: OscillatorParams) -> GroundStateExponent:
-    """Ground-state exponent for arbitrary admissible parameters.
-
-    Runs the eigenvector pipeline; in the exactly decoupled case (both cross
-    couplings zero, i.e. no deformation) the ground state is the product of
-    two independent oscillator ground states and is written down directly.
-    """
-    eq = equivalent_params(p)
-    if _decoupled(eq, max(eq.freq1, eq.freq2)):
-        return GroundStateExponent(m11=eq.mass1 * eq.freq1 / p.hbar,
-                                   m22=eq.mass2 * eq.freq2 / p.hbar,
-                                   cross_imag=0.0)
-    spec = mode_spectrum(eq)
-    coeffs = eigvec_coefficients(eq, spec)
-    return ground_state_exponent(coeffs, p.hbar)
 
 
 def ground_state_cvm(exponent: GroundStateExponent, hbar: float) -> CovarianceMatrix:
     """Covariance matrix of the Gaussian ground state (interleaved basis)."""
     m11, m22 = exponent.m11, exponent.m22
     cross = exponent.cross_imag
-    wdet = exponent.weighted_det
+    wdet = m11 * m22 + cross ** 2
     v11 = np.diag([1.0 / (hbar * m11), hbar * wdet / m22])
     v22 = np.diag([1.0 / (hbar * m22), hbar * wdet / m11])
     v12 = np.array([[0.0, -cross / m11], [-cross / m22, 0.0]])
@@ -307,6 +250,65 @@ def ground_state_cvm(exponent: GroundStateExponent, hbar: float) -> CovarianceMa
         return CovarianceMatrix(m, ordering=Ordering.MODE_INTERLEAVED)
     except NumericDomainError as exc:
         raise NumericDomainError(f"inconsistent exponent produced a non-SPD state: {exc}") from exc
+
+
+def _polar_ground_state(h: np.ndarray, hbar: float) -> np.ndarray:
+    """Ground-state covariance of the Hamiltonian matrix ``h`` by Williamson's polar form.
+
+    ``(hbar/2) h^-1/2 |h^1/2 i Omega h^1/2| h^-1/2`` (Williamson, Am. J. Math.
+    58, 141 (1936)): one route for every admissible ``h``, with no decoupled
+    or degenerate case.
+    """
+    w, v = np.linalg.eigh(h)
+    root, inv_root = (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
+    lam, u = np.linalg.eigh(root @ (1j * build_symplectic_form(2).matrix) @ root)
+    return hbar / 2.0 * (inv_root @ ((u * np.abs(lam)) @ u.conj().T).real @ inv_root)
+
+
+@dataclass(frozen=True)
+class GroundState:
+    """One run of the pipeline: its stages' results and their end-to-end check."""
+
+    equivalent: EquivalentParams
+    modes: ModeSpectrum | None      # None where the modes coincide (isotropic, undeformed)
+    exponent: GroundStateExponent
+    covariance: CovarianceMatrix
+    polar_gap: float    # max |covariance - polar form| / (max |polar form| * cond(H))
+
+
+def ground_state(p: OscillatorParams) -> GroundState:
+    """Ground state for arbitrary admissible parameters, checked end to end.
+
+    Runs the eigenvector pipeline; in the exactly decoupled case (both cross
+    couplings zero, i.e. no deformation) the ground state is the product of
+    two independent oscillator ground states and is written down directly.
+    Its covariance must match the polar form of the product-route
+    Hamiltonian H to ``GROUND_STATE_CHECK_TOL * cond(H)``, relative to the
+    largest entry, or NumericDomainError is raised. ``cond(H)`` grows as
+    ``1 / (1 - theta eta / 4 hbar^2)^2`` toward the singular edge, and both
+    routes lose accuracy in proportion to it.
+    """
+    h = equivalent_hamiltonian(p)
+    eq = equivalent_params(p)
+    if max(abs(eq.coupling1), abs(eq.coupling2)) < DECOUPLED_TOL * max(eq.freq1, eq.freq2):
+        try:
+            modes = mode_spectrum(p, eq)
+        except DegenerateSpectrumError:
+            modes = None
+        exponent = GroundStateExponent(m11=eq.mass1 * eq.freq1 / p.hbar,
+                                       m22=eq.mass2 * eq.freq2 / p.hbar,
+                                       cross_imag=0.0)
+    else:
+        modes = mode_spectrum(p, eq)
+        exponent = ground_state_exponent(eigvec_coefficients(eq, modes), p.hbar)
+    covariance = ground_state_cvm(exponent, p.hbar)
+    polar = _polar_ground_state(h, p.hbar)
+    deviation = np.abs(covariance.matrix - polar).max() / np.abs(polar).max()
+    gap = float(deviation / np.linalg.cond(h))
+    if gap > GROUND_STATE_CHECK_TOL:
+        raise NumericDomainError(f"ground state deviates from its polar form by {deviation:.3e}, "
+                                 f"relative to its largest entry")
+    return GroundState(eq, modes, exponent, covariance, gap)
 
 
 def separability_sides(p: OscillatorParams) -> tuple[float, float]:
@@ -328,15 +330,15 @@ class SeparabilityReport:
     cross_imag: float
 
 
-def separability_condition(p: OscillatorParams) -> SeparabilityReport:
-    """Ground-state separability verdict with the closed-form gap.
+def separability_condition(p: OscillatorParams,
+                           exponent: GroundStateExponent) -> SeparabilityReport:
+    """Separability verdict of ``exponent``, the ground state of ``p``, with the closed-form gap.
 
     Separable exactly when the imaginary cross coupling of the ground-state
     exponent vanishes; the gap between the two sides of the closed-form
     frequency constraint is reported alongside and must agree in its zero
     set.
     """
-    exponent = ground_state(p)
     lhs, rhs = separability_sides(p)
     return SeparabilityReport(
         separable=bool(abs(exponent.cross_imag) < ZERO_COUPLING_TOL),

@@ -17,12 +17,10 @@ ZERO_COUPLING_TOL = 1e-10       # |imaginary cross coupling| of a product ground
 
 # closed forms against their numeric routes
 SECTOR_GAP_TOL = 1e-10          # smallest sector denominator of the closed-form square root
-HAMILTONIAN_CHECK_TOL = 1e-10   # relative gap of the two equivalent-Hamiltonian routes
 DEGENERATE_MODES_TOL = 1e-12    # normal modes with a frequency discriminant at or below this coincide
-NORMAL_MODE_CHECK_TOL = 1e-8    # relative gap of closed-form mode data to the eigenproblem of J H
 SINGULAR_MOMENTUM_TOL = 1e-12   # relative floor of the momentum coefficient determinant
-EXPONENT_CHECK_TOL = 1e-9       # relative gap of the two ground-state exponent routes
 DECOUPLED_TOL = 1e-13           # cross couplings below this, relative to the frequency, vanish
+GROUND_STATE_CHECK_TOL = 1e-13  # ground state's relative gap to its polar form, per unit of cond(H)
 
 # resolutions
 BISECT_TOL = 1e-6               # width to which theta_sweep bisects a margin crossing

@@ -297,6 +297,15 @@ def battery_sqrt_elements(rng) -> PropertyResult:
 # ---------------------------------------------------------------------------
 # deformed oscillator
 
+def _edge_draw(rng) -> oscillator.OscillatorParams:
+    """An oscillator at hbar 0.5, 1 or 2 with 1 - theta*eta/4hbar^2 log-uniform in (1e-3, 1)."""
+    hbar = float(rng.choice([0.5, 1.0, 2.0]))
+    strength = 2.0 * hbar * math.sqrt(1.0 - 10.0 ** rng.uniform(-3.0, 0.0))
+    ratio = math.exp(rng.uniform(-1.0, 1.0))
+    return oscillator.OscillatorParams(*rng.uniform(0.2, 3.0, size=4), theta=strength * ratio,
+                                       eta=strength / ratio, hbar=hbar)
+
+
 def battery_commutative_limit(rng) -> PropertyResult:
     worst_tail = 0.0
     steps = 16   # final eps ~ 6e-6, all gaps are O(eps)
@@ -304,9 +313,9 @@ def battery_commutative_limit(rng) -> PropertyResult:
         eps = 0.2 * 2.0 ** (-k)
         p = oscillator.OscillatorParams(1.0, 1.0, 1.0, 2.0, theta=eps, eta=eps)
         ups_gap = np.abs(oscillator.darboux_matrix(p) - np.eye(4)).max()
-        h_gap = np.abs(oscillator.equivalent_hamiltonian(p)[0]
+        h_gap = np.abs(oscillator.equivalent_hamiltonian(p)
                        - oscillator.nc_hamiltonian_matrix(p)).max()
-        cross = abs(oscillator.ground_state(p).cross_imag)
+        cross = abs(oscillator.ground_state(p).exponent.cross_imag)
         hbar_gap = abs(p.hbar_effective - p.hbar)
         if k == steps - 1:
             worst_tail = max(ups_gap, h_gap, cross, hbar_gap)
@@ -316,33 +325,27 @@ def battery_commutative_limit(rng) -> PropertyResult:
 
 def battery_spectrum_closed_vs_numeric(rng) -> PropertyResult:
     cases = 200
-    # mode_spectrum validates itself against eig(JH) at 1e-8 on every call
     dev = 0.0
     for _ in range(cases):
-        p = oscillator.OscillatorParams(*rng.uniform(0.5, 2.0, size=4),
-                                        theta=rng.uniform(0.0, 0.9),
-                                        eta=rng.uniform(0.0, 0.9))
-        eq = oscillator.equivalent_params(p)
-        spec = oscillator.mode_spectrum(eq)
+        p = _edge_draw(rng)
+        spec = oscillator.mode_spectrum(p, oscillator.equivalent_params(p))
+        closed = np.array([spec.freq1, spec.freq2])
+        h = oscillator.equivalent_hamiltonian(p)
         numeric = np.sort(np.abs(np.linalg.eigvals(
-            build_symplectic_form(2, Ordering.MODE_INTERLEAVED).matrix
-            @ oscillator.equivalent_hamiltonian_matrix(eq)).imag))[::2]
-        dev = max(dev, np.abs(numeric - [spec.freq1, spec.freq2]).max())
-    return _result("closed-form mode frequencies match eig(JH)", dev, 1e-8, cases)
+            build_symplectic_form(2, Ordering.MODE_INTERLEAVED).matrix @ h).imag))[::2]
+        dev = max(dev, (np.abs(numeric - closed) / closed).max() / np.linalg.cond(h))
+    return _result("closed-form mode frequencies match eig(JH), relative per mode and per "
+                   "unit of cond(H), up to theta*eta/4hbar^2 = 0.999", dev, 1e-14, cases)
 
 
-def battery_exponent_structure(rng) -> PropertyResult:
-    cases = 150
-    # ground_state_exponent raises if the matrix route breaks the structure
-    done = 0
+def battery_polar_ground_state(rng) -> PropertyResult:
+    cases = 200
+    dev = 0.0
     for _ in range(cases):
-        p = oscillator.OscillatorParams(*rng.uniform(0.5, 2.0, size=4),
-                                        theta=rng.uniform(0.01, 0.9),
-                                        eta=rng.uniform(0.01, 0.9))
-        oscillator.ground_state(p)
-        done += 1
-    return PropertyResult("exponent matrix keeps its real/imaginary structure",
-                          True, done, "structure asserted at 1e-9 inside the pipeline")
+        p = _edge_draw(rng)
+        dev = max(dev, oscillator.ground_state(p).polar_gap)
+    return _result("ground state matches its polar form, relative per unit of cond(H), "
+                   "up to theta*eta/4hbar^2 = 0.999", dev, 1e-14, cases)
 
 
 def battery_separability_triangle(rng) -> PropertyResult:
@@ -354,11 +357,11 @@ def battery_separability_triangle(rng) -> PropertyResult:
         oscillator.OscillatorParams(1.0, 1.0, 1.0, 2.0, theta=0.3, eta=0.2),  # generic
     ]
     for p in points:
-        report = oscillator.separability_condition(p)
+        state = oscillator.ground_state(p)
+        report = oscillator.separability_condition(p, state.exponent)
         lhs, rhs = oscillator.separability_sides(p)
         rel_gap = abs(report.lhs_rhs_gap) / max(abs(lhs), abs(rhs), 1e-300)
-        cvm = oscillator.ground_state_cvm(oscillator.ground_state(p), p.hbar)
-        ppt = states.ppt_separable(cvm)
+        ppt = states.ppt_separable(state.covariance)
         gap_zero = rel_gap < 1e-9
         checks.append(report.separable == gap_zero == ppt.separable)
     return PropertyResult("cross coupling, closed-form gap and reflection verdict agree",
@@ -372,10 +375,9 @@ def battery_isotropy_separable(rng) -> PropertyResult:
         for eta in np.linspace(0.0, 0.9, 6):
             p = oscillator.OscillatorParams(1.2, 1.2, 1.5, 1.5,
                                             theta=float(theta), eta=float(eta))
-            cross = abs(oscillator.ground_state(p).cross_imag)
-            cvm = oscillator.ground_state_cvm(oscillator.ground_state(p), p.hbar)
-            margin = states.ppt_separable(cvm).margin
-            worst = max(worst, cross, max(0.0, -margin))
+            state = oscillator.ground_state(p)
+            margin = states.ppt_separable(state.covariance).margin
+            worst = max(worst, abs(state.exponent.cross_imag), max(0.0, -margin))
             cases += 1
     return _result("isotropic oscillator stays separable over the grid", worst, 1e-9, cases)
 
@@ -525,7 +527,7 @@ BATTERIES = [
     battery_sqrt_elements,
     battery_commutative_limit,
     battery_spectrum_closed_vs_numeric,
-    battery_exponent_structure,
+    battery_polar_ground_state,
     battery_separability_triangle,
     battery_isotropy_separable,
     battery_shift_preserves_validity,

@@ -51,6 +51,76 @@ def random_nondegenerate_canonical(rng, floor=0.05, margin=1e-6):
 # (0.45, 0.55) and from the start 0.49. No eigensolver is involved.
 QUARTER_CROSSING = 0.4926892935955880603138111874727615762251
 
+# Deformed-oscillator points, each as ((mass1, mass2, freq1, freq2, theta,
+# eta, hbar), (low, high) mode frequencies, ground-state covariance in the
+# interleaved basis). Written by ``tests/reference/oscillator_edge.py`` from
+# the Hamiltonian ``Ups^T H_nc Ups`` built entry by entry in mpmath 1.3 at
+# 80 digits and printed to 60: the modes from the characteristic polynomial
+# of J H and the covariance from Williamson's polar form, verified pure and
+# stationary to 1e-50. No eigensolver of ginfo is involved.
+OSCILLATOR_REFERENCES = [
+    ((2.104276890260227, 0.8019963937869912, 1.4808950665076819, 1.0694591716533708,
+      1.161823653470202, 0.8595244107076057, 0.5),
+     (4.92685317486185711684736760293130312207375277897640259434167e-7,
+      6.15916945992795058771355314190629232752954660414548718209767),
+     ((1.53068618504586790328997299034780086783854861499743324492342e-1,
+       0.0,
+       0.0,
+       1.20353798737440961760483868567405781820683670817971703388994e-2),
+      (0.0,
+       4.11751752122404996905647346001764085850740443873264865907643e-1,
+       4.37270671753110509361979444353048953083461611735604660257184e-2,
+       0.0),
+      (0.0,
+       4.37270671753110509361979444353048953083461611735604660257184e-2,
+       5.56130494757696476813896704697760562989174756152225890196538e-1,
+       0.0),
+      (1.20353798737440961760483868567405781820683670817971703388994e-2,
+       0.0,
+       0.0,
+       1.13330005202609603833572689922142211781073665889726434162373e-1))),
+    ((2.2088406975214014, 1.34787205135168, 1.675331762680344, 2.6383318290489277,
+      0.982888372668467, 1.0158376496034558, 0.5),
+     (6.47915771560087083312819360927874883989406830460086923943405e-7,
+      1.62839817793064718023968594013225882741526106278506385336654e+1),
+     ((2.45412285114957183131235605063295273228609823783907820451302e-1,
+       0.0,
+       0.0,
+       -4.76173992787768023244029222529090787380450451890495246428116e-2),
+      (0.0,
+       2.64287877000195336076120372738096652738690435038409203834059e-1,
+       -4.95510434953616700270888132437487915210153418802550275291945e-2,
+       0.0),
+      (0.0,
+       -4.95510434953616700270888132437487915210153418802550275291945e-2,
+       2.55377971040247044436634295391397546419267558257171611568213e-1,
+       0.0),
+      (-4.76173992787768023244029222529090787380450451890495246428116e-2,
+       0.0,
+       0.0,
+       2.539744973248963195374968351834359700560479618741749542894e-1))),
+    ((1.0, 1.0, 1.0, 2.0,
+      1e-08, 1e-08, 1.0),
+     (9.99999999999999808333333333333381331536866969248552267035247e-1,
+      2.00000000000000028333333333333328870796965559134182410790113),
+     ((5.00000000000000009722222222222222409142386511757330771164202e-1,
+       0.0,
+       0.0,
+       -8.33333333333333325305837728810763574860526723543288294865324e-10),
+      (0.0,
+       4.99999999999999990972222222222222197463022048606291453432677e-1,
+       -4.16666666666666662652918864405381787430263361771644147432662e-10,
+       0.0),
+      (0.0,
+       -4.16666666666666662652918864405381787430263361771644147432662e-10,
+       2.50000000000000004861111111111111204571193255878665385582101e-1,
+       0.0),
+      (-8.33333333333333325305837728810763574860526723543288294865324e-10,
+       0.0,
+       0.0,
+       9.99999999999999981944444444444444394926044097212582906865353e-1))),
+]
+
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _SZ = np.diag([1.0, -1.0])
 _I2 = np.eye(2)
@@ -151,14 +221,23 @@ def canonical_hermitian_verdicts(draws, rsup_slack=1e-10):
 # ---------------------------------------------------------------------------
 # Deformed-oscillator oracles
 #
-# Second routes to the ground state of ``ginfo.oscillator``: the normalized
-# mode eigenvectors behind ``eigvec_coefficients`` and the phase-space
-# quadratic form behind ``ground_state_cvm``.
+# Second routes to the ground state of ``ginfo.oscillator``: the equivalent
+# Hamiltonian assembled from the closed-form blocks of ``equivalent_params``,
+# the normalized mode eigenvectors behind ``eigvec_coefficients`` and the
+# phase-space quadratic form behind ``ground_state_cvm``.
+
+def equivalent_hamiltonian_matrix(eq):
+    """Standard-frame Hamiltonian assembled from the closed-form blocks of ``eq``."""
+    h1 = np.diag([eq.stiffness1, 1.0 / eq.mass1])
+    h2 = np.diag([eq.stiffness2, 1.0 / eq.mass2])
+    cross = np.array([[0.0, -2.0 * eq.coupling2], [2.0 * eq.coupling1, 0.0]])
+    return np.block([[h1, cross], [cross.T, h2]])
+
 
 def left_eigenvectors(coeffs):
     """Normalized complex left eigenvectors of J H for the two modes."""
-    return tuple(norm * np.array([1j * k0, k1, k2, 1j * k3])
-                 for (k0, k1, k2, k3), norm in zip(coeffs.coeffs, coeffs.norms))
+    return tuple(np.array([1j * k0, k1, k2, 1j * k3]) / np.sqrt(2.0 * (k2 * k3 - k0 * k1))
+                 for k0, k1, k2, k3 in coeffs)
 
 
 def right_eigenvector(chi_left):

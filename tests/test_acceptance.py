@@ -32,10 +32,8 @@ from ginfo.fisher import (
 )
 from ginfo.oscillator import (
     OscillatorParams,
-    equivalent_hamiltonian_matrix,
     equivalent_params,
     ground_state,
-    ground_state_cvm,
     mode_spectrum,
     separability_condition,
 )
@@ -57,6 +55,7 @@ from ginfo.symplectic import (
 
 from helpers import (
     QUARTER_CROSSING,
+    equivalent_hamiltonian_matrix,
     hermitian_crossing,
     hermitian_min_eigenvalue,
     random_nondegenerate_canonical,
@@ -213,21 +212,22 @@ def test_ac11_square_root_routes_agree():
 
 def test_ac12_oscillator_pipeline():
     # (i) no deformation: uncorrelated and separable
-    undeformed = separability_condition(OscillatorParams(1.0, 1.0, 1.0, 2.0))
+    flat = OscillatorParams(1.0, 1.0, 1.0, 2.0)
+    undeformed = separability_condition(flat, ground_state(flat).exponent)
     assert undeformed.separable and undeformed.cross_imag == 0.0
     # (ii) equal deformed-frame frequencies: still uncorrelated
     iso = ground_state(OscillatorParams(1.3, 1.3, 1.7, 1.7, theta=0.4, eta=0.3))
-    assert abs(iso.cross_imag) < 1e-10
+    assert abs(iso.exponent.cross_imag) < 1e-10
     # (iii) unit mass product, reciprocal frequencies, equal strengths: separable
-    reciprocal = separability_condition(
-        OscillatorParams(2.0, 0.5, 2.0, 0.5, theta=0.7, eta=0.7))
+    pair = OscillatorParams(2.0, 0.5, 2.0, 0.5, theta=0.7, eta=0.7)
+    reciprocal = separability_condition(pair, ground_state(pair).exponent)
     assert reciprocal.separable
     # (iv) generic anisotropic deformed point: correlated and entangled
     generic = OscillatorParams(1.0, 1.0, 1.0, 2.0, theta=0.3, eta=0.2)
-    report = separability_condition(generic)
+    state = ground_state(generic)
+    report = separability_condition(generic, state.exponent)
     assert not report.separable and abs(report.cross_imag) > 1e-10
-    cvm = ground_state_cvm(ground_state(generic), generic.hbar)
-    assert not ppt_separable(cvm).separable
+    assert not ppt_separable(state.covariance).separable
     # (v) closed-form mode frequencies against eig(JH)
     rng = np.random.default_rng(112)
     worst = 0.0
@@ -235,7 +235,7 @@ def test_ac12_oscillator_pipeline():
         p = OscillatorParams(*rng.uniform(0.5, 2.0, size=4),
                              theta=rng.uniform(0.02, 0.9), eta=rng.uniform(0.02, 0.9))
         eq = equivalent_params(p)
-        spec = mode_spectrum(eq)
+        spec = mode_spectrum(p, eq)
         numeric = np.sort(np.abs(np.linalg.eigvals(
             FORM2.matrix @ equivalent_hamiltonian_matrix(eq)).imag))[::2]
         worst = max(worst, np.abs(numeric - [spec.freq1, spec.freq2]).max())

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -30,6 +31,17 @@ def run(tmp_path, *argv):
 
 # the modules a fresh ``import ginfo.cli`` loads, sorted
 CLI_MODULES = ("ginfo", "ginfo.cli", "ginfo.errors", "ginfo.policy", "ginfo.symplectic")
+
+
+def _raising(error):
+    def fake(*args, **kwargs):
+        raise error("forced by the test")
+
+    return fake
+
+
+def _off_by(factor, real):
+    return lambda *args, **kwargs: factor * real(*args, **kwargs)
 
 
 def fresh_env():
@@ -318,6 +330,27 @@ class TestReports:
         assert '"theta": 0.0' in text
         assert validate_report(text)["config"]["theta"] == 0.0
 
+    def test_oscillator_runs_each_stage_once(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def count(name):
+            real = getattr(oscillator, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(oscillator, name, wrapper)
+
+        stages = ("equivalent_params", "mode_spectrum", "ground_state",
+                  "ground_state_exponent", "_polar_ground_state", "separability_condition")
+        for name in stages:
+            count(name)
+        code, _ = run(tmp_path, "--command", "oscillator", "--w2", "2",
+                      "--theta", "0.3", "--eta", "0.2")
+        assert code == 0
+        assert calls == Counter(dict.fromkeys(stages, 1))
+
     def test_oscillator_degenerate_modes_report_null(self, tmp_path):
         # isotropic and undeformed: the closed-form mode frequencies coincide
         code, text = run(tmp_path, "--command", "oscillator",
@@ -443,21 +476,24 @@ class TestInputBoundary:
         assert code == 4
         assert "singular" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kernel, error", [
-        ("ground_state", DegenerateSpectrumError),
-        ("ground_state", NormalizationError),
-        ("mode_spectrum", NumericDomainError),
-    ], ids=["DegenerateSpectrumError", "NormalizationError", "mode_spectrum"])
+    @pytest.mark.parametrize("kernel, fake, message", [
+        ("ground_state", _raising(DegenerateSpectrumError), "forced by the test"),
+        ("ground_state", _raising(NormalizationError), "forced by the test"),
+        ("mode_spectrum", _raising(NumericDomainError), "forced by the test"),
+        # a deviation of 1e-9, relative, between the pipeline and its check
+        ("_polar_ground_state", _off_by(1.0 + 1e-9, oscillator._polar_ground_state),
+         "ground state deviates from its polar form by 1.000e-09"),
+    ], ids=["DegenerateSpectrumError", "NormalizationError", "mode_spectrum", "polar-form"])
     def test_spectral_failure_is_numeric_domain_error(self, tmp_path, capsys,
-                                                       monkeypatch, kernel, error):
-        def fail(*args, **kwargs):
-            raise error("forced by the test")
-
-        monkeypatch.setattr(oscillator, kernel, fail)
+                                                       monkeypatch, kernel, fake, message):
+        monkeypatch.setattr(oscillator, kernel, fake)
         code, text = run(tmp_path, "--command", "oscillator")
         assert code == 4
         assert text == ""
-        assert "numeric domain error: forced by the test" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"numeric domain error: {message}")
 
     @pytest.mark.parametrize("value", ["-1e-05", "-2.5E+3"])
     @pytest.mark.parametrize("command, flags", [

@@ -9,7 +9,6 @@ from ginfo.oscillator import (
     darboux_matrix,
     eigvec_coefficients,
     equivalent_hamiltonian,
-    equivalent_hamiltonian_matrix,
     equivalent_params,
     ground_state,
     ground_state_cvm,
@@ -19,6 +18,7 @@ from ginfo.oscillator import (
     separability_condition,
     separability_sides,
 )
+from ginfo.policy import GROUND_STATE_CHECK_TOL
 from ginfo.states import ppt_separable, simon_invariants
 from ginfo.symplectic import (
     J2,
@@ -28,7 +28,13 @@ from ginfo.symplectic import (
     symplectic_spectrum,
 )
 
-from helpers import left_eigenvectors, right_eigenvector, wigner_quadratic_form
+from helpers import (
+    OSCILLATOR_REFERENCES,
+    equivalent_hamiltonian_matrix,
+    left_eigenvectors,
+    right_eigenvector,
+    wigner_quadratic_form,
+)
 
 FORM2 = build_symplectic_form(2)
 
@@ -71,13 +77,13 @@ class TestDarboux:
 class TestEquivalentHamiltonian:
     def test_undeformed_passthrough(self):
         p = OscillatorParams(1.0, 1.0, 1.0, 2.0)
-        h, eq = equivalent_hamiltonian(p)
+        h, eq = equivalent_hamiltonian(p), equivalent_params(p)
         np.testing.assert_allclose(h, nc_hamiltonian_matrix(p), atol=1e-14)
         assert eq.coupling1 == 0.0 and eq.coupling2 == 0.0
         assert eq.mass1 == p.mass1 and eq.mass2 == p.mass2
 
     def test_isotropic_symmetry(self):
-        _, eq = equivalent_hamiltonian(ISOTROPIC)
+        eq = equivalent_params(ISOTROPIC)
         assert eq.mass1 == pytest.approx(eq.mass2)
         assert eq.stiffness1 == pytest.approx(eq.stiffness2)
         assert eq.coupling1 == pytest.approx(eq.coupling2)
@@ -92,23 +98,24 @@ class TestEquivalentHamiltonian:
 
 class TestModeSpectrum:
     def test_decoupled_anisotropic(self):
-        eq = equivalent_params(OscillatorParams(1.0, 1.0, 1.0, 2.0))
-        spec = mode_spectrum(eq)
+        p = OscillatorParams(1.0, 1.0, 1.0, 2.0)
+        spec = mode_spectrum(p, equivalent_params(p))
         assert spec.freq1 == pytest.approx(1.0, abs=1e-12)
         assert spec.freq2 == pytest.approx(2.0, abs=1e-12)
 
     def test_degenerate_case_rejected(self):
-        eq = equivalent_params(OscillatorParams(1.0, 1.0, 1.5, 1.5))
+        p = OscillatorParams(1.0, 1.0, 1.5, 1.5)
         with pytest.raises(DegenerateSpectrumError):
-            mode_spectrum(eq)
+            mode_spectrum(p, equivalent_params(p))
 
 
 class TestEigvecCoefficients:
     def test_left_eigenvector_residual(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
-            eq = equivalent_params(random_params(rng))
-            spec = mode_spectrum(eq)
+            p = random_params(rng)
+            eq = equivalent_params(p)
+            spec = mode_spectrum(p, eq)
             coeffs = eigvec_coefficients(eq, spec)
             hj = FORM2.matrix @ equivalent_hamiltonian_matrix(eq)
             chi1, chi2 = left_eigenvectors(coeffs)
@@ -121,8 +128,9 @@ class TestEigvecCoefficients:
         # chi_lj chi_rj = 1 with the chosen normalization
         rng = np.random.default_rng(43)
         for _ in range(25):
-            eq = equivalent_params(random_params(rng))
-            coeffs = eigvec_coefficients(eq, mode_spectrum(eq))
+            p = random_params(rng)
+            eq = equivalent_params(p)
+            coeffs = eigvec_coefficients(eq, mode_spectrum(p, eq))
             chi1, chi2 = left_eigenvectors(coeffs)
             assert abs(chi1 @ right_eigenvector(chi2)) < 1e-8
             assert abs(chi2 @ right_eigenvector(chi1)) < 1e-8
@@ -134,29 +142,29 @@ class TestEigvecCoefficients:
         from ginfo.oscillator import _mode_coeff_row
         eq = EquivalentParams(mass1=1.0, mass2=1.0, stiffness1=1.0, stiffness2=4.0,
                               coupling1=0.0, coupling2=0.0, freq1=1.0, freq2=2.0)
-        upper = _mode_coeff_row(2.0, eq)
+        upper = _mode_coeff_row(2.0, 3.0, eq)
         assert upper[0] == 0.0
         # remaining components solve the decoupled eigenproblem: ratio k2/k3 = mass2 * freq2
         assert upper[2] / upper[3] == pytest.approx(eq.mass2 * 2.0)
-        lower = _mode_coeff_row(1.0, eq)
+        lower = _mode_coeff_row(1.0, 0.0, eq)
         np.testing.assert_allclose(lower, 0.0, atol=1e-15)
 
 
 class TestGroundState:
     def test_commutative_isotropic_product(self):
         p = OscillatorParams(1.4, 1.4, 1.1, 1.1)
-        e = ground_state(p)
+        e = ground_state(p).exponent
         assert e.cross_imag == 0.0
         assert e.m11 == pytest.approx(1.4 * 1.1 / p.hbar)
         assert e.m22 == pytest.approx(1.4 * 1.1 / p.hbar)
 
     def test_deformed_isotropic_uncorrelated(self):
-        e = ground_state(ISOTROPIC)
+        e = ground_state(ISOTROPIC).exponent
         assert abs(e.cross_imag) < 1e-12
         assert e.m11 == pytest.approx(e.m22, rel=1e-9)
 
     def test_generic_anisotropic_correlated(self):
-        e = ground_state(GENERIC)
+        e = ground_state(GENERIC).exponent
         assert abs(e.cross_imag) > 1e-3
 
     def test_ratio_route_matches_matrix_route(self):
@@ -164,9 +172,9 @@ class TestGroundState:
         for _ in range(25):
             p = random_params(rng)
             eq = equivalent_params(p)
-            coeffs = eigvec_coefficients(eq, mode_spectrum(eq))
+            coeffs = eigvec_coefficients(eq, mode_spectrum(p, eq))
             e = ground_state_exponent(coeffs, p.hbar)
-            (k10, k11, k12, k13), (k20, k21, k22, k23) = coeffs.coeffs
+            (k10, k11, k12, k13), (k20, k21, k22, k23) = coeffs
             ux = np.array([[1j * k10, k12], [1j * k20, k22]])
             up = np.array([[k11, 1j * k13], [k21, 1j * k23]])
             mat = 1j / p.hbar * np.linalg.solve(up, ux)
@@ -176,6 +184,25 @@ class TestGroundState:
             # realness structure
             assert abs(mat[0, 0].imag) < 1e-9 and abs(mat[1, 1].imag) < 1e-9
             assert abs(mat[0, 1].real) < 1e-9
+
+
+class TestReferences:
+    @pytest.mark.parametrize("point, modes, sigma", OSCILLATOR_REFERENCES,
+                             ids=["edge", "edge-draw", "commutative"])
+    def test_both_routes_within_the_check_bound(self, point, modes, sigma):
+        # the bound of the runtime check, GROUND_STATE_CHECK_TOL * cond(H),
+        # holds against 60-digit references, relative per mode and relative
+        # to the covariance's largest entry
+        from ginfo.oscillator import _polar_ground_state
+        p = OscillatorParams(*point)
+        h = equivalent_hamiltonian(p)
+        bound = GROUND_STATE_CHECK_TOL * np.linalg.cond(h)
+        state = ground_state(p)
+        got = np.array([state.modes.freq1, state.modes.freq2])
+        assert np.abs(got / np.array(modes) - 1.0).max() <= bound
+        want = np.array(sigma)
+        for route in (state.covariance.matrix, _polar_ground_state(h, p.hbar)):
+            assert np.abs(route - want).max() <= bound * np.abs(want).max()
 
 
 class TestGroundStateCvm:
@@ -195,7 +222,7 @@ class TestGroundStateCvm:
     def test_second_moments_against_quadrature(self):
         # integrate the phase-space Gaussian on a tensor grid and compare all
         # second moments; grid spans 6 standard deviations at 41 points/axis
-        e = ground_state(GENERIC)
+        e = ground_state(GENERIC).exponent
         form = wigner_quadratic_form(e, 1.0)
         block_xp = permute_ordering(ground_state_cvm(e, 1.0).matrix,
                                     Ordering.MODE_INTERLEAVED, Ordering.BLOCK_XP)
@@ -221,7 +248,7 @@ class TestGroundStateCvm:
         rng = np.random.default_rng(46)
         for _ in range(25):
             p = random_params(rng)
-            e = ground_state(p)
+            e = ground_state(p).exponent
             form = wigner_quadratic_form(e, p.hbar)
             assert np.linalg.eigvalsh(form).min() > 0
             recovered = permute_ordering(0.5 * np.linalg.inv(form),
@@ -236,20 +263,21 @@ class TestGroundStateCvm:
 
 class TestSeparability:
     def test_undeformed_separable(self):
-        report = separability_condition(OscillatorParams(1.0, 1.0, 1.0, 2.0))
+        p = OscillatorParams(1.0, 1.0, 1.0, 2.0)
+        report = separability_condition(p, ground_state(p).exponent)
         assert report.separable
         assert report.lhs_rhs_gap == 0.0
         assert report.cross_imag == 0.0
 
     def test_isotropic_deformed_separable(self):
-        report = separability_condition(ISOTROPIC)
+        report = separability_condition(ISOTROPIC, ground_state(ISOTROPIC).exponent)
         assert report.separable
         assert report.lhs_rhs_gap == pytest.approx(0.0, abs=1e-9)
 
     def test_reciprocal_frequency_pair_separable(self):
         # unit mass product with reciprocal frequencies and equal deformation
         # strengths keeps the ground state uncorrelated
-        report = separability_condition(RECIPROCAL)
+        report = separability_condition(RECIPROCAL, ground_state(RECIPROCAL).exponent)
         assert report.separable
         lhs, rhs = separability_sides(RECIPROCAL)
         assert abs(report.lhs_rhs_gap) <= 1e-12 * max(abs(lhs), abs(rhs))
@@ -259,17 +287,16 @@ class TestSeparability:
         assert lhs_freq == pytest.approx(rhs_freq, rel=1e-12)
 
     def test_generic_anisotropic_entangled(self):
-        report = separability_condition(GENERIC)
+        state = ground_state(GENERIC)
+        report = separability_condition(GENERIC, state.exponent)
         assert not report.separable
         assert abs(report.lhs_rhs_gap) > 1.0
-        cvm = ground_state_cvm(ground_state(GENERIC), GENERIC.hbar)
-        ppt = ppt_separable(cvm)
+        ppt = ppt_separable(state.covariance)
         assert not ppt.separable
 
     def test_invariant_criterion_sign_matches(self):
         for p, expect in ((GENERIC, False), (ISOTROPIC, True), (RECIPROCAL, True)):
-            cvm = ground_state_cvm(ground_state(p), p.hbar)
-            criterion = simon_invariants(cvm).criterion
+            criterion = simon_invariants(ground_state(p).covariance).criterion
             if expect:
                 assert criterion >= -1e-10
             else:
@@ -280,7 +307,7 @@ class TestSeparability:
         for k in range(8):
             eps = 0.2 * 2.0 ** (-k)
             p = OscillatorParams(1.0, 1.0, 1.0, 2.0, theta=eps, eta=eps)
-            cross = abs(ground_state(p).cross_imag)
+            cross = abs(ground_state(p).exponent.cross_imag)
             if previous is not None:
                 assert cross < previous + 1e-12
             previous = cross
