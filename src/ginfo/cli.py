@@ -21,12 +21,7 @@ import numpy as np
 
 # the command modules are imported by the commands that use them, so that a
 # process compiles and loads only what its one command needs
-from .errors import (
-    DegenerateSpectrumError,
-    NormalizationError,
-    NumericDomainError,
-    SingularMatrixError,
-)
+from .errors import DegenerateSpectrumError, NumericDomainError, SingularMatrixError
 from .symplectic import (
     CovarianceMatrix,
     _validated,
@@ -267,9 +262,7 @@ def _run_metric(args) -> int:
         closed = fisher.fisher_metric_two_mode(p)
     except ValueError as exc:
         raise InputValidationError(f"state rejected: {exc}") from exc
-    numeric = fisher.fisher_metric_numeric(
-        lambda t: states.canonical_two_mode_matrix(states.CanonicalTwoModeParams(*t)),
-        (p.a, p.b, p.c, p.d))
+    numeric = fisher.fisher_metric_numeric(p)
     results = {
         "metric": [list(row) for row in closed.matrix],
         "parameter_names": list(closed.parameter_names),
@@ -420,7 +413,7 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericDomainError, SingularMatrixError, DegenerateSpectrumError,
-            NormalizationError, ArithmeticError) as exc:
+            ArithmeticError) as exc:
         # a float overflow carries (errno, text); print the text
         message = exc.args[-1] if isinstance(exc, OverflowError) else exc
         print(f"numeric domain error: {message}", file=sys.stderr)

@@ -13,9 +13,5 @@ class DegenerateSpectrumError(ValueError):
     """A closed form requires a nondegenerate spectrum and the gap vanished."""
 
 
-class NormalizationError(ValueError):
-    """Eigenvector normalization failed (nonpositive norm-square)."""
-
-
 class BoundaryIndeterminateError(NumericDomainError):
     """Region membership is undefined on this parameter boundary."""

@@ -1,10 +1,10 @@
 """Fisher information geometry of Gaussian states.
 
-Closed-form metric for the canonical two-mode family, a finite-difference
-route for arbitrary parametrized families, the affine-invariant distance
-between covariance matrices (two independent computations), the two-parameter
-normal-form metric, and a regularized Monte-Carlo volume over constrained
-parameter regions.
+Closed-form metric for the canonical two-mode family and its exact
+trace-formula route, the affine-invariant distance between covariance
+matrices (two independent computations), the two-parameter normal-form
+metric, and a regularized Monte-Carlo volume over constrained parameter
+regions.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NumericDomainError
-from .policy import FD_STEP, RSUP_SLACK, SECTOR_GAP_TOL, SPD_TOL, VANISHING_TOL
-from .states import CanonicalTwoModeParams, ppt_separable
+from .policy import RSUP_SLACK, SECTOR_GAP_TOL, SPD_TOL, VANISHING_TOL
+from .states import CanonicalTwoModeParams, canonical_two_mode_matrix, ppt_separable
 from .symplectic import (
     Ordering,
     as_matrix,
@@ -36,36 +36,18 @@ class FisherMetric:
     parameter_names: tuple[str, ...]
 
 
-def fisher_metric_numeric(sigma_fn, point) -> FisherMetric:
-    """Fisher matrix by central differences of a covariance-matrix family.
+def fisher_metric_numeric(p: CanonicalTwoModeParams) -> FisherMetric:
+    """Fisher matrix of the canonical family in (a, b, c, d) by the trace formula.
 
-    Evaluates ``g_mn = Tr[S^-1 dS_m S^-1 dS_n] / 2`` with the partial
-    derivatives taken by central differences of ``sigma_fn`` around ``point``,
-    of step ``policy.FD_STEP``. The parameters are named ``theta0, theta1, ...``.
-
-    Args:
-        sigma_fn: map from a parameter vector to an SPD matrix.
-        point: parameter values at which to evaluate.
+    The family is linear in its parameters, ``S = a E_a + b E_b + c E_c + d E_d``
+    with constant basis matrices ``E_k``, so ``g_mn = Tr[S^-1 E_m S^-1 E_n] / 2``
+    is exact and needs no step. It shares no arithmetic with
+    :func:`fisher_metric_two_mode`.
     """
-    theta = np.asarray(point, dtype=float)
-    m = theta.size
-    center = _check_spd_matrix(sigma_fn(theta))
-    inv = np.linalg.inv(center)
-    partials = []
-    for mu in range(m):
-        offset = np.zeros(m)
-        offset[mu] = FD_STEP
-        hi = _check_spd_matrix(sigma_fn(theta + offset))
-        lo = _check_spd_matrix(sigma_fn(theta - offset))
-        partials.append((hi - lo) / (2.0 * FD_STEP))
-    g = np.empty((m, m))
-    for mu in range(m):
-        left = inv @ partials[mu] @ inv
-        for nu in range(mu, m):
-            g[mu, nu] = 0.5 * np.trace(left @ partials[nu])
-            g[nu, mu] = g[mu, nu]
-    return FisherMetric(matrix=0.5 * (g + g.T),
-                        parameter_names=tuple(f"theta{i}" for i in range(m)))
+    inv = np.linalg.inv(_check_spd_matrix(canonical_two_mode_matrix(p)))
+    left = inv @ _canonical_stack(np.eye(4))    # S^-1 E_k, one per parameter
+    g = 0.5 * np.einsum("mij,nji->mn", left, left)
+    return FisherMetric(matrix=0.5 * (g + g.T), parameter_names=("a", "b", "c", "d"))
 
 
 def _deltas(p: CanonicalTwoModeParams) -> tuple[float, float, float]:
@@ -80,6 +62,7 @@ def fisher_metric_two_mode(p: CanonicalTwoModeParams) -> FisherMetric:
     """Closed-form Fisher matrix of the canonical family in (a, b, c, d).
 
     At c = d = 0 this is the flat metric diag(1/a^2, 1/b^2, 1/ab, 1/ab).
+    Raises FloatingPointError where an entry overflows to a non-finite value.
     """
     a, b, c, d = p.a, p.b, p.c, p.d
     dc, dd, ds = _deltas(p)
@@ -96,6 +79,9 @@ def fisher_metric_two_mode(p: CanonicalTwoModeParams) -> FisherMetric:
     g[2, 3] = 0.0
     g[3, 3] = (a * b + d * d) / dd ** 2
     g = g + np.triu(g, 1).T
+    if not np.isfinite(g).all():
+        raise FloatingPointError(f"closed-form metric has a non-finite entry at "
+                                 f"(a, b, c, d) = ({a:.3e}, {b:.3e}, {c:.3e}, {d:.3e})")
     return FisherMetric(matrix=g, parameter_names=("a", "b", "c", "d"))
 
 
@@ -150,7 +136,7 @@ def canonical_sqrt_closed(p: CanonicalTwoModeParams) -> np.ndarray:
 
     Valid only where the sector denominators do not vanish (they do at c = 0
     with a >= b, and at d = 0 with b >= a); raises DegenerateSpectrumError
-    there so callers can fall back to the eigendecomposition route.
+    there.
     """
     a, b, c, d = p.a, p.b, p.c, p.d
     lam1, lam2, lam3, lam4 = _canonical_eigvals(p)
@@ -158,8 +144,7 @@ def canonical_sqrt_closed(p: CanonicalTwoModeParams) -> np.ndarray:
     den_p = a - b + lam4 - lam3
     if abs(den_x) < SECTOR_GAP_TOL or abs(den_p) < SECTOR_GAP_TOL:
         raise DegenerateSpectrumError(
-            f"sector denominators vanish (x: {den_x:.3e}, p: {den_p:.3e}); "
-            "use matrix_sqrt_spd instead")
+            f"sector denominators vanish (x: {den_x:.3e}, p: {den_p:.3e})")
     tau_x = math.sqrt(lam1) + math.sqrt(lam2)
     tau_p = math.sqrt(lam3) + math.sqrt(lam4)
     s11 = 0.5 * (tau_x + (a - b) / tau_x)

@@ -17,14 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrumError,
-    NormalizationError,
-    NumericDomainError,
-    SingularMatrixError,
-)
+from .errors import DegenerateSpectrumError, NumericDomainError, SingularMatrixError
 from .policy import (DECOUPLED_TOL, DEGENERATE_MODES_TOL, GROUND_STATE_CHECK_TOL,
-                     SINGULAR_MOMENTUM_TOL, ZERO_COUPLING_TOL)
+                     ZERO_COUPLING_TOL)
 from .symplectic import J2, CovarianceMatrix, Ordering, _check_finite, build_symplectic_form
 
 
@@ -172,12 +167,10 @@ def eigvec_coefficients(eq: EquivalentParams, spec: ModeSpectrum) -> np.ndarray:
     """Polynomial left-eigenvector components for both modes, shape (2, 4).
 
     Row j holds the four real components of mode j's left eigenvector, which
-    is ``(i k0, k1, k2, i k3)`` up to a positive normalization
-    ``1 / sqrt(2(k2 k3 - k0 k1))`` that the ground state cannot see.
-    Raises NormalizationError when that norm-square is not positive, which
-    happens exactly when the coefficient polynomials degenerate (the
-    undeformed limit); the decoupled branch of :func:`ground_state` covers
-    that case.
+    is ``(i k0, k1, k2, i k3)`` up to a normalization that the ground state
+    cannot see. The components vanish together in the undeformed limit,
+    which the decoupled branch of :func:`ground_state` covers; elsewhere the
+    polar-form check of :func:`ground_state` is their one guard.
 
     The shifts ``lam^2 - freq1^2`` of the two modes are the roots
     ``(b -+ disc) / 2`` of a quadratic whose product ``(b^2 - disc^2) / 4``
@@ -191,15 +184,8 @@ def eigvec_coefficients(eq: EquivalentParams, spec: ModeSpectrum) -> np.ndarray:
     small = -4.0 * (eq.mass1 / eq.mass2 * (eq.freq1 * n1) ** 2 + 2.0 * n1 * n2 * eq.freq1 ** 2
                     + eq.mass2 / eq.mass1 * (eq.freq2 * n2) ** 2 - 4.0 * (n1 * n2) ** 2) / big
     shifts = (small, big) if b >= 0 else (big, small)
-    rows = np.array([_mode_coeff_row(spec.freq1, shifts[0], eq),
+    return np.array([_mode_coeff_row(spec.freq1, shifts[0], eq),
                      _mode_coeff_row(spec.freq2, shifts[1], eq)])
-    for j, (k0, k1, k2, k3) in enumerate(rows):
-        norm_sq = 2.0 * (k2 * k3 - k0 * k1)
-        if norm_sq <= 0:
-            raise NormalizationError(
-                f"mode {j + 1} eigenvector norm-square is {norm_sq:.3e}; "
-                "coefficients degenerate at this parameter point")
-    return rows
 
 
 @dataclass(frozen=True)
@@ -216,10 +202,6 @@ class GroundStateExponent:
     m22: float
     cross_imag: float
 
-    def __post_init__(self):
-        if self.m11 <= 0 or self.m22 <= 0:
-            raise NumericDomainError("ground state is not normalizable: diagonal must be positive")
-
 
 def ground_state_exponent(coeffs: np.ndarray, hbar: float) -> GroundStateExponent:
     """Exponent matrix ``(i/hbar) Up^-1 Ux`` from the eigenvector components.
@@ -229,8 +211,6 @@ def ground_state_exponent(coeffs: np.ndarray, hbar: float) -> GroundStateExponen
     """
     (k10, k11, k12, k13), (k20, k21, k22, k23) = coeffs
     den = hbar * (k11 * k23 - k21 * k13)
-    if abs(den) < SINGULAR_MOMENTUM_TOL * max(1.0, np.abs(coeffs).max() ** 2):
-        raise NormalizationError("momentum coefficient matrix is singular; ansatz not normalizable")
     m11 = (k13 * k20 - k23 * k10) / den
     m22 = (k11 * k22 - k21 * k12) / den
     cross = (k23 * k12 - k13 * k22) / den

@@ -18,10 +18,8 @@ ZERO_COUPLING_TOL = 1e-10       # |imaginary cross coupling| of a product ground
 # closed forms against their numeric routes
 SECTOR_GAP_TOL = 1e-10          # smallest sector denominator of the closed-form square root
 DEGENERATE_MODES_TOL = 1e-12    # normal modes with a frequency discriminant at or below this coincide
-SINGULAR_MOMENTUM_TOL = 1e-12   # relative floor of the momentum coefficient determinant
 DECOUPLED_TOL = 1e-13           # cross couplings below this, relative to the frequency, vanish
 GROUND_STATE_CHECK_TOL = 1e-13  # ground state's relative gap to its polar form, per unit of cond(H)
 
 # resolutions
 BISECT_TOL = 1e-6               # width to which theta_sweep bisects a margin crossing
-FD_STEP = 1e-5                  # central-difference step of fisher_metric_numeric

@@ -119,6 +119,46 @@ OSCILLATOR_REFERENCES = [
        0.0,
        0.0,
        9.99999999999999981944444444444444394926044097212582906865353e-1))),
+    ((0.045, 0.035, 1.56, 1.25,
+      0.22, 72.4, 2.0),
+     (4.32899609949053565553319062967834223081499692958175781908896e-8,
+      9.1216298403793171923378734529754875102088036803125872721072e+2),
+     ((4.38834535198188238846954216300564705710860846949382712737212e-2,
+       0.0,
+       0.0,
+       -8.76247231976669662471385750790046594133458827912230563054568e-2),
+      (0.0,
+       2.30683769402339999798168484123022316679196854776080209488638e+1,
+       -1.4060012727945646691823019405859478888059867804875452790232e-1,
+       0.0),
+      (0.0,
+       -1.4060012727945646691823019405859478888059867804875452790232e-1,
+       7.04141357049435687949305763125414037821693886394121345812174e-2,
+       0.0),
+      (-8.76247231976669662471385750790046594133458827912230563054568e-2,
+       0.0,
+       0.0,
+       1.4376659417880877464835226306824435269738813230691624892173e+1))),
+    ((1.0, 1.0, 1.0, 2.0,
+      1e-12, 1e-12, 1.0),
+     (9.99999999999999999999998083333333333333410434523023038658835e-1,
+      2.00000000000000000000000283333333333333321935766425096700675),
+     ((5.00000000000000000000000097222222222222218311292572586740064e-1,
+       0.0,
+       0.0,
+       -8.33333333333333316572206103083383176414421989844790907589928e-14),
+      (0.0,
+       4.99999999999999999999999909722222222222225853799768907550893e-1,
+       -4.16666666666666658286103051541691588207210994922395453794964e-14,
+       0.0),
+      (0.0,
+       -4.16666666666666658286103051541691588207210994922395453794964e-14,
+       2.50000000000000000000000048611111111111109155646286293370032e-1,
+       0.0),
+      (-8.33333333333333316572206103083383176414421989844790907589928e-14,
+       0.0,
+       0.0,
+       9.99999999999999999999999819444444444444451707599537815101785e-1))),
 ]
 
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -13,7 +13,8 @@ it writes:
   and stationary, ``J H Sigma = Sigma H J``, to 1e-50, or the script stops.
 
 The points are the deformed oscillator next to its singular edge
-``theta*eta -> 4 hbar^2`` and next to its commutative limit. mpmath 1.3 is
+``theta*eta -> 4 hbar^2``, next to its commutative limit, and at a light,
+strongly deformed point whose standard-frame frequencies nearly coincide. mpmath 1.3 is
 needed here only; the tests read the literals. Run it by hand after a
 change of points, then review the diff:
 
@@ -38,6 +39,10 @@ POINTS = [
      0.982888372668467, 1.0158376496034558, 0.5),
     # couplings 5e-9 of the frequencies
     (1.0, 1.0, 1.0, 2.0, 1e-8, 1e-8, 1.0),
+    # light masses and eta = 329 theta: the low mode is 4.7e-11 of the high one
+    (0.045, 0.035, 1.56, 1.25, 0.22, 72.4, 2.0),
+    # couplings 5e-13 of the frequencies, above DECOUPLED_TOL
+    (1.0, 1.0, 1.0, 2.0, 1e-12, 1e-12, 1.0),
 ]
 
 

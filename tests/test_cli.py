@@ -15,7 +15,7 @@ import pytest
 import ginfo
 from ginfo import cli, oscillator
 from ginfo.cli import main
-from ginfo.errors import DegenerateSpectrumError, NormalizationError, NumericDomainError
+from ginfo.errors import DegenerateSpectrumError, NumericDomainError
 from ginfo.matrixio import save_cvm
 from ginfo.policy import RSUP_SLACK
 from ginfo.symplectic import CovarianceMatrix, Ordering, permute_ordering
@@ -296,7 +296,7 @@ class TestReports:
         g = np.array(doc["results"]["metric"])
         np.testing.assert_allclose(g, np.eye(4), atol=1e-12)
         assert doc["results"]["det_closed_form"] == pytest.approx(1.0)
-        assert doc["results"]["numeric_route_max_deviation"] < 1e-6
+        assert doc["results"]["numeric_route_max_deviation"] < 1e-14
 
     def test_oscillator_report(self, tmp_path):
         code, text = run(tmp_path, "--command", "oscillator",
@@ -478,12 +478,11 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize("kernel, fake, message", [
         ("ground_state", _raising(DegenerateSpectrumError), "forced by the test"),
-        ("ground_state", _raising(NormalizationError), "forced by the test"),
         ("mode_spectrum", _raising(NumericDomainError), "forced by the test"),
         # a deviation of 1e-9, relative, between the pipeline and its check
         ("_polar_ground_state", _off_by(1.0 + 1e-9, oscillator._polar_ground_state),
          "ground state deviates from its polar form by 1.000e-09"),
-    ], ids=["DegenerateSpectrumError", "NormalizationError", "mode_spectrum", "polar-form"])
+    ], ids=["DegenerateSpectrumError", "mode_spectrum", "polar-form"])
     def test_spectral_failure_is_numeric_domain_error(self, tmp_path, capsys,
                                                        monkeypatch, kernel, fake, message):
         monkeypatch.setattr(oscillator, kernel, fake)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ginfo import fisher, symplectic
-from ginfo.errors import DegenerateSpectrumError
+from ginfo.errors import DegenerateSpectrumError, NumericDomainError
 from ginfo.fisher import (
     NormalFormPoint,
     Region,
@@ -33,19 +33,24 @@ from helpers import (
 )
 
 
-def canonical_family(theta):
-    return canonical_two_mode_matrix(CanonicalTwoModeParams(*theta))
-
-
 class TestNumericMetric:
-    def test_scalar_family(self):
-        # hand evaluation: Sigma = t * I_4 gives g = n_modes / t^2
-        metric = fisher_metric_numeric(lambda t: t[0] * np.eye(4), [1.0])
-        np.testing.assert_allclose(metric.matrix, [[2.0]], rtol=1e-9)
+    def test_basis_spans_the_family(self):
+        # the trace formula's constant derivatives E_k build the family exactly
+        basis = fisher._canonical_stack(np.eye(4))
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            p = random_valid_canonical(rng)
+            built = np.einsum("k,kij->ij", [p.a, p.b, p.c, p.d], basis)
+            np.testing.assert_array_equal(built, canonical_two_mode_matrix(p))
 
     def test_flat_point(self):
-        metric = fisher_metric_numeric(canonical_family, (1.0, 1.0, 0.0, 0.0))
-        np.testing.assert_allclose(metric.matrix, np.eye(4), atol=1e-9)
+        metric = fisher_metric_numeric(CanonicalTwoModeParams(1.0, 1.0))
+        np.testing.assert_array_equal(metric.matrix, np.eye(4))
+        assert metric.parameter_names == ("a", "b", "c", "d")
+
+    def test_rejects_an_indefinite_state(self):
+        with pytest.raises(NumericDomainError):
+            fisher_metric_numeric(CanonicalTwoModeParams(1.0, 1.0, 2.0))
 
 
 class TestClosedFormMetric:
@@ -85,6 +90,12 @@ class TestClosedFormMetric:
     def test_singular_state_rejected(self):
         with pytest.raises(ValueError):
             fisher_metric_two_mode(CanonicalTwoModeParams(1.0, 1.0, 1.0, 0.0))
+
+    def test_overflow_raises_instead_of_returning_nan(self):
+        # ab overflows at a = b = 1e300, and the entries are inf / inf.
+        # FloatingPointError is no ValueError, so the CLI exits 4, not 3
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            fisher_metric_two_mode(CanonicalTwoModeParams(1e300, 1e300))
 
 
 class TestDistance:

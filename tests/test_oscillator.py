@@ -188,7 +188,7 @@ class TestGroundState:
 
 class TestReferences:
     @pytest.mark.parametrize("point, modes, sigma", OSCILLATOR_REFERENCES,
-                             ids=["edge", "edge-draw", "commutative"])
+                             ids=["edge", "edge-draw", "commutative", "wide", "weak"])
     def test_both_routes_within_the_check_bound(self, point, modes, sigma):
         # the bound of the runtime check, GROUND_STATE_CHECK_TOL * cond(H),
         # holds against 60-digit references, relative per mode and relative

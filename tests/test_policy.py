@@ -69,3 +69,18 @@ def test_readme_tolerance_table_lists_every_constant():
     assert len(table) == len(rows)
     assert table == {name: value for name, value in vars(policy).items()
                      if not name.startswith("_")}
+
+
+def test_every_constant_has_a_reader():
+    # a constant whose last reader is deleted goes with it
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "policy.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    constants = {name for name in vars(policy) if not name.startswith("_")}
+    assert constants - read == set()
