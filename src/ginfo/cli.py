@@ -5,8 +5,8 @@ lists the flags X reads, and any other flag is a usage error. The command
 echoes its fully resolved configuration into the output header and writes the
 result once at the end, as CSV (sweeps) or JSON (reports). Exit codes: 0
 success, 1 usage, 2 I/O, 3 validation, 4 numeric domain failure (an overflow,
-an invalid operation or a non-finite result among them); each failure prints
-one line to stderr.
+an invalid operation, a non-finite result or an array too large to allocate
+among them); each failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -259,6 +259,7 @@ def _run_metric(args) -> int:
         raise UsageError("metric requires --a and --b (and optional --c/--d)")
     try:   # a positive-definite state; it need not be within the uncertainty bound
         p = states.CanonicalTwoModeParams(args.a, args.b, args.c, args.d)
+        states.canonical_two_mode_cvm(p)
         closed = fisher.fisher_metric_two_mode(p)
     except ValueError as exc:
         raise InputValidationError(f"state rejected: {exc}") from exc
@@ -413,7 +414,7 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericDomainError, SingularMatrixError, DegenerateSpectrumError,
-            ArithmeticError) as exc:
+            ArithmeticError, MemoryError) as exc:
         # a float overflow carries (errno, text); print the text
         message = exc.args[-1] if isinstance(exc, OverflowError) else exc
         print(f"numeric domain error: {message}", file=sys.stderr)

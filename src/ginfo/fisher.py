@@ -4,7 +4,8 @@ Closed-form metric for the canonical two-mode family and its exact
 trace-formula route, the affine-invariant distance between covariance
 matrices (two independent computations), the two-parameter normal-form
 metric, and a regularized Monte-Carlo volume over constrained parameter
-regions.
+regions. The canonical closed forms read the family's layout and its 2x2
+sector spectrum from :mod:`ginfo.states`.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, NumericDomainError
 from .policy import RSUP_SLACK, SECTOR_GAP_TOL, SPD_TOL, VANISHING_TOL
-from .states import CanonicalTwoModeParams, canonical_two_mode_matrix, ppt_separable
+from .states import (CanonicalTwoModeParams, _canonical_matrices, _sector_eigenvalues,
+                     canonical_two_mode_matrix, ppt_separable)
 from .symplectic import (
     Ordering,
-    as_matrix,
     _check_finite,
     _check_spd_matrix,
     _validated,
@@ -45,7 +46,7 @@ def fisher_metric_numeric(p: CanonicalTwoModeParams) -> FisherMetric:
     :func:`fisher_metric_two_mode`.
     """
     inv = np.linalg.inv(_check_spd_matrix(canonical_two_mode_matrix(p)))
-    left = inv @ _canonical_stack(np.eye(4))    # S^-1 E_k, one per parameter
+    left = inv @ _canonical_matrices(np.eye(4))    # S^-1 E_k, one per parameter
     g = 0.5 * np.einsum("mij,nji->mn", left, left)
     return FisherMetric(matrix=0.5 * (g + g.T), parameter_names=("a", "b", "c", "d"))
 
@@ -89,7 +90,8 @@ def fisher_det_two_mode(p: CanonicalTwoModeParams) -> float:
     """Closed-form determinant of the two-mode Fisher matrix."""
     _, _, ds = _deltas(p)
     a, b, c, d = p.a, p.b, p.c, p.d
-    return (4.0 * a * a * b * b - (c * c + d * d) ** 2) / (4.0 * ds ** 3)
+    # one division per power of ds: ds^3 overflows where the determinant is finite
+    return (4.0 * a * a * b * b - (c * c + d * d) ** 2) / (4.0 * ds) / ds / ds
 
 
 def pure_state_det_ratio(p: CanonicalTwoModeParams) -> dict:
@@ -119,18 +121,6 @@ def fr_distance(sigma1, sigma2, dim_scaled: bool = False) -> float:
     return float(np.sqrt(pref * np.sum(np.log(lam) ** 2)))
 
 
-def _canonical_eigvals(p: CanonicalTwoModeParams) -> tuple[float, float, float, float]:
-    trace = 2.0 * (p.a + p.b)
-    dc, dd, _ = _deltas(p)
-    root_c = math.sqrt(max(trace * trace - 16.0 * dc, 0.0))
-    root_d = math.sqrt(max(trace * trace - 16.0 * dd, 0.0))
-    lam1 = (trace - root_c) / 4.0   # x-sector low
-    lam2 = (trace + root_c) / 4.0   # x-sector high
-    lam3 = (trace - root_d) / 4.0   # p-sector low
-    lam4 = (trace + root_d) / 4.0   # p-sector high
-    return lam1, lam2, lam3, lam4
-
-
 def canonical_sqrt_closed(p: CanonicalTwoModeParams) -> np.ndarray:
     """Elementwise closed form of the SPD square root of a canonical state.
 
@@ -138,8 +128,10 @@ def canonical_sqrt_closed(p: CanonicalTwoModeParams) -> np.ndarray:
     with a >= b, and at d = 0 with b >= a); raises DegenerateSpectrumError
     there.
     """
+    _deltas(p)  # validate the state
     a, b, c, d = p.a, p.b, p.c, p.d
-    lam1, lam2, lam3, lam4 = _canonical_eigvals(p)
+    lam1, lam2 = _sector_eigenvalues(a, b, c)
+    lam3, lam4 = _sector_eigenvalues(a, b, d)
     den_x = a - b + lam1 - lam2
     den_p = a - b + lam4 - lam3
     if abs(den_x) < SECTOR_GAP_TOL or abs(den_p) < SECTOR_GAP_TOL:
@@ -187,12 +179,7 @@ def fr_distance_explicit(p: CanonicalTwoModeParams,
     m22 = (a0 * s44 ** 2 + b0 * s24 ** 2 - 2.0 * d0 * s24 * s44) / det_p ** 2
     m24 = (-a0 * s24 * s44 - b0 * s22 * s24 + d0 * (s24 ** 2 + s22 * s44)) / det_p ** 2
     m44 = (a0 * s24 ** 2 + b0 * s22 ** 2 - 2.0 * d0 * s22 * s24) / det_p ** 2
-    tr_x = m11 + m33
-    tr_p = m22 + m44
-    disc_x = math.sqrt(max(tr_x ** 2 - 4.0 * (m11 * m33 - m13 ** 2), 0.0))
-    disc_p = math.sqrt(max(tr_p ** 2 - 4.0 * (m22 * m44 - m24 ** 2), 0.0))
-    lam = np.sort([(tr_x - disc_x) / 2.0, (tr_x + disc_x) / 2.0,
-                   (tr_p - disc_p) / 2.0, (tr_p + disc_p) / 2.0])
+    lam = np.sort([*_sector_eigenvalues(m11, m33, m13), *_sector_eigenvalues(m22, m44, m24)])
     return float(np.sqrt(0.5 * np.sum(np.log(lam) ** 2))), lam
 
 
@@ -262,16 +249,15 @@ class RegularizerConfig:
             raise ValueError("power must be a positive integer")
 
 
-def regularizer_value(sigma, reg: RegularizerConfig) -> float:
+def regularizer_value(p: CanonicalTwoModeParams, reg: RegularizerConfig) -> float:
     """Symplectically invariant damping factor for the volume integrand.
 
-    ``exp(-Tr[adj(S)]/kappa) * log(1 + det(S)^m)``; the adjugate trace is the
-    degree-(n-1) elementary symmetric polynomial of the eigenvalues.
+    ``exp(-Tr[adj(S)]/kappa) * log(1 + det(S)^m)`` in closed form: both sectors
+    have trace ``a + b``, so ``det S = (ab - c^2)(ab - d^2)`` and
+    ``Tr adj S = (a + b)(2ab - c^2 - d^2)``.
     """
-    w = np.linalg.eigvalsh(as_matrix(sigma)).tolist()
-    det = math.prod(w)
-    adj_trace = sum(det / wi for wi in w) if det != 0 else 0.0
-    return math.exp(-adj_trace / reg.kappa) * math.log1p(det ** reg.power)
+    dc, dd, det = _deltas(p)
+    return math.exp(-(p.a + p.b) * (dc + dd) / reg.kappa) * math.log1p(det ** reg.power)
 
 
 @dataclass(frozen=True)
@@ -292,17 +278,6 @@ class Region:
             raise ValueError(f"unknown predicate {self.predicate!r}")
 
 
-def _canonical_stack(draws: np.ndarray) -> np.ndarray:
-    """``(samples, 4, 4)`` canonical matrices of ``(samples, 4)`` rows (a, b, c, d)."""
-    a, b, c, d = draws.T
-    stack = np.zeros((len(draws), 4, 4))
-    stack[:, 0, 0] = stack[:, 1, 1] = a
-    stack[:, 2, 2] = stack[:, 3, 3] = b
-    stack[:, 0, 2] = stack[:, 2, 0] = c
-    stack[:, 1, 3] = stack[:, 3, 1] = d
-    return stack
-
-
 def _physical(draws: np.ndarray) -> np.ndarray:
     """Physicality mask of ``(samples, 4)`` canonical rows (a, b, c, d), in closed form.
 
@@ -311,9 +286,8 @@ def _physical(draws: np.ndarray) -> np.ndarray:
 
     * Positive definiteness: the matrix splits into the x sector
       ``[[a, c], [c, b]]`` and the p sector ``[[a, d], [d, b]]``, so its
-      smallest eigenvalue is ``(ab - max(c^2, d^2)) / ((a+b)/2 + hypot((a-b)/2,
-      max(|c|, |d|)))``: the determinant of the sector with the stronger
-      correlation over its larger eigenvalue.
+      smallest eigenvalue is the smaller of the two sectors' low eigenvalues
+      (:func:`~ginfo.states._sector_eigenvalues`).
     * Uncertainty: with ``Delta = det A + det B + 2 det C = a^2 + b^2 + 2cd``
       and ``det S = (ab - c^2)(ab - d^2)``, the smaller invariant is
       ``nu_- = sqrt(8 det S / (Delta + sqrt(D)))`` where
@@ -327,8 +301,7 @@ def _physical(draws: np.ndarray) -> np.ndarray:
     a, b, c, d = draws.T
     positive = (a > 0) & (b > 0)
     a, b, c, d = a[positive], b[positive], c[positive], d[positive]
-    cross = np.maximum(np.abs(c), np.abs(d))
-    lam_min = (a * b - cross * cross) / (0.5 * (a + b) + np.hypot(0.5 * (a - b), cross))
+    lam_min = np.minimum(_sector_eigenvalues(a, b, c)[0], _sector_eigenvalues(a, b, d)[0])
     spd = lam_min > SPD_TOL
     a, b, c, d = a[spd], b[spd], c[spd], d[spd]
     delta = a * a + b * b + 2.0 * c * d
@@ -360,13 +333,15 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
 
     The physicality gate evaluates the closed-form two-mode invariants on
     the whole sample array at once: ``a, b > 0``, the smallest eigenvalue
-    above ``SPD_TOL``, and the smaller symplectic invariant
+    (the smaller of the two sectors' low eigenvalues) above ``SPD_TOL``, and
+    the smaller symplectic invariant
     ``sqrt(8 det S / (Delta + sqrt(D)))`` at least ``1 - RSUP_SLACK``. The
     discriminant ``D`` is taken in factored form, because near pure states
     ``Delta^2 - 4 det S`` cancels catastrophically (see :func:`_physical`).
     Only the physical samples then take the per-sample PPT verdict on the
     eigenvalue route (for the separable and entangled regions), and only the
-    accepted ones evaluate the integrand. The gate is the only validation of
+    accepted ones evaluate the integrand, which is closed form in
+    (a, b, c, d) and runs no eigensolver. The gate is the only validation of
     a sample; the per-sample verdict runs no further SPD check.
     """
     if samples < 1000:
@@ -376,7 +351,7 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
     highs = np.array([hi for _, hi in region.box])
     box_volume = float(np.prod(highs - lows))
     draws = rng.uniform(lows, highs, size=(samples, 4))
-    stack = _canonical_stack(draws)
+    stack = _canonical_matrices(draws)
     physical = _physical(draws)
     values = np.zeros(samples)
     accepted = 0
@@ -388,8 +363,8 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
             if separable != (region.predicate == "separable"):
                 continue
         accepted += 1
-        det_g = fisher_det_two_mode(CanonicalTwoModeParams(*rows[i]))
-        values[i] = regularizer_value(stack[i], reg) * math.sqrt(max(det_g, 0.0))
+        p = CanonicalTwoModeParams(*rows[i])
+        values[i] = regularizer_value(p, reg) * math.sqrt(max(fisher_det_two_mode(p), 0.0))
     mean = values.mean()
     err = box_volume * values.std(ddof=1) / math.sqrt(samples)
     return VolumeEstimate(volume=float(box_volume * mean), std_error=float(err),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .symplectic import Ordering, build_symplectic_form
+from .symplectic import build_symplectic_form
 
 
 def random_spd(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -26,16 +26,15 @@ def random_invertible(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q1 @ np.diag(s) @ q2
 
 
-def random_symplectic(n_modes: int, rng: np.random.Generator,
-                      ordering: Ordering = Ordering.MODE_INTERLEAVED) -> np.ndarray:
-    """Random symplectic matrix, the Cayley transform of ``H = J A``.
+def random_symplectic(n_modes: int, rng: np.random.Generator) -> np.ndarray:
+    """Random symplectic matrix (mode-interleaved), the Cayley transform of ``H = J A``.
 
     With A symmetric, H is Hamiltonian and ``(I - H/2)^-1 (I + H/2)``
     preserves J exactly in exact arithmetic. The map is ill-conditioned
     when an eigenvalue of ``H/2`` nears 1; with A's entries of scale 1/2
     that stays rare for one and two modes.
     """
-    j = build_symplectic_form(n_modes, ordering).matrix
+    j = build_symplectic_form(n_modes).matrix
     a = rng.normal(size=(2 * n_modes, 2 * n_modes), scale=0.5)
     half = 0.5 * (j @ (0.5 * (a + a.T)))
     eye = np.eye(2 * n_modes)

@@ -46,15 +46,31 @@ class CanonicalTwoModeParams:
             raise ValueError(f"diagonal entries must be positive, got a={self.a}, b={self.b}")
 
 
+def _canonical_matrices(rows) -> np.ndarray:
+    """``(..., 4, 4)`` canonical matrices of ``(..., 4)`` rows (a, b, c, d), unvalidated."""
+    a, b, c, d = np.moveaxis(np.asarray(rows, dtype=float), -1, 0)
+    out = np.zeros(a.shape + (4, 4))
+    out[..., 0, 0] = out[..., 1, 1] = a
+    out[..., 2, 2] = out[..., 3, 3] = b
+    out[..., 0, 2] = out[..., 2, 0] = c
+    out[..., 1, 3] = out[..., 3, 1] = d
+    return out
+
+
+def _sector_eigenvalues(a, b, c):
+    """``(low, high)`` eigenvalues of the sector ``[[a, c], [c, b]]``, on floats or arrays.
+
+    The canonical matrix splits into the x sector (c) and the p sector (d).
+    ``high`` adds two nonnegative terms and ``low`` is the determinant over
+    it, so neither takes the difference of two nearly equal roots.
+    """
+    high = 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
+    return (a * b - c * c) / high, high
+
+
 def canonical_two_mode_matrix(p: CanonicalTwoModeParams) -> np.ndarray:
     """Raw 4x4 canonical matrix, without the SPD validation."""
-    a, b, c, d = p.a, p.b, p.c, p.d
-    return np.array([
-        [a, 0, c, 0],
-        [0, a, 0, d],
-        [c, 0, b, 0],
-        [0, d, 0, b],
-    ], dtype=float)
+    return _canonical_matrices((p.a, p.b, p.c, p.d))
 
 
 def canonical_two_mode_cvm(p: CanonicalTwoModeParams) -> CovarianceMatrix:

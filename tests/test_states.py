@@ -47,6 +47,47 @@ class TestCanonicalForm:
             CanonicalTwoModeParams(0.0, 1.0)
 
 
+class TestSectorEigenvalues:
+    """The 2x2 sector spectrum against LAPACK, relative per eigenvalue."""
+
+    @staticmethod
+    def _eigvalsh(a, b, c):
+        return np.linalg.eigvalsh(np.stack([np.stack([a, c], -1), np.stack([c, b], -1)], -2))
+
+    def test_matches_eigvalsh(self):
+        rng = np.random.default_rng(23)
+        a, b = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=(2, 2000)))
+        c = rng.uniform(-0.9, 0.9, 2000) * np.sqrt(a * b)
+        low, high = states._sector_eigenvalues(a, b, c)
+        lapack = self._eigvalsh(a, b, c)
+        np.testing.assert_allclose(low, lapack[:, 0], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(high, lapack[:, 1], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("a, b, c", [(1e8, 1.0, 0.5), (1.0, 1e8, -0.5),
+                                         (1e8, 1.0, 3e3), (1e-4, 1e4, 0.5)])
+    def test_anisotropic_sector(self, a, b, c):
+        # a/b = 1e8: (trace - root)/4 would lose 8 digits of the low eigenvalue
+        low, high = states._sector_eigenvalues(a, b, c)
+        np.testing.assert_allclose([low, high], self._eigvalsh(a, b, c), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("a, b, c", [(2.0, 0.5, 1 - 2.0 ** -20), (0.5, 2.0, -(1 - 2.0 ** -20)),
+                                         (1.0, 1.0, 1 - 2.0 ** -26), (4.0, 1.0, 2 - 2.0 ** -24)])
+    def test_near_singular_sector(self, a, b, c):
+        # ab and c^2 are exact here, so low * high must give ab - c^2 to rounding;
+        # LAPACK's low eigenvalue is itself accurate only to eps * high
+        low, high = states._sector_eigenvalues(a, b, c)
+        assert abs(low * high / (a * b - c * c) - 1.0) <= 4 * np.finfo(float).eps
+        lapack = self._eigvalsh(a, b, c)
+        assert abs(low - lapack[0]) <= 4 * np.finfo(float).eps * high
+        assert high == pytest.approx(lapack[1], rel=1e-15)
+
+    def test_scalars_and_arrays_agree(self):
+        rows = np.random.default_rng(24).uniform(0.5, 2.0, size=(50, 3))
+        lows, highs = states._sector_eigenvalues(*rows.T)
+        for row, low, high in zip(rows.tolist(), lows, highs):
+            assert states._sector_eigenvalues(*row) == (low, high)
+
+
 class TestQuantumRegion:
     def test_uncorrelated_valid(self):
         assert in_quantum_region(CanonicalTwoModeParams(1.0, 1.0)) is True

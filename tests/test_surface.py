@@ -1,13 +1,14 @@
-"""The public surface of ``ginfo`` is what a command, a battery or the benchmark reaches.
+"""Every definition in ``ginfo`` is reached by a command, a battery or the benchmark.
 
 A name closure over the syntax trees. The roots are every name that the
 benchmark (``bench/*.py``) uses and every name used by the code that runs
 when a ``ginfo`` module is imported, which holds ``cli.COMMANDS`` (with the
 ``main`` entry point) and ``selftest.BATTERIES``. A reached function or
 method adds the names its body uses; a reached class adds those of its
-class-level statements and its dunder methods. Imports are not uses. The
-package ``ginfo`` itself defines only ``__version__``; every name is imported
-from its module.
+class-level statements and its dunder methods. Imports are not uses. Public
+and private definitions are checked alike; only dunders, which Python calls,
+are exempt. The package ``ginfo`` itself defines only ``__version__``; every
+name is imported from its module.
 
 Limitation: names are resolved by their bare spelling, without types or
 scopes, so two definitions that share a name are reached together. A
@@ -49,7 +50,7 @@ def _uses(node) -> set[str]:
 
 
 def unreached() -> list[str]:
-    """``module:line name`` of each public definition that no root reaches."""
+    """``module:line name`` of each non-dunder definition that no root reaches."""
     definitions: dict[str, list] = {}
     roots: set[str] = set()
     for path in sorted((ROOT / "src" / "ginfo").glob("*.py")):
@@ -72,12 +73,19 @@ def unreached() -> list[str]:
             reached.add(name)
             queue.extend(use for _, node in definitions.get(name, ()) for use in _uses(node))
     return sorted(f"{where} {name}" for name, found in definitions.items()
-                  if not name.startswith("_") and name not in reached for where, _ in found)
+                  if not _is_dunder(name) and name not in reached for where, _ in found)
 
 
 def test_every_public_definition_is_reached():
-    missing = unreached()
+    missing = [entry for entry in unreached() if not entry.split()[-1].startswith("_")]
     assert not missing, ("public, but no command, battery or benchmark reaches it:\n"
+                         + "\n".join(missing))
+
+
+def test_every_private_definition_is_reached():
+    # a helper whose last caller went stays behind unless this fails
+    missing = [entry for entry in unreached() if entry.split()[-1].startswith("_")]
+    assert not missing, ("private, and no command, battery or benchmark reaches it:\n"
                          + "\n".join(missing))
 
 

@@ -337,9 +337,12 @@ class TestValidatedWrapper:
 class TestRandomSymplectic:
     @pytest.mark.parametrize("n, ordering", [(n, o) for n in (1, 2) for o in _orderings(n)])
     def test_preserves_form_and_stays_conditioned(self, n, ordering):
+        # drawn mode-interleaved and moved to ``ordering``, where it must
+        # preserve that ordering's form
         form = build_symplectic_form(n, ordering).matrix
         for seed in range(500):
-            s = random_symplectic(n, np.random.default_rng(seed), ordering=ordering)
+            s = permute_ordering(random_symplectic(n, np.random.default_rng(seed)),
+                                 Ordering.MODE_INTERLEAVED, ordering)
             drift = np.abs(s @ form @ s.T - form).max()
             assert drift <= 1e-12 * max(1.0, np.abs(s).max() ** 2), seed
             assert np.linalg.cond(s) < 1e3, seed
