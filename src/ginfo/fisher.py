@@ -2,10 +2,11 @@
 
 Closed-form metric for the canonical two-mode family and its exact
 trace-formula route, the affine-invariant distance between covariance
-matrices (two independent computations), the two-parameter normal-form
-metric, and a regularized Monte-Carlo volume over constrained parameter
-regions. The canonical closed forms read the family's layout and its 2x2
-sector spectrum from :mod:`ginfo.states`.
+matrices (two independent computations: the generalized spectrum, and on
+the canonical family the exact elementwise square root of each 2x2 sector),
+and a regularized Monte-Carlo volume over constrained parameter regions.
+The canonical closed forms read the family's layout and its 2x2 sector
+spectrum from :mod:`ginfo.states`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, NumericDomainError
-from .policy import RSUP_SLACK, SECTOR_GAP_TOL, SPD_TOL, VANISHING_TOL
+from .errors import NumericDomainError
+from .policy import RSUP_SLACK, SPD_TOL
 from .states import (CanonicalTwoModeParams, _canonical_matrices, _sector_eigenvalues,
                      canonical_two_mode_matrix, ppt_separable)
 from .symplectic import (
@@ -124,34 +125,20 @@ def fr_distance(sigma1, sigma2, dim_scaled: bool = False) -> float:
 def canonical_sqrt_closed(p: CanonicalTwoModeParams) -> np.ndarray:
     """Elementwise closed form of the SPD square root of a canonical state.
 
-    Valid only where the sector denominators do not vanish (they do at c = 0
-    with a >= b, and at d = 0 with b >= a); raises DegenerateSpectrumError
-    there.
+    Each sector ``S = [[a, c], [c, b]]`` with ``s = sqrt(det S)`` satisfies
+    ``(S + s I)^2 = (tr S + 2s) S`` (Cayley-Hamilton), so its root is
+    ``(S + s I) / t`` with ``t = sqrt(tr S + 2s)``. Every term is positive
+    except the off-diagonal ``c / t``: nothing cancels, and no state is
+    degenerate.
     """
-    _deltas(p)  # validate the state
-    a, b, c, d = p.a, p.b, p.c, p.d
-    lam1, lam2 = _sector_eigenvalues(a, b, c)
-    lam3, lam4 = _sector_eigenvalues(a, b, d)
-    den_x = a - b + lam1 - lam2
-    den_p = a - b + lam4 - lam3
-    if abs(den_x) < SECTOR_GAP_TOL or abs(den_p) < SECTOR_GAP_TOL:
-        raise DegenerateSpectrumError(
-            f"sector denominators vanish (x: {den_x:.3e}, p: {den_p:.3e})")
-    tau_x = math.sqrt(lam1) + math.sqrt(lam2)
-    tau_p = math.sqrt(lam3) + math.sqrt(lam4)
-    s11 = 0.5 * (tau_x + (a - b) / tau_x)
-    s13 = c / tau_x
-    s22 = math.sqrt(lam4) - 2.0 * d * d / (den_p * tau_p)
-    s24 = d / tau_p
-    s33 = math.sqrt(lam2) + 2.0 * c * c / (tau_x * den_x)
-    s44 = 0.5 * (tau_p + (b - a) / tau_p)
+    dc, dd, _ = _deltas(p)
     out = np.zeros((4, 4))
-    out[0, 0] = s11
-    out[1, 1] = s22
-    out[2, 2] = s33
-    out[3, 3] = s44
-    out[0, 2] = out[2, 0] = s13
-    out[1, 3] = out[3, 1] = s24
+    for i, corr, det in ((0, p.c, dc), (1, p.d, dd)):   # x sector (x1, x2), p sector (p1, p2)
+        s = math.sqrt(det)
+        t = math.sqrt(p.a + p.b + 2.0 * s)
+        out[i, i] = (p.a + s) / t
+        out[i + 2, i + 2] = (p.b + s) / t
+        out[i, i + 2] = out[i + 2, i] = corr / t
     return out
 
 
@@ -159,76 +146,27 @@ def fr_distance_explicit(p: CanonicalTwoModeParams,
                          p0: CanonicalTwoModeParams) -> tuple[float, np.ndarray]:
     """Distance between canonical states via the elementwise closed forms.
 
-    Builds the square root elementwise, inverts it blockwise, assembles the
-    six nonzero elements of ``S^-1/2 S0 S^-1/2`` and its sector eigenvalues.
-    Requires a nondegenerate sector spectrum. Returns the distance in the
-    1/2-prefactor convention and the generalized eigenvalues, ascending: an
-    independent route to :func:`fr_distance` on the canonical family, checked
-    against it by a ``selftest`` battery.
+    Builds the square root elementwise, inverts each sector through its
+    adjugate (``det(R)^2 = det S``), assembles the six nonzero elements of
+    ``S^-1/2 S0 S^-1/2`` and its sector eigenvalues. Returns the distance in
+    the 1/2-prefactor convention and the generalized eigenvalues, ascending:
+    an independent route to :func:`fr_distance` on the canonical family,
+    checked against it by a ``selftest`` battery.
     """
     _deltas(p0)  # validate the target state as well
+    dc, dd, _ = _deltas(p)
     root = canonical_sqrt_closed(p)
     s11, s22, s33, s44 = root[0, 0], root[1, 1], root[2, 2], root[3, 3]
     s13, s24 = root[0, 2], root[1, 3]
-    det_x = s11 * s33 - s13 * s13
-    det_p = s22 * s44 - s24 * s24
     a0, b0, c0, d0 = p0.a, p0.b, p0.c, p0.d
-    m11 = (a0 * s33 ** 2 + b0 * s13 ** 2 - 2.0 * c0 * s13 * s33) / det_x ** 2
-    m13 = (-a0 * s13 * s33 - b0 * s11 * s13 + c0 * (s13 ** 2 + s11 * s33)) / det_x ** 2
-    m33 = (a0 * s13 ** 2 + b0 * s11 ** 2 - 2.0 * c0 * s11 * s13) / det_x ** 2
-    m22 = (a0 * s44 ** 2 + b0 * s24 ** 2 - 2.0 * d0 * s24 * s44) / det_p ** 2
-    m24 = (-a0 * s24 * s44 - b0 * s22 * s24 + d0 * (s24 ** 2 + s22 * s44)) / det_p ** 2
-    m44 = (a0 * s24 ** 2 + b0 * s22 ** 2 - 2.0 * d0 * s22 * s24) / det_p ** 2
+    m11 = (a0 * s33 ** 2 + b0 * s13 ** 2 - 2.0 * c0 * s13 * s33) / dc
+    m13 = (-a0 * s13 * s33 - b0 * s11 * s13 + c0 * (s13 ** 2 + s11 * s33)) / dc
+    m33 = (a0 * s13 ** 2 + b0 * s11 ** 2 - 2.0 * c0 * s11 * s13) / dc
+    m22 = (a0 * s44 ** 2 + b0 * s24 ** 2 - 2.0 * d0 * s24 * s44) / dd
+    m24 = (-a0 * s24 * s44 - b0 * s22 * s24 + d0 * (s24 ** 2 + s22 * s44)) / dd
+    m44 = (a0 * s24 ** 2 + b0 * s22 ** 2 - 2.0 * d0 * s22 * s24) / dd
     lam = np.sort([*_sector_eigenvalues(m11, m33, m13), *_sector_eigenvalues(m22, m44, m24)])
     return float(np.sqrt(0.5 * np.sum(np.log(lam) ** 2))), lam
-
-
-# ---------------------------------------------------------------------------
-# two-parameter normal-form metric
-
-@dataclass(frozen=True)
-class NormalFormPoint:
-    """Point (a, c) of the correlated normal-form family.
-
-    ``a`` is the common variance scale, ``c`` the cross correlation induced
-    by the phase-space deformation; valid states satisfy a > |c|.
-    """
-
-    a: float
-    c: float
-
-    def __post_init__(self):
-        _check_finite("a and c", self.a, self.c)
-
-
-@dataclass(frozen=True, eq=False)
-class NormalFormMetric:
-    matrix: np.ndarray          # 2x2, indefinite by construction: not Riemannian
-    eigenvalues: tuple[float, float]
-    rotation: np.ndarray        # orthogonal Q with Q^T g Q diagonal
-    transformed: tuple[float, float]
-
-
-def normal_form_metric(pt: NormalFormPoint) -> NormalFormMetric:
-    """Metric components of the (a, c) family, with its diagonalization.
-
-    ``g00 = -g11 = 2(a^2 - c^2)/(a^2 + c^2)^2`` and
-    ``g01 = 4ac/(a^2 + c^2)^2``; the eigenvalues are +-2/(a^2 + c^2). One of
-    them is always negative.
-    """
-    a, c = pt.a, pt.c
-    r2 = a * a + c * c
-    if r2 <= VANISHING_TOL:
-        raise ValueError("the point (a, c) = (0, 0) is outside the family")
-    g = np.array([
-        [2.0 * (a * a - c * c) / r2 ** 2, 4.0 * a * c / r2 ** 2],
-        [4.0 * a * c / r2 ** 2, -2.0 * (a * a - c * c) / r2 ** 2],
-    ])
-    root = math.sqrt(r2)
-    q = np.array([[a, -c], [c, a]]) / root
-    transformed = ((a * a - c * c) / root, 2.0 * a * c / root)
-    return NormalFormMetric(matrix=g, eigenvalues=(2.0 / r2, -2.0 / r2),
-                            rotation=q, transformed=transformed)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,13 @@ resolution argument, so a verdict or a figure always means the same thing.
 SYMMETRY_TOL = 1e-12            # max |M - M^T| of a state (|M + M^T| of a form) taken as exact
 SPD_TOL = 1e-12                 # a positive-definite matrix's eigenvalues must exceed this
 SINGULAR_RCOND = 1e-12          # a form or transform with s_min <= this * s_max is singular
-VANISHING_TOL = 1e-14           # 4ab - 4c^2 or a^2 + c^2 below this is zero
+VANISHING_TOL = 1e-14           # 4ab - 4c^2 below this is zero
 
 # verdicts
 RSUP_SLACK = 1e-10              # an invariant >= 1 - RSUP_SLACK meets the uncertainty threshold 1
 ZERO_COUPLING_TOL = 1e-10       # |imaginary cross coupling| of a product ground state
 
 # closed forms against their numeric routes
-SECTOR_GAP_TOL = 1e-10          # smallest sector denominator of the closed-form square root
 DEGENERATE_MODES_TOL = 1e-12    # normal modes with a frequency discriminant at or below this coincide
 DECOUPLED_TOL = 1e-13           # cross couplings below this, relative to the frequency, vanish
 GROUND_STATE_CHECK_TOL = 1e-13  # ground state's relative gap to its polar form, per unit of cond(H)

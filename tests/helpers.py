@@ -22,13 +22,55 @@ def random_valid_canonical(rng, margin=1e-6):
         return p
 
 
-def random_nondegenerate_canonical(rng, floor=0.05, margin=1e-6):
-    """Valid canonical parameters with both correlations bounded away from 0."""
-    while True:
-        p = random_valid_canonical(rng, margin)
-        scale = np.sqrt(p.a * p.b)
-        if min(abs(p.c), abs(p.d)) >= floor * scale:
-            return p
+# Canonical square-root points, each as ((a, b, c, d), 4x4 SPD square root,
+# and None or (target (a0, b0, c0, d0), ascending generalized eigenvalues,
+# distance)). Written by ``tests/reference/canonical_sqrt.py`` from the
+# matrices built entry by entry in mpmath 1.3 at 80 digits and printed to 60:
+# the root from mpmath's symmetric eigensolver, squared back to 1e-70, and
+# the eigenvalues of ``R^-1 S0 R^-1``. No code of ginfo is involved.
+CANONICAL_SQRT_REFERENCES = [
+    ((1000000.0, 1.0, 0.3, 0.2),
+     ((9.99999999999955089865175740424039007086184050927594401634923e+2,
+       0.0,
+       2.9970029971375927037751069846174550692817754830530632412378e-4,
+       0.0),
+      (0.0,
+       9.99999999999980039940079103110450124143568821219827708577836e+2,
+       0.0,
+       1.9980019980418783529099886591702074388103432532234939729925e-4),
+      (2.9970029971375927037751069846174550692817754830530632412378e-4,
+       0.0,
+       9.99999955089864167281282242489174543457933817987557463352016e-1,
+       0.0),
+      (0.0,
+       1.9980019980418783529099886591702074388103432532234939729925e-4,
+       0.0,
+       9.9999998003993987990130965314309400946121087321318745075928e-1)),
+     ((1.2, 0.9, 0.1, -0.1),
+      (1.18888882137159389162732552800192682223353335974380130483777e-6,
+       1.18888895347045497310951793029615922449241375089417818999404e-6,
+       9.0000003211115644175932796791582137947725189056518080766014e-1,
+       9.00000087111229690612575382215951911677780688253306335153207e-1),
+      1.36428982364007840603025254213975701392536934063460241140576e+1)),
+    ((2.0, 1.0, 0.0, 0.3),
+     ((1.41421356237309504880168872420969807856967187537694807317668,
+       0.0,
+       0.0,
+       0.0),
+      (0.0,
+       1.40868236026863440908061320515032255873514161223990621555467,
+       0.0,
+       1.24956023736310100329920512328609694101632769119650125466398e-1),
+      (0.0,
+       0.0,
+       1.0,
+       0.0),
+      (0.0,
+       1.24956023736310100329920512328609694101632769119650125466398e-1,
+       0.0,
+       9.92162281147600725899872095426172597494262784802611149747372e-1)),
+     None),
+]
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Acceptance suite: one test per release criterion, at its stated tolerance.
 
-All 15 criteria pass. Criterion 4 (the m = n = 1/4 sweep of figure 2) was
-corrected: it used to assert that this sweep stays separable at every grid
-point, an expectation that came only from closed-form invariant expressions
-that disagreed with the exact reflection spectrum already at theta = 0
-(criterion 2) and have since been deleted. The mirror-reflection spectrum
-and the independent Hermitian test ``R S Sigma S^T R + (i/2) S Omega S^T >= 0``
-both find a single crossing at theta* = 0.492689293595588..., confirmed by a
-40-digit root of the determinant. The criterion now asserts that crossing:
-separable below theta* at the unchanged 1e-10 tolerance, entangled above it,
-and the latest crossing of the correlation strengths, so the strongest
-correlation stays separable longest. Criterion 15 checks the exact
-separability boundary ``bipartite.pair_boundary`` against the spectrum at
-every figure grid point.
+All 14 criteria pass; criterion 10 (the eigenstructure of a two-parameter
+normal-form metric) is retired with the metric. Criterion 4 (the m = n = 1/4
+sweep of figure 2) was corrected: it used to assert that this sweep stays
+separable at every grid point, an expectation that came only from
+closed-form invariant expressions that disagreed with the exact reflection
+spectrum already at theta = 0 (criterion 2) and have since been deleted.
+The mirror-reflection spectrum and the independent Hermitian test
+``R S Sigma S^T R + (i/2) S Omega S^T >= 0`` both find a single crossing at
+theta* = 0.492689293595588..., confirmed by a 40-digit root of the
+determinant. The criterion now asserts that crossing: separable below
+theta* at the unchanged 1e-10 tolerance, entangled above it, and the latest
+crossing of the correlation strengths, so the strongest correlation stays
+separable longest. Criterion 15 checks the exact separability boundary
+``bipartite.pair_boundary`` against the spectrum at every figure grid point.
 """
 
 import math
@@ -22,13 +23,11 @@ import numpy as np
 
 from ginfo import bipartite
 from ginfo.fisher import (
-    NormalFormPoint,
     canonical_sqrt_closed,
     fisher_det_two_mode,
     fisher_metric_numeric,
     fisher_metric_two_mode,
     fr_distance,
-    normal_form_metric,
 )
 from ginfo.oscillator import (
     OscillatorParams,
@@ -58,7 +57,6 @@ from helpers import (
     equivalent_hamiltonian_matrix,
     hermitian_crossing,
     hermitian_min_eigenvalue,
-    random_nondegenerate_canonical,
     random_valid_canonical,
 )
 
@@ -179,25 +177,12 @@ def test_ac09_metric_determinant_identity():
     assert worst < 1e-9, worst
 
 
-def test_ac10_normal_form_metric_eigenstructure():
-    rng = np.random.default_rng(110)
-    for _ in range(200):
-        a = rng.uniform(0.2, 3.0)
-        c = rng.uniform(-0.99, 0.99) * a
-        out = normal_form_metric(NormalFormPoint(a, c))
-        expected = 2.0 / (a * a + c * c)
-        assert abs(out.eigenvalues[0] - expected) < 1e-12
-        assert abs(out.eigenvalues[1] + expected) < 1e-12
-        diag = out.rotation.T @ out.matrix @ out.rotation
-        assert abs(diag[0, 1]) < 1e-12 and abs(diag[1, 0]) < 1e-12
-
-
 def test_ac11_square_root_routes_agree():
     rng = np.random.default_rng(111)
     worst_match = 0.0
     worst_square = 0.0
     for _ in range(100):
-        p = random_nondegenerate_canonical(rng)
+        p = random_valid_canonical(rng)
         closed = canonical_sqrt_closed(p)
         target = canonical_two_mode_matrix(p)
         worst_match = max(worst_match, np.abs(closed - matrix_sqrt_spd(target)).max())

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from ginfo import fisher, states, symplectic
-from ginfo.errors import DegenerateSpectrumError, NumericDomainError
+from ginfo.errors import NumericDomainError
 from ginfo.fisher import (
-    NormalFormPoint,
     Region,
     RegularizerConfig,
     canonical_sqrt_closed,
@@ -16,7 +15,6 @@ from ginfo.fisher import (
     fisher_metric_two_mode,
     fr_distance,
     fr_distance_explicit,
-    normal_form_metric,
     pure_state_det_ratio,
     regularized_volume,
     regularizer_value,
@@ -27,8 +25,8 @@ from ginfo.states import CanonicalTwoModeParams, canonical_two_mode_matrix
 from ginfo.symplectic import generalized_eigenvalues, matrix_sqrt_spd
 
 from helpers import (
+    CANONICAL_SQRT_REFERENCES,
     canonical_hermitian_verdicts,
-    random_nondegenerate_canonical,
     random_valid_canonical,
 )
 
@@ -136,40 +134,52 @@ class TestExplicitDistance:
         p = CanonicalTwoModeParams(1.0, 1.0, 0.3, -0.3)
         closed = canonical_sqrt_closed(p)
         np.testing.assert_allclose(closed, matrix_sqrt_spd(canonical_two_mode_matrix(p)),
-                                   atol=1e-10)
+                                   atol=1e-15)
 
     def test_eigenvalues_match_symmetric_route(self):
         rng = np.random.default_rng(30)
         for _ in range(50):
-            p = random_nondegenerate_canonical(rng)
+            p = random_valid_canonical(rng)
             p0 = random_valid_canonical(rng)
             _, lam = fr_distance_explicit(p, p0)
             oracle = generalized_eigenvalues(canonical_two_mode_matrix(p),
                                              canonical_two_mode_matrix(p0))
             np.testing.assert_allclose(lam, oracle, atol=1e-9)
 
-    def test_degenerate_sector_rejected(self):
-        # c = 0 with a > b makes an element denominator vanish even though all
-        # four ordinary eigenvalues are distinct
-        with pytest.raises(DegenerateSpectrumError):
-            canonical_sqrt_closed(CanonicalTwoModeParams(2.0, 1.0, 0.0, 0.3))
+    def test_uncorrelated_sectors_match_eigh(self):
+        # c = 0 or d = 0 makes a sector diagonal; it needs no special case
+        for params in [(2.0, 1.0, 0.0, 0.3), (1.0, 2.0, 0.3, 0.0), (2.0, 1.0, 0.0, 0.0)]:
+            p = CanonicalTwoModeParams(*params)
+            np.testing.assert_allclose(canonical_sqrt_closed(p),
+                                       matrix_sqrt_spd(canonical_two_mode_matrix(p)),
+                                       rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("params, root, target", CANONICAL_SQRT_REFERENCES,
+                             ids=["anisotropic", "uncorrelated-sector"])
+    def test_mpmath_references(self, params, root, target):
+        # 60-digit references at a/b = 1e6 and at an uncorrelated sector
+        p = CanonicalTwoModeParams(*params)
+        root = np.array(root)
+        error = np.abs(canonical_sqrt_closed(p) - root).max()
+        assert error <= 1e-15 * np.abs(root).max(), error
+        if target is not None:
+            p0, lam, distance = target
+            got_distance, got_lam = fr_distance_explicit(p, CanonicalTwoModeParams(*p0))
+            np.testing.assert_allclose(got_lam, lam, rtol=1e-14, atol=0)
+            assert got_distance == pytest.approx(distance, rel=1e-14, abs=0)
 
-class TestNormalFormMetric:
-    def test_axis_point(self):
-        out = normal_form_metric(NormalFormPoint(1.0, 0.0))
-        np.testing.assert_allclose(out.matrix, np.diag([2.0, -2.0]), atol=1e-15)
-        assert out.eigenvalues == pytest.approx((2.0, -2.0))
-        assert out.transformed == pytest.approx((1.0, 0.0))
-
-    def test_diagonal_point(self):
-        out = normal_form_metric(NormalFormPoint(1.0, 1.0))
-        np.testing.assert_allclose(out.matrix, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
-        assert out.eigenvalues == pytest.approx((1.0, -1.0))
-
-    def test_origin_rejected(self):
-        with pytest.raises(ValueError):
-            normal_form_metric(NormalFormPoint(0.0, 0.0))
+    def test_anisotropic_roots_match_eigh(self):
+        # a, b over six decades and correlations up to 0.95 sqrt(ab)
+        rng = np.random.default_rng(33)
+        worst = 0.0
+        for _ in range(2000):
+            a, b = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+            c, d = rng.uniform(-0.95, 0.95, size=2) * math.sqrt(a * b)
+            p = CanonicalTwoModeParams(a, b, c, d)
+            oracle = matrix_sqrt_spd(canonical_two_mode_matrix(p))
+            error = np.abs(canonical_sqrt_closed(p) - oracle).max() / np.abs(oracle).max()
+            worst = max(worst, error)
+        assert worst < 1e-12, worst
 
 
 class TestRegularizedVolume:

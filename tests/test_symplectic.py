@@ -3,7 +3,7 @@ import pytest
 
 from ginfo import bipartite, symplectic
 from ginfo.errors import NumericDomainError, SingularMatrixError
-from ginfo.fisher import NormalFormPoint, Region, RegularizerConfig
+from ginfo.fisher import Region, RegularizerConfig
 from ginfo.oscillator import OscillatorParams
 from ginfo.randmat import random_invertible, random_spd, random_symplectic
 from ginfo.selftest import _orderings
@@ -473,11 +473,10 @@ class TestFiniteParameters:
         lambda x: CanonicalTwoModeParams(x, 1.0),
         lambda x: OscillatorParams(1.0, 1.0, 1.0, 2.0, theta=x),
         lambda x: RegularizerConfig(kappa=x),
-        lambda x: NormalFormPoint(x, 0.0),
         lambda x: bipartite.PairConfig(0.1, 0.1, eta=x),
         lambda x: Region(((0.5, 1.5), (0.5, x), (-0.5, 0.5), (-0.5, 0.5)), "quantum"),
     ], ids=["CanonicalTwoModeParams", "OscillatorParams", "RegularizerConfig",
-            "NormalFormPoint", "PairConfig", "Region"])
+            "PairConfig", "Region"])
     def test_non_finite_parameter_rejected(self, build, value):
         with pytest.raises(ValueError, match="must be finite"):
             build(value)
