@@ -21,7 +21,7 @@ import numpy as np
 
 # the command modules are imported by the commands that use them, so that a
 # process compiles and loads only what its one command needs
-from .errors import DegenerateSpectrumError, NumericDomainError, SingularMatrixError
+from .errors import NumericDomainError
 from .symplectic import (
     CovarianceMatrix,
     _validated,
@@ -301,7 +301,7 @@ def _run_oscillator(args) -> int:
         "constraint_gap": report.lhs_rhs_gap,
         "ppt_margin": states.ppt_separable(units).margin,
         "hbar_effective": p.hbar_effective,
-        "mode_freqs": None if modes is None else [modes.freq1, modes.freq2],
+        "mode_freqs": [modes.freq1, modes.freq2],
     }
     _emit(_json_report(_echo(args), results), args.out)
     return EXIT_OK
@@ -413,8 +413,7 @@ def main(argv=None) -> int:
     except InputValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericDomainError, SingularMatrixError, DegenerateSpectrumError,
-            ArithmeticError, MemoryError) as exc:
+    except (NumericDomainError, ArithmeticError, MemoryError) as exc:
         # a float overflow carries (errno, text); print the text
         message = exc.args[-1] if isinstance(exc, OverflowError) else exc
         print(f"numeric domain error: {message}", file=sys.stderr)

@@ -5,12 +5,8 @@ class NumericDomainError(ValueError):
     """Input violates a mathematical domain requirement (e.g. not SPD)."""
 
 
-class SingularMatrixError(ValueError):
+class SingularMatrixError(NumericDomainError):
     """A matrix that must be invertible is singular to working tolerance."""
-
-
-class DegenerateSpectrumError(ValueError):
-    """A closed form requires a nondegenerate spectrum and the gap vanished."""
 
 
 class BoundaryIndeterminateError(NumericDomainError):

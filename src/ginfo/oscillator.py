@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, NumericDomainError, SingularMatrixError
-from .policy import (DECOUPLED_TOL, DEGENERATE_MODES_TOL, GROUND_STATE_CHECK_TOL,
-                     ZERO_COUPLING_TOL)
+from .errors import NumericDomainError, SingularMatrixError
+from .policy import DECOUPLED_TOL, GROUND_STATE_CHECK_TOL, ZERO_COUPLING_TOL
 from .symplectic import J2, CovarianceMatrix, Ordering, _check_finite, build_symplectic_form
 
 
@@ -136,15 +135,12 @@ def mode_spectrum(p: OscillatorParams, eq: EquivalentParams) -> ModeSpectrum:
     ``low * high = (1 - theta eta / 4 hbar^2)^2 freq1 freq2`` in the
     deformed-frame frequencies of ``p``, since ``det H = det(Ups)^2 det H_nc``;
     so it keeps its relative accuracy as it softens toward the singular edge,
-    where the difference of the sum and the discriminant cancels. Degenerate
-    spectra (possible only for the isotropic undeformed oscillator) are
-    rejected.
+    where the difference of the sum and the discriminant cancels. Neither
+    formula divides by the discriminant, so coinciding modes need no case of
+    their own: at ``disc = 0`` both give the one frequency.
     """
     inv_sum = eq.freq1 ** 2 + eq.freq2 ** 2 + 8.0 * eq.coupling1 * eq.coupling2
-    disc = _discriminant(eq)
-    if disc <= DEGENERATE_MODES_TOL:
-        raise DegenerateSpectrumError("degenerate normal modes (isotropic undeformed case)")
-    high = math.sqrt((inv_sum + disc) / 2.0)
+    high = math.sqrt((inv_sum + _discriminant(eq)) / 2.0)
     det_ups = (1.0 - p.theta * p.eta / (4.0 * p.hbar ** 2)) ** 2
     return ModeSpectrum(freq1=det_ups * p.freq1 * p.freq2 / high, freq2=high)
 
@@ -176,7 +172,8 @@ def eigvec_coefficients(eq: EquivalentParams, spec: ModeSpectrum) -> np.ndarray:
     ``(b -+ disc) / 2`` of a quadratic whose product ``(b^2 - disc^2) / 4``
     has a closed form. The root of the larger magnitude is taken directly
     and the other from the product, so neither cancels as the couplings
-    vanish.
+    vanish. That root is at least ``disc / 2``, and off the decoupled branch
+    ``disc > 0``: it holds the square of a sum of the nonnegative couplings.
     """
     n1, n2 = eq.coupling1, eq.coupling2
     b = eq.freq2 ** 2 - eq.freq1 ** 2 + 8.0 * n1 * n2
@@ -250,7 +247,7 @@ class GroundState:
     """One run of the pipeline: its stages' results and their end-to-end check."""
 
     equivalent: EquivalentParams
-    modes: ModeSpectrum | None      # None where the modes coincide (isotropic, undeformed)
+    modes: ModeSpectrum
     exponent: GroundStateExponent
     covariance: CovarianceMatrix
     polar_gap: float    # max |covariance - polar form| / (max |polar form| * cond(H))
@@ -270,16 +267,12 @@ def ground_state(p: OscillatorParams) -> GroundState:
     """
     h = equivalent_hamiltonian(p)
     eq = equivalent_params(p)
+    modes = mode_spectrum(p, eq)
     if max(abs(eq.coupling1), abs(eq.coupling2)) < DECOUPLED_TOL * max(eq.freq1, eq.freq2):
-        try:
-            modes = mode_spectrum(p, eq)
-        except DegenerateSpectrumError:
-            modes = None
         exponent = GroundStateExponent(m11=eq.mass1 * eq.freq1 / p.hbar,
                                        m22=eq.mass2 * eq.freq2 / p.hbar,
                                        cross_imag=0.0)
     else:
-        modes = mode_spectrum(p, eq)
         exponent = ground_state_exponent(eigvec_coefficients(eq, modes), p.hbar)
     covariance = ground_state_cvm(exponent, p.hbar)
     polar = _polar_ground_state(h, p.hbar)

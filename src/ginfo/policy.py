@@ -16,7 +16,6 @@ RSUP_SLACK = 1e-10              # an invariant >= 1 - RSUP_SLACK meets the uncer
 ZERO_COUPLING_TOL = 1e-10       # |imaginary cross coupling| of a product ground state
 
 # closed forms against their numeric routes
-DEGENERATE_MODES_TOL = 1e-12    # normal modes with a frequency discriminant at or below this coincide
 DECOUPLED_TOL = 1e-13           # cross couplings below this, relative to the frequency, vanish
 GROUND_STATE_CHECK_TOL = 1e-13  # ground state's relative gap to its polar form, per unit of cond(H)
 

@@ -347,8 +347,10 @@ def generalized_eigenvalues(sigma1, sigma2) -> np.ndarray:
     """Eigenvalues of ``Sigma1^-1/2 Sigma2 Sigma1^-1/2``, sorted ascending.
 
     These solve ``det(Sigma2 - lam Sigma1) = 0``; the symmetric route keeps
-    them real and positive for SPD inputs. Two CovarianceMatrix inputs must
-    name the same ordering.
+    them real and positive for SPD inputs. ``eigvalsh`` is accurate relative
+    to the largest of them, so a small one loses digits in proportion to
+    the spread: 2e-11, relative, at ``a / b = 1e6`` of the canonical family.
+    Two CovarianceMatrix inputs must name the same ordering.
     """
     inv_root = matrix_inv_sqrt_spd(sigma1)
     m2 = _check_spd_matrix(sigma2)

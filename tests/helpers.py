@@ -201,6 +201,46 @@ OSCILLATOR_REFERENCES = [
        0.0,
        0.0,
        9.99999999999999999999999819444444444444451707599537815101785e-1))),
+    ((1.0, 1.0, 0.01, 0.01,
+      0.0, 1e-12, 1.0),
+     (9.99999999950000020817931712727352751404007994023725618164673e-3,
+      1.00000000005000002081793171071601751432956953074900996877763e-2),
+     ((4.99999999999999989591034144139157650259745995760497165786611e+1,
+       0.0,
+       0.0,
+       0.0),
+      (0.0,
+       5.00000000000000010408965855860842566433394381193183896735575e-3,
+       0.0,
+       0.0),
+      (0.0,
+       0.0,
+       4.99999999999999989591034144139157650259745995760497165786611e+1,
+       0.0),
+      (0.0,
+       0.0,
+       0.0,
+       5.00000000000000010408965855860842566433394381193183896735575e-3))),
+    ((1.0, 1.0, 0.001, 0.0010000001,
+      0.0, 0.0, 1.0),
+     (1.000000000000000020816681711721685132943093776702880859375e-3,
+      1.0000001000000000549172707309253382845781743526458740234375e-3),
+     ((4.9999999999999998959165914413915765019557185521258852881957e+2,
+       0.0,
+       0.0,
+       0.0),
+      (0.0,
+       5.000000000000000104083408558608425664715468883514404296875e-4,
+       0.0,
+       0.0),
+      (0.0,
+       0.0,
+       4.99999950000004972540870126313581694246472310123848071739069e+2,
+       0.0),
+      (0.0,
+       0.0,
+       0.0,
+       5.0000005000000002745863536546266914228908717632293701171875e-4))),
 ]
 
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])

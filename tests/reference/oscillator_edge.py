@@ -13,8 +13,9 @@ it writes:
   and stationary, ``J H Sigma = Sigma H J``, to 1e-50, or the script stops.
 
 The points are the deformed oscillator next to its singular edge
-``theta*eta -> 4 hbar^2``, next to its commutative limit, and at a light,
-strongly deformed point whose standard-frame frequencies nearly coincide. mpmath 1.3 is
+``theta*eta -> 4 hbar^2``, next to its commutative limit, at a light,
+strongly deformed point whose standard-frame frequencies nearly coincide,
+and at two points whose normal modes nearly coincide. mpmath 1.3 is
 needed here only; the tests read the literals. Run it by hand after a
 change of points, then review the diff:
 
@@ -43,6 +44,10 @@ POINTS = [
     (0.045, 0.035, 1.56, 1.25, 0.22, 72.4, 2.0),
     # couplings 5e-13 of the frequencies, above DECOUPLED_TOL
     (1.0, 1.0, 1.0, 2.0, 1e-12, 1e-12, 1.0),
+    # isotropic with eta = 1e-12: the modes split by 1e-10, relative
+    (1.0, 1.0, 0.01, 0.01, 0.0, 1e-12, 1.0),
+    # undeformed, with frequencies 1e-7 apart, relative
+    (1.0, 1.0, 0.001, 0.0010000001, 0.0, 0.0, 1.0),
 ]
 
 

@@ -15,7 +15,7 @@ import pytest
 import ginfo
 from ginfo import cli, oscillator
 from ginfo.cli import main
-from ginfo.errors import DegenerateSpectrumError, NumericDomainError
+from ginfo.errors import NumericDomainError
 from ginfo.matrixio import save_cvm
 from ginfo.policy import RSUP_SLACK
 from ginfo.symplectic import CovarianceMatrix, Ordering, permute_ordering
@@ -351,12 +351,12 @@ class TestReports:
         assert code == 0
         assert calls == Counter(dict.fromkeys(stages, 1))
 
-    def test_oscillator_degenerate_modes_report_null(self, tmp_path):
+    def test_oscillator_coinciding_modes_reported(self, tmp_path):
         # isotropic and undeformed: the closed-form mode frequencies coincide
         code, text = run(tmp_path, "--command", "oscillator",
                          "--m1", "1", "--m2", "1", "--w1", "1.5", "--w2", "1.5")
         assert code == 0
-        assert validate_report(text)["results"]["mode_freqs"] is None
+        assert validate_report(text)["results"]["mode_freqs"] == [1.5, 1.5]
 
     def test_volume_report(self, tmp_path):
         args = ("--command", "volume", "--region", "separable",
@@ -477,12 +477,11 @@ class TestInputBoundary:
         assert "singular" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kernel, fake, message", [
-        ("ground_state", _raising(DegenerateSpectrumError), "forced by the test"),
         ("mode_spectrum", _raising(NumericDomainError), "forced by the test"),
         # a deviation of 1e-9, relative, between the pipeline and its check
         ("_polar_ground_state", _off_by(1.0 + 1e-9, oscillator._polar_ground_state),
          "ground state deviates from its polar form by 1.000e-09"),
-    ], ids=["DegenerateSpectrumError", "mode_spectrum", "polar-form"])
+    ], ids=["mode_spectrum", "polar-form"])
     def test_spectral_failure_is_numeric_domain_error(self, tmp_path, capsys,
                                                        monkeypatch, kernel, fake, message):
         monkeypatch.setattr(oscillator, kernel, fake)

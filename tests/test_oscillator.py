@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ginfo.errors import DegenerateSpectrumError, SingularMatrixError
+from ginfo.errors import SingularMatrixError
 from ginfo.oscillator import (
     EquivalentParams,
     GroundStateExponent,
@@ -103,10 +103,12 @@ class TestModeSpectrum:
         assert spec.freq1 == pytest.approx(1.0, abs=1e-12)
         assert spec.freq2 == pytest.approx(2.0, abs=1e-12)
 
-    def test_degenerate_case_rejected(self):
+    def test_coinciding_modes_are_exact(self):
+        # isotropic and undeformed: the discriminant vanishes and both modes
+        # come out as the one frequency
         p = OscillatorParams(1.0, 1.0, 1.5, 1.5)
-        with pytest.raises(DegenerateSpectrumError):
-            mode_spectrum(p, equivalent_params(p))
+        spec = mode_spectrum(p, equivalent_params(p))
+        assert (spec.freq1, spec.freq2) == (1.5, 1.5)
 
 
 class TestEigvecCoefficients:
@@ -167,6 +169,31 @@ class TestGroundState:
         e = ground_state(GENERIC).exponent
         assert abs(e.cross_imag) > 1e-3
 
+    def test_isotropic_and_near_degenerate_draws(self):
+        # equal masses, equal or nearly equal frequencies, weak or vanishing
+        # deformations: every draw has a ground state and its modes, the
+        # modes agree with the eigenvalues of J H, and an isotropic draw is
+        # separable
+        rng = np.random.default_rng(11)
+
+        def log_uniform(lo, hi):
+            return 10.0 ** rng.uniform(np.log10(lo), np.log10(hi))
+
+        for k in range(1000):
+            mass, freq = log_uniform(0.1, 10.0), log_uniform(1e-3, 10.0)
+            isotropic = k % 2 == 0
+            freq2 = freq if isotropic else freq * (1.0 + log_uniform(1e-15, 1e-3))
+            theta, eta = (0.0 if rng.random() < 0.2 else log_uniform(1e-14, 0.1)
+                          for _ in range(2))
+            p = OscillatorParams(mass, mass, freq, freq2, theta=theta, eta=eta)
+            state = ground_state(p)
+            h = equivalent_hamiltonian(p)
+            want = np.sort(np.abs(np.linalg.eigvals(FORM2.matrix @ h).imag))[::2]
+            got = np.array([state.modes.freq1, state.modes.freq2])
+            assert np.abs(got / want - 1.0).max() <= 1e-14 * np.linalg.cond(h), p
+            if isotropic:
+                assert separability_condition(p, state.exponent).separable, p
+
     def test_ratio_route_matches_matrix_route(self):
         rng = np.random.default_rng(44)
         for _ in range(25):
@@ -188,7 +215,8 @@ class TestGroundState:
 
 class TestReferences:
     @pytest.mark.parametrize("point, modes, sigma", OSCILLATOR_REFERENCES,
-                             ids=["edge", "edge-draw", "commutative", "wide", "weak"])
+                             ids=["edge", "edge-draw", "commutative", "wide", "weak",
+                                  "isotropic-weak-eta", "near-degenerate"])
     def test_both_routes_within_the_check_bound(self, point, modes, sigma):
         # the bound of the runtime check, GROUND_STATE_CHECK_TOL * cond(H),
         # holds against 60-digit references, relative per mode and relative

@@ -7,7 +7,7 @@ from ginfo.fisher import Region, RegularizerConfig
 from ginfo.oscillator import OscillatorParams
 from ginfo.randmat import random_invertible, random_spd, random_symplectic
 from ginfo.selftest import _orderings
-from ginfo.states import CanonicalTwoModeParams
+from ginfo.states import CanonicalTwoModeParams, canonical_two_mode_matrix
 from ginfo.symplectic import (
     CovarianceMatrix,
     J2,
@@ -23,6 +23,8 @@ from ginfo.symplectic import (
     rsup_check,
     symplectic_spectrum,
 )
+
+from helpers import CANONICAL_SQRT_REFERENCES
 
 PARTY_FORM = build_symplectic_form(4, Ordering.PARTY_BLOCK_XP)
 
@@ -445,6 +447,15 @@ class TestGeneralizedEigenvalues:
         with pytest.raises(ValueError, match="ordering mismatch: state 1 .* vs state 2"):
             generalized_eigenvalues(interleaved, block)
         np.testing.assert_allclose(generalized_eigenvalues(interleaved, m), 1.0, atol=1e-15)
+
+    def test_mpmath_reference(self):
+        # at a / b = 1e6 the smallest eigenvalues are 1.3e-6 of the largest;
+        # eigvalsh is accurate relative to the largest, and the route
+        # measured 2.0e-11 off, relative, from the 60-digit references
+        params, _, (params0, lam, _) = CANONICAL_SQRT_REFERENCES[0]
+        got = generalized_eigenvalues(canonical_two_mode_matrix(CanonicalTwoModeParams(*params)),
+                                      canonical_two_mode_matrix(CanonicalTwoModeParams(*params0)))
+        np.testing.assert_allclose(got, lam, rtol=5e-11, atol=0)
 
     def test_each_raw_input_checked_once(self, monkeypatch):
         rng = np.random.default_rng(6)
