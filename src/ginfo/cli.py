@@ -287,7 +287,7 @@ def _run_oscillator(args) -> int:
     # the thresholds hold for the state in units of hbar, a positive multiple
     # of the validated state
     units = _validated(cvm.matrix / p.hbar, cvm.ordering)
-    report = oscillator.separability_condition(p, exponent)
+    report = oscillator.separability_condition(p)
     results = {
         "equivalent": {"mass1": eq.mass1, "mass2": eq.mass2,
                        "stiffness1": eq.stiffness1, "stiffness2": eq.stiffness2,
@@ -298,7 +298,7 @@ def _run_oscillator(args) -> int:
         "covariance": [list(row) for row in cvm.matrix],
         "min_invariant": rsup_check(units).min_invariant,
         "separable": report.separable,
-        "constraint_gap": report.lhs_rhs_gap,
+        "constraint_gap": report.constraint_gap,
         "ppt_margin": states.ppt_separable(units).margin,
         "hbar_effective": p.hbar_effective,
         "mode_freqs": [modes.freq1, modes.freq2],

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDomainError, SingularMatrixError
-from .policy import DECOUPLED_TOL, GROUND_STATE_CHECK_TOL, ZERO_COUPLING_TOL
+from .policy import DECOUPLED_TOL, GROUND_STATE_CHECK_TOL, TUNED_LINE_TOL
 from .symplectic import J2, CovarianceMatrix, Ordering, _check_finite, build_symplectic_form
 
 
@@ -284,37 +284,24 @@ def ground_state(p: OscillatorParams) -> GroundState:
     return GroundState(eq, modes, exponent, covariance, gap)
 
 
-def separability_sides(p: OscillatorParams) -> tuple[float, float]:
-    """Both sides of the closed-form separability constraint on the inputs."""
-    m12 = p.mass1 * p.mass2
-    h2 = p.hbar ** 2
-    w1s, w2s = p.freq1 ** 2, p.freq2 ** 2
-    lhs = (4.0 * h2 / m12 + w1s * p.theta ** 2) \
-        * (p.eta / m12 + w2s * p.theta) ** 2 * (p.eta ** 2 / m12 + 4.0 * h2 * w1s)
-    rhs = (4.0 * h2 / m12 + w2s * p.theta ** 2) \
-        * (p.eta / m12 + w1s * p.theta) ** 2 * (p.eta ** 2 / m12 + 4.0 * h2 * w2s)
-    return lhs, rhs
-
-
 @dataclass(frozen=True)
 class SeparabilityReport:
     separable: bool
-    lhs_rhs_gap: float
-    cross_imag: float
+    constraint_gap: float
 
 
-def separability_condition(p: OscillatorParams,
-                           exponent: GroundStateExponent) -> SeparabilityReport:
-    """Separability verdict of ``exponent``, the ground state of ``p``, with the closed-form gap.
+def separability_condition(p: OscillatorParams) -> SeparabilityReport:
+    """Separability verdict of the ground state of ``p``, from its factored constraint.
 
-    Separable exactly when the imaginary cross coupling of the ground-state
-    exponent vanishes; the gap between the two sides of the closed-form
-    frequency constraint is reported alongside and must agree in its zero
-    set.
+    With ``M = m1 m2`` the closed-form constraint is ``gap = (w1 - w2)(w1 + w2)
+    (eta - M theta w1 w2)(eta + M theta w1 w2)(4 hbar^2 - theta eta)^2 / M^3 = 0``,
+    a product that cancels only inside its factors. The last factor is positive
+    on the admitted domain, so the state is separable exactly when ``w1 == w2``
+    or on the tuned line ``eta = M theta w1 w2``, within ``TUNED_LINE_TOL`` of the sum.
     """
-    lhs, rhs = separability_sides(p)
-    return SeparabilityReport(
-        separable=bool(abs(exponent.cross_imag) < ZERO_COUPLING_TOL),
-        lhs_rhs_gap=float(lhs - rhs),
-        cross_imag=float(exponent.cross_imag),
-    )
+    m12 = p.mass1 * p.mass2
+    tuned = m12 * p.theta * p.freq1 * p.freq2
+    gap = (p.freq1 - p.freq2) * (p.freq1 + p.freq2) * (p.eta - tuned) * (p.eta + tuned) \
+        * (4.0 * p.hbar ** 2 - p.theta * p.eta) ** 2 / m12 ** 3
+    on_line = abs(p.eta - tuned) <= TUNED_LINE_TOL * (p.eta + tuned)
+    return SeparabilityReport(bool(p.freq1 == p.freq2 or on_line), float(gap))

@@ -13,7 +13,7 @@ VANISHING_TOL = 1e-14           # 4ab - 4c^2 below this is zero
 
 # verdicts
 RSUP_SLACK = 1e-10              # an invariant >= 1 - RSUP_SLACK meets the uncertainty threshold 1
-ZERO_COUPLING_TOL = 1e-10       # |imaginary cross coupling| of a product ground state
+TUNED_LINE_TOL = 1e-15          # |eta - m1 m2 theta w1 w2|, relative to the sum, taken as zero
 
 # closed forms against their numeric routes
 DECOUPLED_TOL = 1e-13           # cross couplings below this, relative to the frequency, vanish

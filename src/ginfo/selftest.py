@@ -320,6 +320,13 @@ def battery_polar_ground_state(rng) -> PropertyResult:
                    "up to theta*eta/4hbar^2 = 0.999", dev, 1e-14, cases)
 
 
+_ROUNDING_BAND = 8.0   # eps * cond(H) within which the oscillator's second routes vanish
+
+
+def _eps_cond(p: oscillator.OscillatorParams) -> float:
+    return float(np.finfo(float).eps * np.linalg.cond(oscillator.equivalent_hamiltonian(p)))
+
+
 def battery_separability_triangle(rng) -> PropertyResult:
     checks = []
     points = [
@@ -330,28 +337,33 @@ def battery_separability_triangle(rng) -> PropertyResult:
     ]
     for p in points:
         state = oscillator.ground_state(p)
-        report = oscillator.separability_condition(p, state.exponent)
-        lhs, rhs = oscillator.separability_sides(p)
-        rel_gap = abs(report.lhs_rhs_gap) / max(abs(lhs), abs(rhs), 1e-300)
-        ppt = states.ppt_separable(state.covariance)
-        gap_zero = rel_gap < 1e-9
-        checks.append(report.separable == gap_zero == ppt.separable)
-    return PropertyResult("cross coupling, closed-form gap and reflection verdict agree",
+        e = state.exponent
+        uncoupled = abs(e.cross_imag) / math.sqrt(e.m11 * e.m22) <= _ROUNDING_BAND * _eps_cond(p)
+        checks.append(oscillator.separability_condition(p).separable == uncoupled
+                      == states.ppt_separable(state.covariance).separable)
+    return PropertyResult("factored constraint, cross coupling and reflection verdict agree",
                           all(checks), len(points), f"verdict pattern {checks}")
 
 
 def battery_isotropy_separable(rng) -> PropertyResult:
-    worst = 0.0
-    cases = 0
-    for theta in np.linspace(0.0, 0.9, 6):
-        for eta in np.linspace(0.0, 0.9, 6):
-            p = oscillator.OscillatorParams(1.2, 1.2, 1.5, 1.5,
-                                            theta=float(theta), eta=float(eta))
-            state = oscillator.ground_state(p)
-            margin = states.ppt_separable(state.covariance).margin
-            worst = max(worst, abs(state.exponent.cross_imag), max(0.0, -margin))
-            cases += 1
-    return _result("isotropic oscillator stays separable over the grid", worst, 1e-9, cases)
+    # isotropic points and points on the tuned line eta = m1 m2 theta w1 w2
+    # at frequency scales 1e-6 to 1e3; an entangled verdict counts as inf
+    worst, points = 0.0, []
+    for scale in 10.0 ** np.arange(-6, 4):
+        w1, w2, m12, grid = 1.1 * scale, 2.0 * scale, 1.3 * 0.7, np.linspace(0.0, 0.9, 6)
+        points += [oscillator.OscillatorParams(1.2, 1.2, 1.5 * scale, 1.5 * scale, theta=t, eta=e)
+                   for t in grid for e in grid]
+        points += [oscillator.OscillatorParams(1.3, 0.7, w1, w2, theta=t, eta=t * (w1 * w2) * m12)
+                   for t in np.sqrt(4.0 * np.linspace(0.1, 0.9, 9) / (m12 * w1 * w2))]
+    for p in points:
+        state = oscillator.ground_state(p)
+        e = state.exponent
+        deviation = max(abs(e.cross_imag) / math.sqrt(e.m11 * e.m22),
+                        -states.ppt_separable(state.covariance).margin) / _eps_cond(p)
+        worst = max(worst, deviation if oscillator.separability_condition(p).separable
+                    else math.inf)
+    return _result("isotropic and tuned oscillators stay separable at frequency scales 1e-6 "
+                   "to 1e3, per eps*cond(H)", worst, _ROUNDING_BAND, len(points))
 
 
 # ---------------------------------------------------------------------------

@@ -203,8 +203,8 @@ def ppt_separable(sigma: CovarianceMatrix) -> PptResult:
 
     A separable Gaussian state stays a valid state after the mirror
     reflection of party B (:func:`partial_transpose`), so the verdict is
-    :func:`~ginfo.symplectic.rsup_check` on the reflected CovarianceMatrix.
-    ``margin >= 0`` means separable.
+    :func:`~ginfo.symplectic.rsup_check` on the reflected CovarianceMatrix,
+    whose slack it shares: ``margin >= -RSUP_SLACK`` means separable.
     """
     result = rsup_check(partial_transpose(sigma))
     return PptResult(separable=result.valid, margin=result.min_invariant - 1.0)

@@ -194,20 +194,20 @@ def test_ac11_square_root_routes_agree():
 def test_ac12_oscillator_pipeline():
     # (i) no deformation: uncorrelated and separable
     flat = OscillatorParams(1.0, 1.0, 1.0, 2.0)
-    undeformed = separability_condition(flat, ground_state(flat).exponent)
-    assert undeformed.separable and undeformed.cross_imag == 0.0
+    undeformed = separability_condition(flat)
+    assert undeformed.separable and ground_state(flat).exponent.cross_imag == 0.0
     # (ii) equal deformed-frame frequencies: still uncorrelated
     iso = ground_state(OscillatorParams(1.3, 1.3, 1.7, 1.7, theta=0.4, eta=0.3))
     assert abs(iso.exponent.cross_imag) < 1e-10
     # (iii) unit mass product, reciprocal frequencies, equal strengths: separable
     pair = OscillatorParams(2.0, 0.5, 2.0, 0.5, theta=0.7, eta=0.7)
-    reciprocal = separability_condition(pair, ground_state(pair).exponent)
+    reciprocal = separability_condition(pair)
     assert reciprocal.separable
     # (iv) generic anisotropic deformed point: correlated and entangled
     generic = OscillatorParams(1.0, 1.0, 1.0, 2.0, theta=0.3, eta=0.2)
     state = ground_state(generic)
-    report = separability_condition(generic, state.exponent)
-    assert not report.separable and abs(report.cross_imag) > 1e-10
+    report = separability_condition(generic)
+    assert not report.separable and abs(state.exponent.cross_imag) > 1e-10
     assert not ppt_separable(state.covariance).separable
     # (v) closed-form mode frequencies against eig(JH)
     rng = np.random.default_rng(112)
