@@ -223,10 +223,7 @@ def ground_state_cvm(exponent: GroundStateExponent, hbar: float) -> CovarianceMa
     v22 = np.diag([1.0 / (hbar * m22), hbar * wdet / m11])
     v12 = np.array([[0.0, -cross / m11], [-cross / m22, 0.0]])
     m = hbar / 2.0 * np.block([[v11, v12], [v12.T, v22]])
-    try:
-        return CovarianceMatrix(m, ordering=Ordering.MODE_INTERLEAVED)
-    except NumericDomainError as exc:
-        raise NumericDomainError(f"inconsistent exponent produced a non-SPD state: {exc}") from exc
+    return CovarianceMatrix(m, ordering=Ordering.MODE_INTERLEAVED)
 
 
 def _polar_ground_state(h: np.ndarray, hbar: float) -> np.ndarray:
@@ -234,9 +231,12 @@ def _polar_ground_state(h: np.ndarray, hbar: float) -> np.ndarray:
 
     ``(hbar/2) h^-1/2 |h^1/2 i Omega h^1/2| h^-1/2`` (Williamson, Am. J. Math.
     58, 141 (1936)): one route for every admissible ``h``, with no decoupled
-    or degenerate case.
+    or degenerate case. Raises NumericDomainError if ``h`` rounds to indefinite.
     """
     w, v = np.linalg.eigh(h)
+    if not w[0] > 0:
+        raise NumericDomainError(f"Hamiltonian is not positive definite to working precision: "
+                                 f"min eigenvalue {w[0]:.3e}, cond(H) = {np.linalg.cond(h):.3e}")
     root, inv_root = (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
     lam, u = np.linalg.eigh(root @ (1j * build_symplectic_form(2).matrix) @ root)
     return hbar / 2.0 * (inv_root @ ((u * np.abs(lam)) @ u.conj().T).real @ inv_root)

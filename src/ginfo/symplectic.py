@@ -2,8 +2,9 @@
 
 Symplectic forms in three named coordinate orderings, symplectic spectra,
 uncertainty checks, congruence transforms, SPD square roots and generalized
-eigenvalues, on plain ``numpy`` arrays. A wrapper names its ordering, and the
-verdicts read a state's form from it; a raw array trusts its caller's basis.
+eigenvalues (from two Cholesky factors), on plain ``numpy`` arrays. A wrapper
+names its ordering, and the verdicts read a state's form from it; a raw array
+trusts its caller's basis.
 
 Conventions: the uncertainty threshold is 1, i.e. the spectrum returned by
 :func:`symplectic_spectrum` is ``2 |Im eig(Omega^-1 Sigma)|`` and the vacuum
@@ -122,7 +123,8 @@ def check_spd(matrix) -> np.ndarray:
         raise NumericDomainError(f"matrix {fault}: max |M - M^T| = {asym:.3e}")
     lam_min = np.linalg.eigvalsh(m).min(initial=np.inf)
     if lam_min <= SPD_TOL:
-        raise NumericDomainError(f"matrix is not positive definite: min eigenvalue = {lam_min:.3e}")
+        raise NumericDomainError(f"matrix is not positive definite: min eigenvalue = "
+                                 f"{lam_min:.3e} <= SPD_TOL = {SPD_TOL:g}")
     return m
 
 
@@ -335,29 +337,23 @@ def matrix_sqrt_spd(matrix) -> np.ndarray:
     return 0.5 * (root + root.T)
 
 
-def matrix_inv_sqrt_spd(matrix) -> np.ndarray:
-    """Inverse SPD square root, same route as :func:`matrix_sqrt_spd`."""
-    m = _check_spd_matrix(matrix)
-    w, v = np.linalg.eigh(m)
-    root = (v / np.sqrt(w)) @ v.T
-    return 0.5 * (root + root.T)
-
-
 def generalized_eigenvalues(sigma1, sigma2) -> np.ndarray:
-    """Eigenvalues of ``Sigma1^-1/2 Sigma2 Sigma1^-1/2``, sorted ascending.
+    """Roots of ``det(Sigma2 - lam Sigma1) = 0``, sorted ascending.
 
-    These solve ``det(Sigma2 - lam Sigma1) = 0``; the symmetric route keeps
-    them real and positive for SPD inputs. ``eigvalsh`` is accurate relative
-    to the largest of them, so a small one loses digits in proportion to
-    the spread: 2e-11, relative, at ``a / b = 1e6`` of the canonical family.
-    Two CovarianceMatrix inputs must name the same ordering.
+    With the Cholesky factors ``Sigma_i = L_i L_i^T`` they are the squared
+    singular values of ``L1^-1 L2``, so none can come out negative. The SVD
+    is accurate relative to the largest singular value: ``lam_j`` is good to
+    tens of ``eps sqrt(lam_max / lam_j)``, relative, also on states whose
+    rows and columns are graded by up to ``2^+-12``. Two CovarianceMatrix
+    inputs must name the same ordering.
     """
-    inv_root = matrix_inv_sqrt_spd(sigma1)
-    m2 = _check_spd_matrix(sigma2)
-    if inv_root.shape != m2.shape:
-        raise ValueError(f"size mismatch: {inv_root.shape} vs {m2.shape}")
+    m1, m2 = _check_spd_matrix(sigma1), _check_spd_matrix(sigma2)
+    if m1.shape != m2.shape:
+        raise ValueError(f"size mismatch: {m1.shape} vs {m2.shape}")
     _check_same_ordering(sigma1, sigma2, ("state 1", "state 2"))
-    vals = np.linalg.eigvalsh(inv_root @ m2 @ inv_root)
-    if vals.min() <= 0:
-        raise NumericDomainError("generalized eigenvalues came out nonpositive")
-    return np.sort(vals)
+    sv = np.linalg.svd(np.linalg.solve(np.linalg.cholesky(m1), np.linalg.cholesky(m2)),
+                       compute_uv=False)
+    vals = sv[::-1] ** 2
+    if not vals[0] > 0:
+        raise NumericDomainError(f"generalized eigenvalue underflows to 0: sigma = {sv[-1]:.3e}")
+    return vals

@@ -73,6 +73,150 @@ CANONICAL_SQRT_REFERENCES = [
 ]
 
 
+# Graded SPD pairs, each as (rows of B1, exponents k1, rows of B2, exponents
+# k2, ascending generalized eigenvalues), with Sigma_i = D_i (B_i B_i^T + I)
+# D_i and D_i = diag(2^k_i), exact in float64 (``graded_spd``). Written by
+# ``tests/reference/geneig_graded.py`` from the same matrices in mpmath 1.3
+# at 100 digits and printed to 50: the eigenvalues of L1^-1 Sigma2 L1^-T,
+# which a whitening by Sigma1^-1/2 reproduces to 1e-60. No code of ginfo is
+# involved.
+GENEIG_GRADED_REFERENCES = [
+    # 4x4, exponents within +-4
+    (((1, 3, -1, 1),
+      (-3, 1, 2, 3),
+      (-2, -1, -3, 0),
+      (0, 2, -2, -3)),
+     (3, -4, 4, -1),
+     ((-3, -3, -2, 3),
+      (3, 1, 1, 0),
+      (3, 2, -1, 1),
+      (-3, 0, -3, -2)),
+     (0, 2, -3, 0),
+     (2.7622161709156693466650597147457122619729056640104e-5,
+      1.6054306580611704532451371140189492768979115411701e-2,
+      3.2523218981176350665752210807458290567332578549328,
+      3.0554540697009645238734923279515987535734669982073e+3)),
+    # 4x4, exponents within +-8
+    (((2, 1, -3, 1),
+      (0, -1, -2, 3),
+      (-1, -1, -1, 1),
+      (-3, -2, -2, 2)),
+     (2, -5, -8, 5),
+     ((2, 1, -1, -2),
+      (1, 2, -2, 0),
+      (2, -1, 1, 0),
+      (3, 2, -1, 1)),
+     (2, -6, -8, -5),
+     (1.877786331595069207286229327641380716791007356814e-7,
+      2.2885470574572066979601160246463393999754008927385e-1,
+      7.8303046179760541292381855649364302550323058980355e-1,
+      6.3982222335235386247829999249865042465258380318544)),
+    # 4x4, exponents within +-12
+    (((0, 0, -1, 0),
+      (-1, 1, -1, 2),
+      (2, -2, 2, -2),
+      (3, -2, 1, -1)),
+     (1, 9, -5, -6),
+     ((0, -1, 0, 2),
+      (3, 1, -1, 1),
+      (0, 2, 2, 0),
+      (-1, 3, 3, 2)),
+     (10, 3, -1, -3),
+     (3.7616091336359692589838999470450590164784481770028e-4,
+      7.8417078556735749395416281937191194795775476497687e+1,
+      4.8913939551334274892113532025412702879048724935779e+2,
+      9.4669742289626965917975318916608535373857450229297e+5)),
+    # 8x8, exponents within +-4
+    (((1, -2, 2, -2, -1, 1, -1, -3),
+      (2, -2, -3, 3, -1, 1, -3, 1),
+      (1, -1, 3, 0, 2, 3, 3, 2),
+      (1, -3, 2, 0, 2, -3, -2, 3),
+      (1, 0, 1, 3, -1, -1, 0, 3),
+      (1, -2, -2, 3, 0, 1, -3, 2),
+      (-1, 3, -3, -2, 0, 1, 0, -3),
+      (-2, 0, -3, 0, -2, 3, -1, 3)),
+     (0, -4, 1, 1, -4, 3, 3, -3),
+     ((-1, 0, 3, 0, 1, 2, -2, -3),
+      (-2, -1, 0, 0, -3, -2, -2, 0),
+      (2, -3, -3, 0, -3, -2, -2, 2),
+      (1, -1, -3, 2, 2, 1, -2, 3),
+      (3, 3, 3, 2, -1, 1, 1, -1),
+      (-2, 1, -1, -2, 1, -2, -2, 2),
+      (1, 1, 3, -2, -2, 0, -3, 1),
+      (-2, -1, 2, 1, -2, -2, -2, -1)),
+     (2, -1, 0, -4, 2, 0, -4, 2),
+     (1.6649747418263361773146130526730886940209013352488e-5,
+      8.4038748719221900802292520132067688696640911960426e-4,
+      8.1492033020278101860872374336197851060423320732677e-3,
+      2.0027383121852372458825222780639863703426534538883e-1,
+      8.3082143092148205871915293685358119475547778720384,
+      9.7984791100875191239783731465100806812097478006456e+1,
+      1.6849581295933286555507937726132051266145908567714e+3,
+      3.7139855049342264900330282283787246806305888706713e+4)),
+    # 8x8, exponents within +-8
+    (((3, -1, 3, 2, -3, 0, -1, -3),
+      (0, 2, 3, 0, 1, -3, 0, -3),
+      (-2, -3, 1, 2, 0, 1, 3, -2),
+      (1, -3, -2, -3, 0, 1, 3, -1),
+      (-3, 1, 3, -3, -1, -2, 1, 0),
+      (-1, 2, 3, 3, 0, 2, 0, 0),
+      (-3, -2, 2, -3, -2, -3, 1, 1),
+      (-3, -3, -3, -1, 2, -2, -1, -3)),
+     (6, 3, 4, -2, -7, 8, -8, -5),
+     ((1, 3, 0, -1, -1, -3, 0, -2),
+      (-1, -3, -3, 2, 0, 0, 2, -2),
+      (1, 1, -1, -1, 0, -3, -3, 1),
+      (3, 1, -2, 0, -3, -1, -2, 0),
+      (2, -1, 3, 0, 2, -2, 1, 2),
+      (2, 3, -2, 1, -1, 2, -2, -1),
+      (-1, -3, -3, 2, 2, -3, -2, -3),
+      (1, -1, 3, 1, 2, 0, 2, -2)),
+     (-4, -4, -4, -1, -6, -5, 2, -7),
+     (5.0632257166133632174328020534235671028888121103455e-9,
+      2.9699286056370874275466310314739181265354061051745e-7,
+      1.3086491510646851968122947572407612987447715661187e-6,
+      3.4920232688262846820138004752518483623909240363822e-5,
+      4.1158884061580709483084643646425281404651997742448e-2,
+      4.7685311269515169852915854322906605932731290352126,
+      1.2705371322113357710678541949239495343886626346942e+1,
+      1.1382863171807339589703399013846267715822272429338e+7)),
+    # 8x8, exponents within +-12
+    (((3, 3, 3, -2, -3, 1, -3, -1),
+      (1, 0, -3, 1, -2, -1, -2, 3),
+      (3, 3, -1, 3, -3, 3, -1, -2),
+      (-3, -2, -1, 0, 2, -2, 3, -3),
+      (-2, -2, 1, 1, -2, 2, -2, -1),
+      (1, 2, 1, -2, 2, -1, 2, 2),
+      (3, 3, 1, 1, 1, 1, -3, -2),
+      (0, -2, 1, -1, 0, 1, 0, -1)),
+     (8, 10, -12, -9, 2, -11, -5, 10),
+     ((0, 0, 0, 1, -2, 1, 3, 1),
+      (-1, -3, 0, 2, 2, 0, -2, -2),
+      (-2, -3, -3, 2, -1, 0, 0, -2),
+      (1, 2, 3, -2, -3, 3, -2, 1),
+      (-3, -3, 0, -2, 0, -3, -3, 1),
+      (-1, 1, -1, -1, -2, 2, 0, -3),
+      (-2, 0, -1, 0, -1, -1, 0, -1),
+      (-1, -2, 2, -3, -1, 3, 0, -2)),
+     (-8, 9, -11, 8, -9, 1, -2, 8),
+     (1.9290902623439270293949219602866518796349875358292e-11,
+      1.5917867962905433806735714029195875438866219297041e-7,
+      6.5711354928288526655963727638507028908328674993671e-2,
+      3.6388213254542402103982043112484629466706454783277e-1,
+      2.1002372722807849478961041821877056520221577466815,
+      2.3067526355171969983338435534778308383141424556186e+1,
+      6.8591755011718424020240887133926968352760195420357e+7,
+      1.3220928429016067376773276942566687936083657270428e+11)),
+]
+
+
+def graded_spd(rows, exponents) -> np.ndarray:
+    """``D (B B^T + I) D`` with ``D = diag(2^exponents)``, every entry exact."""
+    b = np.array(rows, dtype=float)
+    scale = np.ldexp(1.0, np.array(exponents))
+    return (b @ b.T + np.eye(len(b))) * np.outer(scale, scale)
+
+
 # ---------------------------------------------------------------------------
 # Hermitian route for the Bopp-shifted pair of the sweeps
 #

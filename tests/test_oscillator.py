@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ginfo.errors import SingularMatrixError
+from ginfo.errors import NumericDomainError, SingularMatrixError
 from ginfo.oscillator import (
     EquivalentParams,
     GroundStateExponent,
@@ -216,6 +216,22 @@ class TestGroundState:
             if isotropic:
                 assert separability_condition(p).separable, p
 
+    def test_rounding_indefinite_hamiltonian_raises_numeric_domain_error(self):
+        # eps cond(H) = 18: eigh gives H a negative eigenvalue, whose square
+        # root must not reach the polar route's second eigensolve
+        p = OscillatorParams(1.69354767334799, 1.1584497945524372, 1.0070940064921396e-06,
+                             5.626082907547214e-07, theta=0.2929345562425935,
+                             eta=11.425549418307192)
+        with pytest.raises(NumericDomainError, match=r"cond\(H\) = 7\.9\d*e\+16"):
+            ground_state(p)
+
+    def test_tiny_frequency_state_names_the_spd_floor(self):
+        # the exponent is consistent; only the momentum variance hbar m w / 2
+        # = 5e-14 lies below the absolute floor SPD_TOL
+        with pytest.raises(NumericDomainError,
+                           match=r"min eigenvalue = 5\.000e-14 <= SPD_TOL = 1e-12$"):
+            ground_state(OscillatorParams(1.0, 1.0, 1e-13, 1e-13))
+
     def test_ratio_route_matches_matrix_route(self):
         rng = np.random.default_rng(44)
         for _ in range(25):
@@ -376,7 +392,8 @@ class TestSeparability:
         # within 1.5 eps cond(H); BAND is 8. Inside the band neither route
         # decides: at seed 48 it holds every separable draw, and at 1e-6 also
         # 9 generic ones. 6 draws at 1e-6 (2 of them separable) have
-        # eps cond(H) >= 1, keep no digit of the ground state and are not run
+        # eps cond(H) >= 1 and keep no digit of the ground state: each must
+        # report or raise NumericDomainError, and none is checked further
         rng = np.random.default_rng(48)
         decided = 0
         for kind in ("isotropic", "tuned", "generic"):
@@ -384,6 +401,10 @@ class TestSeparability:
                 p = _box_draw(rng, scale, kind)
                 eps_cond = EPS * np.linalg.cond(equivalent_hamiltonian(p))
                 if eps_cond >= 1.0:
+                    try:
+                        ground_state(p)
+                    except NumericDomainError:
+                        pass
                     continue
                 state = ground_state(p)
                 e = state.exponent

@@ -24,9 +24,10 @@ from ginfo.symplectic import (
     symplectic_spectrum,
 )
 
-from helpers import CANONICAL_SQRT_REFERENCES
+from helpers import CANONICAL_SQRT_REFERENCES, GENEIG_GRADED_REFERENCES, graded_spd
 
 PARTY_FORM = build_symplectic_form(4, Ordering.PARTY_BLOCK_XP)
+EPS = np.finfo(float).eps
 
 
 class TestBuildForm:
@@ -450,12 +451,46 @@ class TestGeneralizedEigenvalues:
 
     def test_mpmath_reference(self):
         # at a / b = 1e6 the smallest eigenvalues are 1.3e-6 of the largest;
-        # eigvalsh is accurate relative to the largest, and the route
-        # measured 2.0e-11 off, relative, from the 60-digit references
+        # measured 6.6e-15 off, relative, from the 60-digit references
         params, _, (params0, lam, _) = CANONICAL_SQRT_REFERENCES[0]
         got = generalized_eigenvalues(canonical_two_mode_matrix(CanonicalTwoModeParams(*params)),
                                       canonical_two_mode_matrix(CanonicalTwoModeParams(*params0)))
-        np.testing.assert_allclose(got, lam, rtol=5e-11, atol=0)
+        np.testing.assert_allclose(got, lam, rtol=2e-14, atol=0)
+
+    @pytest.mark.parametrize("b1, k1, b2, k2, lam", GENEIG_GRADED_REFERENCES,
+                             ids=[f"{len(ref[0])}x{len(ref[0])}-{i}"
+                                  for i, ref in enumerate(GENEIG_GRADED_REFERENCES)])
+    def test_graded_pair_references(self, b1, k1, b2, k2, lam):
+        # rows and columns graded by 2^k, |k| <= 12: each eigenvalue lies
+        # within 64 eps sqrt(lam_max / lam_j), relative, of its 50-digit
+        # reference. Measured: 13.5 on these pairs and 54 on 480 random pairs
+        # of the same construction
+        want = np.array(lam)
+        got = generalized_eigenvalues(graded_spd(b1, k1), graded_spd(b2, k2))
+        bound = 64.0 * EPS * np.sqrt(want[-1] / want)
+        assert np.all(np.abs(got / want - 1.0) <= bound)
+
+    def test_badly_conditioned_pairs_stay_positive_and_ordered(self):
+        # eigenvalues 10^U(-8, 8) in random bases: check_spd accepts every
+        # state, and every pair has positive eigenvalues in ascending order
+        rng = np.random.default_rng(27)
+
+        def draw(dim):
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+            m = (q * 10.0 ** rng.uniform(-8.0, 8.0, size=dim)) @ q.T
+            return 0.5 * (m + m.T)
+
+        for _ in range(200):
+            dim = int(rng.choice([4, 8]))
+            s1, s2 = check_spd(draw(dim)), check_spd(draw(dim))
+            lam = generalized_eigenvalues(s1, s2)
+            assert np.all(lam > 0.0) and np.all(np.diff(lam) >= 0.0)
+
+    def test_underflowing_eigenvalue_raises(self):
+        # states outside SPD_TOL, wrapped unchecked: sigma = 1e-200 squares to 0
+        tiny, huge = (_validated(v * np.eye(4), Ordering.MODE_INTERLEAVED) for v in (1e-200, 1e200))
+        with pytest.raises(NumericDomainError, match="underflows to 0"):
+            generalized_eigenvalues(huge, tiny)
 
     def test_each_raw_input_checked_once(self, monkeypatch):
         rng = np.random.default_rng(6)
