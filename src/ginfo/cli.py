@@ -96,6 +96,25 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """Parse a seed, which numpy's generators take only as a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
+def _check_size(*shape: int) -> None:
+    """MemoryError for a float array of ``shape`` past numpy's size limit, like one
+    numpy cannot allocate; numpy itself raises a ValueError for it."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"Unable to allocate an array with shape {shape} and data type "
+                          f"float64: past numpy's size limit")
+
+
 # the argparse settings of every flag, by destination; a command's parser takes
 # those its entry in COMMANDS names. The inline state parameters stay None
 # unless given, so that distance can tell a given one from a default.
@@ -105,7 +124,7 @@ _FLAG_SETTINGS = {
     "eta": dict(type=_finite_float, default=0.0, help="momentum deformation"),
     "grid": dict(type=int, default=99, help="sweep grid size (>= 10)"),
     "format": dict(choices=("csv", "json"), default="csv"),
-    "seed": dict(type=int, default=20240901),
+    "seed": dict(type=_seed, default=20240901),
     "out": dict(help="output path (default stdout)"),
     "m1": dict(type=_finite_float, default=1.0),
     "m2": dict(type=_finite_float, default=1.0),
@@ -167,6 +186,7 @@ def _run_sweep(args) -> int:
     if args.grid < 10:
         raise UsageError("--grid must be at least 10")
     cfg = bipartite.PairConfig(m=args.m, n=args.n, eta=args.eta)
+    _check_size(args.grid)
     sweep = bipartite.theta_sweep(cfg, np.linspace(0.01, 0.99, args.grid))
     config = _echo(args)
     if args.format == "json":
@@ -232,7 +252,10 @@ def _run_distance(args) -> int:
     s1, s2 = _load_state("1", source1), _load_state("2", source2)
     if s2.n_modes == s1.n_modes:   # two sizes go on to the size check
         s2 = _validated(permute_ordering(s2.matrix, s2.ordering, s1.ordering), s1.ordering)
-    lam = generalized_eigenvalues(s1, s2)
+    try:   # a state that passes check_spd can still have no Cholesky factor
+        lam = generalized_eigenvalues(s1, s2)
+    except NumericDomainError as exc:
+        raise InputValidationError(str(exc)) from exc
     results = {
         "distance_half": fisher.fr_distance(s1, s2),
         "distance_dim_scaled": fisher.fr_distance(s1, s2, dim_scaled=True),
@@ -319,6 +342,7 @@ def _run_volume(args) -> int:
     box = tuple((edges[2 * i], edges[2 * i + 1]) for i in range(4))
     region = fisher.Region(box=box, predicate=args.region)
     reg = fisher.RegularizerConfig(kappa=args.kappa, power=args.power)
+    _check_size(args.samples, 4)   # the (samples, 4) draws come first
     est = fisher.regularized_volume(region, reg, samples=args.samples, seed=args.seed)
     results = {"volume": est.volume, "std_error": est.std_error,
                "samples": est.samples, "accepted": est.accepted,
@@ -331,21 +355,22 @@ def _run_selftest(args) -> int:
     from . import selftest
 
     report = selftest.run_all(seed=args.seed)
-    lines = [f"selftest seed={report.seed}"]
-    for res in report.results:
+    passed = all(r.passed for r in report)
+    lines = [f"selftest seed={args.seed}"]
+    for res in report:
         status = "PASS" if res.passed else "FAIL"
         lines.append(f"{status}  {res.name}  [n={res.cases}]  {res.detail}")
-    lines.append("selftest " + ("PASSED" if report.passed else "FAILED"))
+    lines.append("selftest " + ("PASSED" if passed else "FAILED"))
     sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
         results = {
-            "passed": report.passed,
+            "passed": passed,
             "properties": [{"name": r.name, "passed": r.passed,
                             "cases": r.cases, "detail": r.detail}
-                           for r in report.results],
+                           for r in report],
         }
         _emit(_json_report(_echo(args), results), args.out)
-    return EXIT_OK if report.passed else EXIT_VALIDATION
+    return EXIT_OK if passed else EXIT_VALIDATION
 
 
 class Command(NamedTuple):

@@ -8,6 +8,3 @@ class NumericDomainError(ValueError):
 class SingularMatrixError(NumericDomainError):
     """A matrix that must be invertible is singular to working tolerance."""
 
-
-class BoundaryIndeterminateError(NumericDomainError):
-    """Region membership is undefined on this parameter boundary."""

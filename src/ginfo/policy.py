@@ -8,8 +8,7 @@ resolution argument, so a verdict or a figure always means the same thing.
 # input validation
 SYMMETRY_TOL = 1e-12            # max |M - M^T| of a state (|M + M^T| of a form) taken as exact
 SPD_TOL = 1e-12                 # a positive-definite matrix's eigenvalues must exceed this
-SINGULAR_RCOND = 1e-12          # a form or transform with s_min <= this * s_max is singular
-VANISHING_TOL = 1e-14           # 4ab - 4c^2 below this is zero
+SINGULAR_RCOND = 1e-12          # a form with s_min <= this * s_max is singular
 
 # verdicts
 RSUP_SLACK = 1e-10              # an invariant >= 1 - RSUP_SLACK meets the uncertainty threshold 1

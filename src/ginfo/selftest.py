@@ -1,16 +1,19 @@
-"""The one catalogue of seeded property batteries.
+"""The one catalogue of seeded property batteries, which is also the route map.
 
 Each battery checks one documented invariant of a module and reports a name,
-a pass flag, the number of cases exercised and a short detail string. The
-catalogue runs behind the CLI selftest command, and ``tests/test_selftest.py``
-reads each battery's verdict from one run of that command. A property that a
-battery checks is not re-checked by a unit test at the same or a looser bound.
+a pass flag, the number of cases exercised and a short detail string; its
+entry in :data:`BATTERIES` also names the route it exercises and the second
+route it checks that route against. The catalogue runs behind the CLI
+selftest command, and ``tests/test_selftest.py`` reads each battery's verdict
+from one run of that command. A property that a battery checks is not
+re-checked by a unit test at the same or a looser bound.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +24,6 @@ from .symplectic import (
     CovarianceMatrix,
     Ordering,
     build_symplectic_form,
-    congruence_apply,
     generalized_eigenvalues,
     matrix_sqrt_spd,
     permute_ordering,
@@ -68,8 +70,9 @@ def battery_williamson_invariance(rng) -> PropertyResult:
     for _ in range(cases):
         sigma = random_spd(4, rng)
         s = random_symplectic(2, rng)
+        moved = s @ sigma @ s.T
         before = symplectic_spectrum(sigma, form)
-        after = symplectic_spectrum(congruence_apply(s, sigma), form)
+        after = symplectic_spectrum(0.5 * (moved + moved.T), form)
         dev = max(dev, np.abs(before - after).max())
     return _result("Williamson invariance under symplectic congruence", dev, 1e-8, cases)
 
@@ -155,7 +158,8 @@ def battery_local_symplectic_invariance(rng) -> PropertyResult:
         sigma = CovarianceMatrix(random_spd(4, rng))
         inv = states.simon_invariants(sigma)
         s = random_local_symplectic(rng)
-        moved = states.simon_invariants(congruence_apply(s, sigma).matrix)
+        moved = s @ sigma.matrix @ s.T
+        moved = states.simon_invariants(0.5 * (moved + moved.T))
         dev = max(dev,
                   abs(inv.det_a - moved.det_a), abs(inv.det_b - moved.det_b),
                   abs(inv.det_cross - moved.det_cross),
@@ -175,8 +179,7 @@ def battery_ppt_simon_agreement(rng) -> PropertyResult:
         if abs(verdict.margin) < 1e-8 or abs(criterion) < 1e-10:
             continue
         used += 1
-        if (criterion >= 0) != verdict.separable:
-            bad += 1
+        bad += (criterion >= 0) != verdict.separable
     return PropertyResult("invariant criterion agrees with the reflection verdict",
                           bad == 0, used, f"{bad} disagreements in {used} states")
 
@@ -192,20 +195,11 @@ def battery_quantum_region_oracle(rng) -> PropertyResult:
         p = states.CanonicalTwoModeParams(a, b, c, d)
         m = states.canonical_two_mode_matrix(p)
         spd = np.linalg.eigvalsh(m).min() > 1e-9
-        if spd:
-            margin = symplectic_spectrum(m, form).min() - 1.0
-            if abs(margin) < 1e-6:
-                continue
-            oracle = margin >= 0
-        else:
-            oracle = False
-        try:
-            member = states.in_quantum_region(p)
-        except states.BoundaryIndeterminateError:
+        margin = symplectic_spectrum(m, form).min() - 1.0 if spd else -1.0   # no state
+        if abs(margin) < 1e-6:
             continue
         used += 1
-        if member != oracle:
-            bad += 1
+        bad += states.in_quantum_region(p) != (margin >= 0)
     return PropertyResult("closed-form physical region matches the spectral check",
                           bad == 0, used, f"{bad} disagreements in {used} samples")
 
@@ -231,9 +225,7 @@ def battery_distance_axioms(rng) -> PropertyResult:
     cases = 60
     worst = 0.0
     for _ in range(cases):
-        s1 = random_spd(4, rng)
-        s2 = random_spd(4, rng)
-        s3 = random_spd(4, rng)
+        s1, s2, s3 = (random_spd(4, rng) for _ in range(3))
         d12 = fisher.fr_distance(s1, s2)
         d21 = fisher.fr_distance(s2, s1)
         d11 = fisher.fr_distance(s1, s1)
@@ -418,9 +410,7 @@ def battery_pair_distance_isometry(rng) -> PropertyResult:
 def battery_reflection_structure(rng) -> PropertyResult:
     cases = 50
     dev = 0.0
-    swap = np.zeros((8, 8))
-    swap[:4, 4:] = np.eye(4)
-    swap[4:, :4] = np.eye(4)
+    swap = np.roll(np.eye(8), 4, axis=0)   # exchanges the parties' 4x4 blocks
     form = build_symplectic_form(4, Ordering.PARTY_BLOCK_XP)
     for _ in range(cases):
         m, n = rng.uniform(-0.6, 0.6, size=2)
@@ -482,8 +472,6 @@ def battery_separable_region_oracle(rng) -> PropertyResult:
     used = 0
     while used < cases:
         p = _random_valid_canonical(rng)
-        if abs(p.c) < 1e-3:
-            continue   # the separable window excludes c = 0
         verdict = states.ppt_separable(states.canonical_two_mode_cvm(p))
         if abs(verdict.margin) < 1e-6:
             continue
@@ -493,50 +481,43 @@ def battery_separable_region_oracle(rng) -> PropertyResult:
                           bad == 0, used, f"{bad} disagreements in {used} states")
 
 
+# a battery, the route it exercises, and the second route it checks that route against
+Battery = namedtuple("Battery", "check route second", defaults=(None,))
+
+
 BATTERIES = [
-    battery_form_antisymmetry,
-    battery_williamson_invariance,
-    battery_sqrt_round_trip,
-    battery_geneig_congruence,
-    battery_ordering_round_trip,
-    battery_mirror_invariants,
-    battery_local_symplectic_invariance,
-    battery_ppt_simon_agreement,
-    battery_quantum_region_oracle,
-    battery_metric_closed_vs_numeric,
-    battery_distance_axioms,
-    battery_distance_isometry,
-    battery_sqrt_elements,
-    battery_commutative_limit,
-    battery_spectrum_closed_vs_numeric,
-    battery_polar_ground_state,
-    battery_separability_triangle,
-    battery_isotropy_separable,
-    battery_shift_preserves_validity,
-    battery_margin_symmetry,
-    battery_pair_distance_isometry,
-    battery_reflection_structure,
-    battery_margin_continuity,
-    battery_boundary_agreement,
-    battery_explicit_distance,
-    battery_separable_region_oracle,
+    Battery(battery_form_antisymmetry, build_symplectic_form),
+    Battery(battery_williamson_invariance, symplectic_spectrum),
+    Battery(battery_sqrt_round_trip, matrix_sqrt_spd),
+    Battery(battery_geneig_congruence, generalized_eigenvalues),
+    Battery(battery_ordering_round_trip, permute_ordering),
+    Battery(battery_mirror_invariants, states.partial_transpose),
+    Battery(battery_local_symplectic_invariance, states.simon_invariants),
+    Battery(battery_ppt_simon_agreement, states.ppt_separable, states.simon_invariants),
+    Battery(battery_quantum_region_oracle, symplectic_spectrum, states.in_quantum_region),
+    Battery(battery_metric_closed_vs_numeric, fisher.fisher_metric_two_mode,
+            fisher.fisher_metric_numeric),
+    Battery(battery_distance_axioms, fisher.fr_distance),
+    Battery(battery_distance_isometry, fisher.fr_distance),
+    Battery(battery_sqrt_elements, fisher.canonical_sqrt_closed, matrix_sqrt_spd),
+    Battery(battery_commutative_limit, oscillator.ground_state),
+    Battery(battery_spectrum_closed_vs_numeric, oscillator.mode_spectrum,
+            oscillator.equivalent_hamiltonian),
+    Battery(battery_polar_ground_state, oscillator.ground_state, oscillator._polar_ground_state),
+    Battery(battery_separability_triangle, oscillator.separability_condition, states.ppt_separable),
+    Battery(battery_isotropy_separable, oscillator.separability_condition, states.ppt_separable),
+    Battery(battery_shift_preserves_validity, bipartite.bopp_shift),
+    Battery(battery_margin_symmetry, bipartite.separability_margin),
+    Battery(battery_pair_distance_isometry, fisher.fr_distance),
+    Battery(battery_reflection_structure, states.partial_transpose),
+    Battery(battery_margin_continuity, bipartite.theta_sweep),
+    Battery(battery_boundary_agreement, bipartite.separability_margin, bipartite.pair_boundary),
+    Battery(battery_explicit_distance, fisher.fr_distance, fisher.fr_distance_explicit),
+    Battery(battery_separable_region_oracle, states.ppt_separable, states.in_separable_region),
 ]
 
 
-@dataclass(frozen=True)
-class SelftestReport:
-    seed: int
-    results: tuple[PropertyResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-
-def run_all(seed: int) -> SelftestReport:
+def run_all(seed: int) -> tuple[PropertyResult, ...]:
     """Run every battery with a fresh seeded generator per battery."""
-    results = []
-    for index, battery in enumerate(BATTERIES):
-        rng = np.random.default_rng(seed + index)
-        results.append(battery(rng))
-    return SelftestReport(seed=seed, results=tuple(results))
+    return tuple(battery.check(np.random.default_rng(seed + index))
+                 for index, battery in enumerate(BATTERIES))

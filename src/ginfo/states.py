@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryIndeterminateError
-from .policy import VANISHING_TOL
+from .policy import SPD_TOL
 from .symplectic import (
     J2,
     CovarianceMatrix,
@@ -97,13 +96,13 @@ class TwoModeBounds:
 
 
 def two_mode_bounds(p: CanonicalTwoModeParams) -> TwoModeBounds:
-    """Closed-form region bounds for the canonical family."""
+    """Closed-form region bounds for the canonical family; ValueError where ab <= c^2."""
     a, b, c = p.a, p.b, p.c
     ratio = a / b
     scale = 4.0 * a * b
     denom = scale - 4.0 * c * c
-    if abs(denom) < VANISHING_TOL:
-        raise BoundaryIndeterminateError("window endpoints are undefined at 4ab = 4c^2")
+    if not denom > 0:
+        raise ValueError(f"window endpoints are undefined at ab <= c^2: 4ab - 4c^2 = {denom:.3e}")
     gap = (np.sqrt(scale) + 1.0 / np.sqrt(scale)) ** 2 \
         - (np.sqrt(ratio) + 1.0 / np.sqrt(ratio)) ** 2
     radicand = c * c + 0.25 * scale * denom * (gap - 4.0 * c * c)
@@ -120,6 +119,12 @@ def two_mode_bounds(p: CanonicalTwoModeParams) -> TwoModeBounds:
                          d_low=d_low, d_high=d_high)
 
 
+def _outside_windows(p: CanonicalTwoModeParams) -> bool:
+    """``a`` or ``b`` at most 1/2, or an x sector that is no state: its low eigenvalue
+    is at most ``SPD_TOL`` (the volume gate's rule), where the endpoints are undefined."""
+    return p.a <= 0.5 or p.b <= 0.5 or _sector_eigenvalues(p.a, p.b, p.c)[0] <= SPD_TOL
+
+
 def in_quantum_region(p: CanonicalTwoModeParams) -> bool:
     """Closed-form membership test for physically admissible (a, b, c, d).
 
@@ -128,13 +133,12 @@ def in_quantum_region(p: CanonicalTwoModeParams) -> bool:
     ``rsup_check`` on the built matrix is property-tested; the spectral check
     wins on any boundary disagreement.
     """
-    a, b = p.a, p.b
-    if a <= 0.5 or b <= 0.5:
+    if _outside_windows(p):
         return False
     bounds = two_mode_bounds(p)
     if bounds.d_radicand < 0:
         return False
-    cap = bounds.c2_cap_wide if a >= b else bounds.c2_cap_narrow
+    cap = bounds.c2_cap_wide if p.a >= p.b else bounds.c2_cap_narrow
     if not p.c * p.c < cap / 4.0:
         return False
     return bool(bounds.d_low <= p.d <= bounds.d_high)
@@ -147,9 +151,9 @@ def in_separable_region(p: CanonicalTwoModeParams) -> bool:
     :func:`ppt_separable` is authoritative on conflict. A ``selftest``
     battery checks the two against each other away from the boundary.
     """
-    a, b, c, d = p.a, p.b, p.c, p.d
-    if a <= 0.5 or b <= 0.5:
+    if _outside_windows(p):
         return False
+    c, d = p.c, p.d
     bounds = two_mode_bounds(p)
     if bounds.d_radicand < 0:
         return False

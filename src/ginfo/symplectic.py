@@ -1,10 +1,10 @@
 """Dense small-matrix kernels for Gaussian phase-space states.
 
 Symplectic forms in three named coordinate orderings, symplectic spectra,
-uncertainty checks, congruence transforms, SPD square roots and generalized
-eigenvalues (from two Cholesky factors), on plain ``numpy`` arrays. A wrapper
-names its ordering, and the verdicts read a state's form from it; a raw array
-trusts its caller's basis.
+uncertainty checks, SPD square roots and generalized eigenvalues (from two
+Cholesky factors), on plain ``numpy`` arrays. A wrapper names its ordering,
+and the verdicts read a state's form from it; a raw array trusts its caller's
+basis.
 
 Conventions: the uncertainty threshold is 1, i.e. the spectrum returned by
 :func:`symplectic_spectrum` is ``2 |Im eig(Omega^-1 Sigma)|`` and the vacuum
@@ -309,22 +309,6 @@ def rsup_check(sigma: CovarianceMatrix) -> RsupResult:
     return RsupResult(valid=lo >= 1.0 - RSUP_SLACK, min_invariant=lo)
 
 
-def congruence_apply(s, sigma) -> CovarianceMatrix:
-    """Transform a state by ``Sigma -> S Sigma S^T``.
-
-    ``S`` acts on the coordinates of ``sigma``, so the result keeps the
-    ordering of ``sigma`` (the default ordering for a raw array).
-    """
-    sm = np.asarray(s, dtype=float)
-    m = _check_spd_matrix(sigma)
-    if sm.shape != m.shape:
-        raise ValueError(f"transform shape {sm.shape} does not match dimension {m.shape[0]}")
-    _check_invertible(sm, "congruence transform")
-    out = sm @ m @ sm.T
-    return CovarianceMatrix(0.5 * (out + out.T),
-                            getattr(sigma, "ordering", Ordering.MODE_INTERLEAVED))
-
-
 def matrix_sqrt_spd(matrix) -> np.ndarray:
     """Symmetric positive-definite square root via eigendecomposition.
 
@@ -345,14 +329,22 @@ def generalized_eigenvalues(sigma1, sigma2) -> np.ndarray:
     is accurate relative to the largest singular value: ``lam_j`` is good to
     tens of ``eps sqrt(lam_max / lam_j)``, relative, also on states whose
     rows and columns are graded by up to ``2^+-12``. Two CovarianceMatrix
-    inputs must name the same ordering.
+    inputs must name the same ordering. A state that passes :func:`check_spd`
+    but has no Cholesky factor (``lam_min / lam_max`` near ``eps``) is named.
     """
     m1, m2 = _check_spd_matrix(sigma1), _check_spd_matrix(sigma2)
     if m1.shape != m2.shape:
         raise ValueError(f"size mismatch: {m1.shape} vs {m2.shape}")
     _check_same_ordering(sigma1, sigma2, ("state 1", "state 2"))
-    sv = np.linalg.svd(np.linalg.solve(np.linalg.cholesky(m1), np.linalg.cholesky(m2)),
-                       compute_uv=False)
+    factors = []
+    for which, m in (("1", m1), ("2", m2)):
+        try:
+            factors.append(np.linalg.cholesky(m))
+        except np.linalg.LinAlgError:
+            lam = np.linalg.eigvalsh(m)
+            raise NumericDomainError(f"state {which} is not numerically positive definite: "
+                                     f"lam_min/lam_max = {lam[0] / lam[-1]:.3e}") from None
+    sv = np.linalg.svd(np.linalg.solve(*factors), compute_uv=False)
     vals = sv[::-1] ** 2
     if not vals[0] > 0:
         raise NumericDomainError(f"generalized eigenvalue underflows to 0: sigma = {sv[-1]:.3e}")

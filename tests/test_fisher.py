@@ -368,6 +368,33 @@ class TestVolumeGate:
             >= 1.0 - RSUP_SLACK)
         np.testing.assert_array_equal(physical, spectral)
 
+    @pytest.mark.parametrize("box, separable", [("spd-boundary", 235),
+                                                ("uncertainty-boundary", 835),
+                                                ("ppt-boundary", 1594), ("negative-a", 810)])
+    def test_closed_form_windows_match_the_gate(self, box, separable):
+        # the paper's windows are a third route to the gate's verdicts; outside
+        # the family's a, b > 0 no draw is physical. A draw whose spectral
+        # margin is within 1e-6 of zero is skipped
+        draws, _ = _gate_draws(GATE_BOXES[box], seed=11)
+        form = symplectic.build_symplectic_form(2)
+        agree = Counter()
+        for row, physical in zip(draws.tolist(), fisher._physical(draws).tolist()):
+            if min(row[:2]) <= 0:
+                agree["quantum"] += not physical
+                continue
+            p = CanonicalTwoModeParams(*row)
+            m = canonical_two_mode_matrix(p)
+            if (np.linalg.eigvalsh(m)[0] > SPD_TOL
+                    and abs(symplectic.symplectic_spectrum(m, form)[0] - 1.0) < 1e-6):
+                continue
+            agree["quantum"] += states.in_quantum_region(p) == physical
+            if physical:
+                verdict = states.ppt_separable(states.canonical_two_mode_cvm(p))
+                if abs(verdict.margin) >= 1e-6:
+                    agree["separable"] += states.in_separable_region(p) == verdict.separable
+        # every draw agrees, and none is skipped
+        assert agree == {"quantum": GATE_SAMPLES, "separable": separable}
+
     def test_near_pure_symmetric_states(self):
         # two-mode squeezed vacua nudged by 1e-12 ... 1e-4 per entry: the
         # smaller invariant sits within that distance of 1, where the

@@ -3,8 +3,10 @@
 ``selftest`` case: ``--out`` adds the JSON report and leaves stdout as it is."""
 
 import json
+import re
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -13,6 +15,7 @@ from ginfo import selftest
 
 from test_golden import recorded, run_case
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 SCHEMA = json.loads(resources.files("ginfo").joinpath("schemas/report.schema.json").read_text())
 
 
@@ -49,8 +52,22 @@ def test_command_report(command):
     assert boundary[0]["passed"] is True and boundary[0]["cases"] == 3 * 99
 
 
-@pytest.mark.parametrize("battery", selftest.BATTERIES,
-                         ids=lambda battery: battery.__name__.removeprefix("battery_"))
+def _short(battery) -> str:
+    return battery.check.__name__.removeprefix("battery_")
+
+
+@pytest.mark.parametrize("battery", selftest.BATTERIES, ids=_short)
 def test_battery_passes(command, battery):
     result = command[2]["results"]["properties"][selftest.BATTERIES.index(battery)]
     assert result["passed"], f"{result['name']}: {result['detail']}"
+
+
+def test_readme_route_table_is_the_catalogue():
+    def name(route):
+        if route is None:
+            return "—"
+        return f"`{route.__module__.removeprefix('ginfo.')}.{route.__name__}`"
+
+    section = README.read_text().split("\n## Routes\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.+?) \| (.+?) \|$", section, flags=re.M)
+    assert rows == [(_short(b), name(b.route), name(b.second)) for b in selftest.BATTERIES]

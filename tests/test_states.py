@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ginfo import bipartite, states, symplectic
-from ginfo.errors import BoundaryIndeterminateError
 from ginfo.policy import RSUP_SLACK
 from ginfo.randmat import random_spd
 from ginfo.states import (
@@ -12,6 +11,7 @@ from ginfo.states import (
     canonical_two_mode_cvm,
     canonical_two_mode_matrix,
     in_quantum_region,
+    in_separable_region,
     partial_transpose,
     ppt_separable,
     simon_invariants,
@@ -96,9 +96,13 @@ class TestQuantumRegion:
         assert in_quantum_region(CanonicalTwoModeParams(0.4, 0.4)) is False
 
     def test_boundary_indeterminate(self):
-        # 4ab = 4c^2 leaves the window endpoints undefined
-        with pytest.raises(BoundaryIndeterminateError):
-            two_mode_bounds(CanonicalTwoModeParams(1.0, 1.0, 1.0, 0.0))
+        # ab <= c^2 leaves the window endpoints undefined; such an x sector is
+        # no state, so it lies outside both windows
+        for c in (1.0, 1.5):
+            p = CanonicalTwoModeParams(1.0, 1.0, c, 0.0)
+            with pytest.raises(ValueError, match="undefined at ab <= c\\^2"):
+                two_mode_bounds(p)
+            assert in_quantum_region(p) is False and in_separable_region(p) is False
 
     def test_window_matches_spectral_boundary(self):
         # sweep d at (a, b, c) = (1, 0.8, 0.2): membership flips exactly at the

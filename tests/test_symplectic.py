@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from ginfo.symplectic import (
     _validated,
     build_symplectic_form,
     check_spd,
-    congruence_apply,
     generalized_eigenvalues,
     matrix_sqrt_spd,
     permute_ordering,
@@ -229,8 +230,7 @@ class TestSpectrumStack:
         with pytest.raises(ValueError, match="needs a CovarianceMatrix"):
             rsup_check(stack)
         for kernel in (lambda: matrix_sqrt_spd(stack),
-                       lambda: generalized_eigenvalues(stack, stack),
-                       lambda: congruence_apply(np.eye(4), stack)):
+                       lambda: generalized_eigenvalues(stack, stack)):
             with pytest.raises(ValueError, match="square matrix"):
                 kernel()
 
@@ -382,35 +382,6 @@ class TestRsup:
             rsup_check(0.5 * np.eye(4))
 
 
-class TestCongruence:
-    def test_identity(self):
-        sigma = CovarianceMatrix(random_spd(4, np.random.default_rng(0)))
-        out = congruence_apply(np.eye(4), sigma)
-        np.testing.assert_array_equal(out.matrix, sigma.matrix)
-
-    def test_singular_transform_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            congruence_apply(np.zeros((4, 4)), CovarianceMatrix(np.eye(4)))
-
-    def test_small_scaled_transform_accepted(self):
-        # |det| = 1e-16, yet 1e-4 I is perfectly conditioned
-        sigma = CovarianceMatrix(random_spd(4, np.random.default_rng(3)))
-        out = congruence_apply(1e-4 * np.eye(4), sigma)
-        np.testing.assert_allclose(out.matrix, 1e-8 * sigma.matrix, rtol=1e-15, atol=0)
-
-    def test_shift_matches_direct_product(self):
-        cfg = bipartite.PairConfig(0.2, 0.1, theta=0.5, eta=0.5)
-        s = bipartite.bopp_shift(cfg).matrix
-        sigma = bipartite.pair_cvm(cfg)
-        out = congruence_apply(s, sigma)
-        np.testing.assert_allclose(out.matrix, s @ sigma.matrix @ s.T, atol=1e-14)
-        assert out.ordering is Ordering.PARTY_BLOCK_XP
-
-    def test_raw_state_takes_the_default_ordering(self):
-        out = congruence_apply(np.eye(4), random_spd(4, np.random.default_rng(1)))
-        assert out.ordering is Ordering.MODE_INTERLEAVED
-
-
 class TestSqrt:
     def test_identity(self):
         np.testing.assert_array_equal(matrix_sqrt_spd(np.eye(4)), np.eye(4))
@@ -485,6 +456,33 @@ class TestGeneralizedEigenvalues:
             s1, s2 = check_spd(draw(dim)), check_spd(draw(dim))
             lam = generalized_eigenvalues(s1, s2)
             assert np.all(lam > 0.0) and np.all(np.diff(lam) >= 0.0)
+
+    def test_state_without_a_cholesky_factor_is_named(self):
+        # eigenvalues 10^U(-11, 10) in a basis shared by the pair: check_spd's
+        # absolute floor accepts states whose lam_min/lam_max is below eps,
+        # and those have no Cholesky factor in floating point
+        rng = np.random.default_rng(0)
+        accepted, named = 0, []
+        for _ in range(500):
+            dim = int(rng.choice([4, 8]))
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+            pair = [q @ np.diag(10.0 ** rng.uniform(-11.0, 10.0, dim)) @ q.T for _ in range(2)]
+            try:
+                s1, s2 = (check_spd(0.5 * (m + m.T)) for m in pair)
+            except NumericDomainError:
+                continue
+            accepted += 1
+            try:
+                lam = generalized_eigenvalues(s1, s2)
+            except NumericDomainError as exc:
+                found = re.fullmatch(r"state [12] is not numerically positive definite: "
+                                     r"lam_min/lam_max = (\S+)", str(exc))
+                named.append(float(found.group(1)))
+                continue
+            assert np.all(lam > 0.0) and np.all(np.diff(lam) >= 0.0)
+        # 47 of 307 accepted pairs at numpy 2.4
+        assert accepted > 250 and len(named) > 10
+        assert max(named) < 4 * EPS
 
     def test_underflowing_eigenvalue_raises(self):
         # states outside SPD_TOL, wrapped unchecked: sigma = 1e-200 squares to 0
