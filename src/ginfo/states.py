@@ -77,92 +77,57 @@ def canonical_two_mode_cvm(p: CanonicalTwoModeParams) -> CovarianceMatrix:
     return CovarianceMatrix(canonical_two_mode_matrix(p), ordering=Ordering.MODE_INTERLEAVED)
 
 
-@dataclass(frozen=True)
-class TwoModeBounds:
-    """Derived window bounds for the canonical family at fixed (a, b, c).
+def _window_scalars(p: CanonicalTwoModeParams):
+    """``(ratio, denom, gap, root)`` that both closed-form windows share, or None
+    outside them.
 
-    With ``r = a/b``, ``c2_cap_wide`` bounds 4c^2 on the branch b < a and
-    ``c2_cap_narrow`` on the branch a < b; ``d_low`` and ``d_high`` delimit the
-    admissible p-p correlation. ``window_gap`` is the radicand building block
-    shared with the separable window.
+    Outside means ``a`` or ``b`` at most 1/2, or an x sector that is no state:
+    its low eigenvalue is at most ``SPD_TOL`` (the volume gate's rule). Inside,
+    ``denom = 4ab - 4c^2`` is four times that eigenvalue's positive numerator,
+    and ``root`` is the square root of the p-p radicand, NaN where that is
+    negative, so that no ``d`` lies between the edges it sets.
     """
-
-    c2_cap_wide: float      # 4ab - r
-    c2_cap_narrow: float    # 4ab - 1/r
-    window_gap: float
-    d_radicand: float
-    d_low: float
-    d_high: float
-
-
-def two_mode_bounds(p: CanonicalTwoModeParams) -> TwoModeBounds:
-    """Closed-form region bounds for the canonical family; ValueError where ab <= c^2."""
     a, b, c = p.a, p.b, p.c
+    if a <= 0.5 or b <= 0.5 or _sector_eigenvalues(a, b, c)[0] <= SPD_TOL:
+        return None
     ratio = a / b
     scale = 4.0 * a * b
     denom = scale - 4.0 * c * c
-    if not denom > 0:
-        raise ValueError(f"window endpoints are undefined at ab <= c^2: 4ab - 4c^2 = {denom:.3e}")
     gap = (np.sqrt(scale) + 1.0 / np.sqrt(scale)) ** 2 \
         - (np.sqrt(ratio) + 1.0 / np.sqrt(ratio)) ** 2
     radicand = c * c + 0.25 * scale * denom * (gap - 4.0 * c * c)
-    if radicand >= 0:
-        root = np.sqrt(radicand)
-        d_low = (-c - root) / denom
-        d_high = (-c + root) / denom
-    else:
-        d_low = np.nan
-        d_high = np.nan
-    return TwoModeBounds(c2_cap_wide=scale - ratio,
-                         c2_cap_narrow=scale - 1.0 / ratio,
-                         window_gap=gap, d_radicand=radicand,
-                         d_low=d_low, d_high=d_high)
-
-
-def _outside_windows(p: CanonicalTwoModeParams) -> bool:
-    """``a`` or ``b`` at most 1/2, or an x sector that is no state: its low eigenvalue
-    is at most ``SPD_TOL`` (the volume gate's rule), where the endpoints are undefined."""
-    return p.a <= 0.5 or p.b <= 0.5 or _sector_eigenvalues(p.a, p.b, p.c)[0] <= SPD_TOL
+    root = np.sqrt(radicand) if radicand >= 0 else np.nan
+    return ratio, denom, gap, root
 
 
 def in_quantum_region(p: CanonicalTwoModeParams) -> bool:
     """Closed-form membership test for physically admissible (a, b, c, d).
 
-    Mirrors the two-branch window (b < a vs a < b); the a = b case uses the
-    common value of the two caps, which coincide there. Agreement with
+    The cap on ``c^2`` takes the larger of ``a/b`` and ``b/a``. Agreement with
     ``rsup_check`` on the built matrix is property-tested; the spectral check
     wins on any boundary disagreement.
     """
-    if _outside_windows(p):
+    window = _window_scalars(p)
+    if window is None:
         return False
-    bounds = two_mode_bounds(p)
-    if bounds.d_radicand < 0:
-        return False
-    cap = bounds.c2_cap_wide if p.a >= p.b else bounds.c2_cap_narrow
-    if not p.c * p.c < cap / 4.0:
-        return False
-    return bool(bounds.d_low <= p.d <= bounds.d_high)
+    ratio, denom, _, root = window
+    c = p.c
+    return bool(c * c < (4.0 * p.a * p.b - max(ratio, 1.0 / ratio)) / 4.0
+                and (-c - root) / denom <= p.d <= (-c + root) / denom)
 
 
 def in_separable_region(p: CanonicalTwoModeParams) -> bool:
-    """Closed-form membership test for the separable window.
+    """Closed-form membership test for the separable window, ``c = 0`` included.
 
-    The two sign-of-c branches exclude c = 0 by construction;
     :func:`ppt_separable` is authoritative on conflict. A ``selftest``
     battery checks the two against each other away from the boundary.
     """
-    if _outside_windows(p):
+    window = _window_scalars(p)
+    if window is None:
         return False
-    c, d = p.c, p.d
-    bounds = two_mode_bounds(p)
-    if bounds.d_radicand < 0:
-        return False
-    root_gap = np.sqrt(max(bounds.window_gap, 0.0))
-    if -root_gap < 2.0 * c < 0.0:
-        return bool(bounds.d_low <= d <= -bounds.d_low)
-    if 0.0 < 2.0 * c < root_gap:
-        return bool(-bounds.d_high <= d <= bounds.d_high)
-    return False
+    _, denom, gap, root = window
+    c = abs(p.c)
+    return bool(2.0 * c < np.sqrt(max(gap, 0.0)) and abs(p.d) <= (root - c) / denom)
 
 
 @functools.cache

@@ -87,6 +87,13 @@ class TestFigures:
         code, _ = run(tmp_path, "--command", "figure1", "--grid", "5")
         assert code == 1
 
+    @pytest.mark.parametrize("samples", ["999", "0", "-5"])
+    def test_sample_floor_is_usage_error(self, tmp_path, capsys, samples):
+        # the library's own floor raises ValueError (exit 3); the flag is checked first
+        code, _ = run(tmp_path, "--command", "volume", "--samples", samples)
+        assert code == 1
+        assert "--samples must be at least 1000" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["--command", "figure1", "--bogus", "1"]) == 1
 
@@ -137,6 +144,14 @@ class TestDistance:
                          "--check-invariance", "--seed", "7")
         doc = validate_report(text)
         assert doc["results"]["invariance_delta"] < 1e-10
+
+    def test_invariance_check_on_large_entries(self, tmp_path):
+        # T S T^T misses the absolute SYMMETRY_TOL by rounding at entries ~1e6;
+        # the check symmetrizes it, as the congruence battery does
+        code, text = run(tmp_path, "--command", "distance", "--a", "1e6", "--b", "1e6",
+                         "--c", "1e5", "--a0", "2e6", "--b0", "2e6", "--check-invariance")
+        assert code == 0
+        assert validate_report(text)["results"]["invariance_delta"] < 1e-10
 
     def test_invariance_check_echoes_its_seed(self, tmp_path):
         # without --seed the transform draws from the flag's default, which the config names

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ginfo import bipartite, states, symplectic
+from ginfo import bipartite, fisher, states, symplectic
 from ginfo.policy import RSUP_SLACK
 from ginfo.randmat import random_spd
 from ginfo.states import (
@@ -15,7 +15,6 @@ from ginfo.states import (
     partial_transpose,
     ppt_separable,
     simon_invariants,
-    two_mode_bounds,
 )
 from ginfo.symplectic import CovarianceMatrix, Ordering, build_symplectic_form, symplectic_spectrum
 
@@ -96,27 +95,49 @@ class TestQuantumRegion:
         assert in_quantum_region(CanonicalTwoModeParams(0.4, 0.4)) is False
 
     def test_boundary_indeterminate(self):
-        # ab <= c^2 leaves the window endpoints undefined; such an x sector is
-        # no state, so it lies outside both windows
+        # ab <= c^2 leaves the window edges undefined; such an x sector is no
+        # state, so it lies outside both windows
         for c in (1.0, 1.5):
             p = CanonicalTwoModeParams(1.0, 1.0, c, 0.0)
-            with pytest.raises(ValueError, match="undefined at ab <= c\\^2"):
-                two_mode_bounds(p)
             assert in_quantum_region(p) is False and in_separable_region(p) is False
 
     def test_window_matches_spectral_boundary(self):
         # sweep d at (a, b, c) = (1, 0.8, 0.2): membership flips exactly at the
-        # window edges, checked against the uncertainty verdict at +-2e-4
-        p0 = CanonicalTwoModeParams(1.0, 0.8, 0.2)
-        bounds = two_mode_bounds(p0)
-        for edge in (bounds.d_low, bounds.d_high):
+        # window edges, checked against the uncertainty verdict at +-2e-4. The
+        # edges are the roots in d of 16 det S - 4 Delta + 1 = 0 (nu_- = 1),
+        # with det S = (ab - c^2)(ab - d^2) and Delta = a^2 + b^2 + 2cd
+        a, b, c = 1.0, 0.8, 0.2
+        k = a * b - c * c
+        edges = np.roots([16.0 * k, 8.0 * c, 4.0 * (a * a + b * b) - 1.0 - 16.0 * k * a * b])
+        assert edges.size == 2 and np.isrealobj(edges)
+        for edge in edges:
+            verdicts = []
             for offset in (-2e-4, 2e-4):
                 d = edge + offset
-                p = CanonicalTwoModeParams(p0.a, p0.b, p0.c, d)
+                p = CanonicalTwoModeParams(a, b, c, d)
                 m = canonical_two_mode_matrix(p)
                 spd = np.linalg.eigvalsh(m).min() > 0
                 oracle = bool(spd and symplectic_spectrum(m, FORM2).min() >= 1 - 1e-10)
                 assert in_quantum_region(p) == oracle
+                verdicts.append(oracle)
+            assert verdicts[0] != verdicts[1]
+
+    @pytest.mark.parametrize("line", [2, 3], ids=["c=0", "d=0"])
+    def test_separable_window_on_a_zero_correlation_line(self, line):
+        # with c = 0 or d = 0, det C = cd = 0 and every physical state is
+        # separable; the separable window must say so as the reflection verdict
+        # does. A draw whose margin is within 1e-6 of zero is skipped
+        rng = np.random.default_rng(29)
+        draws = np.column_stack([rng.uniform(0.3, 3.0, (3000, 2)),
+                                 rng.uniform(-1.5, 1.5, (3000, 2))])
+        draws[:, line] = 0.0
+        verdicts = Counter()
+        for row in draws[fisher._physical(draws)].tolist():
+            p = CanonicalTwoModeParams(*row)
+            verdict = ppt_separable(canonical_two_mode_cvm(p))
+            if abs(verdict.margin) >= 1e-6:
+                verdicts[verdict.separable, in_separable_region(p)] += 1
+        assert set(verdicts) == {(True, True)} and verdicts[True, True] > 1000
 
 
 class TestPartialTranspose:
