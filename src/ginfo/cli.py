@@ -335,8 +335,8 @@ def _run_oscillator(args) -> int:
 def _run_volume(args) -> int:
     from . import fisher
 
-    if args.samples < 1000:
-        raise UsageError("--samples must be at least 1000")
+    if args.samples < fisher.MIN_VOLUME_SAMPLES:
+        raise UsageError(f"--samples must be at least {fisher.MIN_VOLUME_SAMPLES}")
     try:
         edges = [_finite_float(x) for x in args.box.split(",")]
     except argparse.ArgumentTypeError as exc:

@@ -18,13 +18,11 @@ import numpy as np
 
 from .errors import NumericDomainError
 from .policy import RSUP_SLACK, SPD_TOL
-from .states import (CanonicalTwoModeParams, _canonical_matrices, _sector_eigenvalues,
-                     canonical_two_mode_matrix, ppt_separable)
+from .states import (CanonicalTwoModeParams, _canonical_matrices, _min_invariant,
+                     _sector_eigenvalues, canonical_two_mode_matrix, ppt_separable)
 from .symplectic import (
-    Ordering,
     _check_finite,
     _check_spd_matrix,
-    _validated,
     generalized_eigenvalues,
     rsup_check,  # noqa: F401  -- part of this namespace; bench/selftest.py traces it here
 )
@@ -226,27 +224,18 @@ def _physical(draws: np.ndarray) -> np.ndarray:
       ``[[a, c], [c, b]]`` and the p sector ``[[a, d], [d, b]]``, so its
       smallest eigenvalue is the smaller of the two sectors' low eigenvalues
       (:func:`~ginfo.states._sector_eigenvalues`).
-    * Uncertainty: with ``Delta = det A + det B + 2 det C = a^2 + b^2 + 2cd``
-      and ``det S = (ab - c^2)(ab - d^2)``, the smaller invariant is
-      ``nu_- = sqrt(8 det S / (Delta + sqrt(D)))`` where
-      ``D = Delta^2 - 4 det S`` (Serafini, Illuminati & De Siena, J. Phys. B
-      37, L21, 2004). ``D`` is evaluated in its factored form
-      ``(a^2 - b^2)^2 + 4(ac + bd)(ad + bc)``: near pure states ``Delta^2``
-      and ``4 det S`` almost cancel, and the difference taken as written
-      loses up to half the digits of ``nu_-``, enough to flip verdicts that
-      the eigenvalue route gets right.
+    * Uncertainty: the smaller invariant
+      ``nu_- = sqrt(8 det S / (Delta + sqrt(D)))`` of
+      :func:`~ginfo.states._min_invariant`, on the sample arrays. Its
+      discriminant ``D = Delta^2 - 4 det S`` is taken in factored form: near
+      pure states the difference as written cancels catastrophically.
     """
     a, b, c, d = draws.T
     positive = (a > 0) & (b > 0)
     a, b, c, d = a[positive], b[positive], c[positive], d[positive]
     lam_min = np.minimum(_sector_eigenvalues(a, b, c)[0], _sector_eigenvalues(a, b, d)[0])
     spd = lam_min > SPD_TOL
-    a, b, c, d = a[spd], b[spd], c[spd], d[spd]
-    delta = a * a + b * b + 2.0 * c * d
-    det = (a * b - c * c) * (a * b - d * d)
-    disc = (a * a - b * b) ** 2 + 4.0 * (a * c + b * d) * (a * d + b * c)
-    nu_minus = np.sqrt(8.0 * det / (delta + np.sqrt(np.maximum(disc, 0.0))))
-    spd[spd] = nu_minus >= 1.0 - RSUP_SLACK
+    spd[spd] = _min_invariant(a[spd], b[spd], c[spd], d[spd]) >= 1.0 - RSUP_SLACK
     positive[positive] = spd
     return positive
 
@@ -261,47 +250,47 @@ class VolumeEstimate:
     zero_measure: bool = False
 
 
+MIN_VOLUME_SAMPLES = 1000   # the fewest draws regularized_volume takes, and the CLI's floor
+
+
 def regularized_volume(region: Region, reg: RegularizerConfig,
                        samples: int, seed: int) -> VolumeEstimate:
     """Monte-Carlo estimate of the regularized information volume of a region.
 
     Integrates ``regularizer * sqrt(det g)`` over the members of the region
-    inside the box, with a deterministic seeded sample stream. Returns a
-    zero-measure flag when no sample lands in the region.
+    inside the box, with a deterministic seeded sample stream of at least
+    ``MIN_VOLUME_SAMPLES`` draws. Returns a zero-measure flag when no sample
+    lands in the region.
 
     The physicality gate evaluates the closed-form two-mode invariants on
     the whole sample array at once: ``a, b > 0``, the smallest eigenvalue
     (the smaller of the two sectors' low eigenvalues) above ``SPD_TOL``, and
     the smaller symplectic invariant
-    ``sqrt(8 det S / (Delta + sqrt(D)))`` at least ``1 - RSUP_SLACK``. The
-    discriminant ``D`` is taken in factored form, because near pure states
-    ``Delta^2 - 4 det S`` cancels catastrophically (see :func:`_physical`).
-    Only the physical samples then take the per-sample PPT verdict on the
-    eigenvalue route (for the separable and entangled regions), and only the
-    accepted ones evaluate the integrand, which is closed form in
-    (a, b, c, d) and runs no eigensolver. The gate is the only validation of
-    a sample; the per-sample verdict runs no further SPD check.
+    ``sqrt(8 det S / (Delta + sqrt(D)))`` at least ``1 - RSUP_SLACK`` (see
+    :func:`_physical`). Only the physical samples then take the per-sample
+    PPT verdict (for the separable and entangled regions), and only the
+    accepted ones evaluate the integrand. Both are closed form in
+    (a, b, c, d) and run no eigensolver: the verdict is
+    :func:`~ginfo.states.ppt_separable` on the sample's parameters, the same
+    invariant with ``d -> -d``.
     """
-    if samples < 1000:
+    if samples < MIN_VOLUME_SAMPLES:
         raise ValueError("use at least 1e3 samples")
     rng = np.random.default_rng(seed)
     lows = np.array([lo for lo, _ in region.box])
     highs = np.array([hi for _, hi in region.box])
     box_volume = float(np.prod(highs - lows))
     draws = rng.uniform(lows, highs, size=(samples, 4))
-    stack = _canonical_matrices(draws)
     physical = _physical(draws)
     values = np.zeros(samples)
     accepted = 0
     rows = draws.tolist()
     for i in np.flatnonzero(physical).tolist():
-        if region.predicate != "quantum":
-            sigma = _validated(stack[i], Ordering.MODE_INTERLEAVED)
-            separable = ppt_separable(sigma).separable
-            if separable != (region.predicate == "separable"):
-                continue
-        accepted += 1
         p = CanonicalTwoModeParams(*rows[i])
+        if (region.predicate != "quantum"
+                and ppt_separable(p).separable != (region.predicate == "separable")):
+            continue
+        accepted += 1
         values[i] = regularizer_value(p, reg) * math.sqrt(max(fisher_det_two_mode(p), 0.0))
     mean = values.mean()
     err = box_volume * values.std(ddof=1) / math.sqrt(samples)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bipartite, fisher, oscillator, states
+from .policy import RSUP_SLACK
 from .randmat import random_invertible, random_local_symplectic, random_spd, random_symplectic
 from .symplectic import (
     CovarianceMatrix,
@@ -27,6 +28,7 @@ from .symplectic import (
     generalized_eigenvalues,
     matrix_sqrt_spd,
     permute_ordering,
+    rsup_check,
     symplectic_spectrum,
 )
 
@@ -481,6 +483,25 @@ def battery_separable_region_oracle(rng) -> PropertyResult:
                           bad == 0, used, f"{bad} disagreements in {used} states")
 
 
+def battery_canonical_ppt_closed_form(rng) -> PropertyResult:
+    # verdicts must agree outside the margins' rounding band around the threshold
+    cases = 500
+    tol = 32.0
+    dev = 0.0
+    bad = 0
+    for _ in range(cases):
+        p = _random_valid_canonical(rng)
+        closed = states.ppt_separable(p)
+        spectral = rsup_check(states.partial_transpose(states.canonical_two_mode_cvm(p)))
+        scale = np.finfo(float).eps * max(p.a, p.b)
+        dev = max(dev, abs(closed.margin + 1.0 - spectral.min_invariant) / scale)
+        near = abs(spectral.min_invariant - 1.0 + RSUP_SLACK) <= tol * scale
+        bad += closed.separable != spectral.valid and not near
+    return PropertyResult("closed-form canonical PPT verdict matches the reflection spectrum, "
+                          "margins per eps*max(a,b)", bad == 0 and dev <= tol, cases,
+                          f"{bad} disagreements; max deviation {dev:.3e} (tol {tol:.0e})")
+
+
 # a battery, the route it exercises, and the second route it checks that route against
 Battery = namedtuple("Battery", "check route second", defaults=(None,))
 
@@ -514,6 +535,7 @@ BATTERIES = [
     Battery(battery_boundary_agreement, bipartite.separability_margin, bipartite.pair_boundary),
     Battery(battery_explicit_distance, fisher.fr_distance, fisher.fr_distance_explicit),
     Battery(battery_separable_region_oracle, states.ppt_separable, states.in_separable_region),
+    Battery(battery_canonical_ppt_closed_form, states.ppt_separable, rsup_check),
 ]
 
 

@@ -4,24 +4,27 @@ The canonical family is the standard block form ``[[a I, C], [C, b I]]`` with
 ``C = diag(c, d)`` in the mode-interleaved basis (x1, p1, x2, p2): mode 1 has
 variances (a, a), mode 2 has (b, b), and c, d are the x-x and p-p cross
 correlations. Membership tests for the physical and separable parameter
-regions follow their closed-form windows; the spectral checks against a
-state's own form (:func:`ginfo.symplectic.rsup_check`, :func:`ppt_separable`)
+regions follow their closed-form windows; the verdicts on the state's
+invariants (:func:`ginfo.symplectic.rsup_check`, :func:`ppt_separable`)
 are authoritative whenever the two disagree on a boundary.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import SPD_TOL
+from .errors import NumericDomainError
+from .policy import RSUP_SLACK, SPD_TOL
 from .symplectic import (
     J2,
     CovarianceMatrix,
     Ordering,
     _check_finite,
+    _check_min_eigenvalue,
     _check_spd_matrix,
     _party_size,
     _validated,
@@ -61,10 +64,44 @@ def _sector_eigenvalues(a, b, c):
 
     The canonical matrix splits into the x sector (c) and the p sector (d).
     ``high`` adds two nonnegative terms and ``low`` is the determinant over
-    it, so neither takes the difference of two nearly equal roots.
+    it, so neither takes the difference of two nearly equal roots. On Python
+    floats the hypotenuse is the absolute value of a complex number: the
+    same libm ``hypot`` that ``np.hypot`` runs, without a numpy call.
     """
-    high = 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
+    half_gap = 0.5 * (a - b)
+    if isinstance(half_gap, np.ndarray) or isinstance(c, np.ndarray):
+        high = 0.5 * (a + b) + np.hypot(half_gap, c)
+    else:
+        high = 0.5 * (a + b) + abs(complex(half_gap, c))
     return (a * b - c * c) / high, high
+
+
+def _min_invariant(a, b, c, d):
+    """Smaller symplectic invariant ``nu_-`` of canonical (a, b, c, d), on floats or arrays.
+
+    With ``Delta = det A + det B + 2 det C = a^2 + b^2 + 2cd`` and
+    ``det S = (ab - c^2)(ab - d^2)``, ``nu_- = sqrt(8 det S / (Delta + sqrt(D)))``
+    where ``D = Delta^2 - 4 det S`` (Serafini, Illuminati & De Siena, J. Phys.
+    B 37, L21, 2004). ``D`` is evaluated in its factored form
+    ``(a^2 - b^2)^2 + 4(ac + bd)(ad + bc)``: where the two invariants nearly
+    coincide (near pure symmetric states, and near the vacuum after the mirror
+    reflection) ``Delta^2`` and ``4 det S`` almost cancel, and the difference
+    taken as written loses up to half the digits of ``nu_-``, enough to flip
+    verdicts that the eigenvalue route gets right. The mirror reflection maps
+    the state to (a, b, c, -d), so its invariant is ``_min_invariant(a, b, c, -d)``.
+
+    The state must be positive definite. The arithmetic is plain, so Python
+    floats make no numpy call: ``disc * (disc > 0)`` sets a discriminant that
+    rounding left below 0 to 0, and ``x ** 0.5`` is numpy's ``sqrt`` on
+    arrays and within an ulp of it on floats. Past the float range the value
+    comes out inf or NaN.
+    """
+    delta = a * a + b * b + 2.0 * c * d
+    det = (a * b - c * c) * (a * b - d * d)
+    skew = a * a - b * b
+    disc = skew * skew + 4.0 * (a * c + b * d) * (a * d + b * c)
+    disc = disc * (disc > 0.0)
+    return (8.0 * det / (delta + disc ** 0.5)) ** 0.5
 
 
 def canonical_two_mode_matrix(p: CanonicalTwoModeParams) -> np.ndarray:
@@ -167,14 +204,35 @@ class PptResult:
     margin: float   # min post-reflection invariant minus 1
 
 
-def ppt_separable(sigma: CovarianceMatrix) -> PptResult:
+def ppt_separable(sigma: CovarianceMatrix | CanonicalTwoModeParams) -> PptResult:
     """Positive-partial-transpose separability verdict for a bipartite state.
 
     A separable Gaussian state stays a valid state after the mirror
-    reflection of party B (:func:`partial_transpose`), so the verdict is
-    :func:`~ginfo.symplectic.rsup_check` on the reflected CovarianceMatrix,
-    whose slack it shares: ``margin >= -RSUP_SLACK`` means separable.
+    reflection of party B, so the verdict compares the reflected state's
+    smallest invariant with the uncertainty threshold, at the slack of
+    :func:`~ginfo.symplectic.rsup_check`: ``margin >= -RSUP_SLACK`` means
+    separable. It has two routes:
+
+    * a CovarianceMatrix: ``rsup_check`` on the reflected matrix
+      (:func:`partial_transpose`), an eigensolver call;
+    * a canonical state's parameters: closed form. The reflection maps
+      (a, b, c, d) to (a, b, c, -d) exactly, so the invariant is
+      ``_min_invariant(a, b, c, -d)``. The state must be positive definite:
+      the smaller of its two sectors' low eigenvalues must exceed
+      ``SPD_TOL``, else NumericDomainError as from
+      :func:`~ginfo.symplectic.check_spd`. An invariant that comes out
+      non-finite (entries past ~1e77 overflow its products) raises
+      NumericDomainError too, so no margin is ever NaN.
     """
+    if isinstance(sigma, CanonicalTwoModeParams):
+        a, b, c, d = sigma.a, sigma.b, sigma.c, sigma.d
+        _check_min_eigenvalue(min(_sector_eigenvalues(a, b, c)[0],
+                                  _sector_eigenvalues(a, b, d)[0]))
+        nu = float(_min_invariant(a, b, c, -d))
+        if not math.isfinite(nu):
+            raise NumericDomainError(f"closed-form invariant is not finite at (a, b, c, d) = "
+                                     f"({a:.3e}, {b:.3e}, {c:.3e}, {d:.3e})")
+        return PptResult(separable=nu >= 1.0 - RSUP_SLACK, margin=nu - 1.0)
     result = rsup_check(partial_transpose(sigma))
     return PptResult(separable=result.valid, margin=result.min_invariant - 1.0)
 

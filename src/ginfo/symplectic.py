@@ -121,11 +121,15 @@ def check_spd(matrix) -> np.ndarray:
     if not asym <= SYMMETRY_TOL:
         fault = "is not symmetric" if np.isfinite(asym) else "has non-finite entries"
         raise NumericDomainError(f"matrix {fault}: max |M - M^T| = {asym:.3e}")
-    lam_min = np.linalg.eigvalsh(m).min(initial=np.inf)
-    if lam_min <= SPD_TOL:
+    _check_min_eigenvalue(np.linalg.eigvalsh(m).min(initial=np.inf))
+    return m
+
+
+def _check_min_eigenvalue(lam_min) -> None:
+    """Raise NumericDomainError unless a state's smallest eigenvalue exceeds ``SPD_TOL``."""
+    if not lam_min > SPD_TOL:
         raise NumericDomainError(f"matrix is not positive definite: min eigenvalue = "
                                  f"{lam_min:.3e} <= SPD_TOL = {SPD_TOL:g}")
-    return m
 
 
 def _check_spd_matrix(matrix) -> np.ndarray:

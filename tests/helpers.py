@@ -73,6 +73,33 @@ CANONICAL_SQRT_REFERENCES = [
 ]
 
 
+# Canonical states at the PPT edge, each as ((a, b, c, d), nu~_-), the
+# smaller symplectic invariant of the mirror-reflected state (a, b, c, -d).
+# Written by ``tests/reference/canonical_ppt_edge.py`` from the matrices built
+# entry by entry in mpmath 1.3 at 80 digits and printed to 40: the eigenvalues
+# of Omega^T Sigma~ from mpmath's general eigensolver, equal to the closed form
+# to 1e-60. |nu~_- - 1| runs from 1e-3 down to 1e-12. No code of ginfo is
+# involved.
+CANONICAL_PPT_EDGE_REFERENCES = [
+    ((1.0, 1.0, 0.4, -0.5824995833333333),
+     1.001000000000000030001956445158097050473),
+    ((1.2, 0.8, 0.5, -0.4138872462343604),
+     9.989999999999999769129967894110331743329e-1),
+    ((0.9, 1.3, -0.45, 0.6596797364796647),
+     1.000010000000000016250573032286307113273),
+    ((2.0, 0.7, 0.6, -0.489467854892561),
+     9.999989999999999944752372129439343021485e-1),
+    ((0.50000001, 0.50000001, 1e-09, 1.1000000028495185e-08),
+     1.000000010000000000000000783942844463174),
+    ((1.5, 1.1, -0.6, 0.9042246290404188),
+     9.999999997000000253748846360073315313021e-1),
+    ((0.75, 0.75, 0.35, -0.12499999998750004),
+     1.000000000009999995276238587467468345361),
+    ((1.7, 0.6, 0.45, -0.21096329973660968),
+     9.999999999990000011782460370649563463411e-1),
+]
+
+
 # Graded SPD pairs, each as (rows of B1, exponents k1, rows of B2, exponents
 # k2, ascending generalized eigenvalues), with Sigma_i = D_i (B_i B_i^T + I)
 # D_i and D_i = diag(2^k_i), exact in float64 (``graded_spd``). Written by
@@ -462,6 +489,25 @@ def hermitian_crossing(m, n):
 
 _FORM2 = np.kron(_I2, _J2)
 _FLIP_P2 = np.diag([1.0, 1.0, 1.0, -1.0])
+
+
+# Boxes in (a, b, c, d) that straddle the verdicts' boundaries, with the draws
+# the volume tests take from them
+GATE_BOXES = {
+    "spd-boundary": ((0.3, 1.2), (0.3, 1.2), (-1.2, 1.2), (-1.2, 1.2)),
+    "uncertainty-boundary": ((0.4, 0.9), (0.4, 0.9), (-0.3, 0.3), (-0.3, 0.3)),
+    "ppt-boundary": ((0.5, 1.5), (0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)),
+    "negative-a": ((-0.5, 1.5), (0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)),
+}
+GATE_SAMPLES = 2000
+
+
+def gate_draws(box, seed):
+    """``(GATE_SAMPLES, 4)`` uniform draws in ``box`` and the box's volume."""
+    lows = np.array([lo for lo, _ in box])
+    highs = np.array([hi for _, hi in box])
+    draws = np.random.default_rng(seed).uniform(lows, highs, size=(GATE_SAMPLES, 4))
+    return draws, float(np.prod(highs - lows))
 
 
 def canonical_hermitian_verdicts(draws, rsup_slack=1e-10):

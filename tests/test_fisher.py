@@ -26,7 +26,10 @@ from ginfo.symplectic import generalized_eigenvalues, matrix_sqrt_spd
 
 from helpers import (
     CANONICAL_SQRT_REFERENCES,
+    GATE_BOXES,
+    GATE_SAMPLES,
     canonical_hermitian_verdicts,
+    gate_draws,
     random_valid_canonical,
 )
 
@@ -236,26 +239,12 @@ class TestRegularizedVolume:
 
 
 # Boxes whose samples fall on both sides of each physicality decision.
-GATE_BOXES = {
-    "spd-boundary": ((0.3, 1.2), (0.3, 1.2), (-1.2, 1.2), (-1.2, 1.2)),
-    "uncertainty-boundary": ((0.4, 0.9), (0.4, 0.9), (-0.3, 0.3), (-0.3, 0.3)),
-    "ppt-boundary": ((0.5, 1.5), (0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)),
-    "negative-a": ((-0.5, 1.5), (0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)),
-}
-GATE_SAMPLES = 2000
 NEAR_PURE_SAMPLES = 4000
-
-
-def _gate_draws(box, seed):
-    lows = np.array([lo for lo, _ in box])
-    highs = np.array([hi for _, hi in box])
-    draws = np.random.default_rng(seed).uniform(lows, highs, size=(GATE_SAMPLES, 4))
-    return draws, float(np.prod(highs - lows))
 
 
 def _per_sample_volume(box, predicate, reg, seed):
     """Volume and acceptance with the Hermitian-route verdict taken sample by sample."""
-    draws, box_volume = _gate_draws(box, seed)
+    draws, box_volume = gate_draws(box, seed)
     physical, separable = canonical_hermitian_verdicts(draws)
     member = {"quantum": physical, "separable": physical & separable,
               "entangled": physical & ~separable}[predicate]
@@ -271,7 +260,7 @@ class TestVolumeGate:
 
     def test_boxes_straddle_their_boundaries(self):
         def verdicts(name):
-            draws, _ = _gate_draws(GATE_BOXES[name], seed=11)
+            draws, _ = gate_draws(GATE_BOXES[name], seed=11)
             positive = (draws[:, 0] > 0) & (draws[:, 1] > 0)
             spd = positive.copy()
             spd[positive] = [np.linalg.eigvalsh(canonical_two_mode_matrix(
@@ -315,20 +304,26 @@ class TestVolumeGate:
 
         for name in ("ppt_separable", "regularizer_value", "fisher_det_two_mode"):
             count(name)
+        real_spectrum = symplectic.symplectic_spectrum
+
+        def spectrum(*args, **kwargs):
+            calls["symplectic_spectrum"] += 1
+            return real_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(symplectic, "symplectic_spectrum", spectrum)
         before = symplectic.build_symplectic_form.cache_info()
         box = GATE_BOXES["negative-a"]
         est = regularized_volume(Region(box, predicate), RegularizerConfig(),
                                  samples=GATE_SAMPLES, seed=4)
-        physical, _ = canonical_hermitian_verdicts(_gate_draws(box, seed=4)[0])
+        physical, _ = canonical_hermitian_verdicts(gate_draws(box, seed=4)[0])
         assert est.accepted > 0
         assert calls["ppt_separable"] == (0 if predicate == "quantum" else physical.sum())
         assert calls["regularizer_value"] == est.accepted
         assert calls["fisher_det_two_mode"] == est.accepted
-        # one form lookup per verdict, and at most one form built per call,
-        # whatever an earlier test left in the cache
+        # the verdicts are closed form: no form is looked up and no spectrum taken
         after = symplectic.build_symplectic_form.cache_info()
-        assert after.misses - before.misses <= 1
-        assert (after.hits + after.misses) - (before.hits + before.misses) == calls["ppt_separable"]
+        assert (after.hits + after.misses) - (before.hits + before.misses) == 0
+        assert calls["symplectic_spectrum"] == 0
 
     @pytest.mark.parametrize("predicate", ["quantum", "separable", "entangled"])
     def test_each_sample_validated_once(self, monkeypatch, predicate):
@@ -351,11 +346,11 @@ class TestVolumeGate:
                                  RegularizerConfig(), samples=GATE_SAMPLES, seed=4)
         assert est.accepted > 0
         assert calls == []                          # the closed-form gate validates
-        assert built == []                          # samples are wrapped, not rebuilt
+        assert built == []                          # no sample becomes a matrix
 
     @pytest.mark.parametrize("box", list(GATE_BOXES), ids=list(GATE_BOXES))
     def test_closed_form_gate_matches_spectral_routes(self, box):
-        draws, _ = _gate_draws(GATE_BOXES[box], seed=11)
+        draws, _ = gate_draws(GATE_BOXES[box], seed=11)
         physical = fisher._physical(draws)
         np.testing.assert_array_equal(physical, canonical_hermitian_verdicts(draws)[0])
         # the eigenvalue route the gate replaced
@@ -375,7 +370,7 @@ class TestVolumeGate:
         # the paper's windows are a third route to the gate's verdicts; outside
         # the family's a, b > 0 no draw is physical. A draw whose spectral
         # margin is within 1e-6 of zero is skipped
-        draws, _ = _gate_draws(GATE_BOXES[box], seed=11)
+        draws, _ = gate_draws(GATE_BOXES[box], seed=11)
         form = symplectic.build_symplectic_form(2)
         agree = Counter()
         for row, physical in zip(draws.tolist(), fisher._physical(draws).tolist()):
@@ -411,6 +406,16 @@ class TestVolumeGate:
         expected = canonical_hermitian_verdicts(draws)[0]
         assert 0 < expected.sum() < expected.size
         np.testing.assert_array_equal(physical, expected)
+
+    def test_sample_floor(self):
+        # the floor that the CLI's --samples check reads
+        region = Region(GATE_BOXES["ppt-boundary"], "quantum")
+        with pytest.raises(ValueError, match="at least"):
+            regularized_volume(region, RegularizerConfig(),
+                               samples=fisher.MIN_VOLUME_SAMPLES - 1, seed=2)
+        est = regularized_volume(region, RegularizerConfig(),
+                                 samples=fisher.MIN_VOLUME_SAMPLES, seed=2)
+        assert est.samples == fisher.MIN_VOLUME_SAMPLES
 
     def test_box_without_positive_samples(self):
         region = Region(box=((-2.0, -1.0), (0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)),

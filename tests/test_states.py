@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ginfo import bipartite, fisher, states, symplectic
+from ginfo.errors import NumericDomainError
 from ginfo.policy import RSUP_SLACK
 from ginfo.randmat import random_spd
 from ginfo.states import (
@@ -18,7 +19,16 @@ from ginfo.states import (
 )
 from ginfo.symplectic import CovarianceMatrix, Ordering, build_symplectic_form, symplectic_spectrum
 
-from helpers import FORM2, random_valid_canonical
+from helpers import (
+    CANONICAL_PPT_EDGE_REFERENCES,
+    FORM2,
+    GATE_BOXES,
+    canonical_hermitian_verdicts,
+    gate_draws,
+    random_valid_canonical,
+)
+
+EPS = np.finfo(float).eps
 
 
 class TestCanonicalForm:
@@ -237,6 +247,84 @@ class TestPptSeparable:
         res = ppt_separable(cvm)
         assert res.separable
         np.testing.assert_allclose(res.margin, 0.0, atol=1e-12)
+
+
+def _nudged(rng, rows):
+    """``rows`` of (a, b, c, d) with each entry moved by +-10^U(-12, -4)."""
+    return rows + rng.choice([-1.0, 1.0], rows.shape) * 10.0 ** rng.uniform(-12, -4, rows.shape)
+
+
+class TestPptCanonicalRoute:
+    """The closed-form verdict on canonical parameters against the reflection
+    spectrum, the Hermitian route and high-precision references.
+
+    Both routes' margins agree within ``MARGIN_BOUND * eps * max(a, b)``
+    (19.5 measured on 467,764 physical draws of the benchmark's volume boxes).
+    """
+
+    MARGIN_BOUND = 32.0
+    REFERENCE_BOUND = 8.0    # each route against the 40-digit references, same units
+
+    @classmethod
+    def _agree(cls, draws) -> Counter:
+        """Verdict counts of the physical ``draws``, asserting that all three routes agree."""
+        physical, separable = canonical_hermitian_verdicts(draws)
+        verdicts = Counter()
+        for row, expected in zip(draws[physical].tolist(), separable[physical].tolist()):
+            p = CanonicalTwoModeParams(*row)
+            closed = ppt_separable(p)
+            spectral = ppt_separable(canonical_two_mode_cvm(p))
+            assert closed.separable == spectral.separable == expected, row
+            assert abs(closed.margin - spectral.margin) <= cls.MARGIN_BOUND * EPS * max(row[:2])
+            verdicts[closed.separable] += 1
+        return verdicts
+
+    @pytest.mark.parametrize("box", list(GATE_BOXES), ids=list(GATE_BOXES))
+    def test_gate_boxes(self, box):
+        verdicts = self._agree(gate_draws(GATE_BOXES[box], seed=11)[0])
+        assert sum(verdicts.values()) > 0
+
+    def test_nudged_vacua(self):
+        # the reflected invariants of a near-vacuum nearly coincide, so the
+        # discriminant as written, Delta~^2 - 4 det S, would cancel here
+        rows = _nudged(np.random.default_rng(30), np.tile([0.5, 0.5, 0.0, 0.0], (4000, 1)))
+        rows[:, :2] = 0.5 + np.abs(rows[:, :2] - 0.5)   # a, b above the vacuum's 1/2
+        verdicts = self._agree(rows)
+        assert verdicts[True] > 1000 and verdicts[False] > 10
+
+    def test_nudged_squeezed_thermal_states(self):
+        # two-mode squeezed thermal states at the PPT edge, thermal factor
+        # nu = e^{2r}: a = b = nu cosh(2r)/2, c = -d = nu sinh(2r)/2, nu~_- = 1
+        rng = np.random.default_rng(31)
+        r = rng.uniform(0.05, 0.6, 4000)
+        nu = np.exp(2.0 * r)
+        a, c = nu * np.cosh(2.0 * r) / 2.0, nu * np.sinh(2.0 * r) / 2.0
+        verdicts = self._agree(_nudged(rng, np.column_stack([a, a, c, -c])))
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
+    @pytest.mark.parametrize("params, nu", CANONICAL_PPT_EDGE_REFERENCES,
+                             ids=[f"{nu - 1:+.0e}" for _, nu in CANONICAL_PPT_EDGE_REFERENCES])
+    def test_high_precision_references(self, params, nu):
+        p = CanonicalTwoModeParams(*params)
+        bound = self.REFERENCE_BOUND * EPS * max(p.a, p.b)
+        for route in (p, canonical_two_mode_cvm(p)):
+            verdict = ppt_separable(route)
+            assert abs(verdict.margin + 1.0 - nu) <= bound
+            if abs(nu - (1.0 - RSUP_SLACK)) > bound:
+                assert verdict.separable == (nu >= 1.0 - RSUP_SLACK)
+
+    @pytest.mark.parametrize("params", [(1.0, 1.0, 1.0, 0.0), (1.0, 1.0, 1.5, 0.0),
+                                        (2.0, 0.5, 0.0, -1.0), (1.0, 1.0, 0.3, 1.0 - 1e-13)])
+    def test_indefinite_state_rejected(self, params):
+        # ab <= c^2 (or d^2, or within SPD_TOL of it) is no state
+        with pytest.raises(NumericDomainError, match="not positive definite"):
+            ppt_separable(CanonicalTwoModeParams(*params))
+
+    @pytest.mark.parametrize("scale", [1e100, 1e160, 1e200])
+    def test_non_finite_invariant_rejected(self, scale):
+        # det S overflows to inf (1e100), a^2 - b^2 to inf - inf = NaN (1e160, 1e200)
+        with pytest.raises(NumericDomainError, match="not finite"):
+            ppt_separable(CanonicalTwoModeParams(scale, scale))
 
 
 class TestPptEigensolverOnly:
