@@ -51,8 +51,9 @@ def fisher_metric_numeric(p: CanonicalTwoModeParams) -> FisherMetric:
 
 
 def _deltas(p: CanonicalTwoModeParams) -> tuple[float, float, float]:
-    dc = p.a * p.b - p.c * p.c
-    dd = p.a * p.b - p.d * p.d
+    a, b, c, d = p
+    dc = a * b - c * c
+    dd = a * b - d * d
     if dc <= 0 or dd <= 0:
         raise NumericDomainError(f"state is singular or indefinite: ab-c^2={dc:.3e}, ab-d^2={dd:.3e}")
     return dc, dd, dc * dd
@@ -273,25 +274,36 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
     (a, b, c, d) and run no eigensolver: the verdict is
     :func:`~ginfo.states.ppt_separable` on the sample's parameters, the same
     invariant with ``d -> -d``.
+
+    The per-sample loop runs on Python floats: each physical row becomes one
+    :class:`~ginfo.states.CanonicalTwoModeParams` record, which the verdict,
+    :func:`regularizer_value` and :func:`fisher_det_two_mode` share. The
+    predicate is read once per call, and the integrand values are written
+    into the sample array once, after the loop.
     """
     if samples < MIN_VOLUME_SAMPLES:
-        raise ValueError("use at least 1e3 samples")
+        raise ValueError(f"use at least {MIN_VOLUME_SAMPLES} samples")
     rng = np.random.default_rng(seed)
     lows = np.array([lo for lo, _ in region.box])
     highs = np.array([hi for _, hi in region.box])
     box_volume = float(np.prod(highs - lows))
     draws = rng.uniform(lows, highs, size=(samples, 4))
-    physical = _physical(draws)
-    values = np.zeros(samples)
-    accepted = 0
-    rows = draws.tolist()
-    for i in np.flatnonzero(physical).tolist():
-        p = CanonicalTwoModeParams(*rows[i])
-        if (region.predicate != "quantum"
-                and ppt_separable(p).separable != (region.predicate == "separable")):
+    physical = np.flatnonzero(_physical(draws))
+    want = None if region.predicate == "quantum" else region.predicate == "separable"
+    index, integrand = [], []
+    # local names spare the loop body's global lookups, once per physical sample
+    params, verdict, damping, det, sqrt = (CanonicalTwoModeParams, ppt_separable,
+                                           regularizer_value, fisher_det_two_mode, math.sqrt)
+    keep, put = index.append, integrand.append
+    for i, row in zip(physical.tolist(), draws[physical].tolist()):
+        p = params(*row)
+        if want is not None and verdict(p).separable != want:
             continue
-        accepted += 1
-        values[i] = regularizer_value(p, reg) * math.sqrt(max(fisher_det_two_mode(p), 0.0))
+        keep(i)
+        put(damping(p, reg) * sqrt(max(det(p), 0.0)))
+    values = np.zeros(samples)
+    values[index] = integrand
+    accepted = len(index)
     mean = values.mean()
     err = box_volume * values.std(ddof=1) / math.sqrt(samples)
     return VolumeEstimate(volume=float(box_volume * mean), std_error=float(err),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,19 +34,31 @@ from .symplectic import (
 )
 
 
-@dataclass(frozen=True)
-class CanonicalTwoModeParams:
-    """Entries (a, b, c, d) of the canonical two-mode covariance matrix."""
+class _CanonicalFields(NamedTuple):
+    """The fields of :class:`CanonicalTwoModeParams`, unchecked."""
 
     a: float
     b: float
     c: float = 0.0
     d: float = 0.0
 
-    def __post_init__(self):
-        _check_finite("a, b, c and d", self.a, self.b, self.c, self.d)
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError(f"diagonal entries must be positive, got a={self.a}, b={self.b}")
+
+class CanonicalTwoModeParams(_CanonicalFields):
+    """Entries (a, b, c, d) of the canonical two-mode covariance matrix.
+
+    An immutable named tuple, checked when built: every entry finite and
+    ``a, b > 0``. Build new records with the constructor; the named tuple's
+    ``_make`` and ``_replace`` skip the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a, b, c=0.0, d=0.0):
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+            _check_finite("a, b, c and d", a, b, c, d)   # raises, naming all four
+        if a <= 0 or b <= 0:
+            raise ValueError(f"diagonal entries must be positive, got a={a}, b={b}")
+        return tuple.__new__(cls, (a, b, c, d))
 
 
 def _canonical_matrices(rows) -> np.ndarray:
@@ -59,20 +72,26 @@ def _canonical_matrices(rows) -> np.ndarray:
     return out
 
 
-def _sector_eigenvalues(a, b, c):
-    """``(low, high)`` eigenvalues of the sector ``[[a, c], [c, b]]``, on floats or arrays.
+def _sector_low(a, b, c):
+    """Low eigenvalue of the sector ``[[a, c], [c, b]]`` on Python or numpy floats.
 
     The canonical matrix splits into the x sector (c) and the p sector (d).
-    ``high`` adds two nonnegative terms and ``low`` is the determinant over
-    it, so neither takes the difference of two nearly equal roots. On Python
-    floats the hypotenuse is the absolute value of a complex number: the
-    same libm ``hypot`` that ``np.hypot`` runs, without a numpy call.
+    The low eigenvalue is the determinant over the high one,
+    ``(a + b)/2 + hypot((a - b)/2, c)``, which adds two nonnegative terms, so
+    it takes no difference of two nearly equal roots. The hypotenuse is the
+    absolute value of a complex number: the same libm ``hypot`` that
+    ``np.hypot`` runs, without a numpy call.
     """
-    half_gap = 0.5 * (a - b)
-    if isinstance(half_gap, np.ndarray) or isinstance(c, np.ndarray):
-        high = 0.5 * (a + b) + np.hypot(half_gap, c)
-    else:
-        high = 0.5 * (a + b) + abs(complex(half_gap, c))
+    return (a * b - c * c) / (0.5 * (a + b) + abs(complex(0.5 * (a - b), c)))
+
+
+def _sector_eigenvalues(a, b, c):
+    """``(low, high)`` eigenvalues of the sector ``[[a, c], [c, b]]``, on arrays.
+
+    :func:`_sector_low`'s formula with ``np.hypot``, which also takes scalars
+    and returns numpy floats; both give the same bits on the same inputs.
+    """
+    high = 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
     return (a * b - c * c) / high, high
 
 
@@ -125,7 +144,7 @@ def _window_scalars(p: CanonicalTwoModeParams):
     negative, so that no ``d`` lies between the edges it sets.
     """
     a, b, c = p.a, p.b, p.c
-    if a <= 0.5 or b <= 0.5 or _sector_eigenvalues(a, b, c)[0] <= SPD_TOL:
+    if a <= 0.5 or b <= 0.5 or _sector_low(a, b, c) <= SPD_TOL:
         return None
     ratio = a / b
     scale = 4.0 * a * b
@@ -198,8 +217,9 @@ def partial_transpose(sigma: CovarianceMatrix) -> CovarianceMatrix:
     return _validated(m * _sign_pattern(len(m), sigma.ordering), sigma.ordering)
 
 
-@dataclass(frozen=True)
-class PptResult:
+class PptResult(NamedTuple):
+    """Verdict of :func:`ppt_separable`, an immutable named tuple."""
+
     separable: bool
     margin: float   # min post-reflection invariant minus 1
 
@@ -215,24 +235,28 @@ def ppt_separable(sigma: CovarianceMatrix | CanonicalTwoModeParams) -> PptResult
 
     * a CovarianceMatrix: ``rsup_check`` on the reflected matrix
       (:func:`partial_transpose`), an eigensolver call;
-    * a canonical state's parameters: closed form. The reflection maps
-      (a, b, c, d) to (a, b, c, -d) exactly, so the invariant is
+    * a canonical state's parameters: closed form, in one pass of scalar
+      arithmetic on the record's entries with no numpy call. The reflection
+      maps (a, b, c, d) to (a, b, c, -d) exactly, so the invariant is
       ``_min_invariant(a, b, c, -d)``. The state must be positive definite:
-      the smaller of its two sectors' low eigenvalues must exceed
-      ``SPD_TOL``, else NumericDomainError as from
+      the smaller of its two sectors' low eigenvalues (:func:`_sector_low`)
+      must exceed ``SPD_TOL``, else NumericDomainError as from
       :func:`~ginfo.symplectic.check_spd`. An invariant that comes out
       non-finite (entries past ~1e77 overflow its products) raises
       NumericDomainError too, so no margin is ever NaN.
+
+    Both routes return a built-in ``bool`` and ``float``, also for entries
+    that are numpy floats.
     """
     if isinstance(sigma, CanonicalTwoModeParams):
-        a, b, c, d = sigma.a, sigma.b, sigma.c, sigma.d
-        _check_min_eigenvalue(min(_sector_eigenvalues(a, b, c)[0],
-                                  _sector_eigenvalues(a, b, d)[0]))
+        a, b, c, d = sigma
+        low, low_d = _sector_low(a, b, c), _sector_low(a, b, d)
+        _check_min_eigenvalue(low_d if low_d < low else low)   # min(low, low_d), without the call
         nu = float(_min_invariant(a, b, c, -d))
         if not math.isfinite(nu):
             raise NumericDomainError(f"closed-form invariant is not finite at (a, b, c, d) = "
                                      f"({a:.3e}, {b:.3e}, {c:.3e}, {d:.3e})")
-        return PptResult(separable=nu >= 1.0 - RSUP_SLACK, margin=nu - 1.0)
+        return PptResult(nu >= 1.0 - RSUP_SLACK, nu - 1.0)
     result = rsup_check(partial_transpose(sigma))
     return PptResult(separable=result.valid, margin=result.min_invariant - 1.0)
 

@@ -407,12 +407,16 @@ class TestVolumeGate:
         assert 0 < expected.sum() < expected.size
         np.testing.assert_array_equal(physical, expected)
 
-    def test_sample_floor(self):
-        # the floor that the CLI's --samples check reads
+    def test_sample_floor(self, monkeypatch):
+        # the floor that the CLI's --samples check reads, named in the message
         region = Region(GATE_BOXES["ppt-boundary"], "quantum")
         with pytest.raises(ValueError, match="at least"):
             regularized_volume(region, RegularizerConfig(),
                                samples=fisher.MIN_VOLUME_SAMPLES - 1, seed=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(fisher, "MIN_VOLUME_SAMPLES", 1500)
+            with pytest.raises(ValueError, match="^use at least 1500 samples$"):
+                regularized_volume(region, RegularizerConfig(), samples=1499, seed=2)
         est = regularized_volume(region, RegularizerConfig(),
                                  samples=fisher.MIN_VOLUME_SAMPLES, seed=2)
         assert est.samples == fisher.MIN_VOLUME_SAMPLES

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -15,6 +16,7 @@ from ginfo.states import (
     in_separable_region,
     partial_transpose,
     ppt_separable,
+    PptResult,
     simon_invariants,
 )
 from ginfo.symplectic import CovarianceMatrix, Ordering, build_symplectic_form, symplectic_spectrum
@@ -56,6 +58,57 @@ class TestCanonicalForm:
             CanonicalTwoModeParams(0.0, 1.0)
 
 
+class TestRecords:
+    """CanonicalTwoModeParams and PptResult are immutable named tuples, and
+    CanonicalTwoModeParams checks its entries when built."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("field", "abcd")
+    def test_non_finite_entry_rejected(self, field, value):
+        entries = {"a": 1.0, "b": 0.8, "c": 0.2, "d": -0.1, field: value}
+        message = f"a, b, c and d must be finite, got {tuple(entries.values())}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CanonicalTwoModeParams(**entries)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CanonicalTwoModeParams(*entries.values())
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                                      (-0.0, -0.0)])
+    def test_nonpositive_diagonal_rejected(self, a, b):
+        message = f"diagonal entries must be positive, got a={a}, b={b}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CanonicalTwoModeParams(a, b, 0.1, 0.1)
+
+    def test_positional_and_keyword_construction(self):
+        p = CanonicalTwoModeParams(1.0, 0.8, 0.2, -0.1)
+        assert p == CanonicalTwoModeParams(d=-0.1, c=0.2, b=0.8, a=1.0)
+        assert (p.a, p.b, p.c, p.d) == tuple(p) == (1.0, 0.8, 0.2, -0.1)
+        assert CanonicalTwoModeParams(2.0, 3.0) == CanonicalTwoModeParams(2.0, 3.0, 0.0, 0.0)
+        assert repr(p) == "CanonicalTwoModeParams(a=1.0, b=0.8, c=0.2, d=-0.1)"
+        verdict = ppt_separable(p)
+        assert verdict == PptResult(separable=verdict.separable, margin=verdict.margin)
+        assert repr(PptResult(True, 0.5)) == "PptResult(separable=True, margin=0.5)"
+
+    def test_fields_are_read_only(self):
+        p = CanonicalTwoModeParams(1.0, 0.8, 0.2, -0.1)
+        verdict = ppt_separable(p)
+        for record, name in [(p, "a"), (p, "b"), (p, "c"), (p, "d"),
+                             (verdict, "separable"), (verdict, "margin")]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, -1.0)
+        with pytest.raises(AttributeError):
+            p.e = 1.0
+        assert p == CanonicalTwoModeParams(1.0, 0.8, 0.2, -0.1)
+
+    def test_equal_records_compare_and_hash_equal(self):
+        p = CanonicalTwoModeParams(1.0, 0.8, 0.2, -0.1)
+        q = CanonicalTwoModeParams(a=1.0, b=0.8, c=0.2, d=-0.1)
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+        assert p != CanonicalTwoModeParams(1.0, 0.8, 0.2, 0.1)
+        first, second = ppt_separable(p), ppt_separable(q)
+        assert first == second and hash(first) == hash(second)
+
+
 class TestSectorEigenvalues:
     """The 2x2 sector spectrum against LAPACK, relative per eigenvalue."""
 
@@ -95,6 +148,9 @@ class TestSectorEigenvalues:
         lows, highs = states._sector_eigenvalues(*rows.T)
         for row, low, high in zip(rows.tolist(), lows, highs):
             assert states._sector_eigenvalues(*row) == (low, high)
+            # the scalar route of the canonical PPT verdict, on both kinds of float
+            assert states._sector_low(*row) == low
+            assert states._sector_low(*map(np.float64, row)) == low
 
 
 class TestQuantumRegion:
@@ -247,6 +303,19 @@ class TestPptSeparable:
         res = ppt_separable(cvm)
         assert res.separable
         np.testing.assert_allclose(res.margin, 0.0, atol=1e-12)
+
+    # a separable state, and a two-mode squeezed vacuum (r = 1/2), which is entangled
+    @pytest.mark.parametrize("entries, separable", [
+        ((1.0, 0.8, 0.2, -0.1), True),
+        ((np.cosh(1.0) / 2, np.cosh(1.0) / 2, np.sinh(1.0) / 2, -np.sinh(1.0) / 2), False),
+    ], ids=["separable", "entangled"])
+    @pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "float64"])
+    def test_built_in_field_types(self, entries, separable, kind):
+        p = CanonicalTwoModeParams(*map(kind, entries))
+        for route in (p, canonical_two_mode_cvm(p)):
+            verdict = ppt_separable(route)
+            assert type(verdict.separable) is bool and type(verdict.margin) is float
+            assert verdict.separable is separable
 
 
 def _nudged(rng, rows):
