@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -51,12 +53,17 @@ def fisher_metric_numeric(p: CanonicalTwoModeParams) -> FisherMetric:
 
 
 def _deltas(p: CanonicalTwoModeParams) -> tuple[float, float, float]:
+    """Sector determinants ``ab - c^2``, ``ab - d^2`` and their product ``det S``."""
     a, b, c, d = p
     dc = a * b - c * c
     dd = a * b - d * d
     if dc <= 0 or dd <= 0:
-        raise NumericDomainError(f"state is singular or indefinite: ab-c^2={dc:.3e}, ab-d^2={dd:.3e}")
+        _reject_singular(dc, dd)
     return dc, dd, dc * dd
+
+
+def _reject_singular(dc: float, dd: float):
+    raise NumericDomainError(f"state is singular or indefinite: ab-c^2={dc:.3e}, ab-d^2={dd:.3e}")
 
 
 def fisher_metric_two_mode(p: CanonicalTwoModeParams) -> FisherMetric:
@@ -87,9 +94,16 @@ def fisher_metric_two_mode(p: CanonicalTwoModeParams) -> FisherMetric:
 
 
 def fisher_det_two_mode(p: CanonicalTwoModeParams) -> float:
-    """Closed-form determinant of the two-mode Fisher matrix."""
-    _, _, ds = _deltas(p)
-    a, b, c, d = p.a, p.b, p.c, p.d
+    """Closed-form determinant of the two-mode Fisher matrix.
+
+    :func:`_deltas` written out, so the record is unpacked once per call.
+    """
+    a, b, c, d = p
+    ab = a * b
+    dc, dd = ab - c * c, ab - d * d
+    if dc <= 0 or dd <= 0:
+        _reject_singular(dc, dd)
+    ds = dc * dd
     # one division per power of ds: ds^3 overflows where the determinant is finite
     return (4.0 * a * a * b * b - (c * c + d * d) ** 2) / (4.0 * ds) / ds / ds
 
@@ -191,10 +205,15 @@ def regularizer_value(p: CanonicalTwoModeParams, reg: RegularizerConfig) -> floa
 
     ``exp(-Tr[adj(S)]/kappa) * log(1 + det(S)^m)`` in closed form: both sectors
     have trace ``a + b``, so ``det S = (ab - c^2)(ab - d^2)`` and
-    ``Tr adj S = (a + b)(2ab - c^2 - d^2)``.
+    ``Tr adj S = (a + b)(2ab - c^2 - d^2)``. :func:`_deltas` is written out,
+    so the record is unpacked once per call.
     """
-    dc, dd, det = _deltas(p)
-    return math.exp(-(p.a + p.b) * (dc + dd) / reg.kappa) * math.log1p(det ** reg.power)
+    a, b, c, d = p
+    ab = a * b
+    dc, dd = ab - c * c, ab - d * d
+    if dc <= 0 or dd <= 0:
+        _reject_singular(dc, dd)
+    return math.exp(-(a + b) * (dc + dd) / reg.kappa) * math.log1p((dc * dd) ** reg.power)
 
 
 @dataclass(frozen=True)
@@ -275,11 +294,13 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
     :func:`~ginfo.states.ppt_separable` on the sample's parameters, the same
     invariant with ``d -> -d``.
 
-    The per-sample loop runs on Python floats: each physical row becomes one
-    :class:`~ginfo.states.CanonicalTwoModeParams` record, which the verdict,
-    :func:`regularizer_value` and :func:`fisher_det_two_mode` share. The
-    predicate is read once per call, and the integrand values are written
-    into the sample array once, after the loop.
+    The per-sample work runs as ``map`` passes over one list of
+    :class:`~ginfo.states.CanonicalTwoModeParams` records of Python floats,
+    one per physical row: a pass of the verdict gives the keep mask, then one
+    pass each of :func:`regularizer_value` and :func:`fisher_det_two_mode`
+    over the kept records. The integrand ``damping * sqrt(max(det, 0))`` is
+    one numpy expression on the two result arrays, written into the sample
+    array once.
     """
     if samples < MIN_VOLUME_SAMPLES:
         raise ValueError(f"use at least {MIN_VOLUME_SAMPLES} samples")
@@ -288,22 +309,19 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
     highs = np.array([hi for _, hi in region.box])
     box_volume = float(np.prod(highs - lows))
     draws = rng.uniform(lows, highs, size=(samples, 4))
-    physical = np.flatnonzero(_physical(draws))
-    want = None if region.predicate == "quantum" else region.predicate == "separable"
-    index, integrand = [], []
-    # local names spare the loop body's global lookups, once per physical sample
-    params, verdict, damping, det, sqrt = (CanonicalTwoModeParams, ppt_separable,
-                                           regularizer_value, fisher_det_two_mode, math.sqrt)
-    keep, put = index.append, integrand.append
-    for i, row in zip(physical.tolist(), draws[physical].tolist()):
-        p = params(*row)
-        if want is not None and verdict(p).separable != want:
-            continue
-        keep(i)
-        put(damping(p, reg) * sqrt(max(det(p), 0.0)))
+    rows = np.flatnonzero(_physical(draws))
+    records = list(map(CanonicalTwoModeParams, *draws[rows].T.tolist()))
+    if region.predicate != "quantum":
+        separable = np.fromiter(map(itemgetter(0), map(ppt_separable, records)),  # .separable
+                                bool, len(records))
+        keep = separable if region.predicate == "separable" else ~separable
+        records = list(compress(records, keep.tolist()))
+        rows = rows[keep]
+    damping = np.fromiter(map(regularizer_value, records, repeat(reg)), float, len(records))
+    det = np.fromiter(map(fisher_det_two_mode, records), float, len(records))
     values = np.zeros(samples)
-    values[index] = integrand
-    accepted = len(index)
+    values[rows] = damping * np.sqrt(np.maximum(det, 0.0))
+    accepted = len(records)
     mean = values.mean()
     err = box_volume * values.std(ddof=1) / math.sqrt(samples)
     return VolumeEstimate(volume=float(box_volume * mean), std_error=float(err),

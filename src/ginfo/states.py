@@ -133,27 +133,51 @@ def canonical_two_mode_cvm(p: CanonicalTwoModeParams) -> CovarianceMatrix:
     return CovarianceMatrix(canonical_two_mode_matrix(p), ordering=Ordering.MODE_INTERLEAVED)
 
 
+_OVERFLOWED = "overflowed"   # _window_scalars' answer where an entry's size overflows the windows
+
+
 def _window_scalars(p: CanonicalTwoModeParams):
-    """``(ratio, denom, gap, root)`` that both closed-form windows share, or None
-    outside them.
+    """``(ratio, denom, gap, root)`` that both closed-form windows share, None
+    outside them, or ``_OVERFLOWED``.
 
     Outside means ``a`` or ``b`` at most 1/2, or an x sector that is no state:
     its low eigenvalue is at most ``SPD_TOL`` (the volume gate's rule). Inside,
     ``denom = 4ab - 4c^2`` is four times that eigenvalue's positive numerator,
     and ``root`` is the square root of the p-p radicand, NaN where that is
-    negative, so that no ``d`` lies between the edges it sets.
+    negative, so that no ``d`` lies between the edges it sets. The radicand
+    is of degree 6 in the entries and overflows past ~1e50; where any of
+    these scalars comes out non-finite, the answer is ``_OVERFLOWED``, without
+    a warning, and the windows take the spectral verdict
+    (:func:`_spectral_window`).
     """
     a, b, c = p.a, p.b, p.c
-    if a <= 0.5 or b <= 0.5 or _sector_low(a, b, c) <= SPD_TOL:
+    if a <= 0.5 or b <= 0.5:
         return None
-    ratio = a / b
-    scale = 4.0 * a * b
-    denom = scale - 4.0 * c * c
-    gap = (np.sqrt(scale) + 1.0 / np.sqrt(scale)) ** 2 \
-        - (np.sqrt(ratio) + 1.0 / np.sqrt(ratio)) ** 2
-    radicand = c * c + 0.25 * scale * denom * (gap - 4.0 * c * c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = _sector_low(a, b, c)
+        ratio = a / b
+        scale = 4.0 * a * b
+        denom = scale - 4.0 * c * c
+        gap = (np.sqrt(scale) + 1.0 / np.sqrt(scale)) ** 2 \
+            - (np.sqrt(ratio) + 1.0 / np.sqrt(ratio)) ** 2
+        radicand = c * c + 0.25 * scale * denom * (gap - 4.0 * c * c)
+    if low <= SPD_TOL:
+        return None
+    if not all(map(math.isfinite, (low, ratio, scale, denom, gap, radicand))):
+        return _OVERFLOWED
     root = np.sqrt(radicand) if radicand >= 0 else np.nan
     return ratio, denom, gap, root
+
+
+def _spectral_window(p: CanonicalTwoModeParams, separable: bool) -> bool:
+    """Window membership from the spectra of the built matrix: positive
+    definite, :func:`~ginfo.symplectic.rsup_check` valid and, for the
+    separable window, :func:`ppt_separable` on the matrix."""
+    try:
+        cvm = canonical_two_mode_cvm(p)
+    except NumericDomainError:
+        return False
+    return rsup_check(cvm).valid and (not separable or ppt_separable(cvm).separable)
 
 
 def in_quantum_region(p: CanonicalTwoModeParams) -> bool:
@@ -161,11 +185,14 @@ def in_quantum_region(p: CanonicalTwoModeParams) -> bool:
 
     The cap on ``c^2`` takes the larger of ``a/b`` and ``b/a``. Agreement with
     ``rsup_check`` on the built matrix is property-tested; the spectral check
-    wins on any boundary disagreement.
+    wins on any boundary disagreement, and decides where the entries are too
+    large for the closed form.
     """
     window = _window_scalars(p)
     if window is None:
         return False
+    if window is _OVERFLOWED:
+        return _spectral_window(p, separable=False)
     ratio, denom, _, root = window
     c = p.c
     return bool(c * c < (4.0 * p.a * p.b - max(ratio, 1.0 / ratio)) / 4.0
@@ -175,12 +202,16 @@ def in_quantum_region(p: CanonicalTwoModeParams) -> bool:
 def in_separable_region(p: CanonicalTwoModeParams) -> bool:
     """Closed-form membership test for the separable window, ``c = 0`` included.
 
-    :func:`ppt_separable` is authoritative on conflict. A ``selftest``
-    battery checks the two against each other away from the boundary.
+    :func:`ppt_separable` is authoritative on conflict, and decides on the
+    built matrix where the entries are too large for the closed form. A
+    ``selftest`` battery checks the two against each other away from the
+    boundary.
     """
     window = _window_scalars(p)
     if window is None:
         return False
+    if window is _OVERFLOWED:
+        return _spectral_window(p, separable=True)
     _, denom, gap, root = window
     c = abs(p.c)
     return bool(2.0 * c < np.sqrt(max(gap, 0.0)) and abs(p.d) <= (root - c) / denom)
@@ -235,30 +266,67 @@ def ppt_separable(sigma: CovarianceMatrix | CanonicalTwoModeParams) -> PptResult
 
     * a CovarianceMatrix: ``rsup_check`` on the reflected matrix
       (:func:`partial_transpose`), an eigensolver call;
-    * a canonical state's parameters: closed form, in one pass of scalar
-      arithmetic on the record's entries with no numpy call. The reflection
-      maps (a, b, c, d) to (a, b, c, -d) exactly, so the invariant is
-      ``_min_invariant(a, b, c, -d)``. The state must be positive definite:
-      the smaller of its two sectors' low eigenvalues (:func:`_sector_low`)
-      must exceed ``SPD_TOL``, else NumericDomainError as from
-      :func:`~ginfo.symplectic.check_spd`. An invariant that comes out
-      non-finite (entries past ~1e77 overflow its products) raises
-      NumericDomainError too, so no margin is ever NaN.
+    * a canonical state's parameters: closed form, in one straight pass of
+      scalar arithmetic on the record's entries with no numpy call. The
+      reflection maps (a, b, c, d) to (a, b, c, -d) exactly, so the invariant
+      is ``_min_invariant(a, b, c, -d)``, written out here with the
+      reflection folded into its signs, which changes no bit; a test pins
+      the two copies together.
+      The state must be positive definite: both sectors' low eigenvalues
+      (:func:`_sector_low`) must exceed ``SPD_TOL``, else NumericDomainError
+      as from :func:`~ginfo.symplectic.check_spd`. A sector's low eigenvalue
+      is its determinant (``ab - c^2`` or ``ab - d^2``, whose product is
+      ``det S``) over its high one, which is below ``2(a + b)``. So where
+      both determinants exceed ``4 SPD_TOL (a + b)``, both lows exceed
+      ``2 SPD_TOL`` and the check passes without them. Nearer the edge, and
+      where an entry's size overflows the products (past ~1e77,
+      ``det S ~ a^4``), :func:`_ppt_rescaled` takes the verdict.
 
     Both routes return a built-in ``bool`` and ``float``, also for entries
     that are numpy floats.
     """
     if isinstance(sigma, CanonicalTwoModeParams):
         a, b, c, d = sigma
-        low, low_d = _sector_low(a, b, c), _sector_low(a, b, d)
-        _check_min_eigenvalue(low_d if low_d < low else low)   # min(low, low_d), without the call
-        nu = float(_min_invariant(a, b, c, -d))
-        if not math.isfinite(nu):
-            raise NumericDomainError(f"closed-form invariant is not finite at (a, b, c, d) = "
-                                     f"({a:.3e}, {b:.3e}, {c:.3e}, {d:.3e})")
-        return PptResult(nu >= 1.0 - RSUP_SLACK, nu - 1.0)
+        if not (type(a) is type(b) is type(c) is type(d) is float):
+            a, b, c, d = map(float, sigma)   # numpy floats would warn on overflow
+        ab = a * b
+        det_c, det_d = ab - c * c, ab - d * d
+        bound = 4.0 * SPD_TOL * (a + b)   # past it, both sector lows exceed 2 SPD_TOL
+        if det_c > bound and det_d > bound:
+            aa, bb = a * a, b * b
+            skew = aa - bb
+            disc = skew * skew + 4.0 * (a * c - b * d) * (b * c - a * d)
+            if disc < 0.0:
+                disc = 0.0
+            nu = (8.0 * (det_c * det_d) / (aa + bb - 2.0 * c * d + disc ** 0.5)) ** 0.5
+            if nu - nu == 0.0:    # finite
+                return tuple.__new__(PptResult, (nu >= 1.0 - RSUP_SLACK, nu - 1.0))
+        return _ppt_rescaled(a, b, c, d)
     result = rsup_check(partial_transpose(sigma))
     return PptResult(separable=result.valid, margin=result.min_invariant - 1.0)
+
+
+def _ppt_rescaled(a: float, b: float, c: float, d: float) -> PptResult:
+    """:func:`ppt_separable`'s closed form off its fast path, on ``(a, b, c, d) * 2^-k``.
+
+    The fast path leaves a state near or past the edge of positive
+    definiteness, where the sector lows decide, and one whose determinants
+    or invariant came out non-finite because an entry's size overflowed a
+    product. ``k`` is the exponent of ``max(a, b)``, floored at 0, so the
+    scaling only shrinks and cannot overflow: the larger of the scaled
+    ``a, b`` is below 1, and on a positive definite state ``|c|, |d|`` are
+    smaller still, so no product overflows. The sector lows and ``nu_-`` are
+    homogeneous of degree 1 and a power of two scales exactly: ``ldexp(., k)``
+    gives them back at the state's own scale, bit for bit wherever nothing
+    underflows, and the checks and the threshold apply there. A state that
+    is no state raises NumericDomainError as on the fast path.
+    """
+    k = max(math.frexp(max(a, b))[1], 0)
+    a, b, c, d = (math.ldexp(x, -k) for x in (a, b, c, d))
+    low, low_d = _sector_low(a, b, c), _sector_low(a, b, d)
+    _check_min_eigenvalue(math.ldexp(low_d if low_d < low else low, k))
+    nu = math.ldexp(_min_invariant(a, b, c, -d), k)
+    return PptResult(nu >= 1.0 - RSUP_SLACK, nu - 1.0)
 
 
 @dataclass(frozen=True)

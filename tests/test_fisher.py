@@ -243,7 +243,8 @@ NEAR_PURE_SAMPLES = 4000
 
 
 def _per_sample_volume(box, predicate, reg, seed):
-    """Volume and acceptance with the Hermitian-route verdict taken sample by sample."""
+    """Volume, standard error and acceptance with the Hermitian-route verdict
+    taken sample by sample."""
     draws, box_volume = gate_draws(box, seed)
     physical, separable = canonical_hermitian_verdicts(draws)
     member = {"quantum": physical, "separable": physical & separable,
@@ -252,7 +253,8 @@ def _per_sample_volume(box, predicate, reg, seed):
     for i in np.flatnonzero(member):
         p = CanonicalTwoModeParams(*draws[i])
         values[i] = regularizer_value(p, reg) * math.sqrt(max(fisher_det_two_mode(p), 0.0))
-    return box_volume * values.mean(), int(member.sum())
+    return (box_volume * values.mean(), box_volume * values.std(ddof=1) / math.sqrt(GATE_SAMPLES),
+            int(member.sum()))
 
 
 class TestVolumeGate:
@@ -282,12 +284,13 @@ class TestVolumeGate:
     @pytest.mark.parametrize("predicate", ["quantum", "separable", "entangled"])
     @pytest.mark.parametrize("box", list(GATE_BOXES), ids=list(GATE_BOXES))
     def test_matches_per_sample_route(self, box, predicate):
+        # the same members and the same integrand in the same slots: bit for bit
         reg = RegularizerConfig()
         est = regularized_volume(Region(GATE_BOXES[box], predicate), reg,
                                  samples=GATE_SAMPLES, seed=11)
-        volume, accepted = _per_sample_volume(GATE_BOXES[box], predicate, reg, seed=11)
+        volume, std_error, accepted = _per_sample_volume(GATE_BOXES[box], predicate, reg, seed=11)
         assert est.accepted == accepted
-        np.testing.assert_allclose(est.volume, volume, rtol=1e-12)
+        assert est.volume == volume and est.std_error == std_error
 
     @pytest.mark.parametrize("predicate", ["quantum", "separable", "entangled"])
     def test_per_sample_call_counts(self, monkeypatch, predicate):

@@ -6,7 +6,7 @@ import pytest
 
 from ginfo import bipartite, fisher, states, symplectic
 from ginfo.errors import NumericDomainError
-from ginfo.policy import RSUP_SLACK
+from ginfo.policy import RSUP_SLACK, SPD_TOL
 from ginfo.randmat import random_spd
 from ginfo.states import (
     CanonicalTwoModeParams,
@@ -205,6 +205,26 @@ class TestQuantumRegion:
                 verdicts[verdict.separable, in_separable_region(p)] += 1
         assert set(verdicts) == {(True, True)} and verdicts[True, True] > 1000
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e40, 1e60, 1e78, 1e160, 1e300])
+    @pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "float64"])
+    def test_windows_at_large_entries(self, kind, scale):
+        # the p-p radicand is of degree 6 in the entries and overflows past
+        # ~1e50, 4ab past ~1e154; there the windows take the spectral verdicts,
+        # without a warning. The last shape is no state (ab < c^2)
+        for shape in [(1.0, 1.0, 0.1, 0.05), (1.0, 2.0, -0.3, 0.2), (1.0, 1.0, 1.5, 0.0)]:
+            p = CanonicalTwoModeParams(*(kind(scale * x) for x in shape))
+            try:
+                cvm = canonical_two_mode_cvm(p)
+            except NumericDomainError:
+                physical = separable = False
+            else:
+                physical = symplectic.rsup_check(cvm).valid
+                separable = physical and ppt_separable(cvm).separable
+            assert in_quantum_region(p) is physical, shape
+            assert in_separable_region(p) is separable, shape
+            assert physical == (shape[2] < 1.0)
+
 
 class TestPartialTranspose:
     def test_diagonal_invariant(self):
@@ -383,17 +403,63 @@ class TestPptCanonicalRoute:
                 assert verdict.separable == (nu >= 1.0 - RSUP_SLACK)
 
     @pytest.mark.parametrize("params", [(1.0, 1.0, 1.0, 0.0), (1.0, 1.0, 1.5, 0.0),
-                                        (2.0, 0.5, 0.0, -1.0), (1.0, 1.0, 0.3, 1.0 - 1e-13)])
+                                        (2.0, 0.5, 0.0, -1.0), (1.0, 1.0, 0.3, 1.0 - 1e-13),
+                                        (1e200, 1e200, 1.5e200, 0.0)])
     def test_indefinite_state_rejected(self, params):
-        # ab <= c^2 (or d^2, or within SPD_TOL of it) is no state
+        # ab <= c^2 (or d^2, or within SPD_TOL of it) is no state, at any scale
         with pytest.raises(NumericDomainError, match="not positive definite"):
             ppt_separable(CanonicalTwoModeParams(*params))
 
-    @pytest.mark.parametrize("scale", [1e100, 1e160, 1e200])
-    def test_non_finite_invariant_rejected(self, scale):
-        # det S overflows to inf (1e100), a^2 - b^2 to inf - inf = NaN (1e160, 1e200)
-        with pytest.raises(NumericDomainError, match="not finite"):
-            ppt_separable(CanonicalTwoModeParams(scale, scale))
+    def test_positive_definite_shortcut(self):
+        # the verdict skips the sector lows where both determinants exceed
+        # 4 SPD_TOL (a + b); near that bound and the edge at SPD_TOL it must
+        # raise exactly where the lows' check fails, and give the invariant
+        rng = np.random.default_rng(33)
+        counts = Counter()
+        for _ in range(3000):
+            a, b = rng.uniform(0.01, 3.0, 2).tolist()
+            det = float(10.0 ** rng.uniform(-13.0, -10.0)) * (a + b)
+            c = float(rng.choice([-1.0, 1.0]) * np.sqrt(a * b - det))
+            d = float(rng.uniform(-0.9, 0.9) * np.sqrt(a * b))
+            c, d = (c, d) if rng.random() < 0.5 else (d, c)
+            positive = min(states._sector_low(a, b, c), states._sector_low(a, b, d)) > SPD_TOL
+            shortcut = min(a * b - c * c, a * b - d * d) > 4.0 * SPD_TOL * (a + b)
+            assert positive or not shortcut
+            if positive:
+                verdict = ppt_separable(CanonicalTwoModeParams(a, b, c, d))
+                assert verdict.margin == states._min_invariant(a, b, c, -d) - 1.0
+            else:
+                with pytest.raises(NumericDomainError, match="not positive definite"):
+                    ppt_separable(CanonicalTwoModeParams(a, b, c, d))
+            counts[positive, shortcut] += 1
+        assert min(counts[True, True], counts[True, False], counts[False, False]) > 300
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e78, 1e100, 1e154, 1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "float64"])
+    def test_large_entries_match_spectral_route(self, kind, scale):
+        # det S ~ a^4 overflows past ~1e77, and ab - c^2 = inf - inf is NaN past
+        # ~1e154: the closed form then takes the verdict on the entries scaled
+        # by a power of two, without a warning
+        p = CanonicalTwoModeParams(*(kind(scale * x) for x in (1.0, 1.0, 0.1, 0.05)))
+        closed, spectral = ppt_separable(p), ppt_separable(canonical_two_mode_cvm(p))
+        assert type(closed.separable) is bool and type(closed.margin) is float
+        assert closed.separable is spectral.separable is True
+        assert abs(closed.margin - spectral.margin) <= self.MARGIN_BOUND * EPS * scale
+
+    @pytest.mark.parametrize("box", list(GATE_BOXES), ids=list(GATE_BOXES))
+    def test_scalar_copy_of_the_invariant(self, box):
+        # ppt_separable writes _min_invariant(a, b, c, -d) out in scalar
+        # arithmetic; on the physical draws it gives the array route's verdict,
+        # with a margin within an ulp of its nu - 1
+        draws, _ = gate_draws(GATE_BOXES[box], seed=11)
+        rows = draws[fisher._physical(draws)]
+        a, b, c, d = rows.T
+        nus = states._min_invariant(a, b, c, -d)
+        for row, nu in zip(rows.tolist(), nus.tolist()):
+            verdict = ppt_separable(CanonicalTwoModeParams(*row))
+            assert verdict.separable == (nu >= 1.0 - RSUP_SLACK), row
+            assert abs(verdict.margin + 1.0 - nu) <= np.spacing(nu), row
 
 
 class TestPptEigensolverOnly:
