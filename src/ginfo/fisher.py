@@ -206,14 +206,19 @@ def regularizer_value(p: CanonicalTwoModeParams, reg: RegularizerConfig) -> floa
     ``exp(-Tr[adj(S)]/kappa) * log(1 + det(S)^m)`` in closed form: both sectors
     have trace ``a + b``, so ``det S = (ab - c^2)(ab - d^2)`` and
     ``Tr adj S = (a + b)(2ab - c^2 - d^2)``. :func:`_deltas` is written out,
-    so the record is unpacked once per call.
+    so the record is unpacked once per call. Where ``det(S)^m`` is past the
+    float range, ``log1p`` of it is ``m log det(S)`` to the last bit (it
+    exceeds 2^53 by far).
     """
     a, b, c, d = p
     ab = a * b
     dc, dd = ab - c * c, ab - d * d
     if dc <= 0 or dd <= 0:
         _reject_singular(dc, dd)
-    return math.exp(-(a + b) * (dc + dd) / reg.kappa) * math.log1p((dc * dd) ** reg.power)
+    try:
+        return math.exp(-(a + b) * (dc + dd) / reg.kappa) * math.log1p((dc * dd) ** reg.power)
+    except OverflowError:
+        return math.exp(-(a + b) * (dc + dd) / reg.kappa) * (reg.power * math.log(dc * dd))
 
 
 @dataclass(frozen=True)

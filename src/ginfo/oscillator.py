@@ -3,9 +3,9 @@
 Pipeline: deformation parameters -> Darboux (Bopp-shift) transform -> an
 equivalent standard-space Hamiltonian with effective masses, stiffnesses and
 a momentum-position cross coupling -> normal-mode frequencies -> Gaussian
-ground state -> covariance matrix and separability verdict. The covariance
-is checked once, end to end, against the Williamson polar form of the
-transformed Hamiltonian.
+ground state in Williamson's closed form -> its covariance matrix, the
+exponent read off it, and the separability verdict. Every covariance is
+checked against the Williamson polar form of the transformed Hamiltonian.
 
 Basis throughout is mode-interleaved (x1, p1, x2, p2).
 """
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDomainError, SingularMatrixError
-from .policy import DECOUPLED_TOL, GROUND_STATE_CHECK_TOL, TUNED_LINE_TOL
-from .symplectic import J2, CovarianceMatrix, Ordering, _check_finite, build_symplectic_form
+from .policy import GROUND_STATE_CHECK_TOL, TUNED_LINE_TOL
+from .symplectic import J2, CovarianceMatrix, _check_finite, build_symplectic_form
 
 
 @dataclass(frozen=True)
@@ -118,20 +118,13 @@ class ModeSpectrum:
     freq2: float          # upper mode
 
 
-def _discriminant(eq: EquivalentParams) -> float:
-    """``high^2 - low^2`` of the modes of ``eq``, from a sum of squares."""
-    disc_sq = (eq.freq1 ** 2 - eq.freq2 ** 2) ** 2 \
-        + 16.0 * eq.coupling1 * eq.coupling2 * (eq.freq1 - eq.freq2) ** 2 \
-        + 16.0 * (math.sqrt(eq.mass1 / eq.mass2) * eq.freq1 * eq.coupling1
-                  + math.sqrt(eq.mass2 / eq.mass1) * eq.freq2 * eq.coupling2) ** 2
-    return math.sqrt(max(disc_sq, 0.0))
-
-
 def mode_spectrum(p: OscillatorParams, eq: EquivalentParams) -> ModeSpectrum:
     """Normal-mode frequencies of ``eq``, the equivalent parameters of ``p``.
 
     The high mode is the closed form of the block-determinant sum and the
-    discriminant. The low mode comes from the product of the two,
+    discriminant ``high^2 - low^2``, the ``hypot`` of three terms, which
+    neither underflows nor overflows where its square would. The low mode
+    comes from the product of the two,
     ``low * high = (1 - theta eta / 4 hbar^2)^2 freq1 freq2`` in the
     deformed-frame frequencies of ``p``, since ``det H = det(Ups)^2 det H_nc``;
     so it keeps its relative accuracy as it softens toward the singular edge,
@@ -140,49 +133,13 @@ def mode_spectrum(p: OscillatorParams, eq: EquivalentParams) -> ModeSpectrum:
     their own: at ``disc = 0`` both give the one frequency.
     """
     inv_sum = eq.freq1 ** 2 + eq.freq2 ** 2 + 8.0 * eq.coupling1 * eq.coupling2
-    high = math.sqrt((inv_sum + _discriminant(eq)) / 2.0)
+    disc = math.hypot(eq.freq1 ** 2 - eq.freq2 ** 2,
+                      4.0 * math.sqrt(eq.coupling1 * eq.coupling2) * (eq.freq1 - eq.freq2),
+                      4.0 * (math.sqrt(eq.mass1 / eq.mass2) * eq.freq1 * eq.coupling1
+                             + math.sqrt(eq.mass2 / eq.mass1) * eq.freq2 * eq.coupling2))
+    high = math.sqrt((inv_sum + disc) / 2.0)
     det_ups = (1.0 - p.theta * p.eta / (4.0 * p.hbar ** 2)) ** 2
     return ModeSpectrum(freq1=det_ups * p.freq1 * p.freq2 / high, freq2=high)
-
-
-def _mode_coeff_row(lam: float, shift: float, eq: EquivalentParams) -> np.ndarray:
-    """Components of the mode of frequency ``lam``, with ``shift = lam^2 - freq1^2``."""
-    m1, m2 = eq.mass1, eq.mass2
-    n1, n2 = eq.coupling1, eq.coupling2
-    w1sq = eq.freq1 ** 2
-    w2sq = eq.freq2 ** 2
-    return np.array([
-        -2.0 * m1 * lam * (m1 * n1 * w1sq + m2 * n2 * w2sq),
-        2.0 * (m2 * n2 * w2sq - 4.0 * m1 * n1 ** 2 * n2 + m1 * n1 * lam ** 2),
-        m1 * (4.0 * m1 * n1 ** 2 * w1sq + m2 * w2sq * shift),
-        -m1 * lam * (4.0 * n1 * n2 - shift),
-    ])
-
-
-def eigvec_coefficients(eq: EquivalentParams, spec: ModeSpectrum) -> np.ndarray:
-    """Polynomial left-eigenvector components for both modes, shape (2, 4).
-
-    Row j holds the four real components of mode j's left eigenvector, which
-    is ``(i k0, k1, k2, i k3)`` up to a normalization that the ground state
-    cannot see. The components vanish together in the undeformed limit,
-    which the decoupled branch of :func:`ground_state` covers; elsewhere the
-    polar-form check of :func:`ground_state` is their one guard.
-
-    The shifts ``lam^2 - freq1^2`` of the two modes are the roots
-    ``(b -+ disc) / 2`` of a quadratic whose product ``(b^2 - disc^2) / 4``
-    has a closed form. The root of the larger magnitude is taken directly
-    and the other from the product, so neither cancels as the couplings
-    vanish. That root is at least ``disc / 2``, and off the decoupled branch
-    ``disc > 0``: it holds the square of a sum of the nonnegative couplings.
-    """
-    n1, n2 = eq.coupling1, eq.coupling2
-    b = eq.freq2 ** 2 - eq.freq1 ** 2 + 8.0 * n1 * n2
-    big = (b + math.copysign(_discriminant(eq), b)) / 2.0
-    small = -4.0 * (eq.mass1 / eq.mass2 * (eq.freq1 * n1) ** 2 + 2.0 * n1 * n2 * eq.freq1 ** 2
-                    + eq.mass2 / eq.mass1 * (eq.freq2 * n2) ** 2 - 4.0 * (n1 * n2) ** 2) / big
-    shifts = (small, big) if b >= 0 else (big, small)
-    return np.array([_mode_coeff_row(spec.freq1, shifts[0], eq),
-                     _mode_coeff_row(spec.freq2, shifts[1], eq)])
 
 
 @dataclass(frozen=True)
@@ -198,32 +155,6 @@ class GroundStateExponent:
     m11: float
     m22: float
     cross_imag: float
-
-
-def ground_state_exponent(coeffs: np.ndarray, hbar: float) -> GroundStateExponent:
-    """Exponent matrix ``(i/hbar) Up^-1 Ux`` from the eigenvector components.
-
-    ``Up`` has rows ``(k1, i k3)`` and ``Ux`` rows ``(i k0, k2)``, one per
-    mode; the entries are written as ratios of their 2x2 minors.
-    """
-    (k10, k11, k12, k13), (k20, k21, k22, k23) = coeffs
-    den = hbar * (k11 * k23 - k21 * k13)
-    m11 = (k13 * k20 - k23 * k10) / den
-    m22 = (k11 * k22 - k21 * k12) / den
-    cross = (k23 * k12 - k13 * k22) / den
-    return GroundStateExponent(m11=float(m11), m22=float(m22), cross_imag=float(cross))
-
-
-def ground_state_cvm(exponent: GroundStateExponent, hbar: float) -> CovarianceMatrix:
-    """Covariance matrix of the Gaussian ground state (interleaved basis)."""
-    m11, m22 = exponent.m11, exponent.m22
-    cross = exponent.cross_imag
-    wdet = m11 * m22 + cross ** 2
-    v11 = np.diag([1.0 / (hbar * m11), hbar * wdet / m22])
-    v22 = np.diag([1.0 / (hbar * m22), hbar * wdet / m11])
-    v12 = np.array([[0.0, -cross / m11], [-cross / m22, 0.0]])
-    m = hbar / 2.0 * np.block([[v11, v12], [v12.T, v22]])
-    return CovarianceMatrix(m, ordering=Ordering.MODE_INTERLEAVED)
 
 
 def _polar_ground_state(h: np.ndarray, hbar: float) -> np.ndarray:
@@ -256,27 +187,44 @@ class GroundState:
 def ground_state(p: OscillatorParams) -> GroundState:
     """Ground state for arbitrary admissible parameters, checked end to end.
 
-    Runs the eigenvector pipeline; in the exactly decoupled case (both cross
-    couplings zero, i.e. no deformation) the ground state is the product of
-    two independent oscillator ground states and is written down directly.
-    Its covariance must match the polar form of the product-route
+    Williamson's form ``Sigma H = (hbar/2) (-K^2)^(1/2)``, ``K = Omega H``, in
+    closed form: ``-K^2`` has the eigenvalues ``low^2`` and ``high^2`` of the
+    modes, so by Cayley-Hamilton ``(-K^2)^(1/2) = (-K^2 + s I) / t`` with
+    ``s = low * high`` and ``t = low + high``, and
+
+        Sigma = (hbar/2) (s H^-1 + Omega H Omega^T) / t.
+
+    Both terms are positive definite, so nothing cancels, and there is no
+    decoupled or degenerate case: coinciding modes give ``freq * I``, and an
+    undeformed H is diagonal, so its cross term is exactly zero.
+    ``H^-1 = Ups^-1 H_nc^-1 Ups^-T`` with the exact inverse
+    ``Ups^-1 = (2 I - Ups) / (1 - theta eta / 4 hbar^2)``, since the
+    off-diagonal block ``B`` of :func:`darboux_matrix` has
+    ``B^2 = -(theta eta / 4 hbar^2) I``. The exponent is read off the
+    covariance's layout: ``m11 = 1 / (2 Sigma_00)``,
+    ``m22 = 1 / (2 Sigma_22)`` and ``cross_imag = -Sigma_03 / (hbar Sigma_00)``.
+
+    The covariance must match the polar form of the product-route
     Hamiltonian H to ``GROUND_STATE_CHECK_TOL * cond(H)``, relative to the
     largest entry, or NumericDomainError is raised. ``cond(H)`` grows as
-    ``1 / (1 - theta eta / 4 hbar^2)^2`` toward the singular edge, and both
-    routes lose accuracy in proportion to it.
+    ``1 / (1 - theta eta / 4 hbar^2)^2`` toward the singular edge; the polar
+    route loses accuracy in proportion to it, the closed form does not.
     """
     h = equivalent_hamiltonian(p)
     eq = equivalent_params(p)
     modes = mode_spectrum(p, eq)
-    if max(abs(eq.coupling1), abs(eq.coupling2)) < DECOUPLED_TOL * max(eq.freq1, eq.freq2):
-        exponent = GroundStateExponent(m11=eq.mass1 * eq.freq1 / p.hbar,
-                                       m22=eq.mass2 * eq.freq2 / p.hbar,
-                                       cross_imag=0.0)
-    else:
-        exponent = ground_state_exponent(eigvec_coefficients(eq, modes), p.hbar)
-    covariance = ground_state_cvm(exponent, p.hbar)
+    ups_inv = (2.0 * np.eye(4) - darboux_matrix(p)) / (1.0 - p.theta * p.eta / (4.0 * p.hbar ** 2))
+    omega = build_symplectic_form(2).matrix
+    terms = modes.freq1 * modes.freq2 * (ups_inv / np.diag(nc_hamiltonian_matrix(p)) @ ups_inv.T) \
+        + omega @ h @ omega.T
+    # averaged with its transpose, the matrix is symmetric to the last bit
+    covariance = CovarianceMatrix(p.hbar / (4.0 * (modes.freq1 + modes.freq2)) * (terms + terms.T))
+    sigma = covariance.matrix
+    # 0.0 - x leaves an exact zero unsigned
+    exponent = GroundStateExponent(m11=float(0.5 / sigma[0, 0]), m22=float(0.5 / sigma[2, 2]),
+                                   cross_imag=float(0.0 - sigma[0, 3] / (p.hbar * sigma[0, 0])))
     polar = _polar_ground_state(h, p.hbar)
-    deviation = np.abs(covariance.matrix - polar).max() / np.abs(polar).max()
+    deviation = np.abs(sigma - polar).max() / np.abs(polar).max()
     gap = float(deviation / np.linalg.cond(h))
     if gap > GROUND_STATE_CHECK_TOL:
         raise NumericDomainError(f"ground state deviates from its polar form by {deviation:.3e}, "

@@ -15,7 +15,6 @@ RSUP_SLACK = 1e-10              # an invariant >= 1 - RSUP_SLACK meets the uncer
 TUNED_LINE_TOL = 1e-15          # |eta - m1 m2 theta w1 w2|, relative to the sum, taken as zero
 
 # closed forms against their numeric routes
-DECOUPLED_TOL = 1e-13           # cross couplings below this, relative to the frequency, vanish
 GROUND_STATE_CHECK_TOL = 1e-13  # ground state's relative gap to its polar form, per unit of cond(H)
 
 # resolutions

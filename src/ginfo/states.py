@@ -146,15 +146,18 @@ def _window_scalars(p: CanonicalTwoModeParams):
     and ``root`` is the square root of the p-p radicand, NaN where that is
     negative, so that no ``d`` lies between the edges it sets. The radicand
     is of degree 6 in the entries and overflows past ~1e50; where any of
-    these scalars comes out non-finite, the answer is ``_OVERFLOWED``, without
-    a warning, and the windows take the spectral verdict
-    (:func:`_spectral_window`).
+    these scalars comes out non-finite, or the x sector's hypotenuse
+    overflows, the answer is ``_OVERFLOWED``, without a warning, and the
+    windows take the spectral verdict (:func:`_spectral_window`).
     """
     a, b, c = p.a, p.b, p.c
     if a <= 0.5 or b <= 0.5:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        low = _sector_low(a, b, c)
+        try:
+            low = _sector_low(a, b, c)
+        except OverflowError:
+            return _OVERFLOWED
         ratio = a / b
         scale = 4.0 * a * b
         denom = scale - 4.0 * c * c

@@ -534,9 +534,8 @@ def canonical_hermitian_verdicts(draws, rsup_slack=1e-10):
 # Deformed-oscillator oracles
 #
 # Second routes to the ground state of ``ginfo.oscillator``: the equivalent
-# Hamiltonian assembled from the closed-form blocks of ``equivalent_params``,
-# the normalized mode eigenvectors behind ``eigvec_coefficients`` and the
-# phase-space quadratic form behind ``ground_state_cvm``.
+# Hamiltonian assembled from the closed-form blocks of ``equivalent_params``
+# and the stationary equation that the reported exponent must solve.
 
 def equivalent_hamiltonian_matrix(eq):
     """Standard-frame Hamiltonian assembled from the closed-form blocks of ``eq``."""
@@ -546,31 +545,23 @@ def equivalent_hamiltonian_matrix(eq):
     return np.block([[h1, cross], [cross.T, h2]])
 
 
-def left_eigenvectors(coeffs):
-    """Normalized complex left eigenvectors of J H for the two modes."""
-    return tuple(np.array([1j * k0, k1, k2, 1j * k3]) / np.sqrt(2.0 * (k2 * k3 - k0 * k1))
-                 for k0, k1, k2, k3 in coeffs)
+def stationary_residual(h, exponent, hbar):
+    """Residual of the stationary equation of ``exp(-x^T M x / 2)`` under ``h``.
 
-
-def right_eigenvector(chi_left):
-    """Companion right eigenvector ``-Sigma_y chi^dagger`` of a left one."""
-    sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
-    return -np.kron(_I2, sigma_y) @ chi_left.conj()
-
-
-def wigner_quadratic_form(exponent, hbar=1.0):
-    """Quadratic form G of the phase-space density, (x1, x2, p1, p2) basis.
-
-    ``W proportional to exp(-xi^T G xi)``; the covariance matrix is
-    ``G^-1 / 2``, which reproduces ``ground_state_cvm`` after reordering.
+    With ``p psi = i hbar M x psi``, the quadratic part of ``H psi / psi`` for
+    ``H = xi^T h xi / 2`` (``xi = (x1, p1, x2, p2)``) vanishes exactly when
+    ``A + i hbar (B M + M B^T) - hbar^2 M C M = 0``, with ``A``, ``C`` and
+    ``B`` the x-x, p-p and x-p blocks of ``h``. Returns its largest entry,
+    relative to ``|A| + hbar^2 |M|^2 |C|``. It reads the exponent only, so it
+    is a second route to it that shares nothing with the covariance.
     """
-    real = np.diag([exponent.m11, exponent.m22])
-    imag = np.array([[0.0, exponent.cross_imag], [exponent.cross_imag, 0.0]])
-    real_inv = np.diag([1.0 / exponent.m11, 1.0 / exponent.m22])
-    return np.block([
-        [real + imag @ real_inv @ imag.T, imag @ real_inv / hbar],
-        [real_inv @ imag.T / hbar, real_inv / hbar ** 2],
-    ])
+    m = np.array([[exponent.m11, 1j * exponent.cross_imag],
+                  [1j * exponent.cross_imag, exponent.m22]])
+    x, p = [0, 2], [1, 3]
+    a, c, b = h[np.ix_(x, x)], h[np.ix_(p, p)], h[np.ix_(x, p)]
+    residual = a + 1j * hbar * (b @ m + m @ b.T) - hbar ** 2 * m @ c @ m
+    scale = np.abs(a).max() + hbar ** 2 * np.abs(m).max() ** 2 * np.abs(c).max()
+    return float(np.abs(residual).max() / scale)
 
 
 def separability_sides(p):

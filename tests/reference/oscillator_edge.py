@@ -42,7 +42,7 @@ POINTS = [
     (1.0, 1.0, 1.0, 2.0, 1e-8, 1e-8, 1.0),
     # light masses and eta = 329 theta: the low mode is 4.7e-11 of the high one
     (0.045, 0.035, 1.56, 1.25, 0.22, 72.4, 2.0),
-    # couplings 5e-13 of the frequencies, above DECOUPLED_TOL
+    # couplings 5e-13 of the frequencies
     (1.0, 1.0, 1.0, 2.0, 1e-12, 1e-12, 1.0),
     # isotropic with eta = 1e-12: the modes split by 1e-10, relative
     (1.0, 1.0, 0.01, 0.01, 0.0, 1e-12, 1.0),

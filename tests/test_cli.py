@@ -357,8 +357,8 @@ class TestReports:
 
             monkeypatch.setattr(oscillator, name, wrapper)
 
-        stages = ("equivalent_params", "mode_spectrum", "ground_state",
-                  "ground_state_exponent", "_polar_ground_state", "separability_condition")
+        stages = ("equivalent_params", "equivalent_hamiltonian", "mode_spectrum", "ground_state",
+                  "_polar_ground_state", "separability_condition")
         for name in stages:
             count(name)
         code, _ = run(tmp_path, "--command", "oscillator", "--w2", "2",

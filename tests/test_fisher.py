@@ -198,6 +198,18 @@ class TestRegularizedVolume:
             expected = math.exp(-adj_trace / reg.kappa) * math.log1p(det ** reg.power)
             np.testing.assert_allclose(regularizer_value(p, reg), expected, rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_regularizer_past_the_float_range(self):
+        # det(S)^4 passes the float range near a = b = 1e19; from there on the
+        # value is 4 log det(S), and it joins the log1p side without a step.
+        # kappa = 1e300 keeps the damping at 1
+        reg = RegularizerConfig(kappa=1e300, power=4)
+        for a in (1e18, 3e18, 1e19, 3e19, 1e20):
+            p = CanonicalTwoModeParams(a, a, 0.3 * a, -0.2 * a)
+            det = np.linalg.det(canonical_two_mode_matrix(p))
+            assert regularizer_value(p, reg) == pytest.approx(reg.power * math.log(det),
+                                                              rel=1e-15)
+
     def test_empty_region(self):
         region = Region(box=((10.0, 10.1), (10.0, 10.1), (-9.9, -9.8), (-9.9, -9.8)),
                         predicate="quantum")

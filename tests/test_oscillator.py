@@ -3,37 +3,25 @@ import pytest
 
 from ginfo.errors import NumericDomainError, SingularMatrixError
 from ginfo.oscillator import (
-    EquivalentParams,
-    GroundStateExponent,
     OscillatorParams,
+    _polar_ground_state,
     darboux_matrix,
-    eigvec_coefficients,
     equivalent_hamiltonian,
     equivalent_params,
     ground_state,
-    ground_state_cvm,
-    ground_state_exponent,
     mode_spectrum,
     nc_hamiltonian_matrix,
     separability_condition,
 )
 from ginfo.policy import GROUND_STATE_CHECK_TOL
 from ginfo.states import ppt_separable, simon_invariants
-from ginfo.symplectic import (
-    J2,
-    Ordering,
-    build_symplectic_form,
-    permute_ordering,
-    symplectic_spectrum,
-)
+from ginfo.symplectic import J2, build_symplectic_form, symplectic_spectrum
 
 from helpers import (
     OSCILLATOR_REFERENCES,
     equivalent_hamiltonian_matrix,
-    left_eigenvectors,
-    right_eigenvector,
     separability_sides,
-    wigner_quadratic_form,
+    stationary_residual,
 )
 
 FORM2 = build_symplectic_form(2)
@@ -132,46 +120,17 @@ class TestModeSpectrum:
         spec = mode_spectrum(p, equivalent_params(p))
         assert (spec.freq1, spec.freq2) == (1.5, 1.5)
 
-
-class TestEigvecCoefficients:
-    def test_left_eigenvector_residual(self):
-        rng = np.random.default_rng(42)
-        for _ in range(25):
-            p = random_params(rng)
-            eq = equivalent_params(p)
-            spec = mode_spectrum(p, eq)
-            coeffs = eigvec_coefficients(eq, spec)
-            hj = FORM2.matrix @ equivalent_hamiltonian_matrix(eq)
-            chi1, chi2 = left_eigenvectors(coeffs)
-            for chi, lam in ((chi1, spec.freq1), (chi2, spec.freq2)):
-                residual = np.abs(chi @ hj + 1j * lam * chi).max()
-                assert residual < 1e-8 * max(1.0, np.abs(chi).max())
-
-    def test_mode_orthogonality_and_normalization(self):
-        # chi_l1 chi_r2 = 0 (independent ladder operators commute) and
-        # chi_lj chi_rj = 1 with the chosen normalization
-        rng = np.random.default_rng(43)
-        for _ in range(25):
-            p = random_params(rng)
-            eq = equivalent_params(p)
-            coeffs = eigvec_coefficients(eq, mode_spectrum(p, eq))
-            chi1, chi2 = left_eigenvectors(coeffs)
-            assert abs(chi1 @ right_eigenvector(chi2)) < 1e-8
-            assert abs(chi2 @ right_eigenvector(chi1)) < 1e-8
-            assert chi1 @ right_eigenvector(chi1) == pytest.approx(1.0, abs=1e-8)
-            assert chi2 @ right_eigenvector(chi2) == pytest.approx(1.0, abs=1e-8)
-
-    def test_decoupled_limit_components(self):
-        # with both couplings zero the first and fourth components collapse
-        from ginfo.oscillator import _mode_coeff_row
-        eq = EquivalentParams(mass1=1.0, mass2=1.0, stiffness1=1.0, stiffness2=4.0,
-                              coupling1=0.0, coupling2=0.0, freq1=1.0, freq2=2.0)
-        upper = _mode_coeff_row(2.0, 3.0, eq)
-        assert upper[0] == 0.0
-        # remaining components solve the decoupled eigenproblem: ratio k2/k3 = mass2 * freq2
-        assert upper[2] / upper[3] == pytest.approx(eq.mass2 * 2.0)
-        lower = _mode_coeff_row(1.0, 0.0, eq)
-        np.testing.assert_allclose(lower, 0.0, atol=1e-15)
+    @pytest.mark.parametrize("scale", [1e-100, 1e-80, 1e80])
+    def test_frequency_scales_keep_every_digit(self, scale):
+        # the discriminant's square, of degree 4 in the frequencies, would
+        # underflow or overflow here; the modes and the ground state that
+        # reads them keep their digits (m w = 1)
+        p = OscillatorParams(1.0 / scale, 1.0 / scale, scale, 2.0 * scale)
+        spec = mode_spectrum(p, equivalent_params(p))
+        assert spec.freq1 == pytest.approx(scale, rel=4 * EPS)
+        assert spec.freq2 == pytest.approx(2.0 * scale, rel=4 * EPS)
+        np.testing.assert_allclose(ground_state(p).covariance.matrix,
+                                   np.diag([0.5, 0.5, 0.25, 1.0]), rtol=8 * EPS, atol=0.0)
 
 
 class TestGroundState:
@@ -233,22 +192,79 @@ class TestGroundState:
             ground_state(OscillatorParams(1.0, 1.0, 1e-13, 1e-13))
 
     def test_ratio_route_matches_matrix_route(self):
+        # the exponent read off the covariance's entries against the matrix
+        # route M = Sxx^-1 / 2 - (i / hbar) Sxx^-1 Sxp on the polar form's
+        # (x, p) blocks, with its realness structure
         rng = np.random.default_rng(44)
         for _ in range(25):
             p = random_params(rng)
-            eq = equivalent_params(p)
-            coeffs = eigvec_coefficients(eq, mode_spectrum(p, eq))
-            e = ground_state_exponent(coeffs, p.hbar)
-            (k10, k11, k12, k13), (k20, k21, k22, k23) = coeffs
-            ux = np.array([[1j * k10, k12], [1j * k20, k22]])
-            up = np.array([[k11, 1j * k13], [k21, 1j * k23]])
-            mat = 1j / p.hbar * np.linalg.solve(up, ux)
-            assert mat[0, 0].real == pytest.approx(e.m11, abs=1e-9)
-            assert mat[1, 1].real == pytest.approx(e.m22, abs=1e-9)
-            assert mat[0, 1].imag == pytest.approx(e.cross_imag, abs=1e-9)
-            # realness structure
-            assert abs(mat[0, 0].imag) < 1e-9 and abs(mat[1, 1].imag) < 1e-9
-            assert abs(mat[0, 1].real) < 1e-9
+            h = equivalent_hamiltonian(p)
+            e = ground_state(p).exponent
+            polar = _polar_ground_state(h, p.hbar)
+            x, q = [0, 2], [1, 3]
+            sxx_inv = np.linalg.inv(polar[np.ix_(x, x)])
+            mat = sxx_inv / 2.0 - 1j / p.hbar * sxx_inv @ polar[np.ix_(x, q)]
+            bound = GROUND_STATE_CHECK_TOL * np.linalg.cond(h) * np.abs(mat).max()
+            assert abs(mat[0, 0] - e.m11) <= bound
+            assert abs(mat[1, 1] - e.m22) <= bound
+            assert abs(mat[0, 1] - 1j * e.cross_imag) <= bound
+            assert abs(mat[1, 0] - 1j * e.cross_imag) <= bound
+
+    def test_exponent_solves_the_stationary_equation(self):
+        # the reported exponent makes exp(-x^T M x / 2) an eigenstate of H,
+        # read from H and the exponent alone, and is normalizable
+        rng = np.random.default_rng(50)
+        for _ in range(200):
+            p = random_params(rng)
+            h = equivalent_hamiltonian(p)
+            e = ground_state(p).exponent
+            assert e.m11 > 0 and e.m22 > 0
+            assert stationary_residual(h, e, p.hbar) <= EPS * np.linalg.cond(h), p
+        for point, _, _ in OSCILLATOR_REFERENCES:
+            p = OscillatorParams(*point)
+            h = equivalent_hamiltonian(p)
+            assert stationary_residual(h, ground_state(p).exponent, p.hbar) \
+                <= EPS * np.linalg.cond(h), p
+
+    def test_closed_form_over_the_deformation_domain(self):
+        # 4,000 draws: m in 10^+-1, w in 10^+-2, hbar in 10^+-1, theta in
+        # 10^(-3 ... 0.5) and theta*eta up to 0.99 * 4 hbar^2, every tenth
+        # undeformed. The covariance matches the polar form at the runtime
+        # check's bound, Sigma + i hbar Omega / 2 is positive semidefinite with
+        # all invariants 1 (a pure state), and an undeformed draw has an
+        # exactly zero cross term. A draw with eps cond(H) >= 1 keeps no digit
+        # of the ground state: it must report or raise NumericDomainError,
+        # and is not checked further
+        rng = np.random.default_rng(51)
+        checked = 0
+        for k in range(4000):
+            m1, m2 = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
+            w1, w2 = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
+            hbar = 10.0 ** rng.uniform(-1.0, 1.0)
+            theta = 0.0 if k % 10 == 0 else 10.0 ** rng.uniform(-3.0, 0.5)
+            eta = 0.0 if k % 10 == 0 else rng.uniform(0.0, 0.99) * 4.0 * hbar ** 2 / theta
+            p = OscillatorParams(m1, m2, w1, w2, theta=theta, eta=eta, hbar=hbar)
+            h = equivalent_hamiltonian(p)
+            cond = np.linalg.cond(h)
+            if EPS * cond >= 1.0:
+                try:
+                    ground_state(p)
+                except NumericDomainError:
+                    pass
+                continue
+            state = ground_state(p)
+            sigma = state.covariance.matrix
+            polar = _polar_ground_state(h, hbar)
+            assert np.abs(sigma - polar).max() <= GROUND_STATE_CHECK_TOL * cond \
+                * np.abs(polar).max(), p
+            hermitian = np.linalg.eigvalsh(sigma + 0.5j * hbar * FORM2.matrix)
+            assert hermitian[0] >= -EPS * cond * np.abs(sigma).max(), p
+            invariants = symplectic_spectrum(sigma / hbar, FORM2)
+            assert np.abs(invariants - 1.0).max() <= EPS * cond, p
+            if k % 10 == 0:
+                assert state.exponent.cross_imag == 0.0, p
+            checked += 1
+        assert checked >= 3700
 
 
 class TestReferences:
@@ -256,10 +272,11 @@ class TestReferences:
                              ids=["edge", "edge-draw", "commutative", "wide", "weak",
                                   "isotropic-weak-eta", "near-degenerate"])
     def test_both_routes_within_the_check_bound(self, point, modes, sigma):
-        # the bound of the runtime check, GROUND_STATE_CHECK_TOL * cond(H),
-        # holds against 60-digit references, relative per mode and relative
-        # to the covariance's largest entry
-        from ginfo.oscillator import _polar_ground_state
+        # against 60-digit references: the modes within the runtime check's
+        # bound GROUND_STATE_CHECK_TOL * cond(H), relative per mode; the
+        # polar form within the same bound, and the reported closed-form
+        # covariance within 8 eps with no cond(H) factor, both relative to
+        # the covariance's largest entry
         p = OscillatorParams(*point)
         h = equivalent_hamiltonian(p)
         bound = GROUND_STATE_CHECK_TOL * np.linalg.cond(h)
@@ -267,64 +284,30 @@ class TestReferences:
         got = np.array([state.modes.freq1, state.modes.freq2])
         assert np.abs(got / np.array(modes) - 1.0).max() <= bound
         want = np.array(sigma)
-        for route in (state.covariance.matrix, _polar_ground_state(h, p.hbar)):
-            assert np.abs(route - want).max() <= bound * np.abs(want).max()
+        scale = np.abs(want).max()
+        assert np.abs(state.covariance.matrix - want).max() <= 8.0 * EPS * scale
+        assert np.abs(_polar_ground_state(h, p.hbar) - want).max() <= bound * scale
 
 
 class TestGroundStateCvm:
     def test_vacuum_exponent(self):
-        cvm = ground_state_cvm(GroundStateExponent(1.0, 1.0, 0.0), hbar=1.0)
-        np.testing.assert_allclose(cvm.matrix, 0.5 * np.eye(4), atol=1e-15)
+        state = ground_state(OscillatorParams(1.0, 1.0, 1.0, 1.0))
+        np.testing.assert_array_equal(state.covariance.matrix, 0.5 * np.eye(4))
+        assert (state.exponent.m11, state.exponent.m22, state.exponent.cross_imag) \
+            == (1.0, 1.0, 0.0)
 
     def test_pure_state_saturates_uncertainty(self):
         rng = np.random.default_rng(45)
         for _ in range(25):
-            e = GroundStateExponent(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
-                                    rng.uniform(-1.0, 1.0))
-            spec = symplectic_spectrum(ground_state_cvm(e, 1.0), FORM2)
-            assert spec.min() >= 1.0 - 1e-9
-            np.testing.assert_allclose(spec, 1.0, atol=1e-9)
-
-    def test_second_moments_against_quadrature(self):
-        # integrate the phase-space Gaussian on a tensor grid and compare all
-        # second moments; grid spans 6 standard deviations at 41 points/axis
-        e = ground_state(GENERIC).exponent
-        form = wigner_quadratic_form(e, 1.0)
-        block_xp = permute_ordering(ground_state_cvm(e, 1.0).matrix,
-                                    Ordering.MODE_INTERLEAVED, Ordering.BLOCK_XP)
-        sd = np.sqrt(np.diag(block_xp))
-        axes = [np.linspace(-6 * s, 6 * s, 41) for s in sd]
-        weights = [np.gradient(ax) for ax in axes]
-        x2, x3, x4 = np.meshgrid(axes[1], axes[2], axes[3], indexing="ij")
-        w_rest = np.multiply.outer(weights[1], np.multiply.outer(weights[2], weights[3]))
-        moments = np.zeros((4, 4))
-        norm = 0.0
-        for i, x1 in enumerate(axes[0]):
-            pts = np.stack([np.full(x2.shape, x1), x2, x3, x4], axis=-1)
-            density = np.exp(-np.einsum("...i,ij,...j->...", pts, form, pts)) \
-                * w_rest * weights[0][i]
-            norm += density.sum()
-            for r in range(4):
-                for s in range(r, 4):
-                    moments[r, s] += (density * pts[..., r] * pts[..., s]).sum()
-        moments = moments + np.triu(moments, 1).T
-        np.testing.assert_allclose(moments / norm, block_xp, atol=1e-4)
-
-    def test_quadratic_form_consistency(self):
-        rng = np.random.default_rng(46)
-        for _ in range(25):
             p = random_params(rng)
-            e = ground_state(p).exponent
-            form = wigner_quadratic_form(e, p.hbar)
-            assert np.linalg.eigvalsh(form).min() > 0
-            recovered = permute_ordering(0.5 * np.linalg.inv(form),
-                                         Ordering.BLOCK_XP, Ordering.MODE_INTERLEAVED)
-            np.testing.assert_allclose(recovered, ground_state_cvm(e, p.hbar).matrix,
-                                       atol=1e-10)
+            spec = symplectic_spectrum(ground_state(p).covariance.matrix / p.hbar, FORM2)
+            np.testing.assert_allclose(spec, 1.0, atol=1e-13)
 
     def test_uncorrelated_form_is_block_diagonal(self):
-        form = wigner_quadratic_form(GroundStateExponent(1.2, 0.8, 0.0), 1.0)
-        np.testing.assert_array_equal(form[:2, 2:], np.zeros((2, 2)))
+        # undeformed, the modes' cross block is exactly zero
+        state = ground_state(OscillatorParams(1.2, 0.8, 1.0, 2.0))
+        np.testing.assert_array_equal(state.covariance.matrix[:2, 2:], np.zeros((2, 2)))
+        assert state.exponent.cross_imag == 0.0
 
 
 class TestSeparability:

@@ -224,6 +224,13 @@ class TestQuantumRegion:
             assert in_quantum_region(p) is physical, shape
             assert in_separable_region(p) is separable, shape
             assert physical == (shape[2] < 1.0)
+        # an x sector whose hypotenuse is past the float range, at any scale:
+        # no state, so both windows answer False, and the verdict names it
+        edge = CanonicalTwoModeParams(kind(1.7e308), kind(1.0), kind(1.7e308), kind(0.0))
+        assert in_quantum_region(edge) is False
+        assert in_separable_region(edge) is False
+        with pytest.raises(NumericDomainError):
+            ppt_separable(edge)
 
 
 class TestPartialTranspose:
