@@ -246,10 +246,23 @@ def separability_condition(p: OscillatorParams) -> SeparabilityReport:
     a product that cancels only inside its factors. The last factor is positive
     on the admitted domain, so the state is separable exactly when ``w1 == w2``
     or on the tuned line ``eta = M theta w1 w2``, within ``TUNED_LINE_TOL`` of the sum.
+
+    Where ``M^3`` overflows (``M`` past ~1e102) or underflows to 0, or a
+    squared factor overflows, the gap is taken as ``(w1 - w2)(w1 + w2)
+    (eta/M - theta w1 w2)(eta/M + theta w1 w2)(4 hbar^2 - theta eta)^2 / M``,
+    with ``M`` divided out one mass at a time. Those products neither raise
+    nor divide by 0: a gap past the float range comes out 0 or non-finite,
+    which a report rejects as a non-finite result.
     """
     m12 = p.mass1 * p.mass2
     tuned = m12 * p.theta * p.freq1 * p.freq2
-    gap = (p.freq1 - p.freq2) * (p.freq1 + p.freq2) * (p.eta - tuned) * (p.eta + tuned) \
-        * (4.0 * p.hbar ** 2 - p.theta * p.eta) ** 2 / m12 ** 3
+    split = (p.freq1 - p.freq2) * (p.freq1 + p.freq2)
+    try:
+        gap = split * (p.eta - tuned) * (p.eta + tuned) \
+            * (4.0 * p.hbar ** 2 - p.theta * p.eta) ** 2 / m12 ** 3
+    except (OverflowError, ZeroDivisionError):
+        eta_m, line = p.eta / p.mass1 / p.mass2, p.theta * p.freq1 * p.freq2
+        edge = 4.0 * p.hbar * p.hbar - p.theta * p.eta
+        gap = split * (eta_m - line) * (eta_m + line) * edge * edge / p.mass1 / p.mass2
     on_line = abs(p.eta - tuned) <= TUNED_LINE_TOL * (p.eta + tuned)
     return SeparabilityReport(bool(p.freq1 == p.freq2 or on_line), float(gap))

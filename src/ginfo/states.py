@@ -72,24 +72,14 @@ def _canonical_matrices(rows) -> np.ndarray:
     return out
 
 
-def _sector_low(a, b, c):
-    """Low eigenvalue of the sector ``[[a, c], [c, b]]`` on Python or numpy floats.
+def _sector_eigenvalues(a, b, c):
+    """``(low, high)`` eigenvalues of the sector ``[[a, c], [c, b]]``, on floats or arrays.
 
     The canonical matrix splits into the x sector (c) and the p sector (d).
-    The low eigenvalue is the determinant over the high one,
-    ``(a + b)/2 + hypot((a - b)/2, c)``, which adds two nonnegative terms, so
-    it takes no difference of two nearly equal roots. The hypotenuse is the
-    absolute value of a complex number: the same libm ``hypot`` that
-    ``np.hypot`` runs, without a numpy call.
-    """
-    return (a * b - c * c) / (0.5 * (a + b) + abs(complex(0.5 * (a - b), c)))
-
-
-def _sector_eigenvalues(a, b, c):
-    """``(low, high)`` eigenvalues of the sector ``[[a, c], [c, b]]``, on arrays.
-
-    :func:`_sector_low`'s formula with ``np.hypot``, which also takes scalars
-    and returns numpy floats; both give the same bits on the same inputs.
+    The high eigenvalue is ``(a + b)/2 + hypot((a - b)/2, c)``, which adds two
+    nonnegative terms, and the low one is the determinant over it, so it
+    takes no difference of two nearly equal roots. On Python floats the
+    results are numpy floats, with the same bits as on arrays.
     """
     high = 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
     return (a * b - c * c) / high, high
@@ -146,18 +136,15 @@ def _window_scalars(p: CanonicalTwoModeParams):
     and ``root`` is the square root of the p-p radicand, NaN where that is
     negative, so that no ``d`` lies between the edges it sets. The radicand
     is of degree 6 in the entries and overflows past ~1e50; where any of
-    these scalars comes out non-finite, or the x sector's hypotenuse
-    overflows, the answer is ``_OVERFLOWED``, without a warning, and the
-    windows take the spectral verdict (:func:`_spectral_window`).
+    these scalars comes out non-finite, the x sector's hypotenuse included,
+    the answer is ``_OVERFLOWED``, without a warning, and the windows take
+    the spectral verdict (:func:`_spectral_window`).
     """
     a, b, c = p.a, p.b, p.c
     if a <= 0.5 or b <= 0.5:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            low = _sector_low(a, b, c)
-        except OverflowError:
-            return _OVERFLOWED
+        low = _sector_eigenvalues(a, b, c)[0]
         ratio = a / b
         scale = 4.0 * a * b
         denom = scale - 4.0 * c * c
@@ -276,7 +263,7 @@ def ppt_separable(sigma: CovarianceMatrix | CanonicalTwoModeParams) -> PptResult
       reflection folded into its signs, which changes no bit; a test pins
       the two copies together.
       The state must be positive definite: both sectors' low eigenvalues
-      (:func:`_sector_low`) must exceed ``SPD_TOL``, else NumericDomainError
+      (:func:`_sector_eigenvalues`) must exceed ``SPD_TOL``, else NumericDomainError
       as from :func:`~ginfo.symplectic.check_spd`. A sector's low eigenvalue
       is its determinant (``ab - c^2`` or ``ab - d^2``, whose product is
       ``det S``) over its high one, which is below ``2(a + b)``. So where
@@ -326,7 +313,7 @@ def _ppt_rescaled(a: float, b: float, c: float, d: float) -> PptResult:
     """
     k = max(math.frexp(max(a, b))[1], 0)
     a, b, c, d = (math.ldexp(x, -k) for x in (a, b, c, d))
-    low, low_d = _sector_low(a, b, c), _sector_low(a, b, d)
+    low, low_d = _sector_eigenvalues(a, b, c)[0], _sector_eigenvalues(a, b, d)[0]
     _check_min_eigenvalue(math.ldexp(low_d if low_d < low else low, k))
     nu = math.ldexp(_min_invariant(a, b, c, -d), k)
     return PptResult(nu >= 1.0 - RSUP_SLACK, nu - 1.0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -182,15 +182,13 @@ def _validated(matrix: np.ndarray, ordering: Ordering) -> CovarianceMatrix:
 class SymplecticForm:
     """Antisymmetric invertible matrix encoding the commutation relations.
 
-    ``orthogonal`` records whether ``M^T M == I`` holds exactly, as it does
-    for every signed-permutation form (:func:`build_symplectic_form`);
-    :func:`symplectic_spectrum` then uses ``M^T`` as the inverse. Non-finite
-    entries are rejected before any property is derived from them.
+    Checked once when built, so :func:`symplectic_spectrum` does not test its
+    invertibility again. Non-finite entries are rejected before the
+    invertibility test sees them.
     """
 
     matrix: np.ndarray
     ordering: Ordering = Ordering.MODE_INTERLEAVED
-    orthogonal: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -203,7 +201,6 @@ class SymplecticForm:
             raise NumericDomainError(f"form {fault}: max |M + M^T| = {asym:.3e}")
         _check_invertible(m, "symplectic form")
         object.__setattr__(self, "matrix", _freeze(m))
-        object.__setattr__(self, "orthogonal", np.array_equal(m.T @ m, np.eye(len(m))))
 
 
 @functools.cache
@@ -212,8 +209,8 @@ def build_symplectic_form(n_modes: int, ordering: Ordering = Ordering.MODE_INTER
 
     ``[x_k, p_k] = 1`` wherever ``ordering`` puts x_k and p_k: ``diag(J2, ...)``
     in MODE_INTERLEAVED, ``[[0, I], [-I, 0]]`` in BLOCK_XP, one per party. A
-    signed permutation is a valid orthogonal form, so it is wrapped unchecked,
-    once per ``(n_modes, ordering)`` given positionally, and shared read-only.
+    signed permutation is a valid form, so it is wrapped unchecked, once per
+    ``(n_modes, ordering)`` given positionally, and shared read-only.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
@@ -223,8 +220,8 @@ def build_symplectic_form(n_modes: int, ordering: Ordering = Ordering.MODE_INTER
     m[p, x] = -1.0
     m.setflags(write=False)
     form = object.__new__(SymplecticForm)
-    for name, value in (("matrix", m), ("ordering", ordering), ("orthogonal", True)):
-        object.__setattr__(form, name, value)
+    object.__setattr__(form, "matrix", m)
+    object.__setattr__(form, "ordering", ordering)
     return form
 
 
@@ -270,25 +267,17 @@ def symplectic_spectrum(sigma, form) -> np.ndarray:
         one a separate call on that member returns, to the last bit; a stack
         raises if any member fails validation.
 
-    ``Omega^-1 Sigma`` is taken as ``Omega^T Sigma`` for an orthogonal
-    SymplecticForm (``SymplecticForm.orthogonal``; every signed-permutation
-    form, such as :func:`build_symplectic_form` gives in every ordering),
-    and through ``solve`` for every other form and for a raw array. For a
-    signed permutation both products are exact and equal in value. They can
-    differ only in the sign of a zero entry, which the eigensolver's
-    Householder steps read: on matrices with such zeros the spectra may then
-    differ in the last bits (measured: none on mode-interleaved two-mode
-    states, up to 29 ulp on ``PARTY_BLOCK_XP`` pair states).
+    Every form, standard or deformed, takes ``Omega^-1 Sigma`` through
+    ``solve``, so a SymplecticForm and its raw matrix give the same bits. A
+    raw form is first checked for invertibility, which a SymplecticForm's
+    constructor already did.
     """
     s, w = _check_compatible(sigma, form)
     if not isinstance(sigma, CovarianceMatrix):
         s = check_spd(s)
-    if isinstance(form, SymplecticForm):
-        orthogonal = form.orthogonal   # the constructor checked invertibility
-    else:
-        orthogonal = False
+    if not isinstance(form, SymplecticForm):
         _check_invertible(w, "symplectic form")
-    eigvals = np.linalg.eigvals(w.T @ s if orthogonal else np.linalg.solve(w, s))
+    eigvals = np.linalg.eigvals(np.linalg.solve(w, s))
     # LAPACK returns the complex eigenvalues of a real matrix in exact
     # conjugate pairs, and an even dimension leaves an even number of real
     # ones, so the sorted moduli pair up exactly; their sum is twice their

@@ -569,13 +569,14 @@ def separability_sides(p):
 
     The reference for the factored ``constraint_gap`` of
     ``ginfo.oscillator.separability_condition``; the factorization itself is
-    re-derived by ``tests/reference/oscillator_factor.py``.
+    re-derived by ``tests/reference/oscillator_factor.py``. Its constants are
+    integers, so on Fraction fields it is exact.
     """
     m12 = p.mass1 * p.mass2
     h2 = p.hbar ** 2
     w1s, w2s = p.freq1 ** 2, p.freq2 ** 2
-    lhs = (4.0 * h2 / m12 + w1s * p.theta ** 2) \
-        * (p.eta / m12 + w2s * p.theta) ** 2 * (p.eta ** 2 / m12 + 4.0 * h2 * w1s)
-    rhs = (4.0 * h2 / m12 + w2s * p.theta ** 2) \
-        * (p.eta / m12 + w1s * p.theta) ** 2 * (p.eta ** 2 / m12 + 4.0 * h2 * w2s)
+    lhs = (4 * h2 / m12 + w1s * p.theta ** 2) \
+        * (p.eta / m12 + w2s * p.theta) ** 2 * (p.eta ** 2 / m12 + 4 * h2 * w1s)
+    rhs = (4 * h2 / m12 + w2s * p.theta ** 2) \
+        * (p.eta / m12 + w1s * p.theta) ** 2 * (p.eta ** 2 / m12 + 4 * h2 * w2s)
     return lhs, rhs

@@ -1,3 +1,8 @@
+import dataclasses
+import math
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -405,6 +410,40 @@ class TestSeparability:
                 assert criterion >= -1e-10
             else:
                 assert criterion < 0
+
+    # m1 m2 past ~1e102 overflows the cube of the mass product; below ~1e-108
+    # the cube underflows to 0. The first two are the golden cases
+    # oscillator-heavy and oscillator-light
+    FAR_MASSES = {
+        "heavy": OscillatorParams(1e60, 1e60, 1e-60, 2e-60),
+        "light": OscillatorParams(1e-60, 1e-60, 1e60, 2e60),
+        "heavy-tuned": OscillatorParams(1e60, 1e60, 1e-60, 2e-60,
+                                        theta=0.5, eta=1e60 * 1e60 * 0.5 * 1e-60 * 2e-60),
+    }
+
+    @pytest.mark.parametrize("name", FAR_MASSES)
+    def test_far_mass_product_keeps_a_finite_gap(self, name):
+        p = self.FAR_MASSES[name]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):   # as the CLI runs
+            ground_state(p)
+            report = separability_condition(p)
+        assert report.separable
+        assert math.isfinite(report.constraint_gap)
+
+    @pytest.mark.parametrize("p", [
+        OscillatorParams(1e60, 1e60, 1e20, 3e20, theta=1.0, eta=1.0),
+        OscillatorParams(1e-60, 1e-60, 1e-20, 3e-20, theta=1e60, eta=1e-100),
+        OscillatorParams(1e-60, 1e-60, 3e-20, 1e-20, theta=3e60, eta=2e-100, hbar=1e10),
+    ])
+    def test_far_mass_gap_matches_exact_arithmetic(self, p):
+        # entangled states whose gap is in range though the cube of the mass
+        # product is not, against the unfactored constraint in exact rationals
+        exact = SimpleNamespace(**{f.name: Fraction(getattr(p, f.name))
+                                   for f in dataclasses.fields(p)})
+        lhs, rhs = separability_sides(exact)
+        report = separability_condition(p)
+        assert not report.separable
+        assert abs(Fraction(report.constraint_gap) - (lhs - rhs)) <= 16 * EPS * abs(lhs - rhs)
 
     def test_commutative_continuity(self):
         previous = None

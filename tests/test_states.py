@@ -147,10 +147,9 @@ class TestSectorEigenvalues:
         rows = np.random.default_rng(24).uniform(0.5, 2.0, size=(50, 3))
         lows, highs = states._sector_eigenvalues(*rows.T)
         for row, low, high in zip(rows.tolist(), lows, highs):
-            assert states._sector_eigenvalues(*row) == (low, high)
             # the scalar route of the canonical PPT verdict, on both kinds of float
-            assert states._sector_low(*row) == low
-            assert states._sector_low(*map(np.float64, row)) == low
+            assert states._sector_eigenvalues(*row) == (low, high)
+            assert states._sector_eigenvalues(*map(np.float64, row)) == (low, high)
 
 
 class TestQuantumRegion:
@@ -429,7 +428,8 @@ class TestPptCanonicalRoute:
             c = float(rng.choice([-1.0, 1.0]) * np.sqrt(a * b - det))
             d = float(rng.uniform(-0.9, 0.9) * np.sqrt(a * b))
             c, d = (c, d) if rng.random() < 0.5 else (d, c)
-            positive = min(states._sector_low(a, b, c), states._sector_low(a, b, d)) > SPD_TOL
+            positive = min(states._sector_eigenvalues(a, b, c)[0],
+                           states._sector_eigenvalues(a, b, d)[0]) > SPD_TOL
             shortcut = min(a * b - c * c, a * b - d * d) > 4.0 * SPD_TOL * (a + b)
             assert positive or not shortcut
             if positive:
@@ -470,7 +470,8 @@ class TestPptCanonicalRoute:
 
 
 class TestPptEigensolverOnly:
-    """A verdict on a validated state under a standard form runs one eigensolve and nothing else."""
+    """A verdict on a validated state under a standard form runs one solve, one eigensolve
+    and nothing else."""
 
     @pytest.fixture
     def linalg_calls(self, monkeypatch):
@@ -495,10 +496,10 @@ class TestPptEigensolverOnly:
                                                                ordering), ordering=ordering)
             linalg_calls.clear()
             res = ppt_separable(cvm)
-            assert linalg_calls == {"eigvals": 1}
-            raw = symplectic_spectrum(partial_transpose(cvm), form.matrix)[0]   # the solve route
+            assert linalg_calls == {"solve": 1, "eigvals": 1}
+            raw = symplectic_spectrum(partial_transpose(cvm), form.matrix)[0]   # the same route
             assert (raw >= 1.0 - RSUP_SLACK) == res.separable
-            np.testing.assert_allclose(res.margin, raw - 1.0, rtol=0, atol=1e-13)
+            assert res.margin == raw - 1.0
 
 
 class TestSimonInvariants:

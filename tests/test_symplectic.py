@@ -68,7 +68,7 @@ class TestBuildForm:
                 form.matrix[0, 1] = 2.0
             # wrapped unchecked: the constructor's checks pass and agree
             checked = SymplecticForm(form.matrix, ordering)
-            assert checked.orthogonal and form.orthogonal and form.ordering is ordering
+            assert np.array_equal(checked.matrix, form.matrix) and form.ordering is ordering
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_odd_mode_count_has_no_party_basis(self, n):
@@ -174,7 +174,6 @@ class TestSpectrumFormCheck:
         t = random_invertible(4, np.random.default_rng(2))
         moved = t @ standard.matrix @ t.T
         skewed = SymplecticForm(0.5 * (moved - moved.T))
-        assert standard.orthogonal and not skewed.orthogonal
         for form in (standard, skewed):
             invertibility_checks.clear()
             expected = symplectic_spectrum(sigma, form.matrix)
@@ -182,6 +181,28 @@ class TestSpectrumFormCheck:
             invertibility_checks.clear()
             np.testing.assert_array_equal(symplectic_spectrum(sigma, form), expected)
             assert invertibility_checks == []
+
+    def test_form_and_its_matrix_give_the_same_bits(self, invertibility_checks):
+        # one solve route for every form, standard or deformed
+        forms = [build_symplectic_form(n, ordering)
+                 for n in (1, 2, 4) for ordering in _orderings(n)]
+        forms += [bipartite.bopp_shift(bipartite.PairConfig(0.1, 0.2, theta, eta)).form
+                  for theta, eta in ((0.3, 0.0), (0.0, 0.7), (0.4, -0.9))]
+        assert len(forms) == 11
+        rng = np.random.default_rng(70)
+        for form in forms:
+            dim = len(form.matrix)
+            stack = np.array([random_spd(dim, rng) for _ in range(40)])
+            invertibility_checks.clear()
+            rows = np.array([symplectic_spectrum(m, form) for m in stack])
+            batched = symplectic_spectrum(stack, form)
+            assert invertibility_checks == []
+            assert np.array_equal(rows, np.array([symplectic_spectrum(m, form.matrix)
+                                                  for m in stack]))
+            assert np.array_equal(batched, symplectic_spectrum(stack, form.matrix))
+            assert np.array_equal(batched, rows)
+            # a raw array is checked
+            assert invertibility_checks == [(dim, dim)] * (len(stack) + 1)
 
 
 class TestSpectrumStack:
@@ -255,67 +276,6 @@ class TestFormValidation:
         sigma = bipartite.pair_cvm(bipartite.PairConfig(0.2, 0.1))
         np.testing.assert_allclose(symplectic_spectrum(sigma, form),
                                    symplectic_spectrum(sigma, PARTY_FORM) / scale, rtol=1e-13)
-
-
-class TestOrthogonalForms:
-    """A signed-permutation form inverts by its transpose instead of ``solve``."""
-
-    @pytest.fixture
-    def solve_calls(self, monkeypatch):
-        calls = []
-        real = np.linalg.solve
-
-        def counted(a, b):
-            calls.append(np.shape(b))
-            return real(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", counted)
-        return calls
-
-    @pytest.mark.parametrize("ordering, n", [(o, n) for o in Ordering for n in (1, 2, 4)
-                                             if o in _orderings(n)])
-    def test_spectrum_equals_the_solve_route(self, solve_calls, n, ordering):
-        form = build_symplectic_form(n, ordering)
-        assert form.orthogonal
-        rng = np.random.default_rng(70 + n)
-        stack = np.array([random_spd(2 * n, rng) for _ in range(40)])
-        solve_calls.clear()
-        rows = np.array([symplectic_spectrum(m, form) for m in stack])
-        batched = symplectic_spectrum(stack, form)
-        assert solve_calls == []                    # the transpose route was taken
-        assert np.array_equal(rows, np.array([symplectic_spectrum(m, form.matrix) for m in stack]))
-        assert np.array_equal(batched, symplectic_spectrum(stack, form.matrix))
-        assert np.array_equal(batched, rows)
-        assert len(solve_calls) == len(stack) + 1   # a raw array takes solve
-
-    @pytest.mark.parametrize("n", [2, 4])
-    @pytest.mark.parametrize("ordering", list(Ordering))
-    def test_signed_zeros_move_last_bits_only(self, n, ordering):
-        # block-diagonal states reflected by sign flips: the two products
-        # agree in value but not in the signs of their zeros
-        form = build_symplectic_form(n, ordering)
-        rng = np.random.default_rng(80 + n)
-        signs = np.where(np.arange(2 * n) % 3 == 1, -1.0, 1.0)
-        mask = np.kron(np.eye(n), np.ones((2, 2)))
-        stack = np.array([(mask * random_spd(2 * n, rng) + np.eye(2 * n)) * np.outer(signs, signs)
-                          for _ in range(200)])
-        assert np.array_equal(form.matrix.T @ stack, np.linalg.solve(form.matrix, stack))
-        np.testing.assert_allclose(symplectic_spectrum(stack, form),
-                                   symplectic_spectrum(stack, form.matrix), rtol=1e-13, atol=0)
-
-    def test_party_forms_are_orthogonal(self):
-        assert PARTY_FORM.orthogonal
-        assert bipartite.bopp_shift(bipartite.PairConfig(0.1, 0.2)).form.orthogonal
-
-    @pytest.mark.parametrize("theta, eta", [(0.3, 0.0), (0.0, 0.7), (0.4, -0.9)])
-    def test_bopp_form_takes_solve(self, solve_calls, theta, eta):
-        form = bipartite.bopp_shift(bipartite.PairConfig(0.1, 0.2, theta, eta)).form
-        assert not form.orthogonal
-        sigma = random_spd(8, np.random.default_rng(9))
-        solve_calls.clear()
-        np.testing.assert_array_equal(symplectic_spectrum(sigma, form),
-                                      symplectic_spectrum(sigma, form.matrix))
-        assert solve_calls == [(8, 8), (8, 8)]
 
 
 class TestValidatedWrapper:
