@@ -31,6 +31,32 @@ PARTY_FORM = build_symplectic_form(4, Ordering.PARTY_BLOCK_XP)
 EPS = np.finfo(float).eps
 
 
+@pytest.fixture
+def invertibility_checks(monkeypatch):
+    calls = []
+    real = symplectic._check_invertible
+
+    def counted(matrix, what):
+        calls.append(np.shape(matrix))
+        return real(matrix, what)
+
+    monkeypatch.setattr(symplectic, "_check_invertible", counted)
+    return calls
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    calls = []
+    real = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(np.shape(b))
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
 class TestBuildForm:
     def test_single_mode_interleaved(self):
         form = build_symplectic_form(1, Ordering.MODE_INTERLEAVED)
@@ -150,18 +176,6 @@ class TestSpectrum:
 class TestSpectrumFormCheck:
     """The form's invertibility check is skipped only where its constructor already made it."""
 
-    @pytest.fixture
-    def invertibility_checks(self, monkeypatch):
-        calls = []
-        real = symplectic._check_invertible
-
-        def counted(matrix, what):
-            calls.append(np.shape(matrix))
-            return real(matrix, what)
-
-        monkeypatch.setattr(symplectic, "_check_invertible", counted)
-        return calls
-
     def test_raw_singular_array_raises(self):
         bad = np.zeros((4, 4))
         bad[:2, :2] = J2
@@ -181,28 +195,6 @@ class TestSpectrumFormCheck:
             invertibility_checks.clear()
             np.testing.assert_array_equal(symplectic_spectrum(sigma, form), expected)
             assert invertibility_checks == []
-
-    def test_form_and_its_matrix_give_the_same_bits(self, invertibility_checks):
-        # one solve route for every form, standard or deformed
-        forms = [build_symplectic_form(n, ordering)
-                 for n in (1, 2, 4) for ordering in _orderings(n)]
-        forms += [bipartite.bopp_shift(bipartite.PairConfig(0.1, 0.2, theta, eta)).form
-                  for theta, eta in ((0.3, 0.0), (0.0, 0.7), (0.4, -0.9))]
-        assert len(forms) == 11
-        rng = np.random.default_rng(70)
-        for form in forms:
-            dim = len(form.matrix)
-            stack = np.array([random_spd(dim, rng) for _ in range(40)])
-            invertibility_checks.clear()
-            rows = np.array([symplectic_spectrum(m, form) for m in stack])
-            batched = symplectic_spectrum(stack, form)
-            assert invertibility_checks == []
-            assert np.array_equal(rows, np.array([symplectic_spectrum(m, form.matrix)
-                                                  for m in stack]))
-            assert np.array_equal(batched, symplectic_spectrum(stack, form.matrix))
-            assert np.array_equal(batched, rows)
-            # a raw array is checked
-            assert invertibility_checks == [(dim, dim)] * (len(stack) + 1)
 
 
 class TestSpectrumStack:
@@ -276,6 +268,68 @@ class TestFormValidation:
         sigma = bipartite.pair_cvm(bipartite.PairConfig(0.2, 0.1))
         np.testing.assert_allclose(symplectic_spectrum(sigma, form),
                                    symplectic_spectrum(sigma, PARTY_FORM) / scale, rtol=1e-13)
+
+
+class TestOrthogonalForms:
+    """A signed-permutation form takes the same ``solve`` route as every other form."""
+
+    @pytest.mark.parametrize("ordering, n", [(o, n) for o in Ordering for n in (1, 2, 4)
+                                             if o in _orderings(n)])
+    def test_spectrum_equals_the_solve_route(self, invertibility_checks, solve_calls, n, ordering):
+        form = build_symplectic_form(n, ordering)
+        rng = np.random.default_rng(70 + n)
+        stack = np.array([random_spd(2 * n, rng) for _ in range(40)])
+        invertibility_checks.clear()
+        solve_calls.clear()
+        rows = np.array([symplectic_spectrum(m, form) for m in stack])
+        batched = symplectic_spectrum(stack, form)
+        assert len(solve_calls) == len(stack) + 1   # the form takes solve
+        assert invertibility_checks == []
+        assert np.array_equal(rows, np.array([symplectic_spectrum(m, form.matrix) for m in stack]))
+        assert np.array_equal(batched, symplectic_spectrum(stack, form.matrix))
+        assert np.array_equal(batched, rows)
+        # only the raw array is checked
+        assert invertibility_checks == [(2 * n, 2 * n)] * (len(stack) + 1)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_signed_zeros_move_last_bits_only(self, n, ordering):
+        # block-diagonal states reflected by sign flips: the transpose product
+        # agrees with solve in value but not in the signs of its zeros, so
+        # one solve route gives a form and its raw matrix the same bits
+        form = build_symplectic_form(n, ordering)
+        rng = np.random.default_rng(80 + n)
+        signs = np.where(np.arange(2 * n) % 3 == 1, -1.0, 1.0)
+        mask = np.kron(np.eye(n), np.ones((2, 2)))
+        stack = np.array([(mask * random_spd(2 * n, rng) + np.eye(2 * n)) * np.outer(signs, signs)
+                          for _ in range(200)])
+        assert np.array_equal(form.matrix.T @ stack, np.linalg.solve(form.matrix, stack))
+        assert np.array_equal(symplectic_spectrum(stack, form),
+                              symplectic_spectrum(stack, form.matrix))
+
+    def test_party_forms_are_orthogonal(self):
+        sigma = random_spd(8, np.random.default_rng(8))
+        for form in (PARTY_FORM, bipartite.bopp_shift(bipartite.PairConfig(0.1, 0.2)).form):
+            assert np.array_equal(form.matrix.T @ form.matrix, np.eye(8))
+            np.testing.assert_array_equal(symplectic_spectrum(sigma, form),
+                                          symplectic_spectrum(sigma, form.matrix))
+
+    @pytest.mark.parametrize("theta, eta", [(0.3, 0.0), (0.0, 0.7), (0.4, -0.9)])
+    def test_bopp_form_takes_solve(self, invertibility_checks, solve_calls, theta, eta):
+        form = bipartite.bopp_shift(bipartite.PairConfig(0.1, 0.2, theta, eta)).form
+        assert not np.array_equal(form.matrix.T @ form.matrix, np.eye(8))
+        rng = np.random.default_rng(9)
+        sigma = random_spd(8, rng)
+        stack = np.array([random_spd(8, rng) for _ in range(40)])
+        invertibility_checks.clear()
+        solve_calls.clear()
+        np.testing.assert_array_equal(symplectic_spectrum(sigma, form),
+                                      symplectic_spectrum(sigma, form.matrix))
+        assert solve_calls == [(8, 8), (8, 8)]
+        assert invertibility_checks == [(8, 8)]     # only the raw array is checked
+        rows = np.array([symplectic_spectrum(m, form) for m in stack])
+        assert np.array_equal(symplectic_spectrum(stack, form), rows)
+        assert np.array_equal(symplectic_spectrum(stack, form.matrix), rows)
 
 
 class TestValidatedWrapper:
