@@ -1,10 +1,10 @@
 """Plain-text covariance-matrix files.
 
-Format: one comment header naming the ordering and mode count, then one row
-of 17-significant-digit decimals per matrix row. The decimal round trip is
-bit exact. The ordering is one of :class:`~ginfo.symplectic.Ordering`, so
-every state read from a file has a form to check its uncertainty bound
-against.
+Format: one comment header of the fields modes and ordering, once each,
+then one row of 17-significant-digit decimals per matrix row. The decimal
+round trip is bit exact. The ordering is one of
+:class:`~ginfo.symplectic.Ordering`, so every state read from a file has a
+form to check its uncertainty bound against.
 """
 
 from __future__ import annotations
@@ -32,11 +32,16 @@ def parse_cvm(text: str) -> CovarianceMatrix:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(_HEADER_TAG):
         raise ValueError("matrix file must start with a '# cvm' header line")
-    tokens = lines[0][len(_HEADER_TAG):].split()
-    for tok in tokens:
+    fields = {}
+    for tok in lines[0][len(_HEADER_TAG):].split():
         if "=" not in tok:
             raise ValueError(f"matrix header token {tok!r} is not a key=value field")
-    fields = dict(tok.split("=", 1) for tok in tokens)
+        key, value = tok.split("=", 1)
+        if key not in ("modes", "ordering"):
+            raise ValueError(f"matrix header field {key!r} is not 'modes' or 'ordering'")
+        if key in fields:
+            raise ValueError(f"matrix header field {key!r} is given twice")
+        fields[key] = value
     try:
         modes = fields["modes"]
         ordering = Ordering(fields["ordering"])

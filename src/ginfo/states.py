@@ -4,9 +4,9 @@ The canonical family is the standard block form ``[[a I, C], [C, b I]]`` with
 ``C = diag(c, d)`` in the mode-interleaved basis (x1, p1, x2, p2): mode 1 has
 variances (a, a), mode 2 has (b, b), and c, d are the x-x and p-p cross
 correlations. Membership tests for the physical and separable parameter
-regions follow their closed-form windows; the verdicts on the state's
-invariants (:func:`ginfo.symplectic.rsup_check`, :func:`ppt_separable`)
-are authoritative whenever the two disagree on a boundary.
+regions follow their closed-form windows, signs that build no matrix at any
+scale; the verdicts on the state's invariants (:func:`ginfo.symplectic.rsup_check`,
+:func:`ppt_separable`) are authoritative whenever the two disagree on a boundary.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericDomainError
 from .policy import RSUP_SLACK, SPD_TOL
 from .symplectic import (
     J2,
@@ -123,88 +122,54 @@ def canonical_two_mode_cvm(p: CanonicalTwoModeParams) -> CovarianceMatrix:
     return CovarianceMatrix(canonical_two_mode_matrix(p), ordering=Ordering.MODE_INTERLEAVED)
 
 
-_OVERFLOWED = "overflowed"   # _window_scalars' answer where an entry's size overflows the windows
+def _uncertainty_window(a: float, b: float, c: float, d: float) -> bool:
+    """Whether canonical (a, b, c, d) is a state whose invariants are both at least 1.
 
-
-def _window_scalars(p: CanonicalTwoModeParams):
-    """``(ratio, denom, gap, root)`` that both closed-form windows share, None
-    outside them, or ``_OVERFLOWED``.
-
-    Outside means ``a`` or ``b`` at most 1/2, or an x sector that is no state:
-    its low eigenvalue is at most ``SPD_TOL`` (the volume gate's rule). Inside,
-    ``denom = 4ab - 4c^2`` is four times that eigenvalue's positive numerator,
-    and ``root`` is the square root of the p-p radicand, NaN where that is
-    negative, so that no ``d`` lies between the edges it sets. The radicand
-    is of degree 6 in the entries and overflows past ~1e50; where any of
-    these scalars comes out non-finite, the x sector's hypotenuse included,
-    the answer is ``_OVERFLOWED``, without a warning, and the windows take
-    the spectral verdict (:func:`_spectral_window`).
+    Outside are ``a`` or ``b`` at most 1/2, and an x sector whose low
+    eigenvalue is at most ``SPD_TOL`` (the volume gate's rule). Inside, the
+    squared invariants are the roots of ``x^2 - 4 Delta x + 16 det S``, so
+    both are at least 1 where ``16 det S - 4 Delta + 1`` and ``Delta - 1/2``
+    are nonnegative. These are ``16 (x y - e/4)`` and ``x + y + e`` for
+    ``x, y = ab - 1/4 - c^2, ab - 1/4 - d^2``, ``e = (a - b)^2 + (c + d)^2``
+    and ``ab - 1/4 = uv + (u + v)/2``, ``u, v = a - 1/2, b - 1/2``
+    (``tests/reference/canonical_windows.py``), which keep their digits near
+    the vacuum, where the polynomial's terms cancel far below the rounding
+    of 1. The signs are taken on ``(a, b, c, d) * 2^-k``, 1/2 on ``2^-k/2``,
+    ``k`` the mean exponent of ``a`` and ``b``: the scaled ``ab`` lies in
+    [1/4, 2), so no product of a state overflows, even with ``b << a``.
     """
-    a, b, c = p.a, p.b, p.c
     if a <= 0.5 or b <= 0.5:
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        low = _sector_eigenvalues(a, b, c)[0]
-        ratio = a / b
-        scale = 4.0 * a * b
-        denom = scale - 4.0 * c * c
-        gap = (np.sqrt(scale) + 1.0 / np.sqrt(scale)) ** 2 \
-            - (np.sqrt(ratio) + 1.0 / np.sqrt(ratio)) ** 2
-        radicand = c * c + 0.25 * scale * denom * (gap - 4.0 * c * c)
-    if low <= SPD_TOL:
-        return None
-    if not all(map(math.isfinite, (low, ratio, scale, denom, gap, radicand))):
-        return _OVERFLOWED
-    root = np.sqrt(radicand) if radicand >= 0 else np.nan
-    return ratio, denom, gap, root
-
-
-def _spectral_window(p: CanonicalTwoModeParams, separable: bool) -> bool:
-    """Window membership from the spectra of the built matrix: positive
-    definite, :func:`~ginfo.symplectic.rsup_check` valid and, for the
-    separable window, :func:`ppt_separable` on the matrix."""
-    try:
-        cvm = canonical_two_mode_cvm(p)
-    except NumericDomainError:
         return False
-    return rsup_check(cvm).valid and (not separable or ppt_separable(cvm).separable)
+    k = (math.frexp(a)[1] + math.frexp(b)[1]) // 2
+    a, b, c, d = (math.ldexp(x, -k) for x in (a, b, c, d))
+    if math.ldexp(_sector_eigenvalues(a, b, c)[0], k) <= SPD_TOL:
+        return False
+    h = math.ldexp(0.5, -k)
+    u, v = a - h, b - h
+    excess = u * v + (u + v) * h
+    x, y = excess - c * c, excess - d * d
+    e = (a - b) * (a - b) + (c + d) * (c + d)
+    return x * y >= e * h * h and x + y + e >= 0.0
 
 
 def in_quantum_region(p: CanonicalTwoModeParams) -> bool:
     """Closed-form membership test for physically admissible (a, b, c, d).
 
-    The cap on ``c^2`` takes the larger of ``a/b`` and ``b/a``. Agreement with
-    ``rsup_check`` on the built matrix is property-tested; the spectral check
-    wins on any boundary disagreement, and decides where the entries are too
-    large for the closed form.
+    The uncertainty window (:func:`_uncertainty_window`); ``rsup_check`` on
+    the built matrix wins on any boundary disagreement (property-tested).
     """
-    window = _window_scalars(p)
-    if window is None:
-        return False
-    if window is _OVERFLOWED:
-        return _spectral_window(p, separable=False)
-    ratio, denom, _, root = window
-    c = p.c
-    return bool(c * c < (4.0 * p.a * p.b - max(ratio, 1.0 / ratio)) / 4.0
-                and (-c - root) / denom <= p.d <= (-c + root) / denom)
+    return _uncertainty_window(*p)
 
 
 def in_separable_region(p: CanonicalTwoModeParams) -> bool:
     """Closed-form membership test for the separable window, ``c = 0`` included.
 
-    :func:`ppt_separable` is authoritative on conflict, and decides on the
-    built matrix where the entries are too large for the closed form. A
-    ``selftest`` battery checks the two against each other away from the
-    boundary.
+    The state and its mirror reflection ``d -> -d`` both lie in the
+    uncertainty window (:func:`_uncertainty_window`). :func:`ppt_separable`
+    is authoritative on conflict; a ``selftest`` battery checks the two
+    against each other away from the boundary.
     """
-    window = _window_scalars(p)
-    if window is None:
-        return False
-    if window is _OVERFLOWED:
-        return _spectral_window(p, separable=True)
-    _, denom, gap, root = window
-    c = abs(p.c)
-    return bool(2.0 * c < np.sqrt(max(gap, 0.0)) and abs(p.d) <= (root - c) / denom)
+    return _uncertainty_window(*p) and _uncertainty_window(p.a, p.b, p.c, -p.d)
 
 
 @functools.cache

@@ -208,6 +208,15 @@ class TestDistance:
         assert capsys.readouterr().err == ("validation error: state 1 rejected: matrix header "
                                            "token 'v2' is not a key=value field\n")
 
+    def test_header_field_given_twice_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cvm"
+        bad.write_text("# cvm modes=1 ordering=block_xp ordering=mode_interleaved\n1 0\n0 1\n")
+        code, text = run(tmp_path, "--command", "distance",
+                         "--sigma1", str(bad), "--a0", "1", "--b0", "1")
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err == ("validation error: state 1 rejected: matrix header "
+                                           "field 'ordering' is given twice\n")
+
     def test_ragged_file_body_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.cvm"
         bad.write_text("# cvm modes=2 ordering=mode_interleaved\n1 0 0 0\n0 1 0\n"

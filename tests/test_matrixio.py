@@ -79,8 +79,12 @@ def test_mode_count_checked():
      "matrix row 1 does not match modes=1: 3 entries"),
     ("# cvm modes=1 ordering=mode_interleaved\n1 0\n0 1\n0 0\n",
      "matrix body does not match modes=1: 3 rows, not 2"),
+    ("# cvm modes=2 ordering=block_xp ordering=mode_interleaved\n" + "1 0 0 0\n" * 4,
+     "matrix header field 'ordering' is given twice"),
+    ("# cvm modes=2 ordering=mode_interleaved colour=red\n" + "1 0 0 0\n" * 4,
+     "matrix header field 'colour' is not 'modes' or 'ordering'"),
 ], ids=["modes-zero", "modes-not-a-number", "modes-negative", "no-rows", "short-row",
-        "long-row", "extra-row"])
+        "long-row", "extra-row", "ordering-twice", "unknown-field"])
 def test_malformed_body_named(body, message):
     with pytest.raises(ValueError) as info:
         parse_cvm(body)

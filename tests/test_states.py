@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,52 @@ from helpers import (
 )
 
 EPS = np.finfo(float).eps
+
+# canonical shapes (a, b, c, d) that the windows meet at every scale
+LARGE_ENTRY_SHAPES = [(1.0, 1.0, 0.1, 0.05), (1.0, 2.0, -0.3, 0.2), (1.0, 1.0, 1.5, 0.0),
+                      (1.0, 1e-12, 1e-7, -2e-7)]
+
+
+def _exact_window(a, b, c, d):
+    """``16 det S - 4 Delta + 1 >= 0`` and ``Delta >= 1/2``, in rational arithmetic on the floats."""
+    a, b, c, d = map(Fraction, (a, b, c, d))
+    delta = a * a + b * b + 2 * c * d
+    det = (a * b - c * c) * (a * b - d * d)
+    return 16 * det - 4 * delta + 1 >= 0 and 2 * delta >= 1
+
+
+WINDOW_CORPORA = ("scaled", "anisotropic", "near-vacuum", "squeezed")
+
+
+def _window_corpus(name: str, n: int) -> np.ndarray:
+    """``(n, 4)`` seeded canonical rows (a, b, c, d) of one of ``WINDOW_CORPORA``.
+
+    * scaled: a, b of one size between 1 and 1e300, |c|, |d| < 0.95 sqrt(ab);
+    * anisotropic: a up to 1e300, b below 2.5, |c|, |d| < 0.95 sqrt(ab);
+    * near-vacuum: a, b within 1e-14 ... 1 of 1/2 (half of them within an ulp
+      of each other), |c|, |d| between 1e-300 and 0.1, where the polynomial's
+      terms cancel to far below the rounding of 1;
+    * squeezed: two-mode squeezed thermal states a = b = mu cosh(2r)/2,
+      c = -d = mu sinh(2r)/2 up to r = 6, mu = e^(2r U(-0.5, 2)) up to ~3e10:
+      unphysical, entangled and separable.
+    """
+    rng = np.random.default_rng(35)
+    if name == "near-vacuum":
+        a, b = 0.5 + 10.0 ** rng.uniform(-14, 0, (2, n))
+        b[: n // 2] = a[: n // 2] + rng.integers(-1, 2, n // 2) * np.spacing(a[: n // 2])
+        c, d = rng.choice([-1.0, 1.0], (2, n)) * 10.0 ** rng.uniform(-300, -1, (2, n))
+    elif name == "squeezed":
+        r = rng.uniform(0.01, 6.0, n)
+        mu = np.exp(2.0 * r * rng.uniform(-0.5, 2.0, n))
+        a = b = mu * np.cosh(2.0 * r) / 2.0
+        c = mu * np.sinh(2.0 * r) / 2.0
+        d = -c
+    else:
+        scale = 10.0 ** rng.uniform(0, 300, n)
+        a = rng.uniform(0.6, 2.5, n) * scale
+        b = rng.uniform(0.6, 2.5, n) * (scale if name == "scaled" else 1.0)
+        c, d = rng.uniform(-0.95, 0.95, (2, n)) * np.sqrt(a) * np.sqrt(b)
+    return np.column_stack([a, b, c, d])
 
 
 class TestCanonicalForm:
@@ -205,13 +252,13 @@ class TestQuantumRegion:
         assert set(verdicts) == {(True, True)} and verdicts[True, True] > 1000
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("scale", [1e40, 1e60, 1e78, 1e160, 1e300])
+    @pytest.mark.parametrize("scale", [1e40, 1e60, 1e78, 1e100, 1e160, 1e200, 1e250, 1e300])
     @pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "float64"])
     def test_windows_at_large_entries(self, kind, scale):
-        # the p-p radicand is of degree 6 in the entries and overflows past
-        # ~1e50, 4ab past ~1e154; there the windows take the spectral verdicts,
-        # without a warning. The last shape is no state (ab < c^2)
-        for shape in [(1.0, 1.0, 0.1, 0.05), (1.0, 2.0, -0.3, 0.2), (1.0, 1.0, 1.5, 0.0)]:
+        # the windows agree with the spectral verdicts on the built matrix at
+        # every scale, without a warning. The third shape is no state
+        # (ab < c^2); the last has b twelve decades below a
+        for shape in LARGE_ENTRY_SHAPES:
             p = CanonicalTwoModeParams(*(kind(scale * x) for x in shape))
             try:
                 cvm = canonical_two_mode_cvm(p)
@@ -230,6 +277,51 @@ class TestQuantumRegion:
         assert in_separable_region(edge) is False
         with pytest.raises(NumericDomainError):
             ppt_separable(edge)
+
+    def test_windows_build_no_matrix(self, monkeypatch):
+        # the windows are scalar arithmetic at every scale: no matrix is
+        # built and no linear-algebra routine runs
+        calls = Counter()
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("eigvalsh", "eigvals", "solve", "svd"):
+            spy(np.linalg, name)
+        spy(CovarianceMatrix, "__init__")
+        verdicts = set()
+        for scale in (1.0, 1e60, 1e200):
+            for shape in LARGE_ENTRY_SHAPES[:3]:
+                p = CanonicalTwoModeParams(*(scale * x for x in shape))
+                verdicts.add((in_quantum_region(p), in_separable_region(p)))
+        assert calls == {}
+        assert verdicts == {(True, True), (False, False)}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("corpus", WINDOW_CORPORA)
+    def test_windows_match_exact_arithmetic(self, corpus):
+        # each window equals the sign test 16 det S - 4 Delta + 1 >= 0 on the
+        # branch Delta >= 1/2, taken in exact rational arithmetic on the same
+        # floats; the separable window on the state and on its mirror
+        # reflection d -> -d. The outside rules decide no verdict here: a state
+        # with a or b below 1/2 fails the sign test too, and the corpora keep
+        # the x sector far from singular
+        verdicts = Counter()
+        for row in _window_corpus(corpus, 2000).tolist():
+            a, b, c, d = row
+            p = CanonicalTwoModeParams(*row)
+            physical = _exact_window(a, b, c, d)
+            separable = physical and _exact_window(a, b, c, -d)
+            assert in_quantum_region(p) is physical, row
+            assert in_separable_region(p) is separable, row
+            verdicts[physical, separable] += 1
+        assert len(verdicts) >= (3 if corpus == "squeezed" else 2)
 
 
 class TestPartialTranspose:
