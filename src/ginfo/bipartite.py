@@ -33,7 +33,9 @@ from .symplectic import (
     Ordering,
     SymplecticForm,
     _check_finite,
+    _check_singular_values,
     _validated,
+    _validated_form,
     build_symplectic_form,
     symplectic_spectrum,
 )
@@ -105,15 +107,39 @@ def bopp_shift(cfg: PairConfig) -> BoppShift:
     Per party the transform is ``[[I, -(theta/2) J2], [(eta/2) J2, I]]`` on
     (x1, x2, p1, p2); the induced form has ``theta J2`` and ``eta J2`` corner
     blocks and ``(1 + theta eta / 4) I`` cross blocks. ``PairConfig`` keeps
-    ``theta eta < 4``, where the shift is invertible; the induced form is
-    checked like every other, by the ``SymplecticForm`` constructor.
+    ``theta eta < 4``, where the shift is invertible. The form is decided
+    invertible by the ``SINGULAR_RCOND`` rule on its singular values, which
+    are known in closed form (:func:`_form_singular_values`), and wrapped
+    without the SVD and the antisymmetry check of the ``SymplecticForm``
+    constructor: ``0.5 (F - F^T)`` is antisymmetric by construction.
     """
+    _check_singular_values(*_form_singular_values(cfg.theta, cfg.eta), "symplectic form")
     s = np.eye(8)
     s[0:2, 2:4] = s[4:6, 6:8] = -cfg.theta / 2.0 * J2
     s[2:4, 0:2] = s[6:8, 4:6] = cfg.eta / 2.0 * J2
     deformed = s @ build_symplectic_form(4, Ordering.PARTY_BLOCK_XP).matrix @ s.T
-    return BoppShift(matrix=s, form=SymplecticForm(0.5 * (deformed - deformed.T),
-                                                   Ordering.PARTY_BLOCK_XP))
+    return BoppShift(matrix=s, form=_validated_form(0.5 * (deformed - deformed.T),
+                                                    Ordering.PARTY_BLOCK_XP))
+
+
+def _form_singular_values(theta: float, eta: float) -> tuple[float, float]:
+    """Smallest and largest singular value of the Bopp-shifted form, in closed form.
+
+    Each party's block ``[[theta J2, k I], [-k I, eta J2]]``, ``k = 1 + theta eta/4``,
+    is the complex 2x2 matrix ``[[i theta, k], [-k, i eta]]`` with ``J2``
+    acting as ``i``, so the form's singular values are that matrix's two,
+    four times each. Its determinant is ``k^2 - theta eta = h^2`` with
+    ``h = 1 - theta eta / 4`` and its squared Frobenius norm is
+    ``theta^2 + eta^2 + 2 k^2``; so the sum and the difference of the two
+    singular values are ``hypot(theta - eta, 2k)`` and ``|theta + eta|``.
+    The largest is their mean, and the smallest ``h^2`` over it, taken as
+    ``h (h / s_max)``, which cancels nothing and cannot overflow
+    (``h <= s_max``). A ``theta eta`` past the float range gives NaN.
+    """
+    p = theta * eta
+    h = 1.0 - p / 4.0
+    s_max = 0.5 * (math.hypot(theta - eta, 2.0 + p / 2.0) + abs(theta + eta))
+    return h * (h / s_max), s_max
 
 
 @dataclass(frozen=True, eq=False)

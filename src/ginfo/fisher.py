@@ -21,7 +21,8 @@ import numpy as np
 from .errors import NumericDomainError
 from .policy import RSUP_SLACK, SPD_TOL
 from .states import (CanonicalTwoModeParams, _canonical_matrices, _min_invariant,
-                     _sector_eigenvalues, canonical_two_mode_matrix, ppt_separable)
+                     _sector_eigenvalues, _validated_records, canonical_two_mode_matrix,
+                     ppt_separable)
 from .symplectic import (
     _check_finite,
     _check_spd_matrix,
@@ -303,9 +304,11 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
     :class:`~ginfo.states.CanonicalTwoModeParams` records of Python floats,
     one per physical row: a pass of the verdict gives the keep mask, then one
     pass each of :func:`regularizer_value` and :func:`fisher_det_two_mode`
-    over the kept records. The integrand ``damping * sqrt(max(det, 0))`` is
-    one numpy expression on the two result arrays, written into the sample
-    array once.
+    over the kept records. The gate has shown every physical row finite with
+    ``a, b > 0``, so the records are built from its columns unchecked
+    (:func:`~ginfo.states._validated_records`), not through the constructor.
+    The integrand ``damping * sqrt(max(det, 0))`` is one numpy expression on
+    the two result arrays, written into the sample array once.
     """
     if samples < MIN_VOLUME_SAMPLES:
         raise ValueError(f"use at least {MIN_VOLUME_SAMPLES} samples")
@@ -315,7 +318,7 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
     box_volume = float(np.prod(highs - lows))
     draws = rng.uniform(lows, highs, size=(samples, 4))
     rows = np.flatnonzero(_physical(draws))
-    records = list(map(CanonicalTwoModeParams, *draws[rows].T.tolist()))
+    records = _validated_records(draws[rows].T.tolist())
     if region.predicate != "quantum":
         separable = np.fromiter(map(itemgetter(0), map(ppt_separable, records)),  # .separable
                                 bool, len(records))

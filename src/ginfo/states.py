@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +48,8 @@ class CanonicalTwoModeParams(_CanonicalFields):
 
     An immutable named tuple, checked when built: every entry finite and
     ``a, b > 0``. Build new records with the constructor; the named tuple's
-    ``_make`` and ``_replace`` skip the checks.
+    ``_make`` and ``_replace`` skip the checks, and so does
+    :func:`_validated_records`, for rows that a caller has already checked.
     """
 
     __slots__ = ()
@@ -58,6 +60,16 @@ class CanonicalTwoModeParams(_CanonicalFields):
         if a <= 0 or b <= 0:
             raise ValueError(f"diagonal entries must be positive, got a={a}, b={b}")
         return tuple.__new__(cls, (a, b, c, d))
+
+
+def _validated_records(columns) -> list[CanonicalTwoModeParams]:
+    """Records of the rows of four columns (a, b, c, d), unchecked.
+
+    The caller vouches for every row: finite entries with ``a, b > 0``, as
+    the volume gate has shown of each physical draw. The entries are taken
+    as they are, so columns of Python floats give records of Python floats.
+    """
+    return list(map(tuple.__new__, repeat(CanonicalTwoModeParams), zip(*columns)))
 
 
 def _canonical_matrices(rows) -> np.ndarray:
@@ -235,7 +247,8 @@ def ppt_separable(sigma: CovarianceMatrix | CanonicalTwoModeParams) -> PptResult
       both determinants exceed ``4 SPD_TOL (a + b)``, both lows exceed
       ``2 SPD_TOL`` and the check passes without them. Nearer the edge, and
       where an entry's size overflows the products (past ~1e77,
-      ``det S ~ a^4``), :func:`_ppt_rescaled` takes the verdict.
+      ``det S ~ a^4`` and ``skew^2 ~ a^4``), :func:`_ppt_rescaled` takes the
+      verdict.
 
     Both routes return a built-in ``bool`` and ``float``, also for entries
     that are numpy floats.
@@ -253,6 +266,8 @@ def ppt_separable(sigma: CovarianceMatrix | CanonicalTwoModeParams) -> PptResult
             disc = skew * skew + 4.0 * (a * c - b * d) * (b * c - a * d)
             if disc < 0.0:
                 disc = 0.0
+            elif not disc < math.inf:   # skew^2 overflowed, and nu would come out 0
+                return _ppt_rescaled(a, b, c, d)
             nu = (8.0 * (det_c * det_d) / (aa + bb - 2.0 * c * d + disc ** 0.5)) ** 0.5
             if nu - nu == 0.0:    # finite
                 return tuple.__new__(PptResult, (nu >= 1.0 - RSUP_SLACK, nu - 1.0))
@@ -265,22 +280,35 @@ def _ppt_rescaled(a: float, b: float, c: float, d: float) -> PptResult:
     """:func:`ppt_separable`'s closed form off its fast path, on ``(a, b, c, d) * 2^-k``.
 
     The fast path leaves a state near or past the edge of positive
-    definiteness, where the sector lows decide, and one whose determinants
-    or invariant came out non-finite because an entry's size overflowed a
-    product. ``k`` is the exponent of ``max(a, b)``, floored at 0, so the
-    scaling only shrinks and cannot overflow: the larger of the scaled
-    ``a, b`` is below 1, and on a positive definite state ``|c|, |d|`` are
-    smaller still, so no product overflows. The sector lows and ``nu_-`` are
-    homogeneous of degree 1 and a power of two scales exactly: ``ldexp(., k)``
-    gives them back at the state's own scale, bit for bit wherever nothing
-    underflows, and the checks and the threshold apply there. A state that
-    is no state raises NumericDomainError as on the fast path.
+    definiteness, where the sector lows decide, and one whose discriminant,
+    determinants or invariant came out non-finite because an entry's size
+    overflowed a product. ``k`` is the mean exponent of ``a`` and ``b`` (the
+    rule of :func:`_uncertainty_window`), so the scaled ``ab`` lies in
+    [1/4, 2) and the determinants keep their digits even with ``b << a``.
+    It is floored at 0, so the scaling only shrinks and cannot overflow; a
+    negative mean needs ``ab < 2``, where ``b > SPD_TOL`` keeps ``a`` below
+    ~1e12 and no product overflows unscaled. The reflected discriminant
+    ``skew^2 + X`` of :func:`_min_invariant` is taken as
+    ``s^2 ((skew/s)^2 + (X/s)/s)``, ``s`` the power of two at
+    ``max(|skew|, sqrt|X|)``, so it does not overflow where ``a/b`` passes
+    ~1e154. A power of two scales exactly: wherever the plain form is in
+    range, the two differ at most in the last-bit rounding of ``** 0.5``.
+    The sector lows and ``nu_-`` are homogeneous of degree 1, so
+    ``ldexp(., k)`` gives them back at the state's own scale, where the
+    checks and the threshold apply. A state that is no state raises
+    NumericDomainError as on the fast path.
     """
-    k = max(math.frexp(max(a, b))[1], 0)
+    k = max((math.frexp(a)[1] + math.frexp(b)[1]) // 2, 0)
     a, b, c, d = (math.ldexp(x, -k) for x in (a, b, c, d))
     low, low_d = _sector_eigenvalues(a, b, c)[0], _sector_eigenvalues(a, b, d)[0]
     _check_min_eigenvalue(math.ldexp(low_d if low_d < low else low, k))
-    nu = math.ldexp(_min_invariant(a, b, c, -d), k)
+    skew = a * a - b * b
+    x = 4.0 * (a * c - b * d) * (b * c - a * d)
+    s = math.ldexp(1.0, math.frexp(max(abs(skew), abs(x) ** 0.5))[1])
+    disc = (skew / s) * (skew / s) + x / s / s
+    root = s * (disc if disc > 0.0 else 0.0) ** 0.5
+    det = (a * b - c * c) * (a * b - d * d)
+    nu = math.ldexp((8.0 * det / (a * a + b * b - 2.0 * c * d + root)) ** 0.5, k)
     return PptResult(nu >= 1.0 - RSUP_SLACK, nu - 1.0)
 
 

@@ -101,9 +101,17 @@ def _check_invertible(matrix: np.ndarray, what: str) -> None:
     also under ``np.errstate(divide="raise")``.
     """
     sv = np.linalg.svd(matrix, compute_uv=False)
-    if not sv[-1] > SINGULAR_RCOND * sv[0]:
+    _check_singular_values(sv[-1], sv[0], what)
+
+
+def _check_singular_values(s_min, s_max, what: str) -> None:
+    """:func:`_check_invertible`'s rule on singular values already known.
+
+    A NaN fails it, so a value that overflowed to NaN cannot pass as invertible.
+    """
+    if not s_min > SINGULAR_RCOND * s_max:
         raise SingularMatrixError(f"{what} is singular: singular values "
-                                  f"{sv[-1]:.3e} to {sv[0]:.3e}")
+                                  f"{s_min:.3e} to {s_max:.3e}")
 
 
 def check_spd(matrix) -> np.ndarray:
@@ -203,6 +211,19 @@ class SymplecticForm:
         object.__setattr__(self, "matrix", _freeze(m))
 
 
+def _validated_form(matrix: np.ndarray, ordering: Ordering) -> SymplecticForm:
+    """Wrap a matrix known to be an antisymmetric invertible form, unchecked.
+
+    Takes ownership like :func:`_validated`: the array is made read-only in
+    place, so the caller must not write to it afterwards.
+    """
+    matrix.setflags(write=False)
+    form = object.__new__(SymplecticForm)
+    object.__setattr__(form, "matrix", matrix)
+    object.__setattr__(form, "ordering", ordering)
+    return form
+
+
 @functools.cache
 def build_symplectic_form(n_modes: int, ordering: Ordering = Ordering.MODE_INTERLEAVED) -> SymplecticForm:
     """Undeformed form for ``n_modes`` modes in the requested ordering.
@@ -218,11 +239,7 @@ def build_symplectic_form(n_modes: int, ordering: Ordering = Ordering.MODE_INTER
     m = np.zeros((2 * n_modes, 2 * n_modes))
     m[x, p] = 1.0
     m[p, x] = -1.0
-    m.setflags(write=False)
-    form = object.__new__(SymplecticForm)
-    object.__setattr__(form, "matrix", m)
-    object.__setattr__(form, "ordering", ordering)
-    return form
+    return _validated_form(m, ordering)
 
 
 def permute_ordering(matrix: np.ndarray, source: Ordering, target: Ordering) -> np.ndarray:

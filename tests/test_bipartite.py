@@ -14,7 +14,7 @@ from ginfo.bipartite import (
     separability_margin,
     theta_sweep,
 )
-from ginfo.errors import SingularMatrixError
+from ginfo.errors import NumericDomainError, SingularMatrixError
 from ginfo.states import partial_transpose
 from ginfo.symplectic import (
     CovarianceMatrix,
@@ -27,9 +27,25 @@ from ginfo.symplectic import (
 
 from helpers import QUARTER_CROSSING, hermitian_margin
 
+EPS = np.finfo(float).eps
 RSUP_18 = 1.4069616518051216   # (1 + R) sqrt(b) at m = n = 1/8
 GRID = np.linspace(0.01, 0.99, 99)
 PARTY_FORM = build_symplectic_form(4, Ordering.PARTY_BLOCK_XP)
+
+
+def _shift(theta, eta):
+    """The Bopp shift's 8x8 congruence, entry by entry as ``bopp_shift`` builds it."""
+    s = np.eye(8)
+    s[0:2, 2:4] = s[4:6, 6:8] = -theta / 2.0 * J2
+    s[2:4, 0:2] = s[6:8, 4:6] = eta / 2.0 * J2
+    return s
+
+
+def _deformed_form(theta, eta):
+    """``S Omega S^T`` for the shift of :func:`_shift`, antisymmetrized, unchecked."""
+    s = _shift(theta, eta)
+    deformed = s @ PARTY_FORM.matrix @ s.T
+    return 0.5 * (deformed - deformed.T)
 
 
 class TestPairCvm:
@@ -158,6 +174,44 @@ class TestBoppShift:
         with pytest.raises(SingularMatrixError):
             bopp_shift(PairConfig(0.1, 0.1, theta=2.0, eta=2.0))
 
+    def test_closed_form_singular_values_match_svd(self):
+        # each party's block is a complex 2x2 matrix, so the SVD of the 8x8 form
+        # gives its two singular values four times each; they agree to a few
+        # eps of the largest, the SVD's own accuracy
+        rng = np.random.default_rng(18)
+        draws = [tuple(rng.uniform(-3.0, 3.0, 2)) for _ in range(300)]
+        ratio = np.exp(rng.uniform(-8.0, 8.0, 300))   # theta eta next to 4
+        p = 4.0 * (1.0 - 10.0 ** rng.uniform(-8.0, -1.0, 300))
+        draws += list(zip(np.sqrt(p * ratio), np.sqrt(p / ratio)))
+        for theta, eta in draws:
+            if theta * eta >= 4.0:
+                continue
+            s_min, s_max = bipartite._form_singular_values(theta, eta)
+            sv = np.linalg.svd(_deformed_form(theta, eta), compute_uv=False)
+            np.testing.assert_allclose(sv, np.repeat([s_max, s_min], 4),
+                                       rtol=0, atol=8 * EPS * s_max)
+            assert abs(s_max - sv[0]) <= 4 * EPS * s_max
+
+    def test_margin_runs_no_svd(self):
+        # the form's invertibility is decided in closed form; the deformed
+        # state keeps its one SPD check, and the spectrum is one solve and one eigvals
+        calls = Counter()
+        spied = {name: getattr(np.linalg, name) for name in ("svd", "eigvalsh", "eigvals", "solve")}
+
+        def counted(name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return spied[name](*args, **kwargs)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in spied:
+                patch.setattr(np.linalg, name, counted(name))
+            for theta, eta in ((0.4, 0.1), (-1.5, 1.9), (0.88, 4.5)):
+                calls.clear()
+                separability_margin(PairConfig(0.125, 0.125, theta=theta, eta=eta))
+                assert calls == {"eigvalsh": 1, "solve": 1, "eigvals": 1}
+
     def test_shift_next_to_its_singular_point_accepted(self):
         # theta*eta = 3.96: |det S| = 1e-8 and |det S Omega S^T| = 1e-16, but cond(S) is 726
         shift = bopp_shift(PairConfig(0.2, 0.1, theta=0.88, eta=4.5))
@@ -195,6 +249,64 @@ class TestDeformedSpectrum:
         signs = np.array([1.0, 1, 1, 1, 1, 1, -1, -1])   # party B's momenta p3, p4
         np.testing.assert_array_equal(once.matrix, pair.matrix * np.outer(signs, signs))
         np.testing.assert_array_equal(partial_transpose(once).matrix, pair.matrix)
+
+
+def _near_edge_configs(count):
+    """Seeded pairs next to the singular shift: ``1 - theta eta / 4 = 10^U(-9, -3)``.
+
+    ``theta / eta = e^U(-12, 12)`` with a random common sign, and (m, n) at a
+    random angle with R in (0.005, 0.97).
+    """
+    rng = np.random.default_rng(5)
+    ratio = np.exp(rng.uniform(-12.0, 12.0, count))
+    p = 4.0 * (1.0 - 10.0 ** rng.uniform(-9.0, -3.0, count))
+    sign = rng.choice([-1.0, 1.0], count)
+    radius = rng.uniform(0.005, 0.97, count)
+    angle = rng.uniform(0.0, 2.0 * np.pi, count)
+    return [PairConfig(*row) for row in zip((radius * np.cos(angle)).tolist(),
+                                            (radius * np.sin(angle)).tolist(),
+                                            (sign * np.sqrt(p * ratio)).tolist(),
+                                            (sign * np.sqrt(p / ratio)).tolist())]
+
+
+def _svd_route_margin(cfg):
+    """The margin with every object checked by its constructor's numeric test.
+
+    The form's invertibility by its SVD, then the deformed state's positive
+    definiteness by its eigenvalues, in that order; the spectrum as in
+    :func:`deformed_pt_spectrum`.
+    """
+    form = _deformed_form(cfg.theta, cfg.eta)
+    symplectic._check_invertible(form, "symplectic form")
+    shift = _shift(cfg.theta, cfg.eta)
+    deformed = shift @ pair_cvm(cfg).matrix @ shift.T
+    state = CovarianceMatrix(0.5 * (deformed + deformed.T), Ordering.PARTY_BLOCK_XP)
+    return symplectic_spectrum(partial_transpose(state), form)[0] - 1.0
+
+
+class TestNearSingularShift:
+    def test_exit_classes_match_the_svd_route(self):
+        # next to theta eta = 4 the form is singular to working precision, or the
+        # deformed state is not positive definite (its lowest eigenvalue is
+        # rounding against a largest of up to ~1e5), or the margin is
+        # computed: each draw ends as the constructors' checks end it, and a
+        # margin has the same bits
+        outcomes = Counter()
+        for cfg in _near_edge_configs(4000):
+            try:
+                expected = _svd_route_margin(cfg)
+            except SingularMatrixError:
+                with pytest.raises(SingularMatrixError, match="symplectic form is singular"):
+                    separability_margin(cfg)
+                outcomes["singular form"] += 1
+            except NumericDomainError:
+                with pytest.raises(NumericDomainError, match="not positive definite"):
+                    separability_margin(cfg)
+                outcomes["indefinite state"] += 1
+            else:
+                assert separability_margin(cfg) == expected
+                outcomes["margin"] += 1
+        assert outcomes == {"singular form": 3070, "indefinite state": 16, "margin": 914}
 
 
 def _boundary_roots(m, n, eta):

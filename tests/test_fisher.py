@@ -363,6 +363,48 @@ class TestVolumeGate:
         assert calls == []                          # the closed-form gate validates
         assert built == []                          # no sample becomes a matrix
 
+    @pytest.mark.parametrize("predicate", ["quantum", "separable", "entangled"])
+    def test_records_built_without_the_constructor(self, monkeypatch, predicate):
+        # the gate has checked every physical row, so no record is checked again
+        built = []
+        real_new = CanonicalTwoModeParams.__new__
+
+        def counted_new(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(CanonicalTwoModeParams, "__new__", counted_new)
+        est = regularized_volume(Region(GATE_BOXES["negative-a"], predicate),
+                                 RegularizerConfig(), samples=GATE_SAMPLES, seed=4)
+        assert est.accepted > 0
+        assert built == []
+
+    @pytest.mark.parametrize("predicate", ["quantum", "separable", "entangled"])
+    def test_records_reaching_the_kernels(self, monkeypatch, predicate):
+        # each unchecked record is one the constructor would pass: Python floats, a, b > 0
+        seen = Counter()
+
+        def check(name):
+            real = getattr(fisher, name)
+
+            def wrapper(p, *args):
+                assert type(p) is CanonicalTwoModeParams and len(p) == 4
+                assert all(type(x) is float and math.isfinite(x) for x in p), p
+                assert p.a > 0 and p.b > 0, p
+                assert CanonicalTwoModeParams(*p) == p
+                seen[name] += 1
+                return real(p, *args)
+
+            monkeypatch.setattr(fisher, name, wrapper)
+
+        for name in ("ppt_separable", "regularizer_value", "fisher_det_two_mode"):
+            check(name)
+        est = regularized_volume(Region(GATE_BOXES["negative-a"], predicate),
+                                 RegularizerConfig(), samples=GATE_SAMPLES, seed=4)
+        assert est.accepted > 0
+        assert seen["regularizer_value"] == seen["fisher_det_two_mode"] == est.accepted
+        assert (seen["ppt_separable"] > est.accepted) == (predicate != "quantum")
+
     @pytest.mark.parametrize("box", list(GATE_BOXES), ids=list(GATE_BOXES))
     def test_closed_form_gate_matches_spectral_routes(self, box):
         draws, _ = gate_draws(GATE_BOXES[box], seed=11)

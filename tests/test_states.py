@@ -546,6 +546,40 @@ class TestPptCanonicalRoute:
         assert closed.separable is spectral.separable is True
         assert abs(closed.margin - spectral.margin) <= self.MARGIN_BOUND * EPS * scale
 
+    @pytest.mark.filterwarnings("error")
+    def test_product_states_at_every_scale(self):
+        # (10^k, 1, 0, 0) is a product of thermal modes with invariants 2 * 10^k
+        # and 2, so its reflected margin is 1. From k = 77 on, skew^2 = (a^2 - b^2)^2
+        # overflows, and the fast path hands the state to the rescaled route
+        for k in range(301):
+            for entries in ((10.0 ** k, 1.0), (1.0, 10.0 ** k)):
+                verdict = ppt_separable(CanonicalTwoModeParams(*entries))
+                assert verdict.separable is True, k
+                assert abs(verdict.margin - 1.0) <= 4 * EPS, k
+
+    @pytest.mark.filterwarnings("error")
+    def test_anisotropic_states_match_the_window(self):
+        # a up to 1e300 with b below 2.5: the verdict is the separable window's,
+        # which is exact at every scale, but for draws whose reflected invariant
+        # lies within RSUP_SLACK below 1, where only the verdict's slack admits them
+        rng = np.random.default_rng(36)
+        a = rng.uniform(0.6, 2.5, 3000) * 10.0 ** rng.uniform(0, 300, 3000)
+        b = rng.uniform(0.6, 2.5, 3000)
+        c, d = rng.uniform(-0.999, 0.999, (2, 3000)) * np.sqrt(a) * np.sqrt(b)
+        verdicts = Counter()
+        for row in np.column_stack([a, b, c, d]).tolist():
+            p = CanonicalTwoModeParams(*row)
+            if not in_quantum_region(p):
+                verdicts["unphysical"] += 1
+                continue
+            verdict = ppt_separable(p)
+            if -RSUP_SLACK <= verdict.margin < 0.0:
+                verdicts["within slack"] += 1
+                continue
+            assert verdict.separable is in_separable_region(p), row
+            verdicts[verdict.separable] += 1
+        assert verdicts == {True: 2374, False: 3, "unphysical": 623}
+
     @pytest.mark.parametrize("box", list(GATE_BOXES), ids=list(GATE_BOXES))
     def test_scalar_copy_of_the_invariant(self, box):
         # ppt_separable writes _min_invariant(a, b, c, -d) out in scalar
