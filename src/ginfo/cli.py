@@ -314,12 +314,8 @@ def _run_oscillator(args) -> int:
     units = _validated(cvm.matrix / p.hbar, cvm.ordering)
     report = oscillator.separability_condition(p)
     results = {
-        "equivalent": {"mass1": eq.mass1, "mass2": eq.mass2,
-                       "stiffness1": eq.stiffness1, "stiffness2": eq.stiffness2,
-                       "coupling1": eq.coupling1, "coupling2": eq.coupling2,
-                       "freq1": eq.freq1, "freq2": eq.freq2},
-        "exponent": {"m11": exponent.m11, "m22": exponent.m22,
-                     "cross_imag": exponent.cross_imag},
+        "equivalent": vars(eq),
+        "exponent": vars(exponent),
         "covariance": [list(row) for row in cvm.matrix],
         "min_invariant": rsup_check(units).min_invariant,
         "separable": report.separable,

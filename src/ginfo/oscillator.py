@@ -5,7 +5,7 @@ equivalent standard-space Hamiltonian with effective masses, stiffnesses and
 a momentum-position cross coupling -> normal-mode frequencies -> Gaussian
 ground state in Williamson's closed form -> its covariance matrix, the
 exponent read off it, and the separability verdict. Every covariance is
-checked against the Williamson polar form of the transformed Hamiltonian.
+checked by the identity that defines it on the transformed Hamiltonian.
 
 Basis throughout is mode-interleaved (x1, p1, x2, p2).
 """
@@ -161,13 +161,12 @@ def _polar_ground_state(h: np.ndarray, hbar: float) -> np.ndarray:
     """Ground-state covariance of the Hamiltonian matrix ``h`` by Williamson's polar form.
 
     ``(hbar/2) h^-1/2 |h^1/2 i Omega h^1/2| h^-1/2`` (Williamson, Am. J. Math.
-    58, 141 (1936)): one route for every admissible ``h``, with no decoupled
-    or degenerate case. Raises NumericDomainError if ``h`` rounds to indefinite.
+    58, 141 (1936)): the second route of selftest's ``polar_ground_state``.
+    Raises NumericDomainError if ``h`` rounds to indefinite.
     """
     w, v = np.linalg.eigh(h)
     if not w[0] > 0:
-        raise NumericDomainError(f"Hamiltonian is not positive definite to working precision: "
-                                 f"min eigenvalue {w[0]:.3e}, cond(H) = {np.linalg.cond(h):.3e}")
+        raise NumericDomainError(f"Hamiltonian is not positive definite: min eigenvalue {w[0]:.3e}")
     root, inv_root = (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
     lam, u = np.linalg.eigh(root @ (1j * build_symplectic_form(2).matrix) @ root)
     return hbar / 2.0 * (inv_root @ ((u * np.abs(lam)) @ u.conj().T).real @ inv_root)
@@ -181,7 +180,7 @@ class GroundState:
     modes: ModeSpectrum
     exponent: GroundStateExponent
     covariance: CovarianceMatrix
-    polar_gap: float    # max |covariance - polar form| / (max |polar form| * cond(H))
+    residual: float     # max |(2 Sigma H / hbar)^2 + (Omega H)^2| / (2 max|Sigma| / hbar)^2
 
 
 def ground_state(p: OscillatorParams) -> GroundState:
@@ -204,11 +203,12 @@ def ground_state(p: OscillatorParams) -> GroundState:
     covariance's layout: ``m11 = 1 / (2 Sigma_00)``,
     ``m22 = 1 / (2 Sigma_22)`` and ``cross_imag = -Sigma_03 / (hbar Sigma_00)``.
 
-    The covariance must match the polar form of the product-route
-    Hamiltonian H to ``GROUND_STATE_CHECK_TOL * cond(H)``, relative to the
-    largest entry, or NumericDomainError is raised. ``cond(H)`` grows as
-    ``1 / (1 - theta eta / 4 hbar^2)^2`` toward the singular edge; the polar
-    route loses accuracy in proportion to it, the closed form does not.
+    The check is the identity that defines Sigma, ``(2 Sigma H / hbar)^2 =
+    -(Omega H)^2`` on the product-route H: ``Sigma H`` has a positive spectrum,
+    so meeting it makes ``Sigma H`` the principal square root (Higham,
+    *Functions of Matrices*, Thm 1.29). Its residual, on H scaled exactly by a
+    power of two and per ``(2 max|Sigma| / hbar)^2`` (``cond(Sigma)`` within 16
+    for a pure state), past ``GROUND_STATE_CHECK_TOL`` raises NumericDomainError.
     """
     h = equivalent_hamiltonian(p)
     eq = equivalent_params(p)
@@ -223,13 +223,14 @@ def ground_state(p: OscillatorParams) -> GroundState:
     # 0.0 - x leaves an exact zero unsigned
     exponent = GroundStateExponent(m11=float(0.5 / sigma[0, 0]), m22=float(0.5 / sigma[2, 2]),
                                    cross_imag=float(0.0 - sigma[0, 3] / (p.hbar * sigma[0, 0])))
-    polar = _polar_ground_state(h, p.hbar)
-    deviation = np.abs(sigma - polar).max() / np.abs(polar).max()
-    gap = float(deviation / np.linalg.cond(h))
-    if gap > GROUND_STATE_CHECK_TOL:
-        raise NumericDomainError(f"ground state deviates from its polar form by {deviation:.3e}, "
-                                 f"relative to its largest entry")
-    return GroundState(eq, modes, exponent, covariance, gap)
+    h = np.ldexp(h, -math.frexp(np.abs(h).max())[1])   # a power of two: exact
+    unit = np.abs(sigma).max()
+    root, k = sigma @ h / unit, p.hbar / (2.0 * unit) * (omega @ h)
+    residual = float(np.abs(root @ root + k @ k).max())
+    if residual > GROUND_STATE_CHECK_TOL:
+        raise NumericDomainError(f"ground state misses (2 Sigma H / hbar)^2 = -(Omega H)^2 "
+                                 f"by {residual:.3e}, relative to (2 max|Sigma| / hbar)^2")
+    return GroundState(eq, modes, exponent, covariance, residual)
 
 
 @dataclass(frozen=True)

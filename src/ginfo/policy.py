@@ -15,7 +15,7 @@ RSUP_SLACK = 1e-10              # an invariant >= 1 - RSUP_SLACK meets the uncer
 TUNED_LINE_TOL = 1e-15          # |eta - m1 m2 theta w1 w2|, relative to the sum, taken as zero
 
 # closed forms against their numeric routes
-GROUND_STATE_CHECK_TOL = 1e-13  # ground state's relative gap to its polar form, per unit of cond(H)
+GROUND_STATE_CHECK_TOL = 1e-14  # ground state's defining-identity residual, per (2 max|Sigma|/hbar)^2
 
 # resolutions
 BISECT_TOL = 1e-6               # width to which theta_sweep bisects a margin crossing

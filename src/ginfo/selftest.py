@@ -312,7 +312,10 @@ def battery_polar_ground_state(rng) -> PropertyResult:
     dev = 0.0
     for _ in range(cases):
         p = _edge_draw(rng)
-        dev = max(dev, oscillator.ground_state(p).polar_gap)
+        h = oscillator.equivalent_hamiltonian(p)
+        polar = oscillator._polar_ground_state(h, p.hbar)
+        deviation = np.abs(oscillator.ground_state(p).covariance.matrix - polar).max()
+        dev = max(dev, deviation / np.abs(polar).max() / np.linalg.cond(h))
     return _result("ground state matches its polar form, relative per unit of cond(H), "
                    "up to theta*eta/4hbar^2 = 0.999", dev, 1e-14, cases)
 

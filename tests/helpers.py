@@ -412,6 +412,86 @@ OSCILLATOR_REFERENCES = [
        0.0,
        0.0,
        5.0000005000000002745863536546266914228908717632293701171875e-4))),
+    ((0.13084201852222163, 1.43211491131611, 6.316593104898821, 0.5070579625382111,
+      0.6815769235778275, 5.868743211690416, 1.0),
+     (3.43970985587523274319512750369801838774170251479046553229802e-17,
+      1.85829784503149152868571944895493712122668399556600791083274e+1),
+     ((2.37631231948233983133187164810693475720445797557642083874178e-1,
+       0.0,
+       0.0,
+       -5.163020677257054812132990542418786084160693234074266272134e-1),
+      (0.0,
+       2.32877970262928351286251300267444516598691481116748682063129,
+       -5.87622650841329388814487523665397912820552332603287329503409e-1,
+       0.0),
+      (0.0,
+       -5.87622650841329388814487523665397912820552332603287329503409e-1,
+       2.70456973095635403139224304688224484675831182487758841611992e-1,
+       0.0),
+      (-5.163020677257054812132990542418786084160693234074266272134e-1,
+       0.0,
+       0.0,
+       2.04613245255893597942725015571152290982771067067223776576987))),
+    ((1.69354767334799, 1.1584497945524372, 1.0070940064921396e-06, 5.626082907547214e-07,
+      0.2929345562425935, 11.425549418307192, 1.0),
+     (1.85150497088737843689149540149977297804947149991160686576347e-15,
+      8.15717484658046869558811218658969902110606591677512491671456),
+     ((5.64131160139846722578167578368364187824269920599428090043812e-2,
+       0.0,
+       0.0,
+       -9.12573180623331127547468382928658864744337989931118803709101e-2),
+      (0.0,
+       4.81790660571873569606643901436639793727922586101686614989728,
+       -2.38809607335473072574024263341708525904333202360467225792207e-1,
+       0.0),
+      (0.0,
+       -2.38809607335473072574024263341708525904333202360467225792207e-1,
+       1.47626451992246267537508009247774050798442749380448931284906e-1,
+       0.0),
+      (-9.12573180623331127547468382928658864744337989931118803709101e-2,
+       0.0,
+       0.0,
+       1.84108688263556886250604507897399479733808459481947197457534))),
+    ((2.3426646918519163, 0.013155990665478757, 3.5922711136081102, 0.15145697991479717,
+      0.6040059903727643, 6.622450754980207, 1.0),
+     (4.72439547424495431946650587058281116040024602150092468321964e-18,
+      3.84019411261418906524587095515409629735656482550585860945069e+1),
+     ((5.80103625824461709344075993006349253100263090951989791545917e-3,
+       0.0,
+       0.0,
+       -1.76004120639210914576998643632937734087081130059944812012144e-2),
+      (0.0,
+       2.68626870407276048915794003262052344064237179583567797420433e+2,
+       -7.4334294584686828265341041478336308583501733330908468284549e+1,
+       0.0),
+      (0.0,
+       -7.4334294584686828265341041478336308583501733330908468284549e+1,
+       2.45003319553381376393553909107204753343671778810877510821649e+1,
+       0.0),
+      (-1.76004120639210914576998643632937734087081130059944812012144e-2,
+       0.0,
+       0.0,
+       6.36038000632828353132077974973103621882952496951831047389112e-2))),
+    ((0.07117134682204858, 0.024299403881017163, 2.975291932870734, 0.18757865579800775,
+      2.2635008879479073, 1.767173632728099, 1.0),
+     (6.77837946737043368080025480504088951417608859433996836666562e-16,
+      4.29104069003212210993927205730062508232997033974661879535128e+1),
+     ((1.74257147732661626240309627031224881203396627466188800137966e-1,
+       0.0,
+       0.0,
+       -1.35373199532452281031209969464481977201061638775472368729018e-1),
+      (0.0,
+       6.32040322856086602472536285838373465481315149396033966397559,
+       -6.28909889158102326293264708474285677437530754007939165669515,
+       0.0),
+      (0.0,
+       -6.28909889158102326293264708474285677437530754007939165669515,
+       8.09554947685811184440603299054407088736124326499285679664233,
+       0.0),
+      (-1.35373199532452281031209969464481977201061638775472368729018e-1,
+       0.0,
+       0.0,
+       1.36047027107635796986449021230584526010916468161744001834909e-1))),
 ]
 
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])

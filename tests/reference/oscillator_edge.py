@@ -15,7 +15,9 @@ it writes:
 The points are the deformed oscillator next to its singular edge
 ``theta*eta -> 4 hbar^2``, next to its commutative limit, at a light,
 strongly deformed point whose standard-frame frequencies nearly coincide,
-and at two points whose normal modes nearly coincide. mpmath 1.3 is
+at two points whose normal modes nearly coincide, and at four points with
+``eps * cond(H)`` from 11 to 1,562, where float64 rounds H to indefinite.
+mpmath 1.3 is
 needed here only; the tests read the literals. Run it by hand after a
 change of points, then review the diff:
 
@@ -48,6 +50,18 @@ POINTS = [
     (1.0, 1.0, 0.01, 0.01, 0.0, 1e-12, 1.0),
     # undeformed, with frequencies 1e-7 apart, relative
     (1.0, 1.0, 0.001, 0.0010000001, 0.0, 0.0, 1.0),
+    # theta*eta/4hbar^2 = 1 - 1.4e-8, the golden case oscillator-near-edge:
+    # eps cond(H) = 121
+    (0.13084201852222163, 1.43211491131611, 6.316593104898821, 0.5070579625382111,
+     0.6815769235778275, 5.868743211690416, 1.0),
+    # micro frequencies and eta = 39 theta: eps cond(H) = 18
+    (1.69354767334799, 1.1584497945524372, 1.0070940064921396e-06, 5.626082907547214e-07,
+     0.2929345562425935, 11.425549418307192, 1.0),
+    # two more draws next to the edge (seed 49 of TestGroundState's near-edge test)
+    (2.3426646918519163, 0.013155990665478757, 3.5922711136081102, 0.15145697991479717,
+     0.6040059903727643, 6.622450754980207, 1.0),
+    (0.07117134682204858, 0.024299403881017163, 2.975291932870734, 0.18757865579800775,
+     2.2635008879479073, 1.767173632728099, 1.0),
 ]
 
 

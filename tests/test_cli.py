@@ -40,8 +40,14 @@ def _raising(error):
     return fake
 
 
-def _off_by(factor, real):
-    return lambda *args, **kwargs: factor * real(*args, **kwargs)
+def _modes_off_by(factor):
+    real = oscillator.mode_spectrum
+
+    def fake(*args, **kwargs):
+        modes = real(*args, **kwargs)
+        return oscillator.ModeSpectrum(factor * modes.freq1, factor * modes.freq2)
+
+    return fake
 
 
 def fresh_env():
@@ -373,7 +379,8 @@ class TestReports:
         code, _ = run(tmp_path, "--command", "oscillator", "--w2", "2",
                       "--theta", "0.3", "--eta", "0.2")
         assert code == 0
-        assert calls == Counter(dict.fromkeys(stages, 1))
+        # the polar form is a second route of selftest only, off the command path
+        assert calls == Counter(dict.fromkeys(set(stages) - {"_polar_ground_state"}, 1))
 
     def test_oscillator_coinciding_modes_reported(self, tmp_path):
         # isotropic and undeformed: the closed-form mode frequencies coincide
@@ -502,10 +509,10 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize("kernel, fake, message", [
         ("mode_spectrum", _raising(NumericDomainError), "forced by the test"),
-        # a deviation of 1e-9, relative, between the pipeline and its check
-        ("_polar_ground_state", _off_by(1.0 + 1e-9, oscillator._polar_ground_state),
-         "ground state deviates from its polar form by 1.000e-09"),
-    ], ids=["mode_spectrum", "polar-form"])
+        # mode frequencies off by 1e-9, relative: the covariance misses its identity
+        ("mode_spectrum", _modes_off_by(1.0 + 1e-9),
+         "ground state misses (2 Sigma H / hbar)^2 = -(Omega H)^2 by 1.042e-11"),
+    ], ids=["mode_spectrum", "identity-residual"])
     def test_spectral_failure_is_numeric_domain_error(self, tmp_path, capsys,
                                                        monkeypatch, kernel, fake, message):
         monkeypatch.setattr(oscillator, kernel, fake)
