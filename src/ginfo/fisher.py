@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import NumericDomainError
 from .policy import RSUP_SLACK, SPD_TOL
-from .states import (CanonicalTwoModeParams, _canonical_matrices, _min_invariant,
-                     _sector_eigenvalues, _validated_records, canonical_two_mode_matrix,
-                     ppt_separable)
+from .states import (CanonicalTwoModeParams, _canonical_matrices, _min_eigenvalue,
+                     _min_invariant, _sector_eigenvalues, _validated_records,
+                     canonical_two_mode_matrix, ppt_separable)
 from .symplectic import (
     _check_finite,
     _check_spd_matrix,
@@ -97,7 +97,9 @@ def fisher_metric_two_mode(p: CanonicalTwoModeParams) -> FisherMetric:
 def fisher_det_two_mode(p: CanonicalTwoModeParams) -> float:
     """Closed-form determinant of the two-mode Fisher matrix.
 
-    :func:`_deltas` written out, so the record is unpacked once per call.
+    ``(4 a^2 b^2 - (c^2 + d^2)^2) / (4 ds^3)``, ``ds = det S``, with :func:`_deltas`
+    written out, so the record is unpacked once per call. Where ``ds``
+    overflows, it is at most ``(ab)^2 / ds^3``, below ~1e-308: 0.0, not inf/inf.
     """
     a, b, c, d = p
     ab = a * b
@@ -105,6 +107,8 @@ def fisher_det_two_mode(p: CanonicalTwoModeParams) -> float:
     if dc <= 0 or dd <= 0:
         _reject_singular(dc, dd)
     ds = dc * dd
+    if ds == math.inf:
+        return 0.0
     # one division per power of ds: ds^3 overflows where the determinant is finite
     return (4.0 * a * a * b * b - (c * c + d * d) ** 2) / (4.0 * ds) / ds / ds
 
@@ -209,17 +213,21 @@ def regularizer_value(p: CanonicalTwoModeParams, reg: RegularizerConfig) -> floa
     ``Tr adj S = (a + b)(2ab - c^2 - d^2)``. :func:`_deltas` is written out,
     so the record is unpacked once per call. Where ``det(S)^m`` is past the
     float range, ``log1p`` of it is ``m log det(S)`` to the last bit (it
-    exceeds 2^53 by far).
+    exceeds 2^53 by far). Where the damping underflows to 0, it is the
+    value, even where ``det(S)`` overflows and the logarithm is inf.
     """
     a, b, c, d = p
     ab = a * b
     dc, dd = ab - c * c, ab - d * d
     if dc <= 0 or dd <= 0:
         _reject_singular(dc, dd)
+    damping = math.exp(-(a + b) * (dc + dd) / reg.kappa)
+    if damping == 0.0:
+        return damping
     try:
-        return math.exp(-(a + b) * (dc + dd) / reg.kappa) * math.log1p((dc * dd) ** reg.power)
+        return damping * math.log1p((dc * dd) ** reg.power)
     except OverflowError:
-        return math.exp(-(a + b) * (dc + dd) / reg.kappa) * (reg.power * math.log(dc * dd))
+        return damping * (reg.power * math.log(dc * dd))
 
 
 @dataclass(frozen=True)
@@ -243,24 +251,17 @@ class Region:
 def _physical(draws: np.ndarray) -> np.ndarray:
     """Physicality mask of ``(samples, 4)`` canonical rows (a, b, c, d), in closed form.
 
-    A row passes when ``a, b > 0``, the matrix is positive definite and its
-    smaller symplectic invariant is at least ``1 - RSUP_SLACK``.
-
-    * Positive definiteness: the matrix splits into the x sector
-      ``[[a, c], [c, b]]`` and the p sector ``[[a, d], [d, b]]``, so its
-      smallest eigenvalue is the smaller of the two sectors' low eigenvalues
-      (:func:`~ginfo.states._sector_eigenvalues`).
-    * Uncertainty: the smaller invariant
-      ``nu_- = sqrt(8 det S / (Delta + sqrt(D)))`` of
-      :func:`~ginfo.states._min_invariant`, on the sample arrays. Its
-      discriminant ``D = Delta^2 - 4 det S`` is taken in factored form: near
-      pure states the difference as written cancels catastrophically.
+    A row passes when ``a, b > 0``, its smallest eigenvalue
+    (:func:`~ginfo.states._min_eigenvalue`) exceeds ``SPD_TOL`` and its
+    smaller symplectic invariant (:func:`~ginfo.states._min_invariant`) is at
+    least ``1 - RSUP_SLACK``. Both kernels scale the rows past ~1e77 by
+    powers of two (:func:`~ginfo.states._scaling`), so the gate holds at
+    every scale and keeps the other rows' bits.
     """
     a, b, c, d = draws.T
     positive = (a > 0) & (b > 0)
     a, b, c, d = a[positive], b[positive], c[positive], d[positive]
-    lam_min = np.minimum(_sector_eigenvalues(a, b, c)[0], _sector_eigenvalues(a, b, d)[0])
-    spd = lam_min > SPD_TOL
+    spd = _min_eigenvalue(a, b, c, d) > SPD_TOL
     spd[spd] = _min_invariant(a[spd], b[spd], c[spd], d[spd]) >= 1.0 - RSUP_SLACK
     positive[positive] = spd
     return positive
@@ -288,17 +289,12 @@ def regularized_volume(region: Region, reg: RegularizerConfig,
     ``MIN_VOLUME_SAMPLES`` draws. Returns a zero-measure flag when no sample
     lands in the region.
 
-    The physicality gate evaluates the closed-form two-mode invariants on
-    the whole sample array at once: ``a, b > 0``, the smallest eigenvalue
-    (the smaller of the two sectors' low eigenvalues) above ``SPD_TOL``, and
-    the smaller symplectic invariant
-    ``sqrt(8 det S / (Delta + sqrt(D)))`` at least ``1 - RSUP_SLACK`` (see
-    :func:`_physical`). Only the physical samples then take the per-sample
-    PPT verdict (for the separable and entangled regions), and only the
-    accepted ones evaluate the integrand. Both are closed form in
-    (a, b, c, d) and run no eigensolver: the verdict is
-    :func:`~ginfo.states.ppt_separable` on the sample's parameters, the same
-    invariant with ``d -> -d``.
+    The physicality gate (:func:`_physical`) takes the whole sample array at
+    once. Only the physical samples then take the per-sample PPT verdict
+    (for the separable and entangled regions), and only the accepted ones
+    evaluate the integrand. Both are closed form in (a, b, c, d), at any
+    scale, and run no eigensolver: the verdict is
+    :func:`~ginfo.states.ppt_separable` on the sample's parameters.
 
     The per-sample work runs as ``map`` passes over one list of
     :class:`~ginfo.states.CanonicalTwoModeParams` records of Python floats,

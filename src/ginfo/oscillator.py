@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import NumericDomainError, SingularMatrixError
 from .policy import GROUND_STATE_CHECK_TOL, TUNED_LINE_TOL
-from .symplectic import J2, CovarianceMatrix, _check_finite, build_symplectic_form
+from .symplectic import (J2, CovarianceMatrix, Ordering, _check_finite, _check_min_eigenvalue,
+                         _validated, build_symplectic_form)
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,10 @@ def ground_state(p: OscillatorParams) -> GroundState:
     so meeting it makes ``Sigma H`` the principal square root (Higham,
     *Functions of Matrices*, Thm 1.29). Its residual, on H scaled exactly by a
     power of two and per ``(2 max|Sigma| / hbar)^2`` (``cond(Sigma)`` within 16
-    for a pure state), past ``GROUND_STATE_CHECK_TOL`` raises NumericDomainError.
+    for a pure state), past ``GROUND_STATE_CHECK_TOL`` raises NumericDomainError,
+    as do non-finite entries and a smallest eigenvalue at most ``SPD_TOL``.
+    Sigma is pure, so that is ``(hbar/2)^2`` over the largest; ``eigvalsh``
+    rounds the smallest itself to noise where ``eps * lam_max`` passes it.
     """
     h = equivalent_hamiltonian(p)
     eq = equivalent_params(p)
@@ -218,7 +222,11 @@ def ground_state(p: OscillatorParams) -> GroundState:
     terms = modes.freq1 * modes.freq2 * (ups_inv / np.diag(nc_hamiltonian_matrix(p)) @ ups_inv.T) \
         + omega @ h @ omega.T
     # averaged with its transpose, the matrix is symmetric to the last bit
-    covariance = CovarianceMatrix(p.hbar / (4.0 * (modes.freq1 + modes.freq2)) * (terms + terms.T))
+    sigma = p.hbar / (4.0 * (modes.freq1 + modes.freq2)) * (terms + terms.T)
+    if not np.isfinite(sigma).all():
+        raise NumericDomainError("ground-state covariance has non-finite entries")
+    _check_min_eigenvalue((p.hbar / 2.0) ** 2 / np.linalg.eigvalsh(sigma)[-1])
+    covariance = _validated(sigma, Ordering.MODE_INTERLEAVED)
     sigma = covariance.matrix
     # 0.0 - x leaves an exact zero unsigned
     exponent = GroundStateExponent(m11=float(0.5 / sigma[0, 0]), m22=float(0.5 / sigma[2, 2]),

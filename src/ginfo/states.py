@@ -96,6 +96,35 @@ def _sector_eigenvalues(a, b, c):
     return (a * b - c * c) / high, high
 
 
+# past 2^254, a product of degree 4 in a state's entries (up to 16 max(a, b)^4) may overflow
+_LARGE = 2.0 ** 254
+
+
+def _scaling(a, b):
+    """Exponents ``(k, m)`` that keep canonical invariants in range, on floats or arrays.
+
+    None where every ``max(a, b)`` is below ``_LARGE``. Else, on the rows at
+    or past it (0 on the others), ``k`` is the mean ``frexp`` exponent of
+    ``a`` and ``b``, so ``ab 2^-2k`` lies in [1/4, 2) even with ``b << a``,
+    and ``m`` that of ``max(a, b)``, so the entries times ``2^-m`` lie below 1.
+    """
+    top = np.maximum(a, b)
+    large = top >= _LARGE
+    if large.any():
+        return (np.frexp(a)[1] + np.frexp(b)[1]) // 2 * large, np.frexp(top)[1] * large
+    return None
+
+
+def _min_eigenvalue(a, b, c, d):
+    """Smallest eigenvalue, the lower sector low, of canonical (a, b, c, d) at any scale."""
+    scaling = _scaling(a, b)
+    if scaling is not None:
+        k = scaling[0]
+        a, b, c, d = (np.ldexp(x, -k) for x in (a, b, c, d))
+    low = np.minimum(_sector_eigenvalues(a, b, c)[0], _sector_eigenvalues(a, b, d)[0])
+    return low if scaling is None else np.ldexp(low, k)
+
+
 def _min_invariant(a, b, c, d):
     """Smaller symplectic invariant ``nu_-`` of canonical (a, b, c, d), on floats or arrays.
 
@@ -107,21 +136,31 @@ def _min_invariant(a, b, c, d):
     coincide (near pure symmetric states, and near the vacuum after the mirror
     reflection) ``Delta^2`` and ``4 det S`` almost cancel, and the difference
     taken as written loses up to half the digits of ``nu_-``, enough to flip
-    verdicts that the eigenvalue route gets right. The mirror reflection maps
-    the state to (a, b, c, -d), so its invariant is ``_min_invariant(a, b, c, -d)``.
+    verdicts that the eigenvalue route gets right.
 
-    The state must be positive definite. The arithmetic is plain, so Python
-    floats make no numpy call: ``disc * (disc > 0)`` sets a discriminant that
-    rounding left below 0 to 0, and ``x ** 0.5`` is numpy's ``sqrt`` on
-    arrays and within an ulp of it on floats. Past the float range the value
-    comes out inf or NaN.
+    The state must be positive definite. Where :func:`_scaling` finds large
+    entries, ``det S`` is taken on them times ``2^-k`` and ``Delta + sqrt(D)``
+    times ``2^-m``, and ``nu_-`` is the root of the quotient times
+    ``2^(2k - m)``: nothing overflows, even with ``a/b`` past ~1e154, and on
+    arrays the powers of two keep every bit wherever the unscaled form is in
+    range. ``disc * (disc > 0)`` sets a discriminant that rounding left below
+    0 to 0, and ``x ** 0.5`` is numpy's ``sqrt`` on arrays and within an ulp
+    of it on floats.
     """
-    delta = a * a + b * b + 2.0 * c * d
+    scaling = _scaling(a, b)
+    at_k = at_m = (a, b, c, d)
+    if scaling is not None:
+        k, m = scaling
+        at_k = [np.ldexp(x, -k) for x in at_k]
+        at_m = [np.ldexp(x, -m) for x in at_m]
+    a, b, c, d = at_k
     det = (a * b - c * c) * (a * b - d * d)
+    a, b, c, d = at_m
     skew = a * a - b * b
     disc = skew * skew + 4.0 * (a * c + b * d) * (a * d + b * c)
     disc = disc * (disc > 0.0)
-    return (8.0 * det / (delta + disc ** 0.5)) ** 0.5
+    nu = (8.0 * det / (a * a + b * b + 2.0 * c * d + disc ** 0.5)) ** 0.5
+    return nu if scaling is None else np.ldexp(nu, 2 * k - m)
 
 
 def canonical_two_mode_matrix(p: CanonicalTwoModeParams) -> np.ndarray:
@@ -233,22 +272,15 @@ def ppt_separable(sigma: CovarianceMatrix | CanonicalTwoModeParams) -> PptResult
 
     * a CovarianceMatrix: ``rsup_check`` on the reflected matrix
       (:func:`partial_transpose`), an eigensolver call;
-    * a canonical state's parameters: closed form, in one straight pass of
-      scalar arithmetic on the record's entries with no numpy call. The
-      reflection maps (a, b, c, d) to (a, b, c, -d) exactly, so the invariant
-      is ``_min_invariant(a, b, c, -d)``, written out here with the
-      reflection folded into its signs, which changes no bit; a test pins
-      the two copies together.
-      The state must be positive definite: both sectors' low eigenvalues
-      (:func:`_sector_eigenvalues`) must exceed ``SPD_TOL``, else NumericDomainError
-      as from :func:`~ginfo.symplectic.check_spd`. A sector's low eigenvalue
-      is its determinant (``ab - c^2`` or ``ab - d^2``, whose product is
-      ``det S``) over its high one, which is below ``2(a + b)``. So where
-      both determinants exceed ``4 SPD_TOL (a + b)``, both lows exceed
-      ``2 SPD_TOL`` and the check passes without them. Nearer the edge, and
-      where an entry's size overflows the products (past ~1e77,
-      ``det S ~ a^4`` and ``skew^2 ~ a^4``), :func:`_ppt_rescaled` takes the
-      verdict.
+    * a canonical state's parameters: closed form, ``_min_invariant(a, b, c, -d)``
+      (the reflection maps d to -d exactly). Its fast path writes it out in
+      scalar arithmetic with no numpy call, the reflection folded into its
+      signs, which changes no bit (a test pins the copies together), and skips
+      the SPD check where both sector determinants exceed ``4 SPD_TOL (a + b)``:
+      a sector's low eigenvalue is its determinant over its high one, below
+      ``2(a + b)``. Any other state, and one whose products overflow (past
+      ~1e77), takes the scale-free check (:func:`_min_eigenvalue` above
+      ``SPD_TOL``, else NumericDomainError as from ``check_spd``), then ``_min_invariant``.
 
     Both routes return a built-in ``bool`` and ``float``, also for entries
     that are numpy floats.
@@ -264,52 +296,16 @@ def ppt_separable(sigma: CovarianceMatrix | CanonicalTwoModeParams) -> PptResult
             aa, bb = a * a, b * b
             skew = aa - bb
             disc = skew * skew + 4.0 * (a * c - b * d) * (b * c - a * d)
-            if disc < 0.0:
-                disc = 0.0
-            elif not disc < math.inf:   # skew^2 overflowed, and nu would come out 0
-                return _ppt_rescaled(a, b, c, d)
-            nu = (8.0 * (det_c * det_d) / (aa + bb - 2.0 * c * d + disc ** 0.5)) ** 0.5
-            if nu - nu == 0.0:    # finite
+            nu = (8.0 * (det_c * det_d) / (aa + bb - 2.0 * c * d
+                                           + (disc if disc > 0.0 else 0.0) ** 0.5)) ** 0.5
+            # an overflowed skew^2 would give nu = 0, finite
+            if nu - nu == 0.0 and disc < math.inf:
                 return tuple.__new__(PptResult, (nu >= 1.0 - RSUP_SLACK, nu - 1.0))
-        return _ppt_rescaled(a, b, c, d)
+        _check_min_eigenvalue(_min_eigenvalue(a, b, c, d))
+        nu = float(_min_invariant(a, b, c, -d))
+        return tuple.__new__(PptResult, (nu >= 1.0 - RSUP_SLACK, nu - 1.0))
     result = rsup_check(partial_transpose(sigma))
     return PptResult(separable=result.valid, margin=result.min_invariant - 1.0)
-
-
-def _ppt_rescaled(a: float, b: float, c: float, d: float) -> PptResult:
-    """:func:`ppt_separable`'s closed form off its fast path, on ``(a, b, c, d) * 2^-k``.
-
-    The fast path leaves a state near or past the edge of positive
-    definiteness, where the sector lows decide, and one whose discriminant,
-    determinants or invariant came out non-finite because an entry's size
-    overflowed a product. ``k`` is the mean exponent of ``a`` and ``b`` (the
-    rule of :func:`_uncertainty_window`), so the scaled ``ab`` lies in
-    [1/4, 2) and the determinants keep their digits even with ``b << a``.
-    It is floored at 0, so the scaling only shrinks and cannot overflow; a
-    negative mean needs ``ab < 2``, where ``b > SPD_TOL`` keeps ``a`` below
-    ~1e12 and no product overflows unscaled. The reflected discriminant
-    ``skew^2 + X`` of :func:`_min_invariant` is taken as
-    ``s^2 ((skew/s)^2 + (X/s)/s)``, ``s`` the power of two at
-    ``max(|skew|, sqrt|X|)``, so it does not overflow where ``a/b`` passes
-    ~1e154. A power of two scales exactly: wherever the plain form is in
-    range, the two differ at most in the last-bit rounding of ``** 0.5``.
-    The sector lows and ``nu_-`` are homogeneous of degree 1, so
-    ``ldexp(., k)`` gives them back at the state's own scale, where the
-    checks and the threshold apply. A state that is no state raises
-    NumericDomainError as on the fast path.
-    """
-    k = max((math.frexp(a)[1] + math.frexp(b)[1]) // 2, 0)
-    a, b, c, d = (math.ldexp(x, -k) for x in (a, b, c, d))
-    low, low_d = _sector_eigenvalues(a, b, c)[0], _sector_eigenvalues(a, b, d)[0]
-    _check_min_eigenvalue(math.ldexp(low_d if low_d < low else low, k))
-    skew = a * a - b * b
-    x = 4.0 * (a * c - b * d) * (b * c - a * d)
-    s = math.ldexp(1.0, math.frexp(max(abs(skew), abs(x) ** 0.5))[1])
-    disc = (skew / s) * (skew / s) + x / s / s
-    root = s * (disc if disc > 0.0 else 0.0) ** 0.5
-    det = (a * b - c * c) * (a * b - d * d)
-    nu = math.ldexp((8.0 * det / (a * a + b * b - 2.0 * c * d + root)) ** 0.5, k)
-    return PptResult(nu >= 1.0 - RSUP_SLACK, nu - 1.0)
 
 
 @dataclass(frozen=True)

@@ -483,8 +483,9 @@ class TestInputBoundary:
         ("--command", "oscillator", "--w1", "1e200"),
         ("--command", "oscillator", "--theta", "1e200"),
         ("--command", "metric", "--a", "1e300", "--b", "1e300"),
+        # the box's own volume, (2e200)^4, overflows
         ("--command", "volume", "--samples", "1000",
-         "--box", "0.5,1e200,0.5,1.5,-0.5,0.5,-0.5,0.5"),
+         "--box=-1e200,1e200,-1e200,1e200,-1e200,1e200,-1e200,1e200"),
     ], ids=["oscillator-w1", "oscillator-theta", "metric", "volume-huge-box"])
     def test_overflow_or_non_finite_result_is_numeric_domain_error(self, argv):
         # a fresh process, so that a numpy warning would reach stderr too

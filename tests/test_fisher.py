@@ -210,6 +210,16 @@ class TestRegularizedVolume:
             assert regularizer_value(p, reg) == pytest.approx(reg.power * math.log(det),
                                                               rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entries", [(1e200, 1.0, 0.1, -0.1), (1e300, 1e300, 0.0, 0.0)])
+    def test_integrand_past_the_float_range(self, entries):
+        # ds = det S overflows, and exp(-Tr adj S) underflows to 0: the damping
+        # and the Fisher determinant (at most (ab)^2 / ds^3) are 0, not
+        # 0 * log1p(inf) and inf / inf
+        p = CanonicalTwoModeParams(*entries)
+        assert regularizer_value(p, RegularizerConfig()) == 0.0
+        assert fisher_det_two_mode(p) == 0.0
+
     def test_empty_region(self):
         region = Region(box=((10.0, 10.1), (10.0, 10.1), (-9.9, -9.8), (-9.9, -9.8)),
                         predicate="quantum")
@@ -446,6 +456,30 @@ class TestVolumeGate:
                     agree["separable"] += states.in_separable_region(p) == verdict.separable
         # every draw agrees, and none is skipped
         assert agree == {"quantum": GATE_SAMPLES, "separable": separable}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("recipe, physical", [("anisotropic", 2377), ("isotropic", 6171)])
+    def test_gate_matches_the_window_at_every_scale(self, recipe, physical):
+        # the seed-36 recipe of TestPptCanonicalRoute, a up to 1e300 with b
+        # below 2.5, and the gate boxes' draws with all four entries scaled by
+        # 10^U(0, 300): the gate is the exact uncertainty window on every draw
+        # (none has its invariant within RSUP_SLACK below 1, where only the
+        # gate's slack would admit it)
+        if recipe == "anisotropic":
+            rng = np.random.default_rng(36)
+            a = rng.uniform(0.6, 2.5, 3000) * 10.0 ** rng.uniform(0, 300, 3000)
+            b = rng.uniform(0.6, 2.5, 3000)
+            c, d = rng.uniform(-0.999, 0.999, (2, 3000)) * np.sqrt(a) * np.sqrt(b)
+            draws = np.column_stack([a, b, c, d])
+        else:
+            rng = np.random.default_rng(37)
+            draws = np.concatenate([gate_draws(box, seed=11)[0] for box in GATE_BOXES.values()])
+            draws = draws * 10.0 ** rng.uniform(0, 300, (len(draws), 1))
+        window = [min(row[:2]) > 0 and states.in_quantum_region(CanonicalTwoModeParams(*row))
+                  for row in draws.tolist()]
+        gate = fisher._physical(draws)
+        np.testing.assert_array_equal(gate, window)
+        assert gate.sum() == physical
 
     def test_near_pure_symmetric_states(self):
         # two-mode squeezed vacua nudged by 1e-12 ... 1e-4 per entry: the

@@ -20,8 +20,9 @@ from ginfo.oscillator import (
     nc_hamiltonian_matrix,
     separability_condition,
 )
+from ginfo.policy import SPD_TOL
 from ginfo.states import ppt_separable, simon_invariants
-from ginfo.symplectic import J2, CovarianceMatrix, build_symplectic_form, symplectic_spectrum
+from ginfo.symplectic import J2, _validated, build_symplectic_form, symplectic_spectrum
 
 from helpers import (
     OSCILLATOR_REFERENCES,
@@ -218,9 +219,65 @@ class TestGroundState:
                 >= -bound * np.abs(sigma).max(), p
             assert np.abs(symplectic_spectrum(sigma, FORM2) - 1.0).max() <= bound, p
 
+    def test_spd_floor_over_a_wide_domain(self):
+        # m, w = 10^U(-6, 6), hbar = 10^U(-2, 2), 1 - theta eta / 4 hbar^2 =
+        # 10^U(-12, 0), theta / eta = e^U(-3, 3), every seventh draw undeformed.
+        # Where eps * lam_max passes lam_min, eigvalsh rounds the smallest
+        # eigenvalue of the pure state to noise, negative on 359 draws of this
+        # recipe that lie well above SPD_TOL. The floor reads the pairing
+        # lam_min = (hbar/2)^2 / lam_max, and each reported state is pure
+        rng = np.random.default_rng(1)
+        raised = Counter()
+        for i in range(12000):
+            m1, m2, w1, w2 = 10.0 ** rng.uniform(-6.0, 6.0, size=4)
+            hbar = 10.0 ** rng.uniform(-2.0, 2.0)
+            strength = 1.0 - 10.0 ** rng.uniform(-12.0, 0.0)
+            ratio = math.exp(rng.uniform(-3.0, 3.0))
+            if i % 7 == 0:
+                theta = eta = 0.0
+            else:
+                theta = 2.0 * hbar * math.sqrt(strength * ratio)
+                eta = 2.0 * hbar * math.sqrt(strength / ratio)
+            p = OscillatorParams(m1, m2, w1, w2, theta=theta, eta=eta, hbar=hbar)
+            try:
+                sigma = ground_state(p).covariance.matrix
+            except NumericDomainError as err:
+                raised[str(err).split(":")[0]] += 1
+                continue
+            assert (hbar / 2.0) ** 2 / np.linalg.eigvalsh(sigma)[-1] > SPD_TOL, p
+            # pure: (Sigma Omega)^2 = -(hbar/2)^2, to 4 eps of max|Sigma|^2 (1.9 measured)
+            purity = sigma @ FORM2.matrix @ sigma @ FORM2.matrix + (hbar / 2.0) ** 2 * np.eye(4)
+            assert np.abs(purity).max() <= 4.0 * EPS * np.abs(sigma).max() ** 2, p
+        # 427 draws raise at the floor when it reads eigvalsh's smallest eigenvalue
+        assert set(raised) <= {"matrix is not positive definite"}
+        assert sum(raised.values()) < 120
+
+    @pytest.mark.parametrize("point, lam_min", [
+        # the golden case oscillator-pure-floor: eigvalsh reads -1.915e-10
+        ((9447.089199187176, 5.6573763531500006e-06, 8051.072930754775,
+          9.420787281958922e-05, 1.124366340974127, 0.3567205463167947, 0.3166561928765105),
+         1.23463100191e-10),
+        # the golden case oscillator-below-floor: eigvalsh reads 1.42e-9
+        ((4.9687413166344576e-05, 2.1157538230548984e-06, 498655.1288111681,
+          2.3136388897816082e-06, 0.1197076918025224, 0.008677474942098336,
+          0.01611490634601768),
+         7.36541075914e-14),
+    ], ids=["pure-floor", "below-floor"])
+    def test_spd_floor_against_the_reference(self, point, lam_min):
+        # the smallest eigenvalue of the 80-digit covariance of
+        # tests/reference/oscillator_edge.py's reference(), to 12 digits
+        p = OscillatorParams(*point)
+        if lam_min <= SPD_TOL:
+            with pytest.raises(NumericDomainError, match=f"min eigenvalue = {lam_min:.3e} <="):
+                ground_state(p)
+        else:
+            lam = np.linalg.eigvalsh(ground_state(p).covariance.matrix)
+            assert lam[0] < 0.0
+            assert (p.hbar / 2.0) ** 2 / lam[-1] == pytest.approx(lam_min, rel=1e-10)
+
     def test_checks_only_the_covariance_by_eigensolver(self, monkeypatch):
         # the defining identity takes matrix products only: of all of
-        # numpy.linalg, only the CovarianceMatrix check's eigvalsh runs
+        # numpy.linalg, only the eigvalsh of the floor check runs
         calls = Counter()
 
         def spy(name, real):
@@ -241,8 +298,8 @@ class TestGroundState:
         # that stays a valid pure state (diag(1, 1, -1, -1) is symplectic), so
         # only the identity can catch it
         flip = np.diag([1.0, 1.0, -1.0, -1.0])
-        monkeypatch.setattr(oscillator, "CovarianceMatrix",
-                            lambda matrix: CovarianceMatrix(flip @ matrix @ flip))
+        monkeypatch.setattr(oscillator, "_validated",
+                            lambda matrix, ordering: _validated(flip @ matrix @ flip, ordering))
         with pytest.raises(NumericDomainError, match=r"misses .* by 3\.553e-03"):
             ground_state(GENERIC)
 

@@ -550,7 +550,7 @@ class TestPptCanonicalRoute:
     def test_product_states_at_every_scale(self):
         # (10^k, 1, 0, 0) is a product of thermal modes with invariants 2 * 10^k
         # and 2, so its reflected margin is 1. From k = 77 on, skew^2 = (a^2 - b^2)^2
-        # overflows, and the fast path hands the state to the rescaled route
+        # overflows, and the fast path hands the state to the scaled kernel
         for k in range(301):
             for entries in ((10.0 ** k, 1.0), (1.0, 10.0 ** k)):
                 verdict = ppt_separable(CanonicalTwoModeParams(*entries))
@@ -593,6 +593,20 @@ class TestPptCanonicalRoute:
             verdict = ppt_separable(CanonicalTwoModeParams(*row))
             assert verdict.separable == (nu >= 1.0 - RSUP_SLACK), row
             assert abs(verdict.margin + 1.0 - nu) <= np.spacing(nu), row
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("box", list(GATE_BOXES), ids=list(GATE_BOXES))
+    def test_scaled_kernel_keeps_the_bits(self, box):
+        # scaled by 2^j, a state's invariant is 2^j times its own; from
+        # 2^254 on the kernel scales the entries back by powers of two, and
+        # keeps every bit of the unscaled formula's nu_-, reflected or not
+        draws, _ = gate_draws(GATE_BOXES[box], seed=11)
+        a, b, c, d = draws[fisher._physical(draws)].T
+        for sign in (1.0, -1.0):
+            nus = states._min_invariant(a, b, c, sign * d)
+            for j in (256, 300, 500, 700, 1000):
+                scaled = (np.ldexp(x, j) for x in (a, b, c, sign * d))
+                np.testing.assert_array_equal(states._min_invariant(*scaled), np.ldexp(nus, j))
 
 
 class TestPptEigensolverOnly:
